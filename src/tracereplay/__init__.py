@@ -60,13 +60,24 @@ from .segment import (
     segment_actions,
     segment_trace,
 )
-from .synth import (
-    GroundTruthAction,
-    GroundTruthScenario,
-    NoiseModel,
-    noise_preset,
-    random_scenario,
-    synthesize_trace,
-)
 
 __version__ = "0.1.0"
+
+#: Generator names, re-exported on first use: only the synthetic-trace
+#: generator needs numpy, so `import tracereplay` does not load it.
+_SYNTH_NAMES = frozenset({
+    "GroundTruthAction",
+    "GroundTruthScenario",
+    "NoiseModel",
+    "noise_preset",
+    "random_scenario",
+    "synthesize_trace",
+})
+
+
+def __getattr__(name: str):
+    if name in _SYNTH_NAMES:
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

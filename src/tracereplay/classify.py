@@ -19,7 +19,14 @@ from enum import Enum
 from typing import Union
 
 from .errors import MalformedJson, SchemaViolation
-from .model import DetectionTrace, DeviceProfile, TouchDetection
+from .model import (
+    DetectionTrace,
+    DeviceProfile,
+    TouchDetection,
+    detections_json,
+    device_json,
+    json_array,
+)
 from .segment import MAX_DISCARD_FRAMES, MIN_CONFIDENCE, TouchSequence, segment_trace
 
 CLASSIFIED_SCHEMA_VERSION = 1
@@ -72,12 +79,6 @@ class AtomicAction:
     @property
     def active_frames(self) -> int:
         return self.active_end_frame - self.start_frame + 1
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "touches": [t.to_dict() for t in self.sequence.touches],
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "AtomicAction":
@@ -144,24 +145,28 @@ class ClassifiedScenario:
         return tuple(item.symbol(extended) for item in self.items)
 
     def to_json(self) -> bytes:
+        """The classified.json document, laid out as json.dumps(indent=2)."""
         items = []
         for item in self.items:
             if isinstance(item, SingleFingerItem):
-                items.append({"type": "sfa", "action": item.action.to_dict()})
-            else:
                 items.append(
-                    {
-                        "type": "mfa",
-                        "finger_count": item.finger_count,
-                        "actions": [a.to_dict() for a in item.actions],
-                    }
+                    '    {\n      "type": "sfa",\n      "action": '
+                    f"{_action_json(item.action, 3)}\n    }}"
                 )
-        doc = {
-            "schema_version": CLASSIFIED_SCHEMA_VERSION,
-            "device": self.profile.to_dict(),
-            "items": items,
-        }
-        return json.dumps(doc, indent=2).encode("utf-8")
+            else:
+                actions = json_array(
+                    ["        " + _action_json(a, 4) for a in item.actions], 3
+                )
+                items.append(
+                    '    {\n      "type": "mfa",\n'
+                    f'      "finger_count": {item.finger_count},\n'
+                    f'      "actions": {actions}\n    }}'
+                )
+        return (
+            f'{{\n  "schema_version": {CLASSIFIED_SCHEMA_VERSION},\n'
+            f'  "device": {device_json(self.profile, 1)},\n'
+            f'  "items": {json_array(items, 1)}\n}}'
+        ).encode("utf-8")
 
     @classmethod
     def from_json(cls, data: bytes | str) -> "ClassifiedScenario":
@@ -337,6 +342,16 @@ def classify_trace(
         classify_action(s, trace.profile, duration_based_cutoff) for s in sequences
     ]
     return identify_sfa_mfa(filter_actions(actions), trace.profile)
+
+
+def _action_json(action: AtomicAction, depth: int) -> str:
+    """One action object opening at `depth` (its first line unindented)."""
+    pad = "  " * (depth + 1)
+    return (
+        f'{{\n{pad}"kind": "{action.kind.value}",\n'
+        f'{pad}"touches": {detections_json(action.sequence.touches, depth + 1)}'
+        f'\n{"  " * depth}}}'
+    )
 
 
 def _int(data: dict, key: str) -> int:

@@ -14,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import codegen, metrics, replay, synth
+from . import codegen, metrics, replay
 from .classify import ClassifiedScenario, classify_trace
 from .config import Config, load_config
 from .errors import (
@@ -158,6 +158,8 @@ def _out_dir(config: Config) -> Path:
 
 
 def _cmd_synthesize(args, config: Config) -> int:
+    from . import synth  # the only command that needs numpy
+
     scenario = synth.GroundTruthScenario.from_json(Path(args.scenario).read_bytes())
     noise = synth.noise_preset(config.noise_preset, seed=config.seed)
     trace, symbols = synth.synthesize_trace(scenario, noise)

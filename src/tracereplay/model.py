@@ -25,8 +25,10 @@ All downstream logic works with the bbox center point only.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .errors import BoundsViolation, MalformedJson, SchemaViolation
 
@@ -100,11 +102,19 @@ class TouchDetection:
     opacity: Opacity
 
     def __post_init__(self):
-        object.__setattr__(self, "bbox", tuple(float(v) for v in self.bbox))
+        try:
+            object.__setattr__(self, "bbox", tuple(float(v) for v in self.bbox))
+            object.__setattr__(self, "confidence", float(self.confidence))
+        except OverflowError:
+            raise SchemaViolation(
+                f"bbox or confidence out of float range (frame {self.frame})"
+            ) from None
         if self.frame < 0:
             raise SchemaViolation(f"frame must be non-negative, got {self.frame}")
         if len(self.bbox) != 4:
             raise SchemaViolation("bbox must have exactly 4 entries")
+        if not all(map(math.isfinite, self.bbox)):
+            raise SchemaViolation(f"bbox entries must be finite, got {self.bbox}")
         if self.bbox[2] <= 0 or self.bbox[3] <= 0:
             raise SchemaViolation(f"bbox size must be positive, got {self.bbox}")
         if not 0.0 <= self.confidence <= 1.0:
@@ -118,16 +128,37 @@ class TouchDetection:
         x, y, w, h = self.bbox
         return (x + w / 2.0, y + h / 2.0)
 
-    def to_dict(self) -> dict:
-        return {
-            "frame": self.frame,
-            "bbox": list(self.bbox),
-            "confidence": self.confidence,
-            "opacity": self.opacity.value,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "TouchDetection":
+        """Validate one JSON detection object and build it.
+
+        The common case (float numbers, finite, in range) is checked
+        here once and built without the constructor checking it again;
+        anything else takes the field-by-field path, which raises the
+        precise error or accepts e.g. integer coordinates.
+        """
+        try:
+            frame, bbox = data["frame"], data["bbox"]
+            confidence, opacity = data["confidence"], data["opacity"]
+            x, y, w, h = bbox
+        except (KeyError, TypeError, ValueError):
+            return cls._from_dict_checked(data)
+        if (
+            type(bbox) is list
+            and type(frame) is int and frame >= 0
+            and type(x) is type(y) is type(w) is type(h) is type(confidence) is float
+            and w > 0.0 and h > 0.0 and 0.0 <= confidence <= 1.0
+            and math.isfinite(x + y + w + h)
+            and (opacity == "high" or opacity == "low")
+        ):
+            return _unchecked(
+                cls, frame=frame, bbox=(x, y, w, h), confidence=confidence,
+                opacity=Opacity.HIGH if opacity == "high" else Opacity.LOW,
+            )
+        return cls._from_dict_checked(data)
+
+    @classmethod
+    def _from_dict_checked(cls, data) -> "TouchDetection":
         _require(isinstance(data, dict), "detection must be an object")
         for key in ("frame", "bbox", "confidence", "opacity"):
             _require(key in data, f"detection missing field '{key}'")
@@ -146,7 +177,7 @@ class TouchDetection:
         return cls(
             frame=_int_field(data, "frame"),
             bbox=tuple(bbox),
-            confidence=float(data["confidence"]),
+            confidence=data["confidence"],
             opacity=Opacity(opacity),
         )
 
@@ -165,22 +196,27 @@ class DetectionTrace:
     frame_count: int
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.detections, key=lambda d: d.frame))
+        ordered = tuple(sorted(self.detections, key=_frame))
         object.__setattr__(self, "detections", ordered)
         if self.frame_count < 0:
             raise SchemaViolation(f"frame_count must be >= 0, got {self.frame_count}")
         width, height = self.profile.screen_width, self.profile.screen_height
         for det in ordered:
-            if det.frame >= self.frame_count:
-                raise SchemaViolation(
-                    f"detection frame {det.frame} >= frame_count {self.frame_count}"
-                )
-            x, y, w, h = det.bbox
-            if x < 0 or y < 0 or x + w > width or y + h > height:
-                raise BoundsViolation(
-                    f"bbox {det.bbox} outside {width}x{height} screen "
-                    f"(frame {det.frame})"
-                )
+            error = _placement_error(det, self.frame_count, width, height)
+            if error is not None:
+                raise error
+
+    @classmethod
+    def _validated(
+        cls,
+        profile: DeviceProfile,
+        detections: tuple[TouchDetection, ...],
+        frame_count: int,
+    ) -> "DetectionTrace":
+        """Build from detections already checked, placed and sorted."""
+        return _unchecked(
+            cls, profile=profile, detections=detections, frame_count=frame_count
+        )
 
     def __len__(self) -> int:
         return len(self.detections)
@@ -221,23 +257,117 @@ def parse_trace(data: bytes | str) -> DetectionTrace:
     _require(isinstance(doc["detections"], list), "detections must be a list")
 
     profile = DeviceProfile.from_dict(doc["device"])
-    detections = tuple(TouchDetection.from_dict(d) for d in doc["detections"])
-    return DetectionTrace(
-        profile=profile,
-        detections=detections,
-        frame_count=_int_field(doc, "frame_count"),
-    )
+    frame_count = _int_field(doc, "frame_count")
+    _require(frame_count >= 0, f"frame_count must be >= 0, got {frame_count}")
+    width, height = profile.screen_width, profile.screen_height
+
+    # One pass. A detection's own fields are checked as it is built;
+    # the first misplaced one in frame order is raised only once every
+    # detection has passed its own checks.
+    load = TouchDetection.from_dict
+    detections = []
+    misplaced = None
+    previous = 0
+    ordered = True
+    for raw in doc["detections"]:
+        det = load(raw)
+        detections.append(det)
+        frame = det.frame
+        x, y, w, h = det.bbox
+        if frame >= frame_count or x < 0.0 or y < 0.0 or x + w > width or y + h > height:
+            if misplaced is None or frame < misplaced.frame:
+                misplaced = det
+        ordered = ordered and frame >= previous
+        previous = frame
+    if misplaced is not None:
+        raise _placement_error(misplaced, frame_count, width, height)
+    if not ordered:
+        detections.sort(key=_frame)
+    return DetectionTrace._validated(profile, tuple(detections), frame_count)
 
 
 def serialize_trace(trace: DetectionTrace) -> bytes:
     """Serialize a trace to the JSON schema; inverse of parse_trace."""
-    doc = {
-        "schema_version": TRACE_SCHEMA_VERSION,
-        "device": trace.profile.to_dict(),
-        "frame_count": trace.frame_count,
-        "detections": [d.to_dict() for d in trace.detections],
-    }
-    return json.dumps(doc, indent=2).encode("utf-8")
+    return (
+        f'{{\n  "schema_version": {TRACE_SCHEMA_VERSION},\n'
+        f'  "device": {device_json(trace.profile, 1)},\n'
+        f'  "frame_count": {trace.frame_count},\n'
+        f'  "detections": {detections_json(trace.detections, 1)}\n}}'
+    ).encode("utf-8")
+
+
+# Writers for the documents this package emits. Each lays its values
+# out exactly as json.dumps(doc, indent=2) would, at a fixed depth
+# (number of enclosing containers), without the encoder's per-value
+# dispatch: strings through json.dumps, numbers through repr.
+
+
+def json_array(elements: list[str], depth: int) -> str:
+    """JSON array of already-encoded elements, each laid out at depth + 1."""
+    if not elements:
+        return "[]"
+    return "[\n" + ",\n".join(elements) + "\n" + "  " * depth + "]"
+
+
+def device_json(profile: DeviceProfile, depth: int) -> str:
+    pad = "  " * (depth + 1)
+    return (
+        f'{{\n{pad}"name": {json.dumps(profile.name)},\n'
+        f'{pad}"width": {profile.screen_width},\n'
+        f'{pad}"height": {profile.screen_height},\n'
+        f'{pad}"fps": {profile.fps},\n'
+        f'{pad}"touch_slop": {profile.touch_slop}\n{"  " * depth}}}'
+    )
+
+
+def detections_json(detections, depth: int) -> str:
+    """JSON array of detections, the array opening at `depth`."""
+    template = _detection_template(depth + 1)
+    return json_array(
+        [
+            template % (d.frame, *d.bbox, d.confidence, d.opacity.value)
+            for d in detections
+        ],
+        depth,
+    )
+
+
+@lru_cache(maxsize=8)
+def _detection_template(depth: int) -> str:
+    outer, inner, value = ("  " * n for n in (depth, depth + 1, depth + 2))
+    return (
+        f'{outer}{{\n{inner}"frame": %s,\n{inner}"bbox": [\n'
+        + ",\n".join(f"{value}%r" for _ in range(4))
+        + f'\n{inner}],\n{inner}"confidence": %r,\n{inner}"opacity": "%s"\n{outer}}}'
+    )
+
+
+def _unchecked(cls, **fields):
+    """A frozen dataclass instance from fields that were already
+    validated: `__post_init__` does not run."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _frame(det: TouchDetection) -> int:
+    return det.frame
+
+
+def _placement_error(
+    det: TouchDetection, frame_count: int, width: int, height: int
+) -> SchemaViolation | BoundsViolation | None:
+    """Why `det` cannot sit in a trace of this length and screen size."""
+    if det.frame >= frame_count:
+        return SchemaViolation(
+            f"detection frame {det.frame} >= frame_count {frame_count}"
+        )
+    x, y, w, h = det.bbox
+    if x < 0 or y < 0 or x + w > width or y + h > height:
+        return BoundsViolation(
+            f"bbox {det.bbox} outside {width}x{height} screen (frame {det.frame})"
+        )
+    return None
 
 
 def _is_number(value) -> bool:

@@ -98,9 +98,8 @@ def filter_confidence(
 ) -> DetectionTrace:
     """Drop detections whose confidence is strictly below the threshold."""
     kept = tuple(d for d in trace.detections if d.confidence >= min_confidence)
-    return DetectionTrace(
-        profile=trace.profile, detections=kept, frame_count=trace.frame_count
-    )
+    # A subset of a validated, sorted trace needs no second validation.
+    return DetectionTrace._validated(trace.profile, kept, trace.frame_count)
 
 
 def group_consecutive(trace: DetectionTrace) -> list[FrameGroup]:

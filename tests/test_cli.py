@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +68,48 @@ def test_classify_schema_violation_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema_version": 1}))
     assert main(["classify", "--trace", str(bad), "--out-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 10**400],
+                         ids=["nan", "inf", "huge-int"])
+def test_pipeline_non_finite_bbox_exits_2(tmp_path, capsys, bad):
+    detections = [
+        {"frame": f, "bbox": [300.0, 400.0, 40.0, 40.0], "confidence": 0.9,
+         "opacity": "high"}
+        for f in range(6)
+    ]
+    detections[3]["bbox"][0] = bad
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({
+        "schema_version": 1,
+        "device": {"name": "nexus5", "width": 1080, "height": 1920, "fps": 30},
+        "frame_count": 10,
+        "detections": detections,
+    }))
+    assert main(["pipeline", "--trace", str(trace), "--out-dir",
+                 str(tmp_path / "out"), "--dry-run"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (pipeline): ")
+    assert "Traceback" not in err
+
+
+def test_runtime_path_does_not_import_numpy(tmp_path, fixture_scenario):
+    out = tmp_path / "out"
+    main(["synthesize", "--scenario", str(fixture_scenario), "--out-dir", str(out)])
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "import tracereplay\n"
+        "assert 'numpy' not in sys.modules, 'import tracereplay loaded numpy'\n"
+        "from tracereplay.cli import main\n"
+        f"code = main(['pipeline', '--trace', {str(out / 'trace.json')!r},\n"
+        f"             '--out-dir', {str(out)!r}, '--dry-run'])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy' not in sys.modules, 'pipeline --dry-run loaded numpy'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_missing_input_exits_2(tmp_path):

@@ -1,0 +1,254 @@
+"""Properties of the trace loader and the document writers.
+
+The writers must lay documents out byte for byte as
+`json.dumps(doc, indent=2)` does; the reference documents below are
+built the way the encoder was fed before the schema-specific writers.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tracereplay.classify import (
+    ActionKind,
+    AtomicAction,
+    ClassifiedScenario,
+    MultiFingerItem,
+    SingleFingerItem,
+)
+from tracereplay.errors import BoundsViolation, SchemaViolation
+from tracereplay.model import (
+    DetectionTrace,
+    DeviceProfile,
+    Opacity,
+    TouchDetection,
+    parse_trace,
+    serialize_trace,
+)
+from tracereplay.segment import TouchSequence
+
+WIDTH, HEIGHT = 1080, 1920
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+profiles = st.builds(
+    DeviceProfile,
+    name=st.text(),
+    screen_width=st.integers(1, 5000),
+    screen_height=st.integers(1, 5000),
+    fps=st.integers(30, 240),
+    touch_slop=st.integers(1, 50),
+)
+
+
+def _touch_doc(t):
+    return {
+        "frame": t.frame,
+        "bbox": list(t.bbox),
+        "confidence": t.confidence,
+        "opacity": t.opacity.value,
+    }
+
+
+def _action_doc(a):
+    return {"kind": a.kind.value, "touches": [_touch_doc(t) for t in a.sequence.touches]}
+
+
+def reference_classified(scenario):
+    items = []
+    for item in scenario.items:
+        if isinstance(item, SingleFingerItem):
+            items.append({"type": "sfa", "action": _action_doc(item.action)})
+        else:
+            items.append({
+                "type": "mfa",
+                "finger_count": item.finger_count,
+                "actions": [_action_doc(a) for a in item.actions],
+            })
+    doc = {"schema_version": 1, "device": scenario.profile.to_dict(), "items": items}
+    return json.dumps(doc, indent=2).encode("utf-8")
+
+
+def reference_trace(trace):
+    doc = {
+        "schema_version": 1,
+        "device": trace.profile.to_dict(),
+        "frame_count": trace.frame_count,
+        "detections": [_touch_doc(d) for d in trace.detections],
+    }
+    return json.dumps(doc, indent=2).encode("utf-8")
+
+
+@st.composite
+def actions(draw):
+    start = draw(st.integers(0, 10_000))
+    highs = draw(st.integers(1, 6))
+    fades = draw(st.integers(0, 3))
+    touches = tuple(
+        TouchDetection(
+            frame=start + k,
+            bbox=(draw(finite), draw(finite), draw(positive), draw(positive)),
+            confidence=draw(unit),
+            opacity=Opacity.HIGH if k < highs else Opacity.LOW,
+        )
+        for k in range(highs + fades)
+    )
+    kind = draw(st.sampled_from(list(ActionKind)))
+    return AtomicAction(kind=kind, sequence=TouchSequence(touches=touches))
+
+
+items = st.one_of(
+    st.builds(SingleFingerItem, actions()),
+    st.builds(
+        MultiFingerItem,
+        actions=st.lists(actions(), min_size=1, max_size=3).map(tuple),
+        finger_count=st.integers(0, 10),
+    ),
+)
+
+
+@st.composite
+def scenarios(draw):
+    drawn = draw(st.lists(items, max_size=5))
+    drawn.sort(key=lambda item: item.start_frame)
+    return ClassifiedScenario(profile=draw(profiles), items=tuple(drawn))
+
+
+@st.composite
+def traces(draw):
+    frame_count = draw(st.integers(1, 500))
+    detections = []
+    for _ in range(draw(st.integers(0, 12))):
+        w = draw(st.floats(min_value=1e-3, max_value=200.0))
+        h = draw(st.floats(min_value=1e-3, max_value=200.0))
+        detections.append(TouchDetection(
+            frame=draw(st.integers(0, frame_count - 1)),
+            bbox=(draw(st.floats(0.0, WIDTH - w)), draw(st.floats(0.0, HEIGHT - h)), w, h),
+            confidence=draw(unit),
+            opacity=draw(st.sampled_from(list(Opacity))),
+        ))
+    profile = DeviceProfile(name=draw(st.text()), screen_width=WIDTH,
+                            screen_height=HEIGHT, fps=30)
+    return DetectionTrace(profile=profile, detections=tuple(detections),
+                          frame_count=frame_count)
+
+
+class TestWriters:
+    @given(scenarios())
+    @settings(max_examples=100, deadline=None)
+    def test_classified_json_equals_json_dumps(self, scenario):
+        assert scenario.to_json() == reference_classified(scenario)
+
+    @pytest.mark.parametrize("name", ["nexus5", "Pixel «Ünïcødé» 手机", 'q"\\\n\x00'])
+    def test_empty_scenario(self, name):
+        profile = DeviceProfile(name=name, screen_width=WIDTH, screen_height=HEIGHT, fps=30)
+        scenario = ClassifiedScenario(profile=profile, items=())
+        assert scenario.to_json() == reference_classified(scenario)
+        assert ClassifiedScenario.from_json(scenario.to_json()) == scenario
+
+    @given(traces())
+    @settings(max_examples=100, deadline=None)
+    def test_trace_json_equals_json_dumps(self, trace):
+        assert serialize_trace(trace) == reference_trace(trace)
+
+    @given(scenarios())
+    @settings(max_examples=100, deadline=None)
+    def test_classified_round_trip(self, scenario):
+        assert ClassifiedScenario.from_json(scenario.to_json()) == scenario
+
+
+class TestLoader:
+    @given(traces())
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip(self, trace):
+        assert parse_trace(serialize_trace(trace)) == trace
+
+    @given(traces())
+    @settings(max_examples=100, deadline=None)
+    def test_integer_numbers_load_like_floats(self, trace):
+        doc = json.loads(serialize_trace(trace))
+        for d in doc["detections"]:
+            d["bbox"] = [int(v) if v.is_integer() else v for v in d["bbox"]]
+            d["confidence"] = int(d["confidence"]) if d["confidence"] in (0.0, 1.0) \
+                else d["confidence"]
+        assert parse_trace(json.dumps(doc)) == trace
+
+
+# Detection-level defects and the error each one raised before the
+# one-pass loader; "unsorted" is accepted and re-sorted.
+def _missing_key(d, rnd):
+    del d[rnd.choice(sorted(d))]
+
+
+def _bool_frame(d, rnd):
+    d["frame"] = rnd.choice([True, False])
+
+
+def _string_number(d, rnd):
+    if rnd.random() < 0.5:
+        d["confidence"] = str(d["confidence"])
+    else:
+        i = rnd.randrange(4)
+        d["bbox"][i] = str(d["bbox"][i])
+
+
+def _off_screen(d, rnd):
+    x, y, w, h = d["bbox"]
+    if rnd.random() < 0.5:
+        d["bbox"][0] = WIDTH - w + rnd.uniform(0.5, 100.0)
+    else:
+        d["bbox"][1] = -rnd.uniform(0.5, 100.0)
+
+
+def _zero_width(d, rnd):
+    d["bbox"][2] = 0.0
+
+
+def _non_finite(d, rnd):
+    d["bbox"][rnd.randrange(4)] = rnd.choice([float("nan"), float("inf"), -float("inf")])
+
+
+SCHEMA_DEFECTS = [_missing_key, _bool_frame, _string_number, _zero_width, _non_finite]
+
+
+@given(traces(), st.lists(st.tuples(st.integers(0, 100), st.integers(0, 5)), max_size=4),
+       st.randoms(use_true_random=False), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_mutated_documents_raise_the_same_error_type(trace, mutations, rnd, unsorted):
+    doc = json.loads(serialize_trace(trace))
+    dets = doc["detections"]
+    if not dets:
+        return
+    schema = bounds = False
+    mutated = set()
+    for where, which in mutations:
+        if where % len(dets) in mutated:
+            continue  # one defect per detection, so none masks another
+        mutated.add(where % len(dets))
+        defect = (SCHEMA_DEFECTS + [_off_screen])[which]
+        defect(dets[where % len(dets)], rnd)
+        if defect is _off_screen:
+            bounds = True
+        else:
+            schema = True
+    detections = trace.detections
+    if unsorted:
+        dets.reverse()
+        detections = detections[::-1]
+    text = json.dumps(doc)
+    if schema:
+        # A detection's own defect wins over any placement defect.
+        with pytest.raises(SchemaViolation):
+            parse_trace(text)
+    elif bounds:
+        with pytest.raises(BoundsViolation):
+            parse_trace(text)
+    else:
+        # Re-sorted stably, exactly as the validating constructor does.
+        assert parse_trace(text) == DetectionTrace(
+            profile=trace.profile, detections=detections, frame_count=trace.frame_count
+        )

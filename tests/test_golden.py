@@ -1,0 +1,96 @@
+"""Golden-bytes regression: every encoder's output is pinned by sha256.
+
+The digests in `golden_digests.json` were recorded from the encoders
+before the schema-specific writers replaced `json.dumps(..., indent=2)`;
+any change to a single output byte of `trace.json`, `classified.json`,
+`script.log` or `script.bin` fails here. Cases are fixed
+`random_scenario` seeds under each noise preset, on three device
+profiles (one with a non-ASCII name and a 60 fps rate).
+
+To print the digests of the current code (only after a deliberate
+format change):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+from tracereplay.classify import MultiFingerItem, classify_trace
+from tracereplay.codegen import assemble_script, serialize_script, translate_runnable
+from tracereplay.config import DEVICE_PRESETS
+from tracereplay.errors import TraceReplayError
+from tracereplay.model import DeviceProfile, parse_trace, serialize_trace
+from tracereplay.synth import noise_preset, random_scenario, synthesize_trace
+
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+
+PRESETS = ("clean", "physical-device", "emulator")
+SEEDS = range(1, 21)
+PROFILES = (
+    DEVICE_PRESETS["nexus5"],
+    DEVICE_PRESETS["nexus6p"],
+    DeviceProfile(name="Pixel «Ünïcødé» 手机", screen_width=1080,
+                  screen_height=2400, fps=60, touch_slop=10),
+)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def case_digests(seed: int, preset: str) -> dict:
+    """Digests of every encoded output for one case; a compile that
+    fails records its error type in place of the script digests."""
+    profile = PROFILES[seed % len(PROFILES)]
+    scenario = random_scenario(profile, seed=seed)
+    trace, _ = synthesize_trace(scenario, noise_preset(preset, seed=1000 + seed))
+    trace_bytes = serialize_trace(trace)
+    classified = classify_trace(parse_trace(trace_bytes))
+    result = {
+        "trace.json": _sha(trace_bytes),
+        "classified.json": _sha(classified.to_json()),
+        "mfa_items": sum(isinstance(i, MultiFingerItem) for i in classified.items),
+    }
+    try:
+        script = assemble_script(classified)
+    except TraceReplayError as exc:
+        result["assemble_error"] = type(exc).__name__
+    else:
+        result["script.log"] = _sha(serialize_script(script))
+        result["script.bin"] = _sha(translate_runnable(script))
+    return result
+
+
+def all_digests() -> dict:
+    return {
+        f"{preset}/{seed}": case_digests(seed, preset)
+        for preset in PRESETS
+        for seed in SEEDS
+    }
+
+
+def test_outputs_match_golden_digests():
+    expected = json.loads(GOLDEN.read_text())
+    actual = all_digests()
+    assert sorted(actual) == sorted(expected)
+    mismatches = {
+        case: {k: (expected[case].get(k), v) for k, v in digests.items()
+               if expected[case].get(k) != v}
+        for case, digests in actual.items()
+        if digests != expected[case]
+    }
+    assert not mismatches
+
+
+def test_golden_cases_cover_mfa_and_compiled_scripts():
+    expected = json.loads(GOLDEN.read_text())
+    assert sum(case["mfa_items"] > 0 for case in expected.values()) >= 20
+    assert sum("script.bin" in case for case in expected.values()) >= 40
+
+
+if __name__ == "__main__":
+    print(json.dumps(all_digests(), indent=1, sort_keys=True))

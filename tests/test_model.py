@@ -74,6 +74,22 @@ class TestTouchDetection:
                            opacity=Opacity.HIGH)
 
 
+    @pytest.mark.parametrize("bbox", [
+        (float("nan"), 0, 1, 1), (0, float("nan"), 1, 1), (0, 0, float("nan"), 1),
+        (float("inf"), 0, 1, 1), (0, 0, 1, float("inf")), (10**400, 0, 1, 1),
+    ], ids=["nan-x", "nan-y", "nan-w", "inf-x", "inf-h", "huge-int-x"])
+    def test_non_finite_bbox_rejected(self, bbox):
+        with pytest.raises(SchemaViolation):
+            TouchDetection(frame=0, bbox=bbox, confidence=0.5, opacity=Opacity.HIGH)
+
+    @pytest.mark.parametrize("confidence", [float("nan"), float("inf"), 10**400],
+                             ids=["nan", "inf", "huge-int"])
+    def test_non_finite_confidence_rejected(self, confidence):
+        with pytest.raises(SchemaViolation):
+            TouchDetection(frame=0, bbox=(0, 0, 1, 1), confidence=confidence,
+                           opacity=Opacity.HIGH)
+
+
 class TestParseTrace:
     def test_three_detections_round_trip(self):
         doc = trace_doc([det(4), det(5), det(6)])
@@ -90,6 +106,37 @@ class TestParseTrace:
         doc = trace_doc([det(6), det(4), det(5)])
         trace = parse_trace(json.dumps(doc))
         assert [d.frame for d in trace.detections] == [4, 5, 6]
+
+    @pytest.mark.parametrize("index", [0, 1, 2, 3])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+                             ids=["nan", "inf", "-inf", "huge-int"])
+    def test_non_finite_bbox_rejected(self, index, bad):
+        bbox = ["100.0", "100.0", "40.0", "40.0"]
+        bbox[index] = bad
+        text = json.dumps(trace_doc([det(4)])).replace(
+            "[100, 100, 40, 40]", "[" + ", ".join(bbox) + "]"
+        )
+        with pytest.raises(SchemaViolation):
+            parse_trace(text)
+
+    @pytest.mark.parametrize("bad", ["NaN", "1" + "0" * 400], ids=["nan", "huge-int"])
+    def test_non_finite_confidence_rejected(self, bad):
+        text = json.dumps(trace_doc([det(4)])).replace("0.9", bad)
+        with pytest.raises(SchemaViolation):
+            parse_trace(text)
+
+    def test_schema_error_wins_over_earlier_off_screen_box(self):
+        # Every detection's own fields are checked before placement.
+        doc = trace_doc([det(4, bbox=(1070, 100, 40, 40)), det(5, confidence="0.9")])
+        with pytest.raises(SchemaViolation):
+            parse_trace(json.dumps(doc))
+
+    def test_first_misplaced_detection_in_frame_order_decides(self):
+        # Frame 7 lies past frame_count (SchemaViolation) but frame 5,
+        # later in the document, is off-screen and comes first by frame.
+        doc = trace_doc([det(7), det(5, bbox=(1070, 100, 40, 40))], frame_count=6)
+        with pytest.raises(BoundsViolation):
+            parse_trace(json.dumps(doc))
 
     def test_malformed_json(self):
         with pytest.raises(MalformedJson):
