@@ -51,6 +51,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         _apply_overrides(config, args)
+        config.validate()
         return args.handler(args, config)
     except _INPUT_ERRORS as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)

@@ -27,7 +27,7 @@ import re
 import struct
 from dataclasses import dataclass
 
-from .classify import ActionKind, ClassifiedScenario, SingleFingerItem
+from .classify import ActionKind, AtomicAction, ClassifiedScenario, SingleFingerItem
 from .errors import OverlapConflict, ScriptFormatError, SlotExhaustion
 from .model import DeviceProfile
 

@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError, SchemaViolation
+from .errors import ConfigError
 from .model import DeviceProfile
 
 ENV_BRIDGE = "TRACEREPLAY_BRIDGE"
@@ -23,6 +23,15 @@ DEVICE_PRESETS = {
                             screen_height=1920, fps=30),
     "nexus6p": DeviceProfile(name="nexus6p", screen_width=1440,
                              screen_height=2560, fps=30),
+}
+
+#: Accepted value types per field annotation; bool is never a number.
+_FIELD_TYPES = {
+    "str": (str,),
+    "str | None": (str, type(None)),
+    "int": (int,),
+    "float": (int, float),
+    "bool": (bool,),
 }
 
 
@@ -49,6 +58,27 @@ class Config:
             )
         return DEVICE_PRESETS[self.device]
 
+    def validate(self) -> None:
+        """Raise ConfigError unless every setting has its field's type,
+        `min_confidence` is a finite number in [0, 1] and `device` names
+        a preset."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            allowed = _FIELD_TYPES[f.type]
+            if not isinstance(value, allowed) or (
+                isinstance(value, bool) and bool not in allowed
+            ):
+                raise ConfigError(
+                    f"config value {f.name!r} must be {f.type}, got {value!r}"
+                )
+        # The range check is false for NaN and the infinities too.
+        if not 0.0 <= self.min_confidence <= 1.0:
+            raise ConfigError(
+                f"min_confidence must be a finite number in [0, 1], "
+                f"got {self.min_confidence!r}"
+            )
+        self.profile()
+
 
 def load_config(path: str | None) -> Config:
     """Build a Config from an optional JSON file plus the environment."""
@@ -72,8 +102,5 @@ def load_config(path: str | None) -> Config:
         config.bridge_path = os.environ[ENV_BRIDGE]
     if ENV_OUT_DIR in os.environ:
         config.out_dir = os.environ[ENV_OUT_DIR]
-    try:
-        config.profile()
-    except SchemaViolation as exc:
-        raise ConfigError(str(exc)) from exc
+    config.validate()
     return config

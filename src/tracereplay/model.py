@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -94,12 +94,18 @@ class DeviceProfile:
 
 @dataclass(frozen=True)
 class TouchDetection:
-    """One detected touch indicator in one video frame."""
+    """One detected touch indicator in one video frame.
+
+    `center`, the canonical touch coordinate (the bbox center), is
+    computed once when the detection is built; it is derived from
+    `bbox`, so it takes no part in construction, `==`, `hash` or `repr`.
+    """
 
     frame: int
     bbox: tuple[float, float, float, float]  # (x, y, w, h) in pixels
     confidence: float
     opacity: Opacity
+    center: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -121,12 +127,8 @@ class TouchDetection:
             raise SchemaViolation(
                 f"confidence must be in [0, 1], got {self.confidence}"
             )
-
-    @property
-    def center(self) -> tuple[float, float]:
-        """Canonical touch coordinate: the bbox center."""
         x, y, w, h = self.bbox
-        return (x + w / 2.0, y + h / 2.0)
+        object.__setattr__(self, "center", (x + w / 2.0, y + h / 2.0))
 
     @classmethod
     def from_dict(cls, data: dict) -> "TouchDetection":
@@ -154,6 +156,7 @@ class TouchDetection:
             return _unchecked(
                 cls, frame=frame, bbox=(x, y, w, h), confidence=confidence,
                 opacity=Opacity.HIGH if opacity == "high" else Opacity.LOW,
+                center=(x + w / 2.0, y + h / 2.0),
             )
         return cls._from_dict_checked(data)
 

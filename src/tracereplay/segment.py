@@ -5,6 +5,7 @@ runs of consecutive non-empty frames, then each run is segmented into
 per-finger touch sequences by linking touches frame to frame:
 
 * a lone touch in the next frame continues the lone open sequence;
+  this rule is applied directly, without a pair search;
 * with several candidates, the spatially nearest pair links first
   (greedy over all open-sequence x touch pairs);
 * when candidate distances are within a tie tolerance of each other, a
@@ -21,7 +22,9 @@ the earlier action), and anything two frames or shorter is discarded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import SchemaViolation
 from .model import DEFAULT_TOUCH_SLOP, DetectionTrace, Opacity, TouchDetection
@@ -31,6 +34,9 @@ MIN_CONFIDENCE = 0.7
 
 #: Groups and sequences spanning this many frames or fewer are discarded.
 MAX_DISCARD_FRAMES = 2
+
+_frame = attrgetter("frame")
+_center = attrgetter("center")
 
 
 @dataclass(frozen=True)
@@ -50,26 +56,32 @@ class FrameGroup:
 class TouchSequence:
     """One finger's contiguous contact: one touch per consecutive frame.
 
-    Low-opacity touches may only appear as a trailing fade suffix.
+    Low-opacity touches may only appear as a trailing fade suffix, so
+    `high_touches`, worked out once when the sequence is built, is the
+    prefix before the first low-opacity touch.
     """
 
     touches: tuple[TouchDetection, ...]
+    high_touches: tuple[TouchDetection, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        object.__setattr__(self, "touches", tuple(self.touches))
-        if not self.touches:
+        touches = tuple(self.touches)
+        object.__setattr__(self, "touches", touches)
+        if not touches:
             raise SchemaViolation("touch sequence cannot be empty")
-        frames = [t.frame for t in self.touches]
+        frames = [t.frame for t in touches]
         if any(b <= a for a, b in zip(frames, frames[1:])):
             raise SchemaViolation(f"sequence frames must strictly increase: {frames}")
-        seen_low = False
-        for touch in self.touches:
-            if touch.opacity is Opacity.LOW:
-                seen_low = True
-            elif seen_low:
-                raise SchemaViolation(
-                    "high-opacity touch after a low-opacity one; fades must be a suffix"
-                )
+        highs = next(
+            (i for i, t in enumerate(touches) if t.opacity is Opacity.LOW), len(touches)
+        )
+        if any(t.opacity is Opacity.HIGH for t in touches[highs:]):
+            raise SchemaViolation(
+                "high-opacity touch after a low-opacity one; fades must be a suffix"
+            )
+        object.__setattr__(self, "high_touches", touches[:highs])
 
     @property
     def start_frame(self) -> int:
@@ -78,10 +90,6 @@ class TouchSequence:
     @property
     def end_frame(self) -> int:
         return self.touches[-1].frame
-
-    @property
-    def high_touches(self) -> tuple[TouchDetection, ...]:
-        return tuple(t for t in self.touches if t.opacity is Opacity.HIGH)
 
     @property
     def last_high_frame(self) -> int:
@@ -107,29 +115,21 @@ def group_consecutive(trace: DetectionTrace) -> list[FrameGroup]:
 
     Runs spanning two frames or fewer are discarded as spurious.
     """
-    by_frame: dict[int, list[TouchDetection]] = {}
-    for det in trace.detections:
-        by_frame.setdefault(det.frame, []).append(det)
-
+    detections = trace.detections  # sorted by frame
     groups: list[FrameGroup] = []
-    frames = sorted(by_frame)
-    run: list[int] = []
-    for frame in frames:
-        if run and frame != run[-1] + 1:
-            _close_run(groups, run, by_frame)
-            run = []
-        run.append(frame)
-    _close_run(groups, run, by_frame)
+    start = 0
+    for i in range(1, len(detections) + 1):
+        if i < len(detections) and detections[i].frame <= detections[i - 1].frame + 1:
+            continue
+        first, last = detections[start].frame, detections[i - 1].frame
+        if last - first + 1 > MAX_DISCARD_FRAMES:
+            groups.append(
+                FrameGroup(
+                    detections=detections[start:i], start_frame=first, end_frame=last
+                )
+            )
+        start = i
     return groups
-
-
-def _close_run(groups, run, by_frame):
-    if not run or run[-1] - run[0] + 1 <= MAX_DISCARD_FRAMES:
-        return
-    detections = tuple(d for f in run for d in by_frame[f])
-    groups.append(
-        FrameGroup(detections=detections, start_frame=run[0], end_frame=run[-1])
-    )
 
 
 def segment_actions(
@@ -165,14 +165,30 @@ def segment_trace(
 def _link_chains(
     group: FrameGroup, tie_tolerance: float
 ) -> list[list[TouchDetection]]:
-    by_frame: dict[int, list[TouchDetection]] = {}
-    for det in group.detections:
-        by_frame.setdefault(det.frame, []).append(det)
+    detections = sorted(group.detections, key=_frame)  # stable: keeps in-frame order
+    i = bisect_left(detections, group.start_frame, key=_frame)
+    end = bisect_right(detections, group.end_frame, key=_frame)
 
     open_chains: list[list[TouchDetection]] = []
     done: list[list[TouchDetection]] = []
-    for frame in range(group.start_frame, group.end_frame + 1):
-        touches = sorted(by_frame.get(frame, ()), key=lambda t: t.center)
+    previous = group.start_frame - 1
+    while i < end:
+        frame = detections[i].frame
+        j = i + 1
+        while j < end and detections[j].frame == frame:
+            j += 1
+        if frame != previous + 1:
+            # An empty frame in between: every finger has lifted.
+            done.extend(open_chains)
+            open_chains = []
+        previous = frame
+        if j == i + 1 and len(open_chains) == 1:
+            # A lone touch continues the lone open chain: no pair search.
+            open_chains[0].append(detections[i])
+            i = j
+            continue
+        touches = sorted(detections[i:j], key=_center)
+        i = j
         links = _greedy_match(open_chains, touches, tie_tolerance)
         matched_chains = {ci for ci, _ in links}
         matched_touches = {ti for _, ti in links}
@@ -250,21 +266,15 @@ def _split_at_fades(
 ) -> list[list[TouchDetection]]:
     """Cut after every low-opacity run followed by a high-opacity touch."""
     pieces: list[list[TouchDetection]] = []
-    current: list[TouchDetection] = []
-    for i, touch in enumerate(chain):
-        current.append(touch)
-        nxt = chain[i + 1] if i + 1 < len(chain) else None
-        if (
-            touch.opacity is Opacity.LOW
-            and nxt is not None
-            and nxt.opacity is Opacity.HIGH
-        ):
-            pieces.append(current)
-            current = []
-    if current:
-        pieces.append(current)
+    start = 0
+    for i in range(1, len(chain)):
+        if chain[i - 1].opacity is Opacity.LOW and chain[i].opacity is Opacity.HIGH:
+            pieces.append(chain[start:i])
+            start = i
+    pieces.append(chain[start:])
     return pieces
 
 
 def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
+

@@ -240,3 +240,59 @@ class TestConfig:
         ]) == 0
         assert (flag_out / "trace.json").is_file()
         assert not (tmp_path / "from-config").exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"min_confidence": "0.7"},
+        {"min_confidence": True},
+        {"min_confidence": 1.5},
+        {"min_confidence": -0.1},
+        {"device_node": 5},
+        {"seed": 1.0},
+        {"seed": False},
+        {"extended_alphabet": 1},
+        {"device_serial": 7},
+    ], ids=["str-confidence", "bool-confidence", "confidence-above-1",
+            "negative-confidence", "int-device-node", "float-seed", "bool-seed",
+            "int-bool-flag", "int-serial"])
+    def test_mistyped_or_out_of_range_value_rejected(self, tmp_path, doc):
+        file = tmp_path / "config.json"
+        file.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=next(iter(doc))):
+            load_config(str(file))
+
+    def test_well_typed_values_accepted(self, tmp_path):
+        file = tmp_path / "config.json"
+        file.write_text(json.dumps({
+            "min_confidence": 1, "device_serial": None, "device_node": "/dev/x",
+            "extended_alphabet": True, "seed": 3,
+        }))
+        config = load_config(str(file))
+        assert (config.min_confidence, config.seed) == (1, 3)
+
+    @pytest.mark.parametrize("doc", [{"min_confidence": "0.7"}, {"device_node": 5}],
+                             ids=["str-confidence", "int-device-node"])
+    def test_pipeline_with_mistyped_config_exits_2(self, tmp_path, capsys,
+                                                   fixture_scenario, doc):
+        out = tmp_path / "out"
+        main(["synthesize", "--scenario", str(fixture_scenario), "--out-dir", str(out)])
+        capsys.readouterr()
+        file = tmp_path / "config.json"
+        file.write_text(json.dumps(doc))
+        assert main(["--config", str(file), "pipeline", "--trace",
+                     str(out / "trace.json"), "--out-dir", str(out), "--dry-run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error (pipeline): ")
+        assert "Traceback" not in err
+        assert not (out / "classified.json").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1.5", "-0.5"])
+    def test_pipeline_rejects_min_confidence_flag_out_of_range(
+        self, tmp_path, capsys, fixture_scenario, value
+    ):
+        out = tmp_path / "out"
+        main(["synthesize", "--scenario", str(fixture_scenario), "--out-dir", str(out)])
+        capsys.readouterr()
+        assert main(["pipeline", "--trace", str(out / "trace.json"),
+                     "--out-dir", str(out), f"--min-confidence={value}"]) == 2
+        assert "min_confidence" in capsys.readouterr().err
+        assert not (out / "classified.json").exists()

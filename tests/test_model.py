@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 
 import pytest
@@ -88,6 +90,50 @@ class TestTouchDetection:
         with pytest.raises(SchemaViolation):
             TouchDetection(frame=0, bbox=(0, 0, 1, 1), confidence=confidence,
                            opacity=Opacity.HIGH)
+
+
+class TestCachedCenter:
+    """`center` is computed once when a detection is built, by every
+    construction path, and is not part of the detection's identity."""
+
+    @given(
+        st.integers(0, 500), st.integers(0, 1000), st.integers(1, 80),
+        st.integers(1, 80), st.floats(0, 1),
+    )
+    def test_every_construction_path_agrees(self, x, y, w, h, confidence):
+        doc = {"frame": 3, "bbox": [x, y, w, h], "confidence": confidence,
+               "opacity": "low"}
+        floats = dict(doc, bbox=[float(v) for v in doc["bbox"]])
+        fast = TouchDetection.from_dict(floats)  # all-float fast path
+        checked = TouchDetection.from_dict(doc)  # integer coordinates
+        built = TouchDetection(frame=3, bbox=(x, y, w, h), confidence=confidence,
+                               opacity=Opacity.LOW)
+        expected = (x + w / 2.0, y + h / 2.0)
+        assert fast == checked == built
+        assert fast.center == checked.center == built.center == expected
+        assert all(type(v) is float for v in built.center)
+
+    def test_replace_recomputes_center(self):
+        d = make_touch(0, 100, 200)
+        moved = dataclasses.replace(d, bbox=(0.0, 0.0, 10.0, 30.0))
+        assert moved.center == (5.0, 15.0)
+        assert dataclasses.replace(d, frame=7).center == d.center == (100.0, 200.0)
+        with pytest.raises(ValueError):
+            dataclasses.replace(d, center=(0.0, 0.0))
+
+    def test_center_not_in_init_eq_hash_or_repr(self):
+        d = make_touch(4, 100, 200)
+        assert list(inspect.signature(TouchDetection).parameters) == [
+            "frame", "bbox", "confidence", "opacity",
+        ]
+        assert repr(d) == (
+            "TouchDetection(frame=4, bbox=(80.0, 180.0, 40.0, 40.0), "
+            "confidence=0.9, opacity=<Opacity.HIGH: 'high'>)"
+        )
+        other = make_touch(4, 100, 200)
+        object.__setattr__(other, "center", (0.0, 0.0))
+        assert other == d
+        assert hash(other) == hash(d) == hash((4, d.bbox, 0.9, Opacity.HIGH))
 
 
 class TestParseTrace:

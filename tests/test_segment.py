@@ -48,6 +48,24 @@ class TestTouchSequence:
             )
 
 
+@given(
+    st.lists(st.sampled_from([Opacity.HIGH, Opacity.LOW]), min_size=1, max_size=12)
+)
+def test_high_touches_is_the_opacity_filter(opacities):
+    # Any valid sequence: the highs first, then the fade suffix.
+    opacities.sort(key=lambda o: o is Opacity.LOW)
+    touches = tuple(
+        make_touch(f, 100, 100, opacity=o) for f, o in enumerate(opacities)
+    )
+    seq = TouchSequence(touches=touches)
+    highs = tuple(t for t in touches if t.opacity is Opacity.HIGH)
+    assert seq.high_touches == highs
+    assert seq.last_high_frame == (highs[-1].frame if highs else 0)
+    assert seq == TouchSequence(touches=list(touches))
+    assert hash(seq) == hash(TouchSequence(touches=touches))
+    assert repr(seq) == f"TouchSequence(touches={touches!r})"
+
+
 class TestFilterConfidence:
     def test_boundary_is_kept(self, profile):
         touches = [
