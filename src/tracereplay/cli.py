@@ -148,7 +148,7 @@ def _apply_overrides(config: Config, args) -> None:
         config.device_serial = args.serial
     if getattr(args, "agent", None):
         config.agent_path = args.agent
-    if getattr(args, "device_node", None):
+    if getattr(args, "device_node", None) is not None:
         config.device_node = args.device_node
 
 

@@ -26,6 +26,9 @@ import math
 import re
 import struct
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
+from typing import NamedTuple
 
 from .classify import ActionKind, AtomicAction, ClassifiedScenario, SingleFingerItem
 from .errors import OverlapConflict, ScriptFormatError, SlotExhaustion
@@ -49,15 +52,35 @@ DEFAULT_DEVICE_NODE = "/dev/input/event2"
 
 RUNNABLE_MAGIC = b"V2SR\x01\x00\x00\x00"
 _RECORD = struct.Struct("<IHHi")
+# Field ranges of a runnable record.
+_U16_MAX = 0xFFFF
+_U32_MAX = 0xFFFFFFFF
+_I32_END = 1 << 31
 
 _LOG_LINE = re.compile(
     r"^\[(\d+)\.(\d{6})\] (\S+): ([0-9a-f]{4}) ([0-9a-f]{4}) ([0-9a-f]{8})$"
 )
 
+#: "type code " log text of each (event type, code) pair the emitters use.
+_TYPE_CODE_TEXT = {
+    pair: "%04x %04x " % pair
+    for pair in (
+        (EV_SYN, SYN_REPORT),
+        (EV_KEY, BTN_TOUCH),
+        (EV_ABS, ABS_MT_SLOT),
+        (EV_ABS, ABS_MT_TRACKING_ID),
+        (EV_ABS, ABS_MT_POSITION_X),
+        (EV_ABS, ABS_MT_POSITION_Y),
+    )
+}
 
-@dataclass(frozen=True)
-class InputEvent:
-    """One kernel input event, timestamped from script start."""
+
+class InputEvent(NamedTuple):
+    """One kernel input event, timestamped from script start.
+
+    A plain 4-tuple underneath: it compares equal to
+    ``(timestamp_us, event_type, event_code, value)``.
+    """
 
     timestamp_us: int
     event_type: int
@@ -67,6 +90,11 @@ class InputEvent:
     @property
     def timestamp_ms(self) -> float:
         return self.timestamp_us / 1000.0
+
+
+#: InputEvent from one 4-tuple, built in C without the Python-level
+#: ``__new__`` that ``InputEvent(...)`` runs.
+_event = partial(tuple.__new__, InputEvent)
 
 
 @dataclass(frozen=True)
@@ -121,31 +149,26 @@ def _emit_sfa(action, profile, t0_us, slot, tracking_id):
     start = action.start_frame
     x, y = _device_coords(action.sequence.touches[0].center, profile)
     events = [
-        InputEvent(t0_us, EV_ABS, ABS_MT_SLOT, slot),
-        InputEvent(t0_us, EV_ABS, ABS_MT_TRACKING_ID, tracking_id),
-        InputEvent(t0_us, EV_KEY, BTN_TOUCH, 1),
-        InputEvent(t0_us, EV_ABS, ABS_MT_POSITION_X, x),
-        InputEvent(t0_us, EV_ABS, ABS_MT_POSITION_Y, y),
-        InputEvent(t0_us, EV_SYN, SYN_REPORT, 0),
+        _event((t0_us, EV_ABS, ABS_MT_SLOT, slot)),
+        _event((t0_us, EV_ABS, ABS_MT_TRACKING_ID, tracking_id)),
+        _event((t0_us, EV_KEY, BTN_TOUCH, 1)),
+        _event((t0_us, EV_ABS, ABS_MT_POSITION_X, x)),
+        _event((t0_us, EV_ABS, ABS_MT_POSITION_Y, y)),
+        _event((t0_us, EV_SYN, SYN_REPORT, 0)),
     ]
     if action.kind is ActionKind.GESTURE:
+        append = events.append
         for touch in action.sequence.high_touches[1:]:
             t = t0_us + frame_offset_us(touch.frame - start, fps)
             x, y = _device_coords(touch.center, profile)
-            events.extend(
-                [
-                    InputEvent(t, EV_ABS, ABS_MT_POSITION_X, x),
-                    InputEvent(t, EV_ABS, ABS_MT_POSITION_Y, y),
-                    InputEvent(t, EV_SYN, SYN_REPORT, 0),
-                ]
-            )
+            append(_event((t, EV_ABS, ABS_MT_POSITION_X, x)))
+            append(_event((t, EV_ABS, ABS_MT_POSITION_Y, y)))
+            append(_event((t, EV_SYN, SYN_REPORT, 0)))
     t_end = t0_us + frame_offset_us(action.active_frames, fps)
-    events.extend(
-        [
-            InputEvent(t_end, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE),
-            InputEvent(t_end, EV_KEY, BTN_TOUCH, 0),
-            InputEvent(t_end, EV_SYN, SYN_REPORT, 0),
-        ]
+    events += (
+        _event((t_end, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE)),
+        _event((t_end, EV_KEY, BTN_TOUCH, 0)),
+        _event((t_end, EV_SYN, SYN_REPORT, 0)),
     )
     return events
 
@@ -171,6 +194,7 @@ def _emit_mfa(actions, profile, t0_us, first_tracking_id):
     for frame in range(group_start, group_end + 1):
         t = t0_us + frame_offset_us(frame - group_start, fps)
         window: list[InputEvent] = []
+        append = window.append
         closing: list[int] = []
         for idx, finger in enumerate(fingers):
             touch = touch_at[idx].get(frame)
@@ -182,32 +206,30 @@ def _emit_mfa(actions, profile, t0_us, first_tracking_id):
                         f"more than {MAX_SLOTS} simultaneous fingers"
                     )
                 slot_of[idx] = free_slots.pop(0)
-                window.append(InputEvent(t, EV_ABS, ABS_MT_SLOT, slot_of[idx]))
-                window.append(InputEvent(t, EV_ABS, ABS_MT_TRACKING_ID, next_tid))
+                append(_event((t, EV_ABS, ABS_MT_SLOT, slot_of[idx])))
+                append(_event((t, EV_ABS, ABS_MT_TRACKING_ID, next_tid)))
                 next_tid += 1
                 if open_count == 0:
-                    window.append(InputEvent(t, EV_KEY, BTN_TOUCH, 1))
+                    append(_event((t, EV_KEY, BTN_TOUCH, 1)))
                 open_count += 1
             else:
-                window.append(InputEvent(t, EV_ABS, ABS_MT_SLOT, slot_of[idx]))
+                append(_event((t, EV_ABS, ABS_MT_SLOT, slot_of[idx])))
             x, y = _device_coords(touch.center, profile)
-            window.append(InputEvent(t, EV_ABS, ABS_MT_POSITION_X, x))
-            window.append(InputEvent(t, EV_ABS, ABS_MT_POSITION_Y, y))
+            append(_event((t, EV_ABS, ABS_MT_POSITION_X, x)))
+            append(_event((t, EV_ABS, ABS_MT_POSITION_Y, y)))
             if finger.active_end_frame == frame:
                 closing.append(idx)
         for idx in closing:
-            window.append(InputEvent(t, EV_ABS, ABS_MT_SLOT, slot_of[idx]))
-            window.append(
-                InputEvent(t, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE)
-            )
+            append(_event((t, EV_ABS, ABS_MT_SLOT, slot_of[idx])))
+            append(_event((t, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE)))
             free_slots.append(slot_of.pop(idx))
             free_slots.sort()
             open_count -= 1
             if open_count == 0:
-                window.append(InputEvent(t, EV_KEY, BTN_TOUCH, 0))
+                append(_event((t, EV_KEY, BTN_TOUCH, 0)))
         if window:
-            window.append(InputEvent(t, EV_SYN, SYN_REPORT, 0))
-            events.extend(window)
+            append(_event((t, EV_SYN, SYN_REPORT, 0)))
+            events += window
     return events
 
 
@@ -262,33 +284,55 @@ def assemble_script(
     return script
 
 
+def valid_device_node(node: str) -> bool:
+    """True when `node` can name the device on every log line: a
+    non-empty ASCII string without whitespace."""
+    return isinstance(node, str) and node.isascii() and node.split() == [node]
+
+
 def validate_script(script: SendEventScript) -> None:
     """Check protocol well-formedness; raises ScriptFormatError.
 
-    Verifies non-decreasing timestamps, balanced open/close per tracking
-    id, slot-state consistency, on-screen coordinates, and paired
-    touch-button transitions.
+    Verifies the device node (see `valid_device_node`), that every
+    event fits a runnable record (type and code in u16, value in i32,
+    timestamps non-decreasing from 0 in steps of at most u32
+    microseconds), balanced open/close per tracking id, slot-state
+    consistency, on-screen coordinates, and paired touch-button
+    transitions. Both encoders accept every script of integer events
+    that passes.
     """
-    width = script.profile.screen_width
-    height = script.profile.screen_height
+    if not valid_device_node(script.device_node):
+        raise ScriptFormatError(
+            f"device node must be non-empty ASCII without whitespace, "
+            f"got {script.device_node!r}"
+        )
+    # Coordinates past i32 cannot be encoded, however large the screen.
+    x_end = min(script.profile.screen_width, _I32_END)
+    y_end = min(script.profile.screen_height, _I32_END)
     open_tids: dict[int, int] = {}  # slot -> tracking id
     seen_tids: set[int] = set()
     current_slot = 0
     last_t = 0
     btn_downs = btn_ups = opens = closes = 0
-    for event in script.events:
-        if event.timestamp_us < last_t:
-            raise ScriptFormatError(
-                f"timestamp decreases at {event.timestamp_us}us"
-            )
-        last_t = event.timestamp_us
-        if event.event_type == EV_ABS:
-            if event.event_code == ABS_MT_SLOT:
-                if not 0 <= event.value < MAX_SLOTS:
-                    raise ScriptFormatError(f"slot {event.value} out of range")
-                current_slot = event.value
-            elif event.event_code == ABS_MT_TRACKING_ID:
-                if event.value == TRACKING_RELEASE:
+    # Each branch checks the ranges its own tests do not already imply.
+    for t, etype, code, value in script.events:
+        if t != last_t:
+            if not last_t < t <= last_t + _U32_MAX:
+                raise _step_error(t, last_t)
+            last_t = t
+        if etype == EV_ABS:
+            if code == ABS_MT_POSITION_X:
+                if not 0 <= value < x_end:
+                    raise ScriptFormatError(f"x={value} off screen")
+            elif code == ABS_MT_POSITION_Y:
+                if not 0 <= value < y_end:
+                    raise ScriptFormatError(f"y={value} off screen")
+            elif code == ABS_MT_SLOT:
+                if not 0 <= value < MAX_SLOTS:
+                    raise ScriptFormatError(f"slot {value} out of range")
+                current_slot = value
+            elif code == ABS_MT_TRACKING_ID:
+                if value == TRACKING_RELEASE:
                     if current_slot not in open_tids:
                         raise ScriptFormatError(
                             f"release on empty slot {current_slot}"
@@ -296,28 +340,28 @@ def validate_script(script: SendEventScript) -> None:
                     del open_tids[current_slot]
                     closes += 1
                 else:
+                    _check_record(etype, code, value)
                     if current_slot in open_tids:
                         raise ScriptFormatError(
                             f"slot {current_slot} opened twice"
                         )
-                    if event.value in seen_tids:
-                        raise ScriptFormatError(
-                            f"tracking id {event.value} reused"
-                        )
-                    open_tids[current_slot] = event.value
-                    seen_tids.add(event.value)
+                    if value in seen_tids:
+                        raise ScriptFormatError(f"tracking id {value} reused")
+                    open_tids[current_slot] = value
+                    seen_tids.add(value)
                     opens += 1
-            elif event.event_code == ABS_MT_POSITION_X:
-                if not 0 <= event.value < width:
-                    raise ScriptFormatError(f"x={event.value} off screen")
-            elif event.event_code == ABS_MT_POSITION_Y:
-                if not 0 <= event.value < height:
-                    raise ScriptFormatError(f"y={event.value} off screen")
-        elif event.event_type == EV_KEY and event.event_code == BTN_TOUCH:
-            if event.value == 1:
+            else:
+                _check_record(etype, code, value)
+        elif etype == EV_SYN and code == SYN_REPORT and value == 0:
+            pass
+        elif etype == EV_KEY and code == BTN_TOUCH:
+            _check_record(etype, code, value)
+            if value == 1:
                 btn_downs += 1
             else:
                 btn_ups += 1
+        else:
+            _check_record(etype, code, value)
     if open_tids:
         raise ScriptFormatError(f"contacts left open: {sorted(open_tids.values())}")
     if opens != closes:
@@ -326,30 +370,60 @@ def validate_script(script: SendEventScript) -> None:
         raise ScriptFormatError(f"{btn_downs} touch-downs vs {btn_ups} touch-ups")
 
 
+def _step_error(t: int, last_t: int) -> ScriptFormatError:
+    if t < last_t:
+        return ScriptFormatError(f"timestamp decreases at {t}us")
+    return ScriptFormatError(
+        f"timestamp step {t - last_t}us at {t}us exceeds u32"
+    )
+
+
+def _check_record(etype: int, code: int, value: int) -> None:
+    """Raise ScriptFormatError unless a runnable record can hold the
+    event's type, code and value."""
+    if not 0 <= etype <= _U16_MAX:
+        raise ScriptFormatError(f"event type {etype} outside u16")
+    if not 0 <= code <= _U16_MAX:
+        raise ScriptFormatError(f"event code {code} outside u16")
+    if not -_I32_END <= value < _I32_END:
+        raise ScriptFormatError(f"event value {value} outside i32")
+
+
 def serialize_script(script: SendEventScript) -> bytes:
     """Write the human-readable log form; inverse of parse_script."""
+    node = script.device_node
     lines = [
         "# tracereplay-log 1",
-        f"# device_node: {script.device_node}",
+        f"# device_node: {node}",
         f"# profile: {json.dumps(script.profile.to_dict(), sort_keys=True)}",
     ]
-    for event in script.events:
-        secs, micros = divmod(event.timestamp_us, 1_000_000)
-        lines.append(
-            f"[{secs}.{micros:06d}] {script.device_node}: "
-            f"{event.event_type:04x} {event.event_code:04x} "
-            f"{event.value & 0xFFFFFFFF:08x}"
-        )
+    append = lines.append
+    type_code = _TYPE_CODE_TEXT
+    prefix_t = None
+    # Events of one sync window share their timestamp, hence the prefix.
+    for t, etype, code, value in script.events:
+        if t != prefix_t:
+            prefix_t = t
+            prefix = "[%d.%06d] %s: " % (t // 1_000_000, t % 1_000_000, node)
+        try:
+            text = type_code[etype, code]
+        except KeyError:  # outside the protocol vocabulary, e.g. a prologue
+            text = "%04x %04x " % (etype, code)
+        append("%s%s%08x" % (prefix, text, value & 0xFFFFFFFF))
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def parse_script(data: bytes | str) -> SendEventScript:
-    """Parse the log form back into a script."""
+    """Parse the log form back into a script; raises ScriptFormatError."""
     if isinstance(data, bytes):
-        data = data.decode("ascii")
+        try:
+            data = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise ScriptFormatError(f"log is not ASCII: {exc}") from None
     device_node = None
     profile = None
     events: list[InputEvent] = []
+    append = events.append
     for raw in data.splitlines():
         line = raw.rstrip()
         if not line:
@@ -358,9 +432,13 @@ def parse_script(data: bytes | str) -> SendEventScript:
             if line.startswith("# device_node: "):
                 device_node = line[len("# device_node: "):]
             elif line.startswith("# profile: "):
-                profile = DeviceProfile.from_dict(
-                    json.loads(line[len("# profile: "):])
-                )
+                try:
+                    doc = json.loads(line[len("# profile: "):])
+                except json.JSONDecodeError as exc:
+                    raise ScriptFormatError(
+                        f"bad profile header: {exc}"
+                    ) from None
+                profile = DeviceProfile.from_dict(doc)
             continue
         match = _LOG_LINE.match(line)
         if match is None:
@@ -373,13 +451,13 @@ def parse_script(data: bytes | str) -> SendEventScript:
         raw_value = int(value, 16)
         if raw_value >= 1 << 31:
             raw_value -= 1 << 32
-        events.append(
-            InputEvent(
-                timestamp_us=int(secs) * 1_000_000 + int(micros),
-                event_type=int(etype, 16),
-                event_code=int(code, 16),
-                value=raw_value,
-            )
+        append(
+            _event((
+                int(secs) * 1_000_000 + int(micros),
+                int(etype, 16),
+                int(code, 16),
+                raw_value,
+            ))
         )
     if device_node is None or profile is None:
         raise ScriptFormatError("log missing device_node/profile headers")
@@ -391,17 +469,17 @@ def parse_script(data: bytes | str) -> SendEventScript:
 def translate_runnable(script: SendEventScript) -> bytes:
     """Write the compact delta-timestamped form for the replay agent."""
     chunks = [RUNNABLE_MAGIC]
+    append = chunks.append
+    pack = _RECORD.pack
     prev = 0
-    for event in script.events:
-        delta = event.timestamp_us - prev
+    for t, etype, code, value in script.events:
+        delta = t - prev
         if delta < 0:
             raise ScriptFormatError(
                 f"timestamps must be non-decreasing, got step {delta}us"
             )
-        prev = event.timestamp_us
-        chunks.append(
-            _RECORD.pack(delta, event.event_type, event.event_code, event.value)
-        )
+        prev = t
+        append(pack(delta, etype, code, value))
     return b"".join(chunks)
 
 
@@ -409,20 +487,15 @@ def parse_runnable(data: bytes) -> list[InputEvent]:
     """Parse runnable bytes back into events with absolute timestamps."""
     if len(data) < len(RUNNABLE_MAGIC) or not data.startswith(RUNNABLE_MAGIC):
         raise ScriptFormatError("bad runnable magic")
-    body = data[len(RUNNABLE_MAGIC):]
+    body = memoryview(data)[len(RUNNABLE_MAGIC):]
     if len(body) % _RECORD.size != 0:
         raise ScriptFormatError(
             f"runnable body length {len(body)} not a record multiple"
         )
-    events = []
-    t = 0
-    for offset in range(0, len(body), _RECORD.size):
-        delta, etype, code, value = _RECORD.unpack_from(body, offset)
-        t += delta
-        events.append(
-            InputEvent(timestamp_us=t, event_type=etype, event_code=code, value=value)
-        )
-    return events
+    if not body:
+        return []
+    deltas, types, codes, values = zip(*_RECORD.iter_unpack(body))
+    return list(map(_event, zip(accumulate(deltas), types, codes, values)))
 
 
 def _device_coords(

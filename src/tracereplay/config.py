@@ -12,6 +12,7 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .codegen import valid_device_node
 from .errors import ConfigError
 from .model import DeviceProfile
 
@@ -60,8 +61,8 @@ class Config:
 
     def validate(self) -> None:
         """Raise ConfigError unless every setting has its field's type,
-        `min_confidence` is a finite number in [0, 1] and `device` names
-        a preset."""
+        `min_confidence` is a finite number in [0, 1], `device_node` can
+        head a script log line and `device` names a preset."""
         for f in fields(self):
             value = getattr(self, f.name)
             allowed = _FIELD_TYPES[f.type]
@@ -76,6 +77,11 @@ class Config:
             raise ConfigError(
                 f"min_confidence must be a finite number in [0, 1], "
                 f"got {self.min_confidence!r}"
+            )
+        if not valid_device_node(self.device_node):
+            raise ConfigError(
+                f"device_node must be non-empty ASCII without whitespace, "
+                f"got {self.device_node!r}"
             )
         self.profile()
 

@@ -46,6 +46,11 @@ class Opacity(Enum):
     LOW = "low"
 
 
+#: JSON text of each opacity class, read by the writers without going
+#: through the `Enum.value` descriptor once per detection.
+_OPACITY_TEXT = {opacity: opacity.value for opacity in Opacity}
+
+
 @dataclass(frozen=True)
 class DeviceProfile:
     """Static facts about the recording device."""
@@ -328,7 +333,7 @@ def detections_json(detections, depth: int) -> str:
     template = _detection_template(depth + 1)
     return json_array(
         [
-            template % (d.frame, *d.bbox, d.confidence, d.opacity.value)
+            template % (d.frame, *d.bbox, d.confidence, _OPACITY_TEXT[d.opacity])
             for d in detections
         ],
         depth,

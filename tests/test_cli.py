@@ -251,9 +251,15 @@ class TestConfig:
         {"seed": False},
         {"extended_alphabet": 1},
         {"device_serial": 7},
+        {"device_node": ""},
+        {"device_node": "/dev/a b"},
+        {"device_node": "/dev/input/event2\n"},
+        {"device_node": "/dev/\u00e9"},
     ], ids=["str-confidence", "bool-confidence", "confidence-above-1",
             "negative-confidence", "int-device-node", "float-seed", "bool-seed",
-            "int-bool-flag", "int-serial"])
+            "int-bool-flag", "int-serial", "empty-device-node",
+            "space-in-device-node", "newline-in-device-node",
+            "non-ascii-device-node"])
     def test_mistyped_or_out_of_range_value_rejected(self, tmp_path, doc):
         file = tmp_path / "config.json"
         file.write_text(json.dumps(doc))
@@ -284,6 +290,24 @@ class TestConfig:
         assert err.startswith("error (pipeline): ")
         assert "Traceback" not in err
         assert not (out / "classified.json").exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "generate"])
+    @pytest.mark.parametrize("node", ["/dev/\u00e9", "/dev/a b", ""],
+                             ids=["non-ascii", "space", "empty"])
+    def test_bad_device_node_flag_exits_2(self, tmp_path, capsys,
+                                          fixture_scenario, command, node):
+        out = tmp_path / "out"
+        main(["synthesize", "--scenario", str(fixture_scenario), "--out-dir", str(out)])
+        main(["classify", "--trace", str(out / "trace.json"), "--out-dir", str(out)])
+        capsys.readouterr()
+        source = (["--trace", str(out / "trace.json")] if command == "pipeline"
+                  else ["--scenario-file", str(out / "classified.json")])
+        assert main([command, *source, "--out-dir", str(out),
+                     "--device-node", node]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error ({command}): device_node")
+        assert "Traceback" not in err
+        assert not (out / "script.log").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1.5", "-0.5"])
     def test_pipeline_rejects_min_confidence_flag_out_of_range(

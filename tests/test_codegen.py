@@ -31,6 +31,7 @@ from tracereplay.codegen import (
     validate_script,
 )
 from tracereplay.errors import OverlapConflict, ScriptFormatError, SlotExhaustion
+from tracereplay.model import DeviceProfile
 
 from conftest import make_sequence, make_touch
 
@@ -341,3 +342,100 @@ class TestValidateScript:
                                  profile=profile)
         with pytest.raises(ScriptFormatError):
             validate_script(script)
+
+
+class TestInputEventTuple:
+    def test_equals_plain_tuple_and_keeps_fields(self):
+        event = InputEvent(1500, EV_ABS, ABS_MT_POSITION_X, 7)
+        assert event == (1500, EV_ABS, ABS_MT_POSITION_X, 7)
+        assert (event.timestamp_us, event.event_type, event.event_code,
+                event.value) == tuple(event)
+        assert event.timestamp_ms == 1.5
+        assert event._replace(value=8) == (1500, EV_ABS, ABS_MT_POSITION_X, 8)
+
+    def test_script_and_decoders_hold_input_events(self, profile):
+        action = classify_action(make_sequence(0, 5, 100, 100, dx=30), profile)
+        script = assemble_script(
+            ClassifiedScenario(profile=profile, items=(SingleFingerItem(action),))
+        )
+        assert type(script.events) is tuple
+        for events in (script.events, parse_runnable(translate_runnable(script)),
+                       parse_script(serialize_script(script)).events):
+            assert all(type(e) is InputEvent for e in events)
+
+
+class TestRecordRanges:
+    """validate_script rejects what a runnable record cannot hold, so
+    both encoders accept every script it passes."""
+
+    def compile(self, profile, *events):
+        return assemble_script(ClassifiedScenario(profile, ()), prologue=events)
+
+    @pytest.mark.parametrize("event", [
+        InputEvent(0, EV_SYN, SYN_REPORT, 2**31),
+        InputEvent(0, EV_SYN, SYN_REPORT, -(2**31) - 1),
+        InputEvent(0, EV_KEY, BTN_TOUCH, 2**31),
+        InputEvent(0, 0x10000, 0, 0),
+        InputEvent(0, -1, 0, 0),
+        InputEvent(0, EV_ABS, 0x10000, 0),
+        InputEvent(0, EV_SYN, -1, 0),
+        InputEvent(2**32, EV_SYN, SYN_REPORT, 0),
+        InputEvent(-1, EV_SYN, SYN_REPORT, 0),
+    ], ids=["value-above-i32", "value-below-i32", "btn-value-above-i32",
+            "type-above-u16", "negative-type", "code-above-u16",
+            "negative-code", "first-step-above-u32", "negative-timestamp"])
+    def test_out_of_range_event_rejected(self, profile, event):
+        with pytest.raises(ScriptFormatError):
+            self.compile(profile, event)
+
+    def test_step_above_u32_rejected_mid_script(self, profile):
+        with pytest.raises(ScriptFormatError, match="exceeds u32"):
+            self.compile(profile, InputEvent(5, EV_SYN, SYN_REPORT, 0),
+                         InputEvent(5 + 2**32, EV_SYN, SYN_REPORT, 0))
+
+    def test_tracking_id_above_i32_rejected(self, profile):
+        with pytest.raises(ScriptFormatError, match="outside i32"):
+            self.compile(profile, InputEvent(0, EV_ABS, ABS_MT_TRACKING_ID, 2**31))
+
+    def test_coordinate_above_i32_rejected_on_any_screen(self):
+        huge = DeviceProfile(name="wall", screen_width=2**40,
+                             screen_height=2**40, fps=30)
+        self.compile(huge, InputEvent(0, EV_ABS, ABS_MT_POSITION_X, 2**31 - 1))
+        with pytest.raises(ScriptFormatError):
+            self.compile(huge, InputEvent(0, EV_ABS, ABS_MT_POSITION_X, 2**31))
+
+    def test_edges_of_each_range_encode(self, profile):
+        script = self.compile(
+            profile,
+            InputEvent(2**32 - 1, 0xFFFF, 0xFFFF, 2**31 - 1),
+            InputEvent(2**33 - 2, EV_SYN, SYN_REPORT, -(2**31)),
+            InputEvent(2**33 - 2, 0, 0xFFFF, -1),
+        )
+        assert parse_runnable(translate_runnable(script)) == list(script.events)
+        assert parse_script(serialize_script(script)) == script
+
+
+class TestDeviceNode:
+    @pytest.mark.parametrize("node", ["", "/dev/a b", "/dev/é", "\t",
+                                      "/dev/x\n", "/dev/\x1c"])
+    def test_bad_node_rejected(self, profile, node):
+        with pytest.raises(ScriptFormatError, match="device node"):
+            assemble_script(ClassifiedScenario(profile, ()), device_node=node)
+
+    def test_any_other_ascii_node_round_trips(self, profile):
+        action = classify_action(make_sequence(0, 5, 100, 100), profile)
+        scenario = ClassifiedScenario(profile, (SingleFingerItem(action),))
+        for node in ["/dev/input/event2", "x", "a:b", "[0.1]", "#", "/dev/\x00"]:
+            script = assemble_script(scenario, device_node=node)
+            assert parse_script(serialize_script(script)) == script
+
+
+class TestParseScriptErrors:
+    @pytest.mark.parametrize("data", [
+        b"# profile: {bad\n",
+        b"\xff\n",
+        "# profile: [1, 2\n",
+    ], ids=["bad-profile-json", "not-ascii", "truncated-profile"])
+    def test_typed_error(self, data):
+        with pytest.raises(ScriptFormatError):
+            parse_script(data)
