@@ -52,14 +52,7 @@ from .replay import (
     ReplayReport,
     push_and_replay,
 )
-from .segment import (
-    FrameGroup,
-    TouchSequence,
-    filter_confidence,
-    group_consecutive,
-    segment_actions,
-    segment_trace,
-)
+from .segment import TouchSequence, filter_confidence, segment_trace
 
 __version__ = "0.1.0"
 

@@ -11,21 +11,22 @@ multi-fingered group's finger count is the per-frame touch-count mode.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .errors import MalformedJson, SchemaViolation
+from .errors import SchemaViolation
 from .model import (
     DetectionTrace,
     DeviceProfile,
+    Opacity,
     TouchDetection,
     detections_json,
     device_json,
     json_array,
+    load_document,
 )
 from .segment import MAX_DISCARD_FRAMES, MIN_CONFIDENCE, TouchSequence, segment_trace
 
@@ -88,8 +89,28 @@ class AtomicAction:
             kind = ActionKind(data["kind"])
         except ValueError:
             raise SchemaViolation(f"unknown action kind {data['kind']!r}") from None
-        touches = tuple(TouchDetection.from_dict(t) for t in data["touches"])
-        return cls(kind=kind, sequence=TouchSequence(touches=touches))
+        raw = data["touches"]
+        if not isinstance(raw, list):
+            raise SchemaViolation("action touches must be a list")
+        # One walk loads the touches and checks what TouchSequence would:
+        # frames strictly increase and the low-opacity touches are a suffix.
+        touches = []
+        previous, highs, valid = -1, None, True  # highs: index of the first low
+        for touch in map(TouchDetection.from_dict, raw):
+            valid = valid and touch.frame > previous
+            previous = touch.frame
+            if touch.opacity is Opacity.LOW:
+                if highs is None:
+                    highs = len(touches)
+            elif highs is not None:
+                valid = False
+            touches.append(touch)
+        touches = tuple(touches)
+        if not (valid and touches):
+            TouchSequence(touches=touches)  # raises the constructor's error
+        return cls(
+            kind=kind, sequence=TouchSequence._validated(touches, touches[:highs])
+        )
 
 
 @dataclass(frozen=True)
@@ -170,32 +191,27 @@ class ClassifiedScenario:
 
     @classmethod
     def from_json(cls, data: bytes | str) -> "ClassifiedScenario":
-        try:
-            doc = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise MalformedJson(f"invalid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise SchemaViolation("top-level value must be an object")
-        for key in ("schema_version", "device", "items"):
-            if key not in doc:
-                raise SchemaViolation(f"document missing field '{key}'")
-        if doc["schema_version"] != CLASSIFIED_SCHEMA_VERSION:
-            raise SchemaViolation(
-                f"unsupported schema_version {doc['schema_version']!r}"
-            )
+        doc = load_document(data, CLASSIFIED_SCHEMA_VERSION, ("device", "items"))
         profile = DeviceProfile.from_dict(doc["device"])
+        if not isinstance(doc["items"], list):
+            raise SchemaViolation("items must be a list")
         items: list[ScenarioItem] = []
         for raw in doc["items"]:
             if not isinstance(raw, dict) or "type" not in raw:
                 raise SchemaViolation("item must be an object with a type")
             if raw["type"] == "sfa":
-                items.append(SingleFingerItem(AtomicAction.from_dict(raw["action"])))
+                action = AtomicAction.from_dict(raw.get("action"))
+                items.append(SingleFingerItem(action))
             elif raw["type"] == "mfa":
-                actions = tuple(AtomicAction.from_dict(a) for a in raw["actions"])
+                raw_actions = raw.get("actions")
+                if not isinstance(raw_actions, list):
+                    raise SchemaViolation("mfa actions must be a list")
+                actions = tuple(map(AtomicAction.from_dict, raw_actions))
+                finger_count = _int(raw, "finger_count")
+                if not actions:
+                    raise SchemaViolation("mfa item must have at least one action")
                 items.append(
-                    MultiFingerItem(
-                        actions=actions, finger_count=_int(raw, "finger_count")
-                    )
+                    MultiFingerItem(actions=actions, finger_count=finger_count)
                 )
             else:
                 raise SchemaViolation(f"unknown item type {raw['type']!r}")
@@ -245,11 +261,7 @@ def filter_actions(
 
 def per_frame_touch_counts(actions: list[AtomicAction]) -> Counter:
     """Simultaneous touch count per frame over the retained actions."""
-    counts: Counter = Counter()
-    for action in actions:
-        for touch in action.sequence.touches:
-            counts[touch.frame] += 1
-    return counts
+    return Counter([t.frame for a in actions for t in a.sequence.touches])
 
 
 def group_overlapping(actions: list[AtomicAction]) -> list[list[AtomicAction]]:

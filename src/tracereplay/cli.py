@@ -129,27 +129,28 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
                    help="use the wall-clock tap cutoff for high-fps traces")
 
 
+#: Command-line flag (argparse dest) -> the Config field it overrides.
+_OVERRIDES = {
+    "out_dir": "out_dir",
+    "min_confidence": "min_confidence",
+    "extended": "extended_alphabet",
+    "duration_cutoff": "duration_based_cutoff",
+    "seed": "seed",
+    "noise": "noise_preset",
+    "bridge": "bridge_path",
+    "serial": "device_serial",
+    "agent": "agent_path",
+    "device_node": "device_node",
+}
+
+
 def _apply_overrides(config: Config, args) -> None:
-    if getattr(args, "out_dir", None):
-        config.out_dir = args.out_dir
-    if getattr(args, "min_confidence", None) is not None:
-        config.min_confidence = args.min_confidence
-    if getattr(args, "extended", None):
-        config.extended_alphabet = True
-    if getattr(args, "duration_cutoff", None):
-        config.duration_based_cutoff = True
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "noise", None):
-        config.noise_preset = args.noise
-    if getattr(args, "bridge", None):
-        config.bridge_path = args.bridge
-    if getattr(args, "serial", None):
-        config.device_serial = args.serial
-    if getattr(args, "agent", None):
-        config.agent_path = args.agent
-    if getattr(args, "device_node", None) is not None:
-        config.device_node = args.device_node
+    """Apply every flag that was given, empty values included: the
+    config check rejects those rather than falling back silently."""
+    for flag, key in _OVERRIDES.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            setattr(config, key, value)
 
 
 def _out_dir(config: Config) -> Path:
@@ -176,7 +177,13 @@ def _cmd_synthesize(args, config: Config) -> int:
 
 
 def _cmd_classify(args, config: Config) -> int:
-    trace = parse_trace(Path(args.trace).read_bytes())
+    _classify(args.trace, config)
+    return EXIT_OK
+
+
+def _classify(trace_path: str, config: Config) -> ClassifiedScenario:
+    """Classify a trace file; write classified.json and predicted.txt."""
+    trace = parse_trace(Path(trace_path).read_bytes())
     scenario = classify_trace(
         trace,
         min_confidence=config.min_confidence,
@@ -185,11 +192,11 @@ def _cmd_classify(args, config: Config) -> int:
     symbols = scenario.symbols(extended=config.extended_alphabet)
     out = _out_dir(config)
     (out / "classified.json").write_bytes(scenario.to_json())
-    sid = Path(args.trace).stem
+    sid = Path(trace_path).stem
     (out / "predicted.txt").write_text(metrics.dump_sequence_file({sid: symbols}))
     print(f"wrote {out / 'classified.json'} ({len(scenario.items)} items)")
     print(f"wrote {out / 'predicted.txt'} ({''.join(symbols) or '-'})")
-    return EXIT_OK
+    return scenario
 
 
 def _cmd_generate(args, config: Config) -> int:
@@ -253,21 +260,10 @@ def _cmd_evaluate(args, config: Config) -> int:
 
 
 def _cmd_pipeline(args, config: Config) -> int:
-    trace = parse_trace(Path(args.trace).read_bytes())
-    scenario = classify_trace(
-        trace,
-        min_confidence=config.min_confidence,
-        duration_based_cutoff=config.duration_based_cutoff,
-    )
-    out = _out_dir(config)
-    (out / "classified.json").write_bytes(scenario.to_json())
-    symbols = scenario.symbols(extended=config.extended_alphabet)
-    sid = Path(args.trace).stem
-    (out / "predicted.txt").write_text(metrics.dump_sequence_file({sid: symbols}))
-    print(f"wrote {out / 'classified.json'} ({len(scenario.items)} items)")
+    scenario = _classify(args.trace, config)
     _generate(scenario, config)
     if args.replay or args.dry_run:
-        script = (out / "script.bin").read_bytes()
+        script = (_out_dir(config) / "script.bin").read_bytes()
         report = _replay(script, args.dry_run, config)
         mode = "dry-run" if args.dry_run else "device"
         print(f"replay ({mode}): exit={report.exit_code} "

@@ -245,17 +245,21 @@ def assemble_script(
     Items are anchored at their start frame's absolute time, so the gap
     between consecutive items equals their frame gap at 1000/fps ms per
     frame. Raises OverlapConflict when an item would begin before the
-    previous item's contact closed.
+    previous item's contact closed, in frames or in the (separately
+    rounded) microseconds of its first and the release's events.
 
     Devices running older platform versions sometimes need extra raw
     instructions around a scenario; `prologue` and `epilogue` events
     (empty by default) are spliced in verbatim before and after the
-    compiled items and must respect the script's time ordering.
+    compiled items and must respect the script's time ordering. Their
+    fields must be exact integers, else ScriptFormatError.
     """
+    _check_spliced((*prologue, *epilogue))
     profile = profile or scenario.profile
     events: list[InputEvent] = list(prologue)
     next_tid = 1
     prev_end_frame: float | None = None
+    prev_end_us = 0
     prev_desc = ""
     for item in scenario.items:
         t0_us = frame_offset_us(item.start_frame, profile.fps)
@@ -264,6 +268,12 @@ def assemble_script(
                 f"item at frame {item.start_frame} starts before {prev_desc} "
                 f"releases at frame {prev_end_frame}"
             )
+        if t0_us < prev_end_us:
+            raise OverlapConflict(
+                f"item at frame {item.start_frame} starts at {t0_us}us, before "
+                f"{prev_desc} releases at {prev_end_us}us"
+            )
+        emitted = len(events)
         if isinstance(item, SingleFingerItem):
             events.extend(
                 _emit_sfa(item.action, profile, t0_us, 0, next_tid)
@@ -276,12 +286,24 @@ def assemble_script(
             next_tid += len(item.actions)
             prev_end_frame = max(a.active_end_frame for a in item.actions)
             prev_desc = f"multi-finger item at frame {item.start_frame}"
+        if len(events) > emitted:
+            prev_end_us = events[-1][0]  # the item's last window: its release
     events.extend(epilogue)
     script = SendEventScript(
         device_node=device_node, events=tuple(events), profile=profile
     )
     validate_script(script)
     return script
+
+
+def _check_spliced(events: tuple[InputEvent, ...]) -> None:
+    """Raise ScriptFormatError unless every event is four exact ints."""
+    for event in events:
+        if not (isinstance(event, tuple) and len(event) == 4
+                and {*map(type, event)} == {int}):
+            raise ScriptFormatError(
+                f"spliced event must be four integers, got {event!r}"
+            )
 
 
 def valid_device_node(node: str) -> bool:
@@ -420,6 +442,9 @@ def parse_script(data: bytes | str) -> SendEventScript:
             data = data.decode("ascii")
         except UnicodeDecodeError as exc:
             raise ScriptFormatError(f"log is not ASCII: {exc}") from None
+    elif not data.isascii():
+        # `\d` would match any Unicode digit, and int() would read it.
+        raise ScriptFormatError("log is not ASCII")
     device_node = None
     profile = None
     events: list[InputEvent] = []

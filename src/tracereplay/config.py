@@ -36,6 +36,10 @@ _FIELD_TYPES = {
 }
 
 
+#: Settings that may be unset (None) or given, but never empty.
+_NON_EMPTY = ("out_dir", "bridge_path", "agent_path", "device_serial", "noise_preset")
+
+
 @dataclass
 class Config:
     device: str = "nexus5"  # preset name; full profiles come from inputs
@@ -61,8 +65,9 @@ class Config:
 
     def validate(self) -> None:
         """Raise ConfigError unless every setting has its field's type,
-        `min_confidence` is a finite number in [0, 1], `device_node` can
-        head a script log line and `device` names a preset."""
+        `min_confidence` is a finite number in [0, 1], no path, serial
+        or preset name is empty, `device_node` can head a script log
+        line and `device` names a preset."""
         for f in fields(self):
             value = getattr(self, f.name)
             allowed = _FIELD_TYPES[f.type]
@@ -78,6 +83,9 @@ class Config:
                 f"min_confidence must be a finite number in [0, 1], "
                 f"got {self.min_confidence!r}"
             )
+        for name in _NON_EMPTY:
+            if getattr(self, name) == "":
+                raise ConfigError(f"{name} must not be empty")
         if not valid_device_node(self.device_node):
             raise ConfigError(
                 f"device_node must be non-empty ASCII without whitespace, "

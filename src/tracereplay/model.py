@@ -50,6 +50,11 @@ class Opacity(Enum):
 #: through the `Enum.value` descriptor once per detection.
 _OPACITY_TEXT = {opacity: opacity.value for opacity in Opacity}
 
+#: The members and the check the detection loader uses once per
+#: detection, bound here so that it reads no class or module attribute.
+_HIGH, _LOW = Opacity.HIGH, Opacity.LOW
+_isfinite = math.isfinite
+
 
 @dataclass(frozen=True)
 class DeviceProfile:
@@ -155,14 +160,18 @@ class TouchDetection:
             and type(frame) is int and frame >= 0
             and type(x) is type(y) is type(w) is type(h) is type(confidence) is float
             and w > 0.0 and h > 0.0 and 0.0 <= confidence <= 1.0
-            and math.isfinite(x + y + w + h)
+            and _isfinite(x + y + w + h)
             and (opacity == "high" or opacity == "low")
         ):
-            return _unchecked(
-                cls, frame=frame, bbox=(x, y, w, h), confidence=confidence,
-                opacity=Opacity.HIGH if opacity == "high" else Opacity.LOW,
+            det = _new(cls)
+            # One update call, not a write per key: the instance dict
+            # then reads as fast as one the constructor filled.
+            det.__dict__.update(
+                frame=frame, bbox=(x, y, w, h), confidence=confidence,
+                opacity=_HIGH if opacity == "high" else _LOW,
                 center=(x + w / 2.0, y + h / 2.0),
             )
+            return det
         return cls._from_dict_checked(data)
 
     @classmethod
@@ -245,22 +254,8 @@ def parse_trace(data: bytes | str) -> DetectionTrace:
     or out-of-range fields, BoundsViolation on off-screen boxes.
     Detections are re-sorted by frame if the document is unsorted.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedJson(f"input is not UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise MalformedJson(f"invalid JSON: {exc}") from exc
-
-    _require(isinstance(doc, dict), "top-level value must be an object")
-    for key in ("schema_version", "device", "frame_count", "detections"):
-        _require(key in doc, f"document missing field '{key}'")
-    _require(
-        doc["schema_version"] == TRACE_SCHEMA_VERSION,
-        f"unsupported schema_version {doc['schema_version']!r}",
+    doc = load_document(
+        data, TRACE_SCHEMA_VERSION, ("device", "frame_count", "detections")
     )
     _require(isinstance(doc["detections"], list), "detections must be a list")
 
@@ -292,6 +287,32 @@ def parse_trace(data: bytes | str) -> DetectionTrace:
     if not ordered:
         detections.sort(key=_frame)
     return DetectionTrace._validated(profile, tuple(detections), frame_count)
+
+
+def load_document(data: bytes | str, version: int, fields: tuple[str, ...]) -> dict:
+    """The JSON object of a versioned document this package reads.
+
+    Raises MalformedJson unless `data` is UTF-8 JSON, SchemaViolation
+    unless it is an object with `schema_version` equal to `version` and
+    every key in `fields`.
+    """
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedJson(f"input is not UTF-8: {exc}") from exc
+    try:
+        doc = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise MalformedJson(f"invalid JSON: {exc}") from exc
+    _require(isinstance(doc, dict), "top-level value must be an object")
+    for key in ("schema_version", *fields):
+        _require(key in doc, f"document missing field '{key}'")
+    _require(
+        doc["schema_version"] == version,
+        f"unsupported schema_version {doc['schema_version']!r}",
+    )
+    return doc
 
 
 def serialize_trace(trace: DetectionTrace) -> bytes:
@@ -353,9 +374,12 @@ def _detection_template(depth: int) -> str:
 def _unchecked(cls, **fields):
     """A frozen dataclass instance from fields that were already
     validated: `__post_init__` does not run."""
-    obj = object.__new__(cls)
+    obj = _new(cls)
     obj.__dict__.update(fields)
     return obj
+
+
+_new = object.__new__
 
 
 def _frame(det: TouchDetection) -> int:

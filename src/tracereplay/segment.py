@@ -1,55 +1,45 @@
-"""Confidence filtering, frame grouping, and per-finger segmentation.
+"""Confidence filtering and per-finger segmentation.
 
-Detections that survive the confidence filter are grouped into maximal
-runs of consecutive non-empty frames, then each run is segmented into
-per-finger touch sequences by linking touches frame to frame:
+Detections that survive the confidence filter are linked frame to frame
+into per-finger chains in one pass over the trace. A frame with no
+detections closes every open chain (every finger has lifted); otherwise:
 
-* a lone touch in the next frame continues the lone open sequence;
+* a lone touch in the next frame continues the lone open chain;
   this rule is applied directly, without a pair search;
 * with several candidates, the spatially nearest pair links first
-  (greedy over all open-sequence x touch pairs);
+  (greedy over all open-chain x touch pairs);
 * when candidate distances are within a tie tolerance of each other, a
   low-opacity touch (a lifting finger) is linked to the oldest open
-  sequence whose last touch is still high-opacity — it terminates that
+  chain whose last touch is still high-opacity — it terminates that
   trajectory rather than the one that just started;
 * any remaining tie breaks on smaller x, then smaller y.
 
 After linking, chains are cut after every low-opacity run that is
 followed by a high-opacity touch (the low run is the fade tail closing
 the earlier action), and anything two frames or shorter is discarded.
+A run of two or fewer non-empty frames therefore never yields a
+sequence.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import groupby
+from math import dist
 from operator import attrgetter
 
 from .errors import SchemaViolation
-from .model import DEFAULT_TOUCH_SLOP, DetectionTrace, Opacity, TouchDetection
+from .model import DetectionTrace, Opacity, TouchDetection, _unchecked
 
-#: Detections below this confidence are dropped before grouping.
+#: Detections below this confidence are dropped before linking.
 MIN_CONFIDENCE = 0.7
 
-#: Groups and sequences spanning this many frames or fewer are discarded.
+#: Sequences spanning this many frames or fewer are discarded.
 MAX_DISCARD_FRAMES = 2
 
 _frame = attrgetter("frame")
 _center = attrgetter("center")
-
-
-@dataclass(frozen=True)
-class FrameGroup:
-    """Detections occupying one run of consecutive non-empty frames."""
-
-    detections: tuple[TouchDetection, ...]
-    start_frame: int
-    end_frame: int
-
-    @property
-    def span(self) -> int:
-        return self.end_frame - self.start_frame + 1
+_opacity = attrgetter("opacity")
 
 
 @dataclass(frozen=True)
@@ -83,6 +73,12 @@ class TouchSequence:
             )
         object.__setattr__(self, "high_touches", touches[:highs])
 
+    @classmethod
+    def _validated(cls, touches: tuple, high_touches: tuple) -> "TouchSequence":
+        """Build from non-empty touches in strictly increasing frames whose
+        fades are a suffix; `high_touches` is the part before the fades."""
+        return _unchecked(cls, touches=touches, high_touches=high_touches)
+
     @property
     def start_frame(self) -> int:
         return self.touches[0].frame
@@ -110,102 +106,57 @@ def filter_confidence(
     return DetectionTrace._validated(trace.profile, kept, trace.frame_count)
 
 
-def group_consecutive(trace: DetectionTrace) -> list[FrameGroup]:
-    """Group detections into maximal runs of consecutive non-empty frames.
-
-    Runs spanning two frames or fewer are discarded as spurious.
-    """
-    detections = trace.detections  # sorted by frame
-    groups: list[FrameGroup] = []
-    start = 0
-    for i in range(1, len(detections) + 1):
-        if i < len(detections) and detections[i].frame <= detections[i - 1].frame + 1:
-            continue
-        first, last = detections[start].frame, detections[i - 1].frame
-        if last - first + 1 > MAX_DISCARD_FRAMES:
-            groups.append(
-                FrameGroup(
-                    detections=detections[start:i], start_frame=first, end_frame=last
-                )
-            )
-        start = i
-    return groups
-
-
-def segment_actions(
-    group: FrameGroup, touch_slop: int = DEFAULT_TOUCH_SLOP
-) -> list[TouchSequence]:
-    """Split one frame group into per-finger touch sequences.
-
-    `touch_slop` doubles as the distance tie tolerance: two candidate
-    links count as equally near when their distances differ by less.
-    """
-    chains = _link_chains(group, tie_tolerance=float(touch_slop))
-    sequences: list[TouchSequence] = []
-    for chain in chains:
-        for piece in _split_at_fades(chain):
-            if piece[-1].frame - piece[0].frame + 1 > MAX_DISCARD_FRAMES:
-                sequences.append(TouchSequence(touches=tuple(piece)))
-    sequences.sort(key=lambda s: (s.start_frame, s.touches[0].center))
-    return sequences
-
-
 def segment_trace(
     trace: DetectionTrace, min_confidence: float = MIN_CONFIDENCE
 ) -> list[TouchSequence]:
-    """Full front half: filter, group, and segment a trace."""
+    """Full front half: filter, link, and cut a trace into sequences."""
     filtered = filter_confidence(trace, min_confidence)
+    chains = _link_chains(filtered.detections, float(trace.profile.touch_slop))
     sequences: list[TouchSequence] = []
-    for group in group_consecutive(filtered):
-        sequences.extend(segment_actions(group, trace.profile.touch_slop))
+    for chain in chains:
+        _split_at_fades(chain, sequences)
     sequences.sort(key=lambda s: (s.start_frame, s.touches[0].center))
     return sequences
 
 
 def _link_chains(
-    group: FrameGroup, tie_tolerance: float
+    detections: tuple[TouchDetection, ...], tie_tolerance: float
 ) -> list[list[TouchDetection]]:
-    detections = sorted(group.detections, key=_frame)  # stable: keeps in-frame order
-    i = bisect_left(detections, group.start_frame, key=_frame)
-    end = bisect_right(detections, group.end_frame, key=_frame)
-
+    """Link frame-sorted detections into per-finger chains; two links
+    are equally near when their distances differ by < `tie_tolerance`."""
     open_chains: list[list[TouchDetection]] = []
     done: list[list[TouchDetection]] = []
-    previous = group.start_frame - 1
-    while i < end:
-        frame = detections[i].frame
-        j = i + 1
-        while j < end and detections[j].frame == frame:
-            j += 1
+    previous = -2
+    for frame, in_frame in groupby(detections, _frame):
+        touches = list(in_frame)
         if frame != previous + 1:
             # An empty frame in between: every finger has lifted.
-            done.extend(open_chains)
+            done += open_chains
             open_chains = []
         previous = frame
-        if j == i + 1 and len(open_chains) == 1:
+        if len(touches) == 1 and len(open_chains) == 1:
             # A lone touch continues the lone open chain: no pair search.
-            open_chains[0].append(detections[i])
-            i = j
+            open_chains[0].append(touches[0])
             continue
-        touches = sorted(detections[i:j], key=_center)
-        i = j
+        touches.sort(key=_center)
+        if not open_chains:
+            open_chains = [[touch] for touch in touches]
+            continue
         links = _greedy_match(open_chains, touches, tie_tolerance)
-        matched_chains = {ci for ci, _ in links}
-        matched_touches = {ti for _, ti in links}
         for ci, ti in links:
             open_chains[ci].append(touches[ti])
-        # A finger with no touch this frame has lifted: close its chain.
-        still_open = []
-        for ci, chain in enumerate(open_chains):
-            if ci in matched_chains:
-                still_open.append(chain)
-            else:
-                done.append(chain)
-        open_chains = still_open
-        for ti, touch in enumerate(touches):
-            if ti not in matched_touches:
-                open_chains.append([touch])
-    done.extend(open_chains)
+        if len(links) < len(open_chains):
+            # A finger with no touch this frame has lifted: close its chain.
+            linked = {ci for ci, _ in links}
+            still_open = []
+            for ci, chain in enumerate(open_chains):
+                (still_open if ci in linked else done).append(chain)
+            open_chains = still_open
+        if len(links) < len(touches):
+            # A touch no chain took is a new finger.
+            linked = {ti for _, ti in links}
+            open_chains += [[t] for ti, t in enumerate(touches) if ti not in linked]
+    done += open_chains
     done.sort(key=lambda c: (c[0].frame, c[0].center))
     return done
 
@@ -215,25 +166,26 @@ def _greedy_match(
     touches: list[TouchDetection],
     tie_tolerance: float,
 ) -> list[tuple[int, int]]:
-    """Repeatedly link the globally nearest open-chain/touch pair."""
-    free_chains = set(range(len(chains)))
-    free_touches = set(range(len(touches)))
+    """Repeatedly link the globally nearest open-chain/touch pair, from
+    one distance table that drops a linked chain's and touch's rows."""
+    pairs = [
+        (dist(chain[-1].center, touch.center), ci, ti)
+        for ci, chain in enumerate(chains)
+        for ti, touch in enumerate(touches)
+    ]
     links: list[tuple[int, int]] = []
-    while free_chains and free_touches:
-        pairs = [
-            (_distance(chains[ci][-1].center, touches[ti].center), ci, ti)
-            for ci in free_chains
-            for ti in free_touches
-        ]
-        best = min(p[0] for p in pairs)
+    while pairs:
+        if len(pairs) == 1:  # the last free pair: nothing to compare
+            links.append(pairs[0][1:])
+            break
+        best = min(pairs)[0]
         tied = [p for p in pairs if p[0] - best < tie_tolerance]
         if len(tied) == 1:
             _, ci, ti = tied[0]
         else:
             _, ci, ti = _break_tie(tied, chains, touches)
         links.append((ci, ti))
-        free_chains.discard(ci)
-        free_touches.discard(ti)
+        pairs = [p for p in pairs if p[1] != ci and p[2] != ti]
     return links
 
 
@@ -262,19 +214,24 @@ def _break_tie(tied, chains, touches):
 
 
 def _split_at_fades(
-    chain: list[TouchDetection],
-) -> list[list[TouchDetection]]:
-    """Cut after every low-opacity run followed by a high-opacity touch."""
-    pieces: list[list[TouchDetection]] = []
+    chain: list[TouchDetection], sequences: list[TouchSequence]
+) -> None:
+    """Cut after every low-opacity run followed by a high-opacity touch,
+    appending each piece longer than MAX_DISCARD_FRAMES to `sequences`.
+
+    Each piece is a valid sequence as it is cut: the chain's frames
+    strictly increase, and a piece's low-opacity touches are a suffix.
+    """
+    # Sentinels: every search for the next low, then high, touch succeeds.
+    opacities = [*map(_opacity, chain), Opacity.LOW, Opacity.HIGH]
+    end = len(chain)
     start = 0
-    for i in range(1, len(chain)):
-        if chain[i - 1].opacity is Opacity.LOW and chain[i].opacity is Opacity.HIGH:
-            pieces.append(chain[start:i])
-            start = i
-    pieces.append(chain[start:])
-    return pieces
-
-
-def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
+    while start < end:
+        low = min(opacities.index(Opacity.LOW, start), end)
+        cut = min(opacities.index(Opacity.HIGH, low), end)
+        if chain[cut - 1].frame - chain[start].frame + 1 > MAX_DISCARD_FRAMES:
+            touches = tuple(chain[start:cut])
+            sequences.append(
+                TouchSequence._validated(touches, touches[: low - start])
+            )
+        start = cut

@@ -10,16 +10,17 @@ optionally corrupts the result with a seeded noise model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidScenario, MalformedJson, SchemaViolation
+from .errors import InvalidScenario, SchemaViolation
 from .model import (
     DetectionTrace,
     DeviceProfile,
     Opacity,
     TouchDetection,
+    load_document,
 )
 
 SCENARIO_SCHEMA_VERSION = 1
@@ -140,19 +141,7 @@ class GroundTruthScenario:
 
     @classmethod
     def from_json(cls, data: bytes | str) -> "GroundTruthScenario":
-        try:
-            doc = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise MalformedJson(f"invalid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise SchemaViolation("top-level value must be an object")
-        for key in ("schema_version", "device", "actions"):
-            if key not in doc:
-                raise SchemaViolation(f"document missing field '{key}'")
-        if doc["schema_version"] != SCENARIO_SCHEMA_VERSION:
-            raise SchemaViolation(
-                f"unsupported schema_version {doc['schema_version']!r}"
-            )
+        doc = load_document(data, SCENARIO_SCHEMA_VERSION, ("device", "actions"))
         return cls(
             profile=DeviceProfile.from_dict(doc["device"]),
             actions=tuple(GroundTruthAction.from_dict(a) for a in doc["actions"]),
@@ -207,14 +196,7 @@ def noise_preset(name: str, seed: int = 0) -> NoiseModel:
         raise SchemaViolation(
             f"unknown noise preset {name!r}; options: {sorted(NOISE_PRESETS)}"
         )
-    base = NOISE_PRESETS[name]
-    return NoiseModel(
-        position_jitter_sigma=base.position_jitter_sigma,
-        false_positive_rate=base.false_positive_rate,
-        dropout_rate=base.dropout_rate,
-        fade_frames=base.fade_frames,
-        rng_seed=seed,
-    )
+    return replace(NOISE_PRESETS[name], rng_seed=seed)
 
 
 def synthesize_trace(

@@ -38,7 +38,7 @@ from tracereplay.codegen import (
 )
 from tracereplay.metrics import lcs_length, lcs_ratio, levenshtein
 from tracereplay.model import DetectionTrace, DeviceProfile, Opacity
-from tracereplay.segment import TouchSequence, filter_confidence, group_consecutive
+from tracereplay.segment import TouchSequence, filter_confidence, segment_trace
 from tracereplay.synth import noise_preset, random_scenario, synthesize_trace
 
 from conftest import make_sequence, make_touch
@@ -245,18 +245,18 @@ class TestCriterion4ThresholdBoundaries:
                                 frame_count=6)
         trace3 = DetectionTrace(profile=PROFILE, detections=tuple(three),
                                 frame_count=6)
-        groups2 = group_consecutive(trace2)
-        groups3 = group_consecutive(trace3)
+        runs2 = segment_trace(trace2)
+        runs3 = segment_trace(trace3)
         two_frame_action = AtomicAction(
             kind=ActionKind.TAP, sequence=TouchSequence(tuple(two))
         )
         filtered = filter_actions([two_frame_action])
-        ok = groups2 == [] and len(groups3) == 1 and filtered == []
+        ok = runs2 == [] and len(runs3) == 1 and filtered == []
         report(
             "4e",
             "<= 2 frame discard",
             ok,
-            f"2-frame group kept: {bool(groups2)}, 3-frame kept: {bool(groups3)}, "
+            f"2-frame run kept: {bool(runs2)}, 3-frame kept: {bool(runs3)}, "
             f"2-frame action kept: {bool(filtered)}",
         )
 

@@ -1,0 +1,231 @@
+"""Differential test of the classified.json loader.
+
+`_oracle_from_json` and `_oracle_action_from_dict` are
+`ClassifiedScenario.from_json` and `AtomicAction.from_dict` as they were
+before each sequence was checked in the walk that loads it, copied
+unchanged apart from their names. Mutated documents must load to the
+same scenario, or raise the same error type with the same message. The
+exceptions are the inputs the old loader crashed on with a raw
+`TypeError`, `KeyError` or `ValueError`, and containers that are not
+lists: the loader now raises `SchemaViolation` for both.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tracereplay.classify import (
+    CLASSIFIED_SCHEMA_VERSION,
+    ActionKind,
+    AtomicAction,
+    ClassifiedScenario,
+    MultiFingerItem,
+    SingleFingerItem,
+    classify_trace,
+)
+from tracereplay.errors import MalformedJson, SchemaViolation, TraceReplayError
+from tracereplay.model import DeviceProfile, TouchDetection
+from tracereplay.segment import TouchSequence
+from tracereplay.synth import noise_preset, random_scenario, synthesize_trace
+
+from test_encoding import scenarios
+
+PROFILE = DeviceProfile(name="d", screen_width=1080, screen_height=1920, fps=30)
+
+
+# --- the previous loader, copied unchanged apart from names ---
+
+
+def _oracle_action_from_dict(data: dict) -> AtomicAction:
+    if not isinstance(data, dict) or "kind" not in data or "touches" not in data:
+        raise SchemaViolation("action must be an object with kind and touches")
+    try:
+        kind = ActionKind(data["kind"])
+    except ValueError:
+        raise SchemaViolation(f"unknown action kind {data['kind']!r}") from None
+    touches = tuple(TouchDetection.from_dict(t) for t in data["touches"])
+    return AtomicAction(kind=kind, sequence=TouchSequence(touches=touches))
+
+
+def _oracle_from_json(data: bytes | str) -> ClassifiedScenario:
+    try:
+        doc = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise MalformedJson(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaViolation("top-level value must be an object")
+    for key in ("schema_version", "device", "items"):
+        if key not in doc:
+            raise SchemaViolation(f"document missing field '{key}'")
+    if doc["schema_version"] != CLASSIFIED_SCHEMA_VERSION:
+        raise SchemaViolation(
+            f"unsupported schema_version {doc['schema_version']!r}"
+        )
+    profile = DeviceProfile.from_dict(doc["device"])
+    items = []
+    for raw in doc["items"]:
+        if not isinstance(raw, dict) or "type" not in raw:
+            raise SchemaViolation("item must be an object with a type")
+        if raw["type"] == "sfa":
+            items.append(SingleFingerItem(_oracle_action_from_dict(raw["action"])))
+        elif raw["type"] == "mfa":
+            actions = tuple(_oracle_action_from_dict(a) for a in raw["actions"])
+            items.append(
+                MultiFingerItem(
+                    actions=actions, finger_count=_oracle_int(raw, "finger_count")
+                )
+            )
+        else:
+            raise SchemaViolation(f"unknown item type {raw['type']!r}")
+    return ClassifiedScenario(profile=profile, items=tuple(items))
+
+
+def _oracle_int(data: dict, key: str) -> int:
+    value = data.get(key)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaViolation(f"field '{key}' must be an integer, got {value!r}")
+    return value
+
+
+# --- documents and their mutations ---
+
+
+@st.composite
+def classified_traces(draw):
+    """A classified synthetic recording: fades, MFA items, real frames."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    scenario = random_scenario(PROFILE, seed=seed, n_actions=draw(st.integers(1, 6)))
+    trace, _ = synthesize_trace(
+        scenario, noise_preset(draw(st.sampled_from(["clean", "emulator"])), seed=seed)
+    )
+    return classify_trace(trace)
+
+
+#: Values a mutation may put anywhere; `[]` also empties a list.
+ODD_VALUES = [None, True, 0, -1, 3, 1.5, "", "x", "low", "high", "tap", "mfa",
+              [], [1], {}, {"kind": "tap"}]
+
+#: Keys whose value the loader iterates: a non-list there is rejected.
+LIST_KEYS = ("items", "actions", "touches")
+
+
+def _nodes(value, path=()):
+    """Every (path, container) in a JSON tree, the root first."""
+    if isinstance(value, (dict, list)):
+        yield path, value
+        children = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, child in children:
+            yield from _nodes(child, path + (key,))
+
+
+def _mutate(doc, rnd) -> None:
+    """One random defect: a key deleted, a value replaced, a list's
+    elements swapped, duplicated or dropped, or an opacity flipped."""
+    _, node = rnd.choice(list(_nodes(doc)))
+    keys = sorted(node) if isinstance(node, dict) else list(range(len(node)))
+    if not keys:
+        return
+    key = rnd.choice(keys)
+    kind = rnd.randrange(5)
+    if kind == 0 and isinstance(node, dict):
+        del node[key]
+    elif kind == 1:
+        node[key] = rnd.choice(ODD_VALUES)
+    elif kind == 2 and isinstance(node, list):
+        other = rnd.randrange(len(node))
+        node[key], node[other] = node[other], node[key]
+    elif kind == 3 and isinstance(node, list):
+        node.insert(key, json.loads(json.dumps(node[key])))
+    elif isinstance(node, dict) and "opacity" in node:
+        node["opacity"] = "high" if node["opacity"] == "low" else "low"
+    elif isinstance(node, list):
+        del node[key]
+
+
+def _has_non_list(doc) -> bool:
+    return any(
+        isinstance(node, dict) and key in node and not isinstance(node[key], list)
+        for _, node in _nodes(doc)
+        for key in LIST_KEYS
+    )
+
+
+def _outcome(load, text):
+    try:
+        return load(text)
+    except TraceReplayError as exc:
+        return type(exc), str(exc)
+
+
+@given(st.one_of(classified_traces(), scenarios()),
+       st.integers(0, 3), st.randoms(use_true_random=False), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_mutated_documents_load_like_oracle(scenario, defects, rnd, as_bytes):
+    doc = json.loads(scenario.to_json())
+    for _ in range(defects):
+        _mutate(doc, rnd)
+    text = json.dumps(doc)
+    if as_bytes:
+        text = text.encode("utf-8")
+    got = _outcome(ClassifiedScenario.from_json, text)
+    try:
+        want = _outcome(_oracle_from_json, text)
+    except (TypeError, KeyError, ValueError):
+        want = None  # the old loader crashed
+    if want is None or _has_non_list(doc):
+        assert isinstance(got, tuple) and got[0] is SchemaViolation, got
+        return
+    assert got == want
+    if isinstance(want, ClassifiedScenario):
+        assert got.to_json() == want.to_json()
+        assert _high_touches(got) == _high_touches(want)
+
+
+def _high_touches(scenario):
+    return [
+        action.sequence.high_touches
+        for item in scenario.items
+        for action in (
+            item.actions if isinstance(item, MultiFingerItem) else (item.action,)
+        )
+    ]
+
+
+def _doc(items):
+    return json.dumps({
+        "schema_version": 1,
+        "device": PROFILE.to_dict(),
+        "items": items,
+    })
+
+
+TOUCH = {"frame": 0, "bbox": [10.0, 10.0, 40.0, 40.0], "confidence": 0.9,
+         "opacity": "high"}
+
+
+@pytest.mark.parametrize("text", [
+    _doc(5),
+    _doc(None),
+    _doc({}),
+    _doc([{"type": "sfa"}]),
+    _doc([{"type": "mfa", "finger_count": 2}]),
+    _doc([{"type": "mfa", "actions": 3, "finger_count": 2}]),
+    _doc([{"type": "mfa", "actions": [], "finger_count": 2}]),
+    _doc([{"type": "sfa", "action": {"kind": "tap", "touches": 3}}]),
+    _doc([{"type": "sfa", "action": {"kind": "tap", "touches": "ab"}}]),
+    _doc([{"type": "sfa", "action": {"kind": "tap", "touches": [TOUCH, TOUCH]}}]),
+], ids=["int-items", "null-items", "object-items", "sfa-without-action",
+        "mfa-without-actions", "int-actions", "empty-actions", "int-touches",
+        "string-touches", "repeated-frame"])
+def test_bad_structure_raises_schema_violation(text):
+    with pytest.raises(SchemaViolation):
+        ClassifiedScenario.from_json(text)
+
+
+def test_bytes_that_are_not_utf8_raise_malformed_json():
+    with pytest.raises(MalformedJson):
+        ClassifiedScenario.from_json(_doc([]).encode("utf-8").replace(b"d", b"\xff"))

@@ -116,6 +116,23 @@ def test_missing_input_exits_2(tmp_path):
     assert main(["classify", "--trace", str(tmp_path / "absent.json")]) == 2
 
 
+@pytest.mark.parametrize("items", [
+    5,
+    [{"type": "mfa", "actions": [], "finger_count": 2}],
+    [{"type": "sfa"}],
+], ids=["int-items", "empty-mfa-actions", "sfa-without-action"])
+def test_generate_bad_classified_structure_exits_2(tmp_path, capsys, profile, items):
+    doc = tmp_path / "classified.json"
+    doc.write_text(json.dumps(
+        {"schema_version": 1, "device": profile.to_dict(), "items": items}
+    ))
+    assert main(["generate", "--scenario-file", str(doc),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (generate): ")
+    assert "Traceback" not in err
+
+
 def test_generate_from_classified(tmp_path, fixture_scenario):
     out = tmp_path / "out"
     main(["synthesize", "--scenario", str(fixture_scenario), "--out-dir", str(out)])
@@ -229,6 +246,35 @@ class TestConfig:
         assert config.bridge_path == "/custom/adb"
         assert config.out_dir == str(tmp_path / "env-out")
 
+    @pytest.mark.parametrize("var", ["TRACEREPLAY_OUT_DIR", "TRACEREPLAY_BRIDGE"])
+    def test_empty_env_value_rejected(self, monkeypatch, var):
+        monkeypatch.setenv(var, "")
+        with pytest.raises(ConfigError, match="must not be empty"):
+            load_config(None)
+
+    @pytest.mark.parametrize("command, flag", [
+        ("pipeline", "--out-dir"),
+        ("pipeline", "--bridge"),
+        ("pipeline", "--serial"),
+        ("pipeline", "--agent"),
+        ("synthesize", "--noise"),
+    ])
+    def test_empty_flag_exits_2(self, tmp_path, monkeypatch, capsys,
+                                fixture_scenario, command, flag):
+        # An empty value used to be dropped: `--out-dir ""` wrote to out/.
+        main(["synthesize", "--scenario", str(fixture_scenario),
+              "--out-dir", str(tmp_path / "in")])
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        source = (["--trace", str(tmp_path / "in" / "trace.json"), "--dry-run"]
+                  if command == "pipeline"
+                  else ["--scenario", str(fixture_scenario)])
+        assert main([command, *source, flag, ""]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error ({command}): ")
+        assert "must not be empty" in err
+        assert not (tmp_path / "out").exists()
+
     def test_flag_beats_config_file(self, tmp_path, profile, fixture_scenario):
         file = tmp_path / "config.json"
         file.write_text(json.dumps({"out_dir": str(tmp_path / "from-config")}))
@@ -255,11 +301,17 @@ class TestConfig:
         {"device_node": "/dev/a b"},
         {"device_node": "/dev/input/event2\n"},
         {"device_node": "/dev/\u00e9"},
+        {"out_dir": ""},
+        {"bridge_path": ""},
+        {"agent_path": ""},
+        {"device_serial": ""},
+        {"noise_preset": ""},
     ], ids=["str-confidence", "bool-confidence", "confidence-above-1",
             "negative-confidence", "int-device-node", "float-seed", "bool-seed",
             "int-bool-flag", "int-serial", "empty-device-node",
             "space-in-device-node", "newline-in-device-node",
-            "non-ascii-device-node"])
+            "non-ascii-device-node", "empty-out-dir", "empty-bridge",
+            "empty-agent", "empty-serial", "empty-noise"])
     def test_mistyped_or_out_of_range_value_rejected(self, tmp_path, doc):
         file = tmp_path / "config.json"
         file.write_text(json.dumps(doc))

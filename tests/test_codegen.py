@@ -198,6 +198,42 @@ class TestAssemble:
         with pytest.raises(OverlapConflict):
             assemble_script(scenario)
 
+    def test_item_in_mfa_release_window(self, profile):
+        # An item may start in the frame whose window releases an MFA,
+        # unless the two rounding steps put its start before the release.
+        def scenario(mfa_start, tap_start):
+            a = classify_action(make_sequence(mfa_start, 3, 200, 500), profile)
+            b = classify_action(make_sequence(mfa_start, 3, 800, 1500), profile)
+            tap = classify_action(make_sequence(tap_start, 5, 500, 900), profile)
+            return self.scenario_of(
+                profile,
+                [MultiFingerItem((a, b), finger_count=2), SingleFingerItem(tap)],
+            )
+
+        # Frames 0-2, then a tap at frame 2: both at 66,667 us.
+        script = assemble_script(scenario(0, 2))
+        mfa_release = releases(script.events)[1].timestamp_us
+        tap_start = next(e.timestamp_us for e in script.events
+                         if e.event_code == ABS_MT_TRACKING_ID and e.value == 3)
+        assert tap_start == mfa_release == frame_offset_us(2, 30)
+        # Frames 2-4, then a tap at frame 4: the release rounds to
+        # 66,667 + 66,667 us, the tap's start to 133,333 us.
+        with pytest.raises(OverlapConflict, match="starts at 133333us"):
+            assemble_script(scenario(2, 4))
+
+    @pytest.mark.parametrize("event", [
+        InputEvent(0, EV_ABS, ABS_MT_POSITION_X, 5.5),
+        InputEvent(1.5, EV_SYN, SYN_REPORT, 0),
+        InputEvent(0, EV_SYN, SYN_REPORT, True),
+        (0, EV_SYN, SYN_REPORT),
+        [0, EV_SYN, SYN_REPORT, 0],
+    ], ids=["float-value", "float-time", "bool-value", "three-fields", "list"])
+    def test_spliced_events_must_be_integers(self, profile, event):
+        scenario = self.scenario_of(profile, [])
+        for where in ("prologue", "epilogue"):
+            with pytest.raises(ScriptFormatError, match="four integers"):
+                assemble_script(scenario, **{where: (event,)})
+
     def test_prologue_and_epilogue_spliced(self, profile):
         action = classify_action(make_sequence(0, 10, 100, 100), profile)
         scenario = self.scenario_of(profile, [SingleFingerItem(action)])
@@ -439,3 +475,11 @@ class TestParseScriptErrors:
     def test_typed_error(self, data):
         with pytest.raises(ScriptFormatError):
             parse_script(data)
+
+    def test_non_ascii_digit_in_str_log_rejected(self, profile):
+        # A str regex reads any Unicode digit as a digit, and int() too.
+        action = classify_action(make_sequence(0, 5, 100, 100), profile)
+        scenario = ClassifiedScenario(profile, (SingleFingerItem(action),))
+        log = serialize_script(assemble_script(scenario)).decode("ascii")
+        with pytest.raises(ScriptFormatError, match="not ASCII"):
+            parse_script(log.replace("[0.", "[\u0660.", 1))

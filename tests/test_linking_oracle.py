@@ -1,28 +1,38 @@
-"""Differential test of grouping, linking and fade splitting against
-reference implementations.
+"""Differential test of one-pass segmentation against the group-by-group
+pipeline it replaced.
 
-The `_oracle_*` functions are these stages as they were before the
-lone-touch shortcut and the slice-based frame walks: `by_frame` dicts,
-a greedy pair search on every frame, and a look-ahead fade splitter.
-Generated frame groups and traces must link to exactly the same chains,
-detection for detection, and segment into the same sequences.
+The `_oracle_*` functions are that pipeline, copied unchanged from the
+previous segment.py apart from their names: the filtered trace is cut
+into maximal runs of consecutive non-empty frames (`FrameGroup`), runs
+of two frames or fewer are dropped, and each run is linked, cut at
+fades and sorted on its own before the runs' sequences are sorted
+together. Generated traces must segment into exactly the same
+sequences, detection for detection, with the same high-opacity prefix.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from unittest.mock import patch
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from operator import attrgetter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracereplay import segment
-from tracereplay.model import DetectionTrace, DeviceProfile, Opacity, TouchDetection
+from tracereplay.model import (
+    DEFAULT_TOUCH_SLOP,
+    DetectionTrace,
+    DeviceProfile,
+    Opacity,
+    TouchDetection,
+)
 from tracereplay.segment import (
     MAX_DISCARD_FRAMES,
-    FrameGroup,
-    segment_actions,
+    MIN_CONFIDENCE,
+    TouchSequence,
+    filter_confidence,
     segment_trace,
 )
 from tracereplay.synth import noise_preset, random_scenario, synthesize_trace
@@ -31,50 +41,104 @@ PROFILE = DeviceProfile(name="d", screen_width=1080, screen_height=1920, fps=30)
 SIZE = 40.0
 
 
-# --- reference stages, copied unchanged from the previous segment.py ---
+# --- the previous pipeline, copied unchanged apart from names ---
+
+_frame = attrgetter("frame")
+_center = attrgetter("center")
 
 
-def _oracle_group_consecutive(trace: DetectionTrace) -> list[FrameGroup]:
+@dataclass(frozen=True)
+class _OracleFrameGroup:
+    """Detections occupying one run of consecutive non-empty frames."""
+
+    detections: tuple[TouchDetection, ...]
+    start_frame: int
+    end_frame: int
+
+    @property
+    def span(self) -> int:
+        return self.end_frame - self.start_frame + 1
+
+
+def _oracle_group_consecutive(trace: DetectionTrace) -> list[_OracleFrameGroup]:
     """Group detections into maximal runs of consecutive non-empty frames.
 
     Runs spanning two frames or fewer are discarded as spurious.
     """
-    by_frame: dict[int, list[TouchDetection]] = {}
-    for det in trace.detections:
-        by_frame.setdefault(det.frame, []).append(det)
-
-    groups: list[FrameGroup] = []
-    frames = sorted(by_frame)
-    run: list[int] = []
-    for frame in frames:
-        if run and frame != run[-1] + 1:
-            _oracle_close_run(groups, run, by_frame)
-            run = []
-        run.append(frame)
-    _oracle_close_run(groups, run, by_frame)
+    detections = trace.detections  # sorted by frame
+    groups: list[_OracleFrameGroup] = []
+    start = 0
+    for i in range(1, len(detections) + 1):
+        if i < len(detections) and detections[i].frame <= detections[i - 1].frame + 1:
+            continue
+        first, last = detections[start].frame, detections[i - 1].frame
+        if last - first + 1 > MAX_DISCARD_FRAMES:
+            groups.append(
+                _OracleFrameGroup(
+                    detections=detections[start:i], start_frame=first, end_frame=last
+                )
+            )
+        start = i
     return groups
 
 
-def _oracle_close_run(groups, run, by_frame):
-    if not run or run[-1] - run[0] + 1 <= MAX_DISCARD_FRAMES:
-        return
-    detections = tuple(d for f in run for d in by_frame[f])
-    groups.append(
-        FrameGroup(detections=detections, start_frame=run[0], end_frame=run[-1])
-    )
+def _oracle_segment_actions(
+    group: _OracleFrameGroup, touch_slop: int = DEFAULT_TOUCH_SLOP
+) -> list[TouchSequence]:
+    """Split one frame group into per-finger touch sequences.
+
+    `touch_slop` doubles as the distance tie tolerance: two candidate
+    links count as equally near when their distances differ by less.
+    """
+    chains = _oracle_link_chains(group, tie_tolerance=float(touch_slop))
+    sequences: list[TouchSequence] = []
+    for chain in chains:
+        for piece in _oracle_split_at_fades(chain):
+            if piece[-1].frame - piece[0].frame + 1 > MAX_DISCARD_FRAMES:
+                sequences.append(TouchSequence(touches=tuple(piece)))
+    sequences.sort(key=lambda s: (s.start_frame, s.touches[0].center))
+    return sequences
+
+
+def _oracle_segment_trace(
+    trace: DetectionTrace, min_confidence: float = MIN_CONFIDENCE
+) -> list[TouchSequence]:
+    """Full front half: filter, group, and segment a trace."""
+    filtered = filter_confidence(trace, min_confidence)
+    sequences: list[TouchSequence] = []
+    for group in _oracle_group_consecutive(filtered):
+        sequences.extend(_oracle_segment_actions(group, trace.profile.touch_slop))
+    sequences.sort(key=lambda s: (s.start_frame, s.touches[0].center))
+    return sequences
 
 
 def _oracle_link_chains(
-    group: FrameGroup, tie_tolerance: float
+    group: _OracleFrameGroup, tie_tolerance: float
 ) -> list[list[TouchDetection]]:
-    by_frame: dict[int, list[TouchDetection]] = {}
-    for det in group.detections:
-        by_frame.setdefault(det.frame, []).append(det)
+    detections = sorted(group.detections, key=_frame)  # stable: keeps in-frame order
+    i = bisect_left(detections, group.start_frame, key=_frame)
+    end = bisect_right(detections, group.end_frame, key=_frame)
 
     open_chains: list[list[TouchDetection]] = []
     done: list[list[TouchDetection]] = []
-    for frame in range(group.start_frame, group.end_frame + 1):
-        touches = sorted(by_frame.get(frame, ()), key=lambda t: t.center)
+    previous = group.start_frame - 1
+    while i < end:
+        frame = detections[i].frame
+        j = i + 1
+        while j < end and detections[j].frame == frame:
+            j += 1
+        if frame != previous + 1:
+            # An empty frame in between: every finger has lifted.
+            done.extend(open_chains)
+            open_chains = []
+        previous = frame
+        if j == i + 1 and len(open_chains) == 1:
+            # A lone touch continues the lone open chain: no pair search.
+            open_chains[0].append(detections[i])
+            i = j
+            continue
+        touches = sorted(detections[i:j], key=_center)
+        i = j
         links = _oracle_greedy_match(open_chains, touches, tie_tolerance)
         matched_chains = {ci for ci, _ in links}
         matched_touches = {ti for _, ti in links}
@@ -152,19 +216,12 @@ def _oracle_split_at_fades(
 ) -> list[list[TouchDetection]]:
     """Cut after every low-opacity run followed by a high-opacity touch."""
     pieces: list[list[TouchDetection]] = []
-    current: list[TouchDetection] = []
-    for i, touch in enumerate(chain):
-        current.append(touch)
-        nxt = chain[i + 1] if i + 1 < len(chain) else None
-        if (
-            touch.opacity is Opacity.LOW
-            and nxt is not None
-            and nxt.opacity is Opacity.HIGH
-        ):
-            pieces.append(current)
-            current = []
-    if current:
-        pieces.append(current)
+    start = 0
+    for i in range(1, len(chain)):
+        if chain[i - 1].opacity is Opacity.LOW and chain[i].opacity is Opacity.HIGH:
+            pieces.append(chain[start:i])
+            start = i
+    pieces.append(chain[start:])
     return pieces
 
 
@@ -172,37 +229,27 @@ def _oracle_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-@contextmanager
-def _oracle_stages():
-    with patch.multiple(
-        segment,
-        group_consecutive=_oracle_group_consecutive,
-        _link_chains=_oracle_link_chains,
-        _split_at_fades=_oracle_split_at_fades,
-    ):
-        yield
-
-
 # --- generators ---
 
 
 @st.composite
-def fingers(draw):
-    """Detections of 1-3 fingers, in generation order.
+def fingers(draw, first_frame=0):
+    """Detections of 1-3 fingers starting near `first_frame`.
 
     Centers sit on a 10 px grid and move 0, 10 or 20 px a frame, so
     equal-distance ties (within the 8 px tolerance) and crossing paths
     are common. Each finger may end in a low-opacity fade, carry
     interior low runs, and lose frames to dropouts. A finger may trace
     the previous finger's path, so two touches share a center in one
-    frame (told apart by their confidence).
+    frame (told apart by their confidence). Some confidences fall
+    below the filter threshold, which opens more gaps.
     """
     touches = []
     path = None
     for _ in range(draw(st.integers(1, 3))):
         if path is None or not draw(st.booleans()):
             path = (
-                draw(st.integers(0, 8)),
+                first_frame + draw(st.integers(0, 8)),
                 *(draw(st.integers(40, 50)) * 10.0 for _ in "xy"),
                 *(draw(st.sampled_from([-20.0, -10.0, 0.0, 10.0, 20.0])) for _ in "xy"),
             )
@@ -212,7 +259,7 @@ def fingers(draw):
         fade = draw(st.integers(0, 3))
         lows = draw(st.sets(st.integers(0, length - 1), max_size=2))
         dropped = draw(st.sets(st.integers(0, length - 1), max_size=3))
-        confidence = draw(st.sampled_from([0.75, 0.8, 0.9]))
+        confidence = draw(st.sampled_from([0.65, 0.75, 0.8, 0.9]))
         for k in range(length):
             if k in dropped:
                 continue
@@ -229,61 +276,73 @@ def fingers(draw):
 
 
 @st.composite
-def frame_groups(draw):
-    """Hand-built groups: any detection order, gaps, and a frame range
-    that may be wider or narrower than the detections'."""
-    touches = draw(st.permutations(draw(fingers().filter(bool))))
-    frames = [t.frame for t in touches]
-    start = min(frames) + draw(st.integers(-2, 2))
-    end = max(frames) + draw(st.integers(-2, 2))
-    return FrameGroup(detections=tuple(touches), start_frame=start, end_frame=end)
+def traces(draw):
+    """1-3 bursts of fingers, overlapping, adjacent or apart, in any
+    detection order, on a profile whose touch slop is 1, 8 or 15 px."""
+    touches = []
+    first_frame = 0
+    for _ in range(draw(st.integers(1, 3))):
+        touches += draw(fingers(first_frame))
+        first_frame += draw(st.integers(0, 24))
+    slop = draw(st.sampled_from([1, DEFAULT_TOUCH_SLOP, 15]))
+    profile = DeviceProfile(
+        name="d", screen_width=1080, screen_height=1920, fps=30, touch_slop=slop
+    )
+    return DetectionTrace(
+        profile=profile,
+        detections=tuple(draw(st.permutations(touches))),
+        frame_count=max((t.frame for t in touches), default=0) + 1,
+    )
 
 
 def _ids(chains):
     return [[id(t) for t in chain] for chain in chains]
 
 
-def _groups(groups):
-    return [(g.start_frame, g.end_frame, _ids([g.detections])) for g in groups]
+def _runs(detections):
+    """Every maximal run of consecutive non-empty frames, short or not."""
+    runs = []
+    for det in detections:
+        if runs and det.frame <= runs[-1][-1].frame + 1:
+            runs[-1].append(det)
+        else:
+            runs.append([det])
+    return [
+        _OracleFrameGroup(tuple(run), run[0].frame, run[-1].frame) for run in runs
+    ]
+
+
+def _assert_same_sequences(got, want):
+    assert got == want
+    assert _ids(s.touches for s in got) == _ids(s.touches for s in want)
+    assert _ids(s.high_touches for s in got) == _ids(s.high_touches for s in want)
 
 
 # --- properties ---
 
 
-@given(frame_groups(), st.sampled_from([1.0, 8.0, 15.0]))
+@given(traces(), st.sampled_from([MIN_CONFIDENCE, 0.8]))
 @settings(max_examples=400, deadline=None)
-def test_link_chains_matches_oracle(group, tolerance):
-    assert _ids(segment._link_chains(group, tolerance)) == _ids(
-        _oracle_link_chains(group, tolerance)
+def test_link_chains_matches_oracle(trace, min_confidence):
+    # One pass over the filtered trace links what the old pipeline
+    # linked run by run, in the same order.
+    detections = filter_confidence(trace, min_confidence).detections
+    tolerance = float(trace.profile.touch_slop)
+    want = [
+        chain
+        for run in _runs(detections)
+        for chain in _oracle_link_chains(run, tolerance)
+    ]
+    assert _ids(segment._link_chains(detections, tolerance)) == _ids(want)
+
+
+@given(traces(), st.sampled_from([MIN_CONFIDENCE, 0.8]))
+@settings(max_examples=400, deadline=None)
+def test_segment_trace_matches_oracle(trace, min_confidence):
+    _assert_same_sequences(
+        segment_trace(trace, min_confidence),
+        _oracle_segment_trace(trace, min_confidence),
     )
-
-
-@given(frame_groups(), st.sampled_from([1, 8, 15]))
-@settings(max_examples=300, deadline=None)
-def test_segment_actions_matches_oracle(group, slop):
-    got = segment_actions(group, slop)
-    with _oracle_stages():
-        want = segment_actions(group, slop)
-    assert got == want
-    assert _ids(s.touches for s in got) == _ids(s.touches for s in want)
-
-
-@given(fingers(), st.sampled_from([0.7, 0.8]))
-@settings(max_examples=300, deadline=None)
-def test_segment_trace_matches_oracle(touches, min_confidence):
-    trace = DetectionTrace(
-        profile=PROFILE,
-        detections=tuple(touches),
-        frame_count=max((t.frame for t in touches), default=0) + 1,
-    )
-    assert _groups(segment.group_consecutive(trace)) == _groups(
-        _oracle_group_consecutive(trace)
-    )
-    got = segment_trace(trace, min_confidence)
-    with _oracle_stages():
-        want = segment_trace(trace, min_confidence)
-    assert got == want
-    assert _ids(s.touches for s in got) == _ids(s.touches for s in want)
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["physical-device", "emulator"]))
@@ -291,8 +350,4 @@ def test_segment_trace_matches_oracle(touches, min_confidence):
 def test_noisy_synthetic_traces_match_oracle(seed, preset):
     scenario = random_scenario(PROFILE, seed=seed, n_actions=8)
     trace, _ = synthesize_trace(scenario, noise_preset(preset, seed=seed))
-    got = segment_trace(trace)
-    with _oracle_stages():
-        want = segment_trace(trace)
-    assert got == want
-    assert _ids(s.touches for s in got) == _ids(s.touches for s in want)
+    _assert_same_sequences(segment_trace(trace), _oracle_segment_trace(trace))

@@ -2,15 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracereplay.model import DetectionTrace, Opacity
-from tracereplay.segment import (
-    FrameGroup,
-    TouchSequence,
-    filter_confidence,
-    group_consecutive,
-    segment_actions,
-    segment_trace,
-)
+from tracereplay.model import DetectionTrace, DeviceProfile, Opacity
+from tracereplay.segment import TouchSequence, filter_confidence, segment_trace
 from tracereplay.synth import NoiseModel, random_scenario, synthesize_trace
 
 from conftest import make_touch
@@ -25,11 +18,12 @@ def make_trace(profile, touches, frame_count=None):
     )
 
 
-def group_of(touches):
-    frames = [t.frame for t in touches]
-    return FrameGroup(
-        detections=tuple(touches), start_frame=min(frames), end_frame=max(frames)
-    )
+PROFILE = DeviceProfile(name="nexus5", screen_width=1080, screen_height=1920, fps=30)
+
+
+def segment(touches):
+    """Sequences of hand-built touches, at the default 8 px touch slop."""
+    return segment_trace(make_trace(PROFILE, touches))
 
 
 class TestTouchSequence:
@@ -87,31 +81,43 @@ class TestFilterConfidence:
 
 
 class TestGroupConsecutive:
-    def test_gap_splits_groups(self, profile):
+    """Runs of consecutive non-empty frames: an empty frame closes every
+    chain, and a run of two frames or fewer yields no sequence."""
+
+    def test_gap_splits_groups(self):
         touches = [make_touch(f, 100, 100) for f in (3, 4, 5, 9, 10, 11, 12)]
-        groups = group_consecutive(make_trace(profile, touches))
-        assert [(g.start_frame, g.end_frame) for g in groups] == [(3, 5), (9, 12)]
+        sequences = segment(touches)
+        assert [(s.start_frame, s.end_frame) for s in sequences] == [(3, 5), (9, 12)]
 
-    def test_two_frame_run_discarded(self, profile):
+    def test_two_frame_run_discarded(self):
         touches = [make_touch(f, 100, 100) for f in (3, 4)]
-        assert group_consecutive(make_trace(profile, touches)) == []
+        assert segment(touches) == []
+        # A run of two frames is dropped even between longer runs.
+        touches = [make_touch(f, 100, 100) for f in (0, 1, 2, 4, 5, 7, 8, 9)]
+        sequences = segment(touches)
+        assert [(s.start_frame, s.end_frame) for s in sequences] == [(0, 2), (7, 9)]
 
-    def test_grouping_by_frame_adjacency_not_touch_count(self, profile):
+    def test_grouping_by_frame_adjacency_not_touch_count(self):
+        # Frame 4 holds two touches; the run still spans frames 3-5, so
+        # the finger at (100, 100) links through it.
         touches = [
             make_touch(3, 100, 100),
             make_touch(4, 100, 100),
             make_touch(4, 500, 500),
             make_touch(5, 100, 100),
         ]
-        groups = group_consecutive(make_trace(profile, touches))
-        assert len(groups) == 1
-        assert len(groups[0].detections) == 4
+        sequences = segment(touches)
+        assert [s.touches for s in sequences] == [
+            (touches[0], touches[1], touches[3])
+        ]
 
 
 class TestSegmentActions:
+    """Linking and fade cutting, through segment_trace."""
+
     def test_single_finger_no_branching(self):
         touches = [make_touch(f, 100, 100) for f in range(10)]
-        sequences = segment_actions(group_of(touches))
+        sequences = segment(touches)
         assert len(sequences) == 1
         assert len(sequences[0]) == 10
 
@@ -121,7 +127,7 @@ class TestSegmentActions:
         touches = [make_touch(f, 100, 100) for f in range(5)]
         touches.append(make_touch(5, 100, 100, opacity=Opacity.LOW))
         touches += [make_touch(f, 100, 100) for f in range(6, 12)]
-        sequences = segment_actions(group_of(touches))
+        sequences = segment(touches)
         assert [(s.start_frame, s.end_frame) for s in sequences] == [(0, 5), (6, 11)]
         assert sequences[0].touches[-1].opacity is Opacity.LOW
 
@@ -132,7 +138,7 @@ class TestSegmentActions:
             make_touch(5, 100, 100, opacity=Opacity.LOW),
         ]
         touches += [make_touch(f, 100, 100) for f in range(6, 10)]
-        sequences = segment_actions(group_of(touches))
+        sequences = segment(touches)
         assert [(s.start_frame, s.end_frame) for s in sequences] == [(0, 5), (6, 9)]
         assert len(sequences[0].high_touches) == 4
 
@@ -140,7 +146,7 @@ class TestSegmentActions:
         touches = [make_touch(f, 100, 100) for f in range(3)]
         touches.append(make_touch(3, 100, 100, opacity=Opacity.LOW))
         touches += [make_touch(f, 100, 100) for f in (4, 5)]  # 2-frame remainder
-        sequences = segment_actions(group_of(touches))
+        sequences = segment(touches)
         assert [(s.start_frame, s.end_frame) for s in sequences] == [(0, 3)]
 
     def test_nearest_candidate_wins(self):
@@ -149,7 +155,7 @@ class TestSegmentActions:
         for f in range(6):
             touches.append(make_touch(f, 100 + 5 * f, 100))
             touches.append(make_touch(f, 800 - 5 * f, 900))
-        sequences = segment_actions(group_of(touches))
+        sequences = segment(touches)
         assert len(sequences) == 2
         assert all(len(s) == 6 for s in sequences)
 
@@ -165,7 +171,7 @@ class TestSegmentActions:
         b2 = make_touch(2, 180, 100)
         b3 = make_touch(3, 220, 100)
         b4 = make_touch(4, 260, 100)
-        sequences = segment_actions(group_of([a0, a1, b1, lift, b2, b3, b4]))
+        sequences = segment([a0, a1, b1, lift, b2, b3, b4])
         assert len(sequences) == 2
         seq_a = next(s for s in sequences if s.start_frame == 0)
         seq_b = next(s for s in sequences if s is not seq_a)
@@ -178,7 +184,7 @@ class TestSegmentActions:
     def test_surplus_touch_starts_new_sequence(self):
         touches = [make_touch(f, 100, 100) for f in range(6)]
         touches += [make_touch(f, 700, 900) for f in range(3, 6)]
-        sequences = segment_actions(group_of(touches))
+        sequences = segment(touches)
         assert [(s.start_frame, len(s)) for s in sequences] == [(0, 6), (3, 3)]
 
     def test_unmatched_sequence_closes_at_gap(self):
@@ -186,7 +192,7 @@ class TestSegmentActions:
         # chain closes and is discarded (2 frames), B survives.
         touches = [make_touch(f, 100, 100) for f in (0, 1)]
         touches += [make_touch(f, 700, 900) for f in range(0, 6)]
-        sequences = segment_actions(group_of(touches))
+        sequences = segment(touches)
         assert [(s.start_frame, len(s)) for s in sequences] == [(0, 6)]
 
     def test_partition_accounts_for_every_touch(self):
@@ -194,12 +200,11 @@ class TestSegmentActions:
         touches.append(make_touch(5, 100, 100, opacity=Opacity.LOW))
         touches += [make_touch(f, 100, 100) for f in (6, 7)]
         touches += [make_touch(f, 600, 600) for f in range(2, 9)]
-        group = group_of(touches)
-        sequences = segment_actions(group)
+        sequences = segment(touches)
         kept = sum(len(s) for s in sequences)
-        assert kept <= len(group.detections)
+        assert kept <= len(touches)
         # Discarded remainder is exactly the 2-frame piece at (100,100).
-        assert len(group.detections) - kept == 2
+        assert len(touches) - kept == 2
 
 
 @st.composite
@@ -224,7 +229,7 @@ class TestSegmentProperties:
         # design of the lone-touch linking rule.
         if sb > sa + la - 1 or sa > sb + lb - 1:
             return
-        sequences = segment_actions(group_of(touches))
+        sequences = segment(touches)
         extents = sorted((s.start_frame, s.end_frame) for s in sequences)
         expected = sorted(
             (s, s + n - 1) for s, n in ((sa, la), (sb, lb))
