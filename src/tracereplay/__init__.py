@@ -19,8 +19,6 @@ from .codegen import (
     InputEvent,
     SendEventScript,
     assemble_script,
-    emit_mfa_events,
-    emit_sfa_events,
     parse_runnable,
     parse_script,
     serialize_script,
@@ -40,7 +38,6 @@ from .model import (
     DeviceProfile,
     Opacity,
     TouchDetection,
-    frame_time_ms,
     parse_trace,
     serialize_trace,
 )

@@ -23,6 +23,7 @@ from .model import (
     DeviceProfile,
     Opacity,
     TouchDetection,
+    _int_field,
     detections_json,
     device_json,
     json_array,
@@ -207,7 +208,7 @@ class ClassifiedScenario:
                 if not isinstance(raw_actions, list):
                     raise SchemaViolation("mfa actions must be a list")
                 actions = tuple(map(AtomicAction.from_dict, raw_actions))
-                finger_count = _int(raw, "finger_count")
+                finger_count = _int_field(raw, "finger_count")
                 if not actions:
                     raise SchemaViolation("mfa item must have at least one action")
                 items.append(
@@ -245,16 +246,14 @@ def classify_action(
     return AtomicAction(kind=kind, sequence=sequence)
 
 
-def filter_actions(
-    actions: list[AtomicAction], min_high_fraction: float = MIN_HIGH_FRACTION
-) -> list[AtomicAction]:
+def filter_actions(actions: list[AtomicAction]) -> list[AtomicAction]:
     """Drop mostly low-opacity actions and two-frame blips, keeping order."""
     kept = []
     for action in actions:
         touches = action.sequence.touches
         high_fraction = len(action.sequence.high_touches) / len(touches)
         span = action.end_frame - action.start_frame + 1
-        if high_fraction >= min_high_fraction and span > MAX_DISCARD_FRAMES:
+        if high_fraction >= MIN_HIGH_FRACTION and span > MAX_DISCARD_FRAMES:
             kept.append(action)
     return kept
 
@@ -365,9 +364,3 @@ def _action_json(action: AtomicAction, depth: int) -> str:
         f'\n{"  " * depth}}}'
     )
 
-
-def _int(data: dict, key: str) -> int:
-    value = data.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaViolation(f"field '{key}' must be an integer, got {value!r}")
-    return value

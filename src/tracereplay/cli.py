@@ -41,7 +41,8 @@ _INPUT_ERRORS = (
     ScriptFormatError,
     EmptyGroundTruth,
     ConfigError,
-    FileNotFoundError,
+    OSError,
+    UnicodeDecodeError,
 )
 
 

@@ -30,7 +30,7 @@ from functools import partial
 from itertools import accumulate
 from typing import NamedTuple
 
-from .classify import ActionKind, AtomicAction, ClassifiedScenario, SingleFingerItem
+from .classify import ActionKind, ClassifiedScenario, SingleFingerItem
 from .errors import OverlapConflict, ScriptFormatError, SlotExhaustion
 from .model import DeviceProfile
 
@@ -87,10 +87,6 @@ class InputEvent(NamedTuple):
     event_code: int
     value: int
 
-    @property
-    def timestamp_ms(self) -> float:
-        return self.timestamp_us / 1000.0
-
 
 #: InputEvent from one 4-tuple, built in C without the Python-level
 #: ``__new__`` that ``InputEvent(...)`` runs.
@@ -111,40 +107,10 @@ def frame_offset_us(frames: int, fps: int) -> int:
     return round(frames * 1_000_000 / fps)
 
 
-def emit_sfa_events(
-    action: AtomicAction,
-    profile: DeviceProfile,
-    t0_ms: float = 0.0,
-    slot: int = 0,
-    tracking_id: int = 1,
-) -> list[InputEvent]:
-    """Events for a single-fingered action starting at t0.
-
-    Taps and long taps hold one coordinate sample for their active
-    duration; gestures get one sample per high-opacity touch. The
-    contact closes one frame interval after its last active frame.
-    """
-    return _emit_sfa(action, profile, round(t0_ms * 1000.0), slot, tracking_id)
-
-
-def emit_mfa_events(
-    actions: list[AtomicAction],
-    profile: DeviceProfile,
-    t0_ms: float = 0.0,
-    first_tracking_id: int = 1,
-) -> list[InputEvent]:
-    """Events for a multi-fingered action group starting at t0.
-
-    Each output frame interleaves slot-select plus coordinates for every
-    finger active in that frame inside one sync window. A finger's
-    contact opens with a fresh tracking id at its first frame and closes
-    in the window of its last active frame, so one finger may continue
-    after another ends.
-    """
-    return _emit_mfa(actions, profile, round(t0_ms * 1000.0), first_tracking_id)
-
-
 def _emit_sfa(action, profile, t0_us, slot, tracking_id):
+    """Events for one single-fingered action from `t0_us`: one sample
+    held for a tap or long tap, one per high-opacity touch for a
+    gesture, and a release one frame after the last active frame."""
     fps = profile.fps
     start = action.start_frame
     x, y = _device_coords(action.sequence.touches[0].center, profile)
@@ -174,6 +140,9 @@ def _emit_sfa(action, profile, t0_us, slot, tracking_id):
 
 
 def _emit_mfa(actions, profile, t0_us, first_tracking_id):
+    """Events for a multi-fingered group from `t0_us`: one sync window
+    per frame for every finger active in it; each finger opens with a
+    fresh tracking id and closes in its last active frame's window."""
     fps = profile.fps
     fingers = sorted(
         actions,
@@ -234,11 +203,7 @@ def _emit_mfa(actions, profile, t0_us, first_tracking_id):
 
 
 def assemble_script(
-    scenario: ClassifiedScenario,
-    profile: DeviceProfile | None = None,
-    device_node: str = DEFAULT_DEVICE_NODE,
-    prologue: tuple[InputEvent, ...] = (),
-    epilogue: tuple[InputEvent, ...] = (),
+    scenario: ClassifiedScenario, device_node: str = DEFAULT_DEVICE_NODE
 ) -> SendEventScript:
     """Compile scenario items chronologically into one event script.
 
@@ -247,16 +212,9 @@ def assemble_script(
     frame. Raises OverlapConflict when an item would begin before the
     previous item's contact closed, in frames or in the (separately
     rounded) microseconds of its first and the release's events.
-
-    Devices running older platform versions sometimes need extra raw
-    instructions around a scenario; `prologue` and `epilogue` events
-    (empty by default) are spliced in verbatim before and after the
-    compiled items and must respect the script's time ordering. Their
-    fields must be exact integers, else ScriptFormatError.
     """
-    _check_spliced((*prologue, *epilogue))
-    profile = profile or scenario.profile
-    events: list[InputEvent] = list(prologue)
+    profile = scenario.profile
+    events: list[InputEvent] = []
     next_tid = 1
     prev_end_frame: float | None = None
     prev_end_us = 0
@@ -288,22 +246,11 @@ def assemble_script(
             prev_desc = f"multi-finger item at frame {item.start_frame}"
         if len(events) > emitted:
             prev_end_us = events[-1][0]  # the item's last window: its release
-    events.extend(epilogue)
     script = SendEventScript(
         device_node=device_node, events=tuple(events), profile=profile
     )
     validate_script(script)
     return script
-
-
-def _check_spliced(events: tuple[InputEvent, ...]) -> None:
-    """Raise ScriptFormatError unless every event is four exact ints."""
-    for event in events:
-        if not (isinstance(event, tuple) and len(event) == 4
-                and {*map(type, event)} == {int}):
-            raise ScriptFormatError(
-                f"spliced event must be four integers, got {event!r}"
-            )
 
 
 def valid_device_node(node: str) -> bool:
@@ -429,7 +376,7 @@ def serialize_script(script: SendEventScript) -> bytes:
             prefix = "[%d.%06d] %s: " % (t // 1_000_000, t % 1_000_000, node)
         try:
             text = type_code[etype, code]
-        except KeyError:  # outside the protocol vocabulary, e.g. a prologue
+        except KeyError:  # outside the vocabulary the emitters use
             text = "%04x %04x " % (etype, code)
         append("%s%s%08x" % (prefix, text, value & 0xFFFFFFFF))
     return ("\n".join(lines) + "\n").encode("ascii")

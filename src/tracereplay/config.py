@@ -2,7 +2,9 @@
 
 Precedence per setting: command-line flag > environment variable >
 config file > built-in default. The config file is a flat JSON object;
-unknown keys are rejected so typos fail loudly.
+unknown keys are rejected so typos fail loudly. `load_config` does not
+use `model.load_document`: a config file has no `schema_version`, and
+its errors are `ConfigError`s.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .model import DeviceProfile
 ENV_BRIDGE = "TRACEREPLAY_BRIDGE"
 ENV_OUT_DIR = "TRACEREPLAY_OUT_DIR"
 
+#: The synthetic generator's screens (scripts, benchmark); not a setting.
 DEVICE_PRESETS = {
     "nexus5": DeviceProfile(name="nexus5", screen_width=1080,
                             screen_height=1920, fps=30),
@@ -37,12 +40,12 @@ _FIELD_TYPES = {
 
 
 #: Settings that may be unset (None) or given, but never empty.
-_NON_EMPTY = ("out_dir", "bridge_path", "agent_path", "device_serial", "noise_preset")
+_NON_EMPTY = ("out_dir", "bridge_path", "agent_path", "device_serial",
+              "noise_preset", "remote_dir")
 
 
 @dataclass
 class Config:
-    device: str = "nexus5"  # preset name; full profiles come from inputs
     bridge_path: str = "adb"
     device_serial: str | None = None
     agent_path: str | None = None
@@ -55,19 +58,11 @@ class Config:
     extended_alphabet: bool = False
     duration_based_cutoff: bool = False
 
-    def profile(self) -> DeviceProfile:
-        if self.device not in DEVICE_PRESETS:
-            raise ConfigError(
-                f"unknown device preset {self.device!r}; "
-                f"options: {sorted(DEVICE_PRESETS)}"
-            )
-        return DEVICE_PRESETS[self.device]
-
     def validate(self) -> None:
         """Raise ConfigError unless every setting has its field's type,
         `min_confidence` is a finite number in [0, 1], no path, serial
-        or preset name is empty, `device_node` can head a script log
-        line and `device` names a preset."""
+        or preset name is empty and `device_node` can head a script log
+        line."""
         for f in fields(self):
             value = getattr(self, f.name)
             allowed = _FIELD_TYPES[f.type]
@@ -91,7 +86,6 @@ class Config:
                 f"device_node must be non-empty ASCII without whitespace, "
                 f"got {self.device_node!r}"
             )
-        self.profile()
 
 
 def load_config(path: str | None) -> Config:

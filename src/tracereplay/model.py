@@ -239,14 +239,6 @@ class DetectionTrace:
         return len(self.detections)
 
 
-def frame_time_ms(frame: int, fps: int) -> float:
-    """Milliseconds elapsed at `frame` for a recording at `fps`.
-
-    At 30fps consecutive frames are ~33.33 ms apart.
-    """
-    return frame * 1000.0 / fps
-
-
 def parse_trace(data: bytes | str) -> DetectionTrace:
     """Parse a trace JSON document and validate all invariants.
 
@@ -407,7 +399,7 @@ def _is_number(value) -> bool:
 
 
 def _int_field(data: dict, key: str) -> int:
-    value = data[key]
+    value = data.get(key)
     _require(
         isinstance(value, int) and not isinstance(value, bool),
         f"field '{key}' must be an integer, got {value!r}",

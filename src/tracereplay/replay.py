@@ -7,6 +7,7 @@ to the bridge binary, `MockTransport` records every call in memory.
 
 from __future__ import annotations
 
+import shlex
 import subprocess
 import tempfile
 import time
@@ -15,6 +16,10 @@ from pathlib import Path
 
 from .codegen import parse_runnable
 from .errors import ConfigError, NonZeroExit, TransportError
+
+#: File names the agent and the script get in the remote directory.
+AGENT_NAME = "replay-agent"
+SCRIPT_NAME = "scenario.bin"
 
 
 @dataclass(frozen=True)
@@ -118,8 +123,6 @@ class ReplayConfig:
 
     agent_path: str
     remote_dir: str = "/data/local/tmp"
-    agent_name: str = "replay-agent"
-    script_name: str = "scenario.bin"
 
 
 @dataclass(frozen=True)
@@ -134,26 +137,28 @@ def push_and_replay(
 ) -> ReplayReport:
     """Validate, push, and execute a runnable script on the device.
 
-    The script is parsed (and the agent binary read) before any
-    transport call happens. Raises TransportError on push/exec failure
-    and NonZeroExit when the agent reports failure.
+    The script is parsed, the remote directory checked and the agent
+    binary read before any transport call happens. The device shell
+    gets each remote path quoted. Raises TransportError on push/exec
+    failure and NonZeroExit when the agent reports failure.
     """
     parse_runnable(script)  # raises ScriptFormatError before any transport call
+    if not config.remote_dir:
+        raise ConfigError("remote_dir must not be empty")
     agent_file = Path(config.agent_path)
     if not agent_file.is_file():
         raise ConfigError(f"replay agent not found: {config.agent_path}")
     agent_bytes = agent_file.read_bytes()
 
-    remote_agent = f"{config.remote_dir.rstrip('/')}/{config.agent_name}"
-    remote_script = f"{config.remote_dir.rstrip('/')}/{config.script_name}"
+    remote_agent = f"{config.remote_dir.rstrip('/')}/{AGENT_NAME}"
+    remote_script = f"{config.remote_dir.rstrip('/')}/{SCRIPT_NAME}"
     first_call = len(transport.calls)
 
     start = time.perf_counter()
     transport.push(agent_bytes, remote_agent)
     transport.push(script, remote_script)
-    exit_code, output = transport.exec(
-        f"chmod 755 {remote_agent} && {remote_agent} {remote_script}"
-    )
+    agent, script_path = shlex.quote(remote_agent), shlex.quote(remote_script)
+    exit_code, output = transport.exec(f"chmod 755 {agent} && {agent} {script_path}")
     duration_ms = (time.perf_counter() - start) * 1000.0
 
     transcript = tuple(transport.calls[first_call:])

@@ -116,6 +116,37 @@ def test_missing_input_exits_2(tmp_path):
     assert main(["classify", "--trace", str(tmp_path / "absent.json")]) == 2
 
 
+@pytest.mark.parametrize("case", [
+    "config-not-utf8", "pred-not-utf8", "truth-not-utf8", "trace-is-directory",
+    "out-dir-is-file",
+])
+def test_unreadable_input_exits_2(tmp_path, capsys, fixture_scenario, case):
+    main(["synthesize", "--scenario", str(fixture_scenario),
+          "--out-dir", str(tmp_path / "in")])
+    capsys.readouterr()
+    trace = str(tmp_path / "in" / "trace.json")
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("scn T  # caf\u00e9\n".encode("latin-1"))
+    sequences = tmp_path / "seq.txt"
+    sequences.write_text("scn T\n")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = {
+        "config-not-utf8": ["--config", str(latin1), "classify", "--trace", trace],
+        "pred-not-utf8": ["evaluate", "--pred", str(latin1),
+                          "--truth", str(sequences)],
+        "truth-not-utf8": ["evaluate", "--pred", str(sequences),
+                           "--truth", str(latin1)],
+        "trace-is-directory": ["classify", "--trace", str(tmp_path)],
+        "out-dir-is-file": ["classify", "--trace", trace, "--out-dir", str(taken)],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    command = argv[2] if case == "config-not-utf8" else argv[0]
+    assert err.startswith(f"error ({command}): ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("items", [
     5,
     [{"type": "mfa", "actions": [], "finger_count": 2}],
@@ -219,15 +250,26 @@ def test_deterministic_given_seed(tmp_path, fixture_scenario):
 class TestConfig:
     def test_defaults(self):
         config = load_config(None)
-        assert config.device == "nexus5"
-        assert config.profile().screen_width == 1080
+        assert config.remote_dir == "/data/local/tmp"
+        assert config.device_node == "/dev/input/event2"
+        assert config.min_confidence == 0.7
 
     def test_file_overrides(self, tmp_path):
         file = tmp_path / "config.json"
-        file.write_text(json.dumps({"device": "nexus6p", "seed": 9}))
+        file.write_text(json.dumps({"remote_dir": "/sdcard/tmp", "seed": 9}))
         config = load_config(str(file))
-        assert config.profile().screen_width == 1440
+        assert config.remote_dir == "/sdcard/tmp"
         assert config.seed == 9
+
+    def test_device_key_rejected(self, tmp_path, capsys, fixture_scenario):
+        # Device presets are the generator's; a config file cannot pick one.
+        file = tmp_path / "config.json"
+        file.write_text(json.dumps({"device": "nexus5"}))
+        with pytest.raises(ConfigError, match="unknown config key 'device'"):
+            load_config(str(file))
+        assert main(["--config", str(file), "synthesize", "--scenario",
+                     str(fixture_scenario), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error (synthesize): ")
 
     def test_unknown_key_rejected(self, tmp_path):
         file = tmp_path / "config.json"
@@ -306,12 +348,13 @@ class TestConfig:
         {"agent_path": ""},
         {"device_serial": ""},
         {"noise_preset": ""},
+        {"remote_dir": ""},
     ], ids=["str-confidence", "bool-confidence", "confidence-above-1",
             "negative-confidence", "int-device-node", "float-seed", "bool-seed",
             "int-bool-flag", "int-serial", "empty-device-node",
             "space-in-device-node", "newline-in-device-node",
             "non-ascii-device-node", "empty-out-dir", "empty-bridge",
-            "empty-agent", "empty-serial", "empty-noise"])
+            "empty-agent", "empty-serial", "empty-noise", "empty-remote-dir"])
     def test_mistyped_or_out_of_range_value_rejected(self, tmp_path, doc):
         file = tmp_path / "config.json"
         file.write_text(json.dumps(doc))

@@ -21,8 +21,6 @@ from tracereplay.codegen import (
     InputEvent,
     SendEventScript,
     assemble_script,
-    emit_mfa_events,
-    emit_sfa_events,
     frame_offset_us,
     parse_runnable,
     parse_script,
@@ -56,10 +54,22 @@ def releases(events):
             if e.event_code == ABS_MT_TRACKING_ID and e.value == TRACKING_RELEASE]
 
 
+def sfa_events(action, profile):
+    """Events of a scenario holding the one single-fingered `action`."""
+    scenario = ClassifiedScenario(profile, (SingleFingerItem(action),))
+    return assemble_script(scenario).events
+
+
+def mfa_events(actions, profile):
+    """Events of a scenario holding one multi-fingered item of `actions`."""
+    item = MultiFingerItem(actions=tuple(actions), finger_count=len(actions))
+    return assemble_script(ClassifiedScenario(profile, (item,))).events
+
+
 class TestEmitSfa:
     def test_tap_shape(self, profile):
         action = classify_action(make_sequence(0, 10, 540, 960), profile)
-        events = emit_sfa_events(action, profile)
+        events = sfa_events(action, profile)
         samples = coordinate_samples(events)
         assert samples == [(0, 540, 960)]
         (end,) = releases(events)
@@ -70,14 +80,14 @@ class TestEmitSfa:
 
     def test_long_tap_holds_one_sample(self, profile):
         action = classify_action(make_sequence(0, 25, 200, 400), profile)
-        events = emit_sfa_events(action, profile)
+        events = sfa_events(action, profile)
         assert len(coordinate_samples(events)) == 1
         (end,) = releases(events)
         assert end.timestamp_us == 833333  # 25 frames
 
     def test_gesture_one_sample_per_touch(self, profile):
         action = classify_action(make_sequence(0, 5, 100, 100, dx=30), profile)
-        events = emit_sfa_events(action, profile)
+        events = sfa_events(action, profile)
         samples = coordinate_samples(events)
         assert len(samples) == 5
         deltas = [b[0] - a[0] for a, b in zip(samples, samples[1:])]
@@ -87,15 +97,18 @@ class TestEmitSfa:
         action = classify_action(
             make_sequence(0, 5, 100, 100, dx=30, fade_frames=3), profile
         )
-        events = emit_sfa_events(action, profile)
+        events = sfa_events(action, profile)
         assert len(coordinate_samples(events)) == 5
         (end,) = releases(events)
         assert end.timestamp_us == frame_offset_us(5, 30)
 
     def test_t0_offsets_everything(self, profile):
-        action = classify_action(make_sequence(0, 10, 540, 960), profile)
-        events = emit_sfa_events(action, profile, t0_ms=1000.0)
+        # An action at frame 30 starts one second into the script.
+        action = classify_action(make_sequence(30, 10, 540, 960), profile)
+        events = sfa_events(action, profile)
         assert events[0].timestamp_us == 1_000_000
+        (end,) = releases(events)
+        assert end.timestamp_us == 1_000_000 + frame_offset_us(10, 30)
 
 
 class TestEmitMfa:
@@ -105,7 +118,7 @@ class TestEmitMfa:
         return [a, b]
 
     def test_pinch_slots_and_close_time(self, profile):
-        events = emit_mfa_events(self.two_finger(profile), profile)
+        events = mfa_events(self.two_finger(profile), profile)
         slots = {e.value for e in events if e.event_code == ABS_MT_SLOT}
         assert slots == {0, 1}
         syn_count = sum(1 for e in events if e.event_type == EV_SYN)
@@ -116,7 +129,7 @@ class TestEmitMfa:
         assert frame_offset_us(29, 30) == 966667  # closes at the last frame
 
     def test_finger_continues_after_other_ends(self, profile):
-        events = emit_mfa_events(self.two_finger(profile, 30, 21), profile)
+        events = mfa_events(self.two_finger(profile, 30, 21), profile)
         ends = sorted(releases(events), key=lambda e: e.timestamp_us)
         assert ends[0].timestamp_us == frame_offset_us(20, 30)
         assert ends[1].timestamp_us == frame_offset_us(29, 30)
@@ -127,15 +140,15 @@ class TestEmitMfa:
         assert later
 
     def test_btn_touch_spans_whole_group(self, profile):
-        events = emit_mfa_events(self.two_finger(profile, 30, 21), profile)
+        events = mfa_events(self.two_finger(profile, 30, 21), profile)
         btns = [e for e in events if e.event_code == BTN_TOUCH]
         assert [e.value for e in btns] == [1, 0]
         assert btns[1].timestamp_us == frame_offset_us(29, 30)
 
     def test_degenerate_single_action_matches_sfa_samples(self, profile):
         action = classify_action(make_sequence(0, 8, 100, 100, dx=25), profile)
-        sfa_samples = coordinate_samples(emit_sfa_events(action, profile))
-        mfa_samples = coordinate_samples(emit_mfa_events([action], profile))
+        sfa_samples = coordinate_samples(sfa_events(action, profile))
+        mfa_samples = coordinate_samples(mfa_events([action], profile))
         assert sfa_samples == mfa_samples
 
     def test_slot_exhaustion(self, profile):
@@ -144,7 +157,7 @@ class TestEmitMfa:
             for k in range(11)
         ]
         with pytest.raises(SlotExhaustion):
-            emit_mfa_events(fingers, profile)
+            mfa_events(fingers, profile)
 
     def test_slot_reuse_after_release(self, profile):
         # Finger B starts after finger A already ended within one group
@@ -152,10 +165,9 @@ class TestEmitMfa:
         c = classify_action(make_sequence(0, 40, 900, 1800, dx=2), profile)
         a = classify_action(make_sequence(0, 10, 100, 100), profile)
         b = classify_action(make_sequence(20, 10, 100, 100), profile)
-        events = emit_mfa_events([c, a, b], profile)
-        script = SendEventScript(device_node="/dev/x", events=tuple(events),
-                                 profile=profile)
-        validate_script(script)  # open/open without release would fail
+        # assemble_script validates: open/open without release would fail.
+        events = mfa_events([c, a, b], profile)
+        assert {e.value for e in events if e.event_code == ABS_MT_SLOT} == {0, 1}
 
 
 class TestAssemble:
@@ -179,15 +191,17 @@ class TestAssemble:
         assert script.events == ()
 
     def test_single_mfa_equals_emitter_output(self, profile):
-        a = classify_action(make_sequence(5, 20, 200, 500, dx=5), profile)
-        b = classify_action(make_sequence(5, 20, 800, 1500, dx=-5), profile)
-        item = MultiFingerItem(actions=(a, b), finger_count=2)
-        script = assemble_script(self.scenario_of(profile, [item]))
-        expected = emit_mfa_events(
-            [a, b], profile,
-            t0_ms=frame_offset_us(5, 30) / 1000.0,
+        # The emitter's output for an item at frame 5 is its output for
+        # the same item at frame 0, shifted by frame 5's grid offset.
+        def events_from(start):
+            a = classify_action(make_sequence(start, 20, 200, 500, dx=5), profile)
+            b = classify_action(make_sequence(start, 20, 800, 1500, dx=-5), profile)
+            return mfa_events([a, b], profile)
+
+        shift = frame_offset_us(5, 30)
+        assert events_from(5) == tuple(
+            e._replace(timestamp_us=e.timestamp_us + shift) for e in events_from(0)
         )
-        assert list(script.events) == expected
 
     def test_overlapping_sfas_conflict(self, profile):
         first = classify_action(make_sequence(0, 10, 100, 100), profile)
@@ -221,34 +235,6 @@ class TestAssemble:
         with pytest.raises(OverlapConflict, match="starts at 133333us"):
             assemble_script(scenario(2, 4))
 
-    @pytest.mark.parametrize("event", [
-        InputEvent(0, EV_ABS, ABS_MT_POSITION_X, 5.5),
-        InputEvent(1.5, EV_SYN, SYN_REPORT, 0),
-        InputEvent(0, EV_SYN, SYN_REPORT, True),
-        (0, EV_SYN, SYN_REPORT),
-        [0, EV_SYN, SYN_REPORT, 0],
-    ], ids=["float-value", "float-time", "bool-value", "three-fields", "list"])
-    def test_spliced_events_must_be_integers(self, profile, event):
-        scenario = self.scenario_of(profile, [])
-        for where in ("prologue", "epilogue"):
-            with pytest.raises(ScriptFormatError, match="four integers"):
-                assemble_script(scenario, **{where: (event,)})
-
-    def test_prologue_and_epilogue_spliced(self, profile):
-        action = classify_action(make_sequence(0, 10, 100, 100), profile)
-        scenario = self.scenario_of(profile, [SingleFingerItem(action)])
-        plain = assemble_script(scenario)
-        wrap_start = InputEvent(0, EV_SYN, SYN_REPORT, 0)
-        wrap_end = InputEvent(
-            plain.events[-1].timestamp_us + 1000, EV_SYN, SYN_REPORT, 0
-        )
-        script = assemble_script(
-            scenario, prologue=(wrap_start,), epilogue=(wrap_end,)
-        )
-        assert script.events[0] == wrap_start
-        assert script.events[-1] == wrap_end
-        assert script.events[1:-1] == plain.events
-
     def test_tracking_ids_unique(self, profile):
         a = classify_action(make_sequence(0, 10, 100, 100), profile)
         b = classify_action(make_sequence(30, 10, 200, 200), profile)
@@ -272,7 +258,7 @@ class TestCoordinateRounding:
             ),
             profile,
         )
-        events = emit_sfa_events(action, profile)
+        events = sfa_events(action, profile)
         samples = coordinate_samples(events)
         assert samples[0][1:] == (101, 200)
 
@@ -283,7 +269,7 @@ class TestCoordinateRounding:
         action = classify_action(
             type(make_sequence(0, 1, 0, 0))(touches=touches), profile
         )
-        events = emit_sfa_events(action, profile)
+        events = sfa_events(action, profile)
         for _, x, y in coordinate_samples(events):
             assert 0 <= x < profile.screen_width
             assert 0 <= y < profile.screen_height
@@ -386,7 +372,6 @@ class TestInputEventTuple:
         assert event == (1500, EV_ABS, ABS_MT_POSITION_X, 7)
         assert (event.timestamp_us, event.event_type, event.event_code,
                 event.value) == tuple(event)
-        assert event.timestamp_ms == 1.5
         assert event._replace(value=8) == (1500, EV_ABS, ABS_MT_POSITION_X, 8)
 
     def test_script_and_decoders_hold_input_events(self, profile):
@@ -405,7 +390,9 @@ class TestRecordRanges:
     both encoders accept every script it passes."""
 
     def compile(self, profile, *events):
-        return assemble_script(ClassifiedScenario(profile, ()), prologue=events)
+        script = SendEventScript("/dev/input/event2", events, profile)
+        validate_script(script)
+        return script
 
     @pytest.mark.parametrize("event", [
         InputEvent(0, EV_SYN, SYN_REPORT, 2**31),

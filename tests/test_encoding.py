@@ -177,6 +177,21 @@ class TestLoader:
                 else d["confidence"]
         assert parse_trace(json.dumps(doc)) == trace
 
+    @pytest.mark.parametrize("fields, got", [
+        ({}, "None"), ({"finger_count": True}, "True"),
+        ({"finger_count": 2.0}, "2.0"),
+    ], ids=["missing", "bool", "float"])
+    def test_finger_count_must_be_an_integer(self, fields, got):
+        touch = {"frame": 0, "bbox": [10.0, 10.0, 40.0, 40.0],
+                 "confidence": 0.9, "opacity": "high"}
+        item = {"type": "mfa", **fields,
+                "actions": [{"kind": "tap", "touches": [touch]}]}
+        doc = {"schema_version": 1, "items": [item], "device": {
+            "name": "n", "width": WIDTH, "height": HEIGHT, "fps": 30}}
+        message = f"field 'finger_count' must be an integer, got {got}"
+        with pytest.raises(SchemaViolation, match=message):
+            ClassifiedScenario.from_json(json.dumps(doc))
+
 
 # Detection-level defects and the error each one raised before the
 # one-pass loader; "unsorted" is accepted and re-sorted.

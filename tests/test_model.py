@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tracereplay.codegen import frame_offset_us
 from tracereplay.errors import BoundsViolation, MalformedJson, SchemaViolation
 from tracereplay.model import (
     DetectionTrace,
     DeviceProfile,
     Opacity,
     TouchDetection,
-    frame_time_ms,
     parse_trace,
     serialize_trace,
 )
@@ -224,17 +224,18 @@ class TestParseTrace:
 
 
 class TestFrameTime:
+    """Every script timestamp comes from this one microsecond grid."""
+
     def test_one_frame_at_30fps_is_33ms(self):
-        assert frame_time_ms(1, 30) == pytest.approx(33.333, abs=0.001)
-        assert int(frame_time_ms(1, 30)) == 33
+        assert frame_offset_us(1, 30) == 33_333
 
     def test_origin(self):
-        assert frame_time_ms(0, 30) == 0.0
+        assert frame_offset_us(0, 30) == 0
 
     def test_one_second(self):
-        assert frame_time_ms(60, 60) == pytest.approx(1000.0)
+        assert frame_offset_us(60, 60) == 1_000_000
 
     @given(st.integers(min_value=0, max_value=10**6),
            st.integers(min_value=30, max_value=240))
     def test_strictly_monotonic(self, frame, fps):
-        assert frame_time_ms(frame + 1, fps) > frame_time_ms(frame, fps)
+        assert frame_offset_us(frame + 1, fps) > frame_offset_us(frame, fps)

@@ -38,9 +38,8 @@ class TestPushAndReplay:
         ops = [(c.op, c.argument) for c in report.transcript]
         assert ops[0] == ("push", "/data/local/tmp/replay-agent")
         assert ops[1] == ("push", "/data/local/tmp/scenario.bin")
-        assert ops[2][0] == "exec"
-        assert "/data/local/tmp/replay-agent /data/local/tmp/scenario.bin" \
-            in ops[2][1]
+        assert ops[2] == ("exec", "chmod 755 /data/local/tmp/replay-agent && "
+                          "/data/local/tmp/replay-agent /data/local/tmp/scenario.bin")
         assert len(ops) == 3
         assert report.exit_code == 0
         assert report.duration_ms >= 0
@@ -85,6 +84,27 @@ class TestPushAndReplay:
         config = ReplayConfig(agent_path=agent, remote_dir="/sdcard/tmp/")
         report = push_and_replay(runnable, transport, config)
         assert report.transcript[0].argument == "/sdcard/tmp/replay-agent"
+
+    @pytest.mark.parametrize("remote_dir, command", [
+        ("/data/my dir", "chmod 755 '/data/my dir/replay-agent' && "
+         "'/data/my dir/replay-agent' '/data/my dir/scenario.bin'"),
+        ("/tmp;reboot", "chmod 755 '/tmp;reboot/replay-agent' && "
+         "'/tmp;reboot/replay-agent' '/tmp;reboot/scenario.bin'"),
+    ], ids=["space", "semicolon"])
+    def test_remote_paths_quoted_for_the_shell(self, runnable, agent,
+                                               remote_dir, command):
+        transport = MockTransport()
+        config = ReplayConfig(agent_path=agent, remote_dir=remote_dir)
+        push_and_replay(runnable, transport, config)
+        assert transport.calls[2].op == "exec"
+        assert transport.calls[2].argument == command
+
+    def test_empty_remote_dir_is_config_error(self, runnable, agent):
+        transport = MockTransport()
+        with pytest.raises(ConfigError, match="remote_dir"):
+            push_and_replay(runnable, transport,
+                            ReplayConfig(agent_path=agent, remote_dir=""))
+        assert transport.calls == []
 
     def test_script_bytes_pushed_verbatim(self, runnable, agent):
         transport = MockTransport()
