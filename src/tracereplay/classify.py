@@ -12,15 +12,16 @@ multi-fingered group's finger count is the per-frame touch-count mode.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import SchemaViolation
 from .model import (
     DetectionTrace,
     DeviceProfile,
+    Frozen,
     Opacity,
     TouchDetection,
     _int_field,
@@ -58,8 +59,7 @@ class ActionKind(Enum):
         return {"tap": "T", "long_tap": "L", "gesture": "G"}[self.value]
 
 
-@dataclass(frozen=True)
-class AtomicAction:
+class AtomicAction(NamedTuple):
     """One finger's classified contiguous contact."""
 
     kind: ActionKind
@@ -114,8 +114,7 @@ class AtomicAction:
         )
 
 
-@dataclass(frozen=True)
-class SingleFingerItem:
+class SingleFingerItem(NamedTuple):
     action: AtomicAction
 
     @property
@@ -130,8 +129,7 @@ class SingleFingerItem:
         return self.action.kind.symbol
 
 
-@dataclass(frozen=True)
-class MultiFingerItem:
+class MultiFingerItem(NamedTuple):
     actions: tuple[AtomicAction, ...]
     finger_count: int
 
@@ -150,18 +148,17 @@ class MultiFingerItem:
 ScenarioItem = Union[SingleFingerItem, MultiFingerItem]
 
 
-@dataclass(frozen=True)
-class ClassifiedScenario:
+class ClassifiedScenario(Frozen):
     """Chronological single- and multi-fingered actions of one trace."""
 
-    profile: DeviceProfile
-    items: tuple[ScenarioItem, ...]
+    _fields = ("profile", "items")
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-        starts = [item.start_frame for item in self.items]
+    def __init__(self, profile: DeviceProfile, items: tuple[ScenarioItem, ...]):
+        items = tuple(items)
+        starts = [item.start_frame for item in items]
         if any(b < a for a, b in zip(starts, starts[1:])):
             raise SchemaViolation("scenario items must be ordered by start frame")
+        self._set(profile, items)
 
     def symbols(self, extended: bool = False) -> tuple[str, ...]:
         return tuple(item.symbol(extended) for item in self.items)
@@ -209,13 +206,16 @@ class ClassifiedScenario:
                     raise SchemaViolation("mfa actions must be a list")
                 actions = tuple(map(AtomicAction.from_dict, raw_actions))
                 finger_count = _int_field(raw, "finger_count")
-                if not actions:
-                    raise SchemaViolation("mfa item must have at least one action")
                 items.append(
                     MultiFingerItem(actions=actions, finger_count=finger_count)
                 )
             else:
                 raise SchemaViolation(f"unknown item type {raw['type']!r}")
+        # Checked after the walk, so that a defect in a later item is the
+        # one reported, as it was before empty groups were rejected.
+        if any(isinstance(item, MultiFingerItem) and not item.actions
+               for item in items):
+            raise SchemaViolation("mfa item must have at least one action")
         return cls(profile=profile, items=tuple(items))
 
 
@@ -318,12 +318,15 @@ def identify_sfa_mfa(
         key=lambda a: (a.start_frame, a.end_frame, a.sequence.touches[0].center),
     )
     counts = per_frame_touch_counts(ordered)
+    # bisect_right(multi_frames, f) counts the multi-touch frames up to f:
+    # a prefix sum kept only at the frames where it grows.
+    multi_frames = sorted([f for f, n in counts.items() if n >= 2])
     singles: list[AtomicAction] = []
     potential_multi: list[AtomicAction] = []
     for action in ordered:
-        span = range(action.start_frame, action.end_frame + 1)
-        multi = sum(1 for f in span if counts.get(f, 0) >= 2)
-        if multi / len(span) > MULTI_TOUCH_GATE:
+        start, end = action.start_frame, action.end_frame
+        multi = bisect_right(multi_frames, end) - bisect_left(multi_frames, start)
+        if multi / (end - start + 1) > MULTI_TOUCH_GATE:
             potential_multi.append(action)
         else:
             singles.append(action)

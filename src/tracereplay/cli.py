@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import codegen, metrics, replay
-from .classify import ClassifiedScenario, classify_trace
-from .config import Config, load_config
+# Each command imports the modules it runs in its handler, so that a
+# run loads no module it does not use.
+from .config import Config, load_config, read_file
 from .errors import (
     BoundsViolation,
     ConfigError,
@@ -27,7 +28,10 @@ from .errors import (
     ScriptFormatError,
     TraceReplayError,
 )
-from .model import parse_trace, serialize_trace
+
+if TYPE_CHECKING:
+    from .classify import ClassifiedScenario
+    from .replay import ReplayReport
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -42,7 +46,6 @@ _INPUT_ERRORS = (
     EmptyGroundTruth,
     ConfigError,
     OSError,
-    UnicodeDecodeError,
 )
 
 
@@ -161,9 +164,11 @@ def _out_dir(config: Config) -> Path:
 
 
 def _cmd_synthesize(args, config: Config) -> int:
-    from . import synth  # the only command that needs numpy
+    from . import metrics, synth  # the only command that needs numpy
+    from .model import serialize_trace
 
-    scenario = synth.GroundTruthScenario.from_json(Path(args.scenario).read_bytes())
+    data = read_file("--scenario", args.scenario)
+    scenario = synth.GroundTruthScenario.from_json(data)
     noise = synth.noise_preset(config.noise_preset, seed=config.seed)
     trace, symbols = synth.synthesize_trace(scenario, noise)
     if not config.extended_alphabet:
@@ -184,7 +189,11 @@ def _cmd_classify(args, config: Config) -> int:
 
 def _classify(trace_path: str, config: Config) -> ClassifiedScenario:
     """Classify a trace file; write classified.json and predicted.txt."""
-    trace = parse_trace(Path(trace_path).read_bytes())
+    from .classify import classify_trace
+    from .metrics import dump_sequence_file
+    from .model import parse_trace
+
+    trace = parse_trace(read_file("--trace", trace_path))
     scenario = classify_trace(
         trace,
         min_confidence=config.min_confidence,
@@ -194,18 +203,22 @@ def _classify(trace_path: str, config: Config) -> ClassifiedScenario:
     out = _out_dir(config)
     (out / "classified.json").write_bytes(scenario.to_json())
     sid = Path(trace_path).stem
-    (out / "predicted.txt").write_text(metrics.dump_sequence_file({sid: symbols}))
+    (out / "predicted.txt").write_text(dump_sequence_file({sid: symbols}))
     print(f"wrote {out / 'classified.json'} ({len(scenario.items)} items)")
     print(f"wrote {out / 'predicted.txt'} ({''.join(symbols) or '-'})")
     return scenario
 
 
 def _cmd_generate(args, config: Config) -> int:
-    scenario = ClassifiedScenario.from_json(Path(args.scenario_file).read_bytes())
-    return _generate(scenario, config)
+    from .classify import ClassifiedScenario
+
+    data = read_file("--scenario-file", args.scenario_file)
+    return _generate(ClassifiedScenario.from_json(data), config)
 
 
 def _generate(scenario: ClassifiedScenario, config: Config) -> int:
+    from . import codegen
+
     script = codegen.assemble_script(scenario, device_node=config.device_node)
     out = _out_dir(config)
     (out / "script.log").write_bytes(codegen.serialize_script(script))
@@ -216,7 +229,7 @@ def _generate(scenario: ClassifiedScenario, config: Config) -> int:
 
 
 def _cmd_replay(args, config: Config) -> int:
-    script = Path(args.script).read_bytes()
+    script = read_file("--script", args.script, text=False)
     report = _replay(script, args.dry_run, config)
     print(
         f"replay finished: exit={report.exit_code} "
@@ -225,7 +238,9 @@ def _cmd_replay(args, config: Config) -> int:
     return EXIT_OK
 
 
-def _replay(script: bytes, dry_run: bool, config: Config) -> replay.ReplayReport:
+def _replay(script: bytes, dry_run: bool, config: Config) -> ReplayReport:
+    from . import replay
+
     if dry_run:
         transport: replay.DeviceTransport = replay.MockTransport()
         agent_path = config.agent_path
@@ -246,8 +261,10 @@ def _replay(script: bytes, dry_run: bool, config: Config) -> replay.ReplayReport
 
 
 def _cmd_evaluate(args, config: Config) -> int:
-    pred = metrics.load_sequence_file(Path(args.pred).read_text())
-    truth = metrics.load_sequence_file(Path(args.truth).read_text())
+    from . import metrics
+
+    pred = metrics.load_sequence_file(read_file("--pred", args.pred))
+    truth = metrics.load_sequence_file(read_file("--truth", args.truth))
     missing = sorted(set(truth) - set(pred))
     if missing:
         raise SchemaViolation(f"prediction file missing scenarios: {missing}")

@@ -25,14 +25,13 @@ import json
 import math
 import re
 import struct
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
 from typing import NamedTuple
 
 from .classify import ActionKind, ClassifiedScenario, SingleFingerItem
 from .errors import OverlapConflict, ScriptFormatError, SlotExhaustion
-from .model import DeviceProfile
+from .model import DeviceProfile, valid_device_node
 
 # Kernel input event vocabulary (multi-touch protocol type B).
 EV_SYN = 0x0000
@@ -93,8 +92,7 @@ class InputEvent(NamedTuple):
 _event = partial(tuple.__new__, InputEvent)
 
 
-@dataclass(frozen=True)
-class SendEventScript:
+class SendEventScript(NamedTuple):
     """Replayable event stream plus the device it targets."""
 
     device_node: str
@@ -251,12 +249,6 @@ def assemble_script(
     )
     validate_script(script)
     return script
-
-
-def valid_device_node(node: str) -> bool:
-    """True when `node` can name the device on every log line: a
-    non-empty ASCII string without whitespace."""
-    return isinstance(node, str) and node.isascii() and node.split() == [node]
 
 
 def validate_script(script: SendEventScript) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptyGroundTruth, SchemaViolation
 
@@ -79,8 +79,7 @@ def lcs_ratio(pred: Symbols, truth: Symbols) -> float:
     return lcs_length(pred, truth) / len(truth)
 
 
-@dataclass(frozen=True)
-class TypeScore:
+class TypeScore(NamedTuple):
     tp: int
     fp: int
     fn: int
@@ -120,8 +119,7 @@ def precision_recall(
     return per_type, macro_p, macro_r
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     levenshtein: int
     lcs_ratio: float
     per_type: dict[str, TypeScore]
@@ -158,8 +156,7 @@ class MetricsReport:
         }
 
 
-@dataclass(frozen=True)
-class BatchReport:
+class BatchReport(NamedTuple):
     ids: tuple[str, ...]
     reports: tuple[MetricsReport, ...]
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -54,28 +53,70 @@ _OPACITY_TEXT = {opacity: opacity.value for opacity in Opacity}
 #: detection, bound here so that it reads no class or module attribute.
 _HIGH, _LOW = Opacity.HIGH, Opacity.LOW
 _isfinite = math.isfinite
+_setattr = object.__setattr__
 
 
-@dataclass(frozen=True)
-class DeviceProfile:
+class Record:
+    """Base of the package's record classes: `==` and `repr` over the
+    fields named in `_fields`, in order, and no hash. Instances keep a
+    `__dict__`, so field reads are plain attribute reads."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Frozen(Record):
+    """A hashable record that cannot be assigned to once built.
+
+    A subclass's `__init__` checks its arguments and sets the fields
+    with `_set`; `_unchecked` fills one from fields already checked.
+    """
+
+    def _set(self, *values, **derived) -> None:
+        """Set the fields to `values`, in order, then each attribute in
+        `derived`, which takes no part in `==`, `hash` or `repr`."""
+        for name, value in zip(self._fields, values):
+            _setattr(self, name, value)
+        for name, value in derived.items():
+            _setattr(self, name, value)
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DeviceProfile(Frozen):
     """Static facts about the recording device."""
 
-    name: str
-    screen_width: int
-    screen_height: int
-    fps: int
-    touch_slop: int = DEFAULT_TOUCH_SLOP
+    _fields = ("name", "screen_width", "screen_height", "fps", "touch_slop")
 
-    def __post_init__(self):
-        if self.screen_width <= 0 or self.screen_height <= 0:
+    def __init__(self, name: str, screen_width: int, screen_height: int, fps: int,
+                 touch_slop: int = DEFAULT_TOUCH_SLOP):
+        if screen_width <= 0 or screen_height <= 0:
             raise SchemaViolation(
-                f"screen size must be positive, got "
-                f"{self.screen_width}x{self.screen_height}"
+                f"screen size must be positive, got {screen_width}x{screen_height}"
             )
-        if self.fps < MIN_FPS:
-            raise SchemaViolation(f"fps must be >= {MIN_FPS}, got {self.fps}")
-        if self.touch_slop <= 0:
-            raise SchemaViolation(f"touch_slop must be positive, got {self.touch_slop}")
+        if fps < MIN_FPS:
+            raise SchemaViolation(f"fps must be >= {MIN_FPS}, got {fps}")
+        if touch_slop <= 0:
+            raise SchemaViolation(f"touch_slop must be positive, got {touch_slop}")
+        self._set(name, screen_width, screen_height, fps, touch_slop)
 
     def to_dict(self) -> dict:
         return {
@@ -102,43 +143,38 @@ class DeviceProfile:
         )
 
 
-@dataclass(frozen=True)
-class TouchDetection:
+class TouchDetection(Frozen):
     """One detected touch indicator in one video frame.
 
-    `center`, the canonical touch coordinate (the bbox center), is
-    computed once when the detection is built; it is derived from
-    `bbox`, so it takes no part in construction, `==`, `hash` or `repr`.
+    `bbox` is (x, y, w, h) in pixels. `center`, the canonical touch
+    coordinate (the bbox center), is computed once when the detection
+    is built; it is derived from `bbox`, so it takes no part in
+    construction, `==`, `hash` or `repr`.
     """
 
-    frame: int
-    bbox: tuple[float, float, float, float]  # (x, y, w, h) in pixels
-    confidence: float
-    opacity: Opacity
-    center: tuple[float, float] = field(init=False, repr=False, compare=False)
+    _fields = ("frame", "bbox", "confidence", "opacity")
 
-    def __post_init__(self):
+    def __init__(self, frame: int, bbox: tuple[float, float, float, float],
+                 confidence: float, opacity: Opacity):
         try:
-            object.__setattr__(self, "bbox", tuple(float(v) for v in self.bbox))
-            object.__setattr__(self, "confidence", float(self.confidence))
+            bbox = tuple(float(v) for v in bbox)
+            confidence = float(confidence)
         except OverflowError:
             raise SchemaViolation(
-                f"bbox or confidence out of float range (frame {self.frame})"
+                f"bbox or confidence out of float range (frame {frame})"
             ) from None
-        if self.frame < 0:
-            raise SchemaViolation(f"frame must be non-negative, got {self.frame}")
-        if len(self.bbox) != 4:
+        if frame < 0:
+            raise SchemaViolation(f"frame must be non-negative, got {frame}")
+        if len(bbox) != 4:
             raise SchemaViolation("bbox must have exactly 4 entries")
-        if not all(map(math.isfinite, self.bbox)):
-            raise SchemaViolation(f"bbox entries must be finite, got {self.bbox}")
-        if self.bbox[2] <= 0 or self.bbox[3] <= 0:
-            raise SchemaViolation(f"bbox size must be positive, got {self.bbox}")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise SchemaViolation(
-                f"confidence must be in [0, 1], got {self.confidence}"
-            )
-        x, y, w, h = self.bbox
-        object.__setattr__(self, "center", (x + w / 2.0, y + h / 2.0))
+        if not all(map(math.isfinite, bbox)):
+            raise SchemaViolation(f"bbox entries must be finite, got {bbox}")
+        if bbox[2] <= 0 or bbox[3] <= 0:
+            raise SchemaViolation(f"bbox size must be positive, got {bbox}")
+        if not 0.0 <= confidence <= 1.0:
+            raise SchemaViolation(f"confidence must be in [0, 1], got {confidence}")
+        x, y, w, h = bbox
+        self._set(frame, bbox, confidence, opacity, center=(x + w / 2.0, y + h / 2.0))
 
     @classmethod
     def from_dict(cls, data: dict) -> "TouchDetection":
@@ -199,8 +235,7 @@ class TouchDetection:
         )
 
 
-@dataclass(frozen=True)
-class DetectionTrace:
+class DetectionTrace(Frozen):
     """All detections of one recording, sorted by frame.
 
     The constructor re-sorts detections (stable) so the frame-order
@@ -208,20 +243,19 @@ class DetectionTrace:
     profile's screen rectangle.
     """
 
-    profile: DeviceProfile
-    detections: tuple[TouchDetection, ...]
-    frame_count: int
+    _fields = ("profile", "detections", "frame_count")
 
-    def __post_init__(self):
-        ordered = tuple(sorted(self.detections, key=_frame))
-        object.__setattr__(self, "detections", ordered)
-        if self.frame_count < 0:
-            raise SchemaViolation(f"frame_count must be >= 0, got {self.frame_count}")
-        width, height = self.profile.screen_width, self.profile.screen_height
+    def __init__(self, profile: DeviceProfile, detections: tuple[TouchDetection, ...],
+                 frame_count: int):
+        ordered = tuple(sorted(detections, key=_frame))
+        if frame_count < 0:
+            raise SchemaViolation(f"frame_count must be >= 0, got {frame_count}")
+        width, height = profile.screen_width, profile.screen_height
         for det in ordered:
-            error = _placement_error(det, self.frame_count, width, height)
+            error = _placement_error(det, frame_count, width, height)
             if error is not None:
                 raise error
+        self._set(profile, ordered, frame_count)
 
     @classmethod
     def _validated(
@@ -307,6 +341,12 @@ def load_document(data: bytes | str, version: int, fields: tuple[str, ...]) -> d
     return doc
 
 
+def valid_device_node(node: str) -> bool:
+    """True when `node` can name the device on every log line of a
+    script: a non-empty ASCII string without whitespace."""
+    return isinstance(node, str) and node.isascii() and node.split() == [node]
+
+
 def serialize_trace(trace: DetectionTrace) -> bytes:
     """Serialize a trace to the JSON schema; inverse of parse_trace."""
     return (
@@ -364,8 +404,8 @@ def _detection_template(depth: int) -> str:
 
 
 def _unchecked(cls, **fields):
-    """A frozen dataclass instance from fields that were already
-    validated: `__post_init__` does not run."""
+    """A `Frozen` record from fields that were already validated: its
+    `__init__` does not run."""
     obj = _new(cls)
     obj.__dict__.update(fields)
     return obj

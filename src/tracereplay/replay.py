@@ -8,11 +8,9 @@ to the bridge binary, `MockTransport` records every call in memory.
 from __future__ import annotations
 
 import shlex
-import subprocess
-import tempfile
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .codegen import parse_runnable
 from .errors import ConfigError, NonZeroExit, TransportError
@@ -22,8 +20,7 @@ AGENT_NAME = "replay-agent"
 SCRIPT_NAME = "scenario.bin"
 
 
-@dataclass(frozen=True)
-class TransportCall:
+class TransportCall(NamedTuple):
     """One logged transport invocation (op is 'push' or 'exec')."""
 
     op: str
@@ -74,7 +71,11 @@ class MockTransport(DeviceTransport):
 
 
 class BridgeTransport(DeviceTransport):
-    """Transport backed by the debug-bridge executable (adb-compatible)."""
+    """Transport backed by the debug-bridge executable (adb-compatible).
+
+    `subprocess` and `tempfile` are imported by the calls that use them,
+    so that a dry run never loads them.
+    """
 
     def __init__(self, bridge_path: str = "adb", serial: str | None = None):
         super().__init__()
@@ -88,6 +89,8 @@ class BridgeTransport(DeviceTransport):
         return cmd
 
     def push(self, data: bytes, remote_path: str) -> None:
+        import tempfile
+
         self.calls.append(TransportCall("push", remote_path))
         with tempfile.NamedTemporaryFile() as tmp:
             tmp.write(data)
@@ -95,6 +98,8 @@ class BridgeTransport(DeviceTransport):
             self._run(self._base() + ["push", tmp.name, remote_path])
 
     def exec(self, command: str) -> tuple[int, str]:
+        import subprocess
+
         self.calls.append(TransportCall("exec", command))
         try:
             proc = subprocess.run(
@@ -107,6 +112,8 @@ class BridgeTransport(DeviceTransport):
         return proc.returncode, proc.stdout + proc.stderr
 
     def _run(self, cmd: list[str]) -> None:
+        import subprocess
+
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True)
         except OSError as exc:
@@ -117,16 +124,14 @@ class BridgeTransport(DeviceTransport):
             )
 
 
-@dataclass
-class ReplayConfig:
+class ReplayConfig(NamedTuple):
     """Where the agent lives locally and where artifacts land on device."""
 
     agent_path: str
     remote_dir: str = "/data/local/tmp"
 
 
-@dataclass(frozen=True)
-class ReplayReport:
+class ReplayReport(NamedTuple):
     exit_code: int
     duration_ms: float
     transcript: tuple[TransportCall, ...]

@@ -23,13 +23,12 @@ sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import groupby
 from math import dist
 from operator import attrgetter
 
 from .errors import SchemaViolation
-from .model import DetectionTrace, Opacity, TouchDetection, _unchecked
+from .model import DetectionTrace, Frozen, Opacity, TouchDetection, _unchecked
 
 #: Detections below this confidence are dropped before linking.
 MIN_CONFIDENCE = 0.7
@@ -42,23 +41,19 @@ _center = attrgetter("center")
 _opacity = attrgetter("opacity")
 
 
-@dataclass(frozen=True)
-class TouchSequence:
+class TouchSequence(Frozen):
     """One finger's contiguous contact: one touch per consecutive frame.
 
     Low-opacity touches may only appear as a trailing fade suffix, so
     `high_touches`, worked out once when the sequence is built, is the
-    prefix before the first low-opacity touch.
+    prefix before the first low-opacity touch; like `center` on a
+    detection, it takes no part in `==`, `hash` or `repr`.
     """
 
-    touches: tuple[TouchDetection, ...]
-    high_touches: tuple[TouchDetection, ...] = field(
-        init=False, repr=False, compare=False
-    )
+    _fields = ("touches",)
 
-    def __post_init__(self):
-        touches = tuple(self.touches)
-        object.__setattr__(self, "touches", touches)
+    def __init__(self, touches: tuple[TouchDetection, ...]):
+        touches = tuple(touches)
         if not touches:
             raise SchemaViolation("touch sequence cannot be empty")
         frames = [t.frame for t in touches]
@@ -71,7 +66,7 @@ class TouchSequence:
             raise SchemaViolation(
                 "high-opacity touch after a low-opacity one; fades must be a suffix"
             )
-        object.__setattr__(self, "high_touches", touches[:highs])
+        self._set(touches, high_touches=touches[:highs])
 
     @classmethod
     def _validated(cls, touches: tuple, high_touches: tuple) -> "TouchSequence":

@@ -97,19 +97,32 @@ def test_runtime_path_does_not_import_numpy(tmp_path, fixture_scenario):
     out = tmp_path / "out"
     main(["synthesize", "--scenario", str(fixture_scenario), "--out-dir", str(out)])
     src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
     code = (
-        "import sys\n"
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
         "import tracereplay\n"
-        "assert 'numpy' not in sys.modules, 'import tracereplay loaded numpy'\n"
+        "package = sorted(set(sys.modules) - before)\n"
         "from tracereplay.cli import main\n"
         f"code = main(['pipeline', '--trace', {str(out / 'trace.json')!r},\n"
         f"             '--out-dir', {str(out)!r}, '--dry-run'])\n"
         "assert code == 0, code\n"
-        "assert 'numpy' not in sys.modules, 'pipeline --dry-run loaded numpy'\n"
+        "print(json.dumps([package, sorted(sys.modules)]))\n"
+    )
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+                          text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    package, pipeline = json.loads(proc.stdout.splitlines()[-1])
+    assert package == ["tracereplay"]  # no submodule, no dependency
+    # The interpreter's own start-up (site, .pth files) may load any of
+    # these; only what tracereplay adds counts.
+    added = set(pipeline) - set(bare.stdout.split())
+    unused = {"dataclasses", "inspect", "subprocess", "tracereplay.synth", "numpy"}
+    assert added & unused == set()
 
 
 def test_missing_input_exits_2(tmp_path):
@@ -118,7 +131,8 @@ def test_missing_input_exits_2(tmp_path):
 
 @pytest.mark.parametrize("case", [
     "config-not-utf8", "pred-not-utf8", "truth-not-utf8", "trace-is-directory",
-    "out-dir-is-file",
+    "out-dir-is-file", "trace-not-utf8", "scenario-not-utf8",
+    "scenario-file-is-directory", "script-is-directory",
 ])
 def test_unreadable_input_exits_2(tmp_path, capsys, fixture_scenario, case):
     main(["synthesize", "--scenario", str(fixture_scenario),
@@ -131,20 +145,33 @@ def test_unreadable_input_exits_2(tmp_path, capsys, fixture_scenario, case):
     sequences.write_text("scn T\n")
     taken = tmp_path / "taken"
     taken.write_text("")
-    argv = {
-        "config-not-utf8": ["--config", str(latin1), "classify", "--trace", trace],
-        "pred-not-utf8": ["evaluate", "--pred", str(latin1),
-                          "--truth", str(sequences)],
-        "truth-not-utf8": ["evaluate", "--pred", str(sequences),
-                           "--truth", str(latin1)],
-        "trace-is-directory": ["classify", "--trace", str(tmp_path)],
-        "out-dir-is-file": ["classify", "--trace", trace, "--out-dir", str(taken)],
+    argv, bad = {
+        "config-not-utf8": (["--config", str(latin1), "classify", "--trace", trace],
+                            latin1),
+        "pred-not-utf8": (["evaluate", "--pred", str(latin1),
+                           "--truth", str(sequences)], latin1),
+        "truth-not-utf8": (["evaluate", "--pred", str(sequences),
+                            "--truth", str(latin1)], latin1),
+        "trace-is-directory": (["classify", "--trace", str(tmp_path)], tmp_path),
+        "out-dir-is-file": (["classify", "--trace", trace, "--out-dir", str(taken)],
+                            taken),
+        "trace-not-utf8": (["pipeline", "--trace", str(latin1)], latin1),
+        "scenario-not-utf8": (["synthesize", "--scenario", str(latin1)], latin1),
+        "scenario-file-is-directory": (["generate", "--scenario-file", str(tmp_path)],
+                                       tmp_path),
+        "script-is-directory": (["replay", "--script", str(tmp_path), "--dry-run"],
+                                tmp_path),
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
     command = argv[2] if case == "config-not-utf8" else argv[0]
     assert err.startswith(f"error ({command}): ")
     assert "Traceback" not in err
+    if case == "out-dir-is-file":
+        assert str(bad) in err
+    else:  # the flag that names the file, then its path
+        flag = argv[argv.index(str(bad)) - 1]
+        assert f"{flag} {bad}: " in err
 
 
 @pytest.mark.parametrize("items", [

@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import json
 
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tracereplay.classify import ClassifiedScenario
 from tracereplay.codegen import frame_offset_us
 from tracereplay.errors import BoundsViolation, MalformedJson, SchemaViolation
 from tracereplay.model import (
@@ -17,7 +17,7 @@ from tracereplay.model import (
     serialize_trace,
 )
 
-from conftest import make_touch
+from conftest import make_sequence, make_touch
 
 
 def trace_doc(detections, width=1080, height=1920, fps=30, frame_count=100):
@@ -113,13 +113,17 @@ class TestCachedCenter:
         assert fast.center == checked.center == built.center == expected
         assert all(type(v) is float for v in built.center)
 
-    def test_replace_recomputes_center(self):
+    def test_constructor_recomputes_center(self):
         d = make_touch(0, 100, 200)
-        moved = dataclasses.replace(d, bbox=(0.0, 0.0, 10.0, 30.0))
+        moved = TouchDetection(frame=d.frame, bbox=(0.0, 0.0, 10.0, 30.0),
+                               confidence=d.confidence, opacity=d.opacity)
         assert moved.center == (5.0, 15.0)
-        assert dataclasses.replace(d, frame=7).center == d.center == (100.0, 200.0)
-        with pytest.raises(ValueError):
-            dataclasses.replace(d, center=(0.0, 0.0))
+        later = TouchDetection(frame=7, bbox=d.bbox, confidence=d.confidence,
+                               opacity=d.opacity)
+        assert later.center == d.center == (100.0, 200.0)
+        with pytest.raises(TypeError):
+            TouchDetection(frame=0, bbox=d.bbox, confidence=d.confidence,
+                           opacity=d.opacity, center=(0.0, 0.0))
 
     def test_center_not_in_init_eq_hash_or_repr(self):
         d = make_touch(4, 100, 200)
@@ -134,6 +138,21 @@ class TestCachedCenter:
         object.__setattr__(other, "center", (0.0, 0.0))
         assert other == d
         assert hash(other) == hash(d) == hash((4, d.bbox, 0.9, Opacity.HIGH))
+
+
+def test_records_reject_assignment(profile):
+    d = make_touch(4, 100, 200)
+    trace = DetectionTrace(profile=profile, detections=(d,), frame_count=10)
+    sequence = make_sequence(4, 3, 100, 200)
+    scenario = ClassifiedScenario(profile=profile, items=())
+    for record, field in ((profile, "fps"), (d, "frame"), (d, "center"),
+                          (trace, "detections"), (sequence, "high_touches"),
+                          (scenario, "items")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert getattr(record, field) is not None
 
 
 class TestParseTrace:
