@@ -1,9 +1,9 @@
 """Compile classified scenarios into timestamped kernel input events.
 
-Both single- and multi-fingered actions are emitted with the Linux
-multi-touch protocol type B (a single-fingered action simply occupies
-one slot). Every sync window carries the timestamp of the video frame
-it reproduces; sample spacing therefore equals 1000/fps ms.
+Scenario items become contacts of the Linux multi-touch protocol type B,
+one per finger; contacts down at the same time hold separate slots,
+whichever items they come from. Every sync window carries the timestamp
+of the video frame it reproduces; sample spacing is 1000/fps ms.
 
 Two on-disk forms exist:
 
@@ -26,11 +26,12 @@ import math
 import re
 import struct
 from functools import partial
+from heapq import heappop, heappush
 from itertools import accumulate
 from typing import NamedTuple
 
 from .classify import ActionKind, ClassifiedScenario, SingleFingerItem
-from .errors import OverlapConflict, ScriptFormatError, SlotExhaustion
+from .errors import ScriptFormatError, SlotExhaustion
 from .model import DeviceProfile, valid_device_node
 
 # Kernel input event vocabulary (multi-touch protocol type B).
@@ -105,145 +106,112 @@ def frame_offset_us(frames: int, fps: int) -> int:
     return round(frames * 1_000_000 / fps)
 
 
-def _emit_sfa(action, profile, t0_us, slot, tracking_id):
-    """Events for one single-fingered action from `t0_us`: one sample
-    held for a tap or long tap, one per high-opacity touch for a
-    gesture, and a release one frame after the last active frame."""
-    fps = profile.fps
-    start = action.start_frame
-    x, y = _device_coords(action.sequence.touches[0].center, profile)
-    events = [
-        _event((t0_us, EV_ABS, ABS_MT_SLOT, slot)),
-        _event((t0_us, EV_ABS, ABS_MT_TRACKING_ID, tracking_id)),
-        _event((t0_us, EV_KEY, BTN_TOUCH, 1)),
-        _event((t0_us, EV_ABS, ABS_MT_POSITION_X, x)),
-        _event((t0_us, EV_ABS, ABS_MT_POSITION_Y, y)),
-        _event((t0_us, EV_SYN, SYN_REPORT, 0)),
-    ]
-    if action.kind is ActionKind.GESTURE:
-        append = events.append
-        for touch in action.sequence.high_touches[1:]:
-            t = t0_us + frame_offset_us(touch.frame - start, fps)
-            x, y = _device_coords(touch.center, profile)
-            append(_event((t, EV_ABS, ABS_MT_POSITION_X, x)))
-            append(_event((t, EV_ABS, ABS_MT_POSITION_Y, y)))
-            append(_event((t, EV_SYN, SYN_REPORT, 0)))
-    t_end = t0_us + frame_offset_us(action.active_frames, fps)
-    events += (
-        _event((t_end, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE)),
-        _event((t_end, EV_KEY, BTN_TOUCH, 0)),
-        _event((t_end, EV_SYN, SYN_REPORT, 0)),
-    )
-    return events
+def _contacts(item):
+    """(release frame, samples) of each contact of one scenario item.
 
-
-def _emit_mfa(actions, profile, t0_us, first_tracking_id):
-    """Events for a multi-fingered group from `t0_us`: one sync window
-    per frame for every finger active in it; each finger opens with a
-    fresh tracking id and closes in its last active frame's window."""
-    fps = profile.fps
-    fingers = sorted(
-        actions,
-        key=lambda a: (a.start_frame, a.sequence.touches[0].center),
-    )
-    group_start = min(a.start_frame for a in fingers)
-    group_end = max(a.active_end_frame for a in fingers)
-    touch_at = [
-        {t.frame: t for t in a.sequence.high_touches} for a in fingers
+    An SFA is one contact: its first touch, plus its later high-opacity
+    touches for a gesture, released one frame after its last active
+    frame. Each MFA finger with a high-opacity touch is one contact of
+    those touches, released in its last active frame's window.
+    """
+    if isinstance(item, SingleFingerItem):
+        action = item.action
+        samples = action.sequence.touches[:1]
+        if action.kind is ActionKind.GESTURE:
+            samples += action.sequence.high_touches[1:]
+        return [(action.active_end_frame + 1, samples)]
+    return [
+        (action.active_end_frame, action.sequence.high_touches)
+        for action in item.actions
+        if action.sequence.high_touches
     ]
 
-    free_slots = list(range(MAX_SLOTS))
-    slot_of: dict[int, int] = {}
-    next_tid = first_tracking_id
-    open_count = 0
-    events: list[InputEvent] = []
 
-    for frame in range(group_start, group_end + 1):
-        t = t0_us + frame_offset_us(frame - group_start, fps)
-        window: list[InputEvent] = []
-        append = window.append
-        closing: list[int] = []
-        for idx, finger in enumerate(fingers):
-            touch = touch_at[idx].get(frame)
-            if touch is None:
-                continue
-            if idx not in slot_of:
-                if not free_slots:
-                    raise SlotExhaustion(
-                        f"more than {MAX_SLOTS} simultaneous fingers"
-                    )
-                slot_of[idx] = free_slots.pop(0)
-                append(_event((t, EV_ABS, ABS_MT_SLOT, slot_of[idx])))
-                append(_event((t, EV_ABS, ABS_MT_TRACKING_ID, next_tid)))
-                next_tid += 1
-                if open_count == 0:
-                    append(_event((t, EV_KEY, BTN_TOUCH, 1)))
-                open_count += 1
-            else:
-                append(_event((t, EV_ABS, ABS_MT_SLOT, slot_of[idx])))
-            x, y = _device_coords(touch.center, profile)
-            append(_event((t, EV_ABS, ABS_MT_POSITION_X, x)))
-            append(_event((t, EV_ABS, ABS_MT_POSITION_Y, y)))
-            if finger.active_end_frame == frame:
-                closing.append(idx)
-        for idx in closing:
-            append(_event((t, EV_ABS, ABS_MT_SLOT, slot_of[idx])))
-            append(_event((t, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE)))
-            free_slots.append(slot_of.pop(idx))
-            free_slots.sort()
-            open_count -= 1
-            if open_count == 0:
-                append(_event((t, EV_KEY, BTN_TOUCH, 0)))
-        if window:
-            append(_event((t, EV_SYN, SYN_REPORT, 0)))
-            events += window
-    return events
+def _clusters(items):
+    """(anchor frame, contacts) per cluster of items that overlap in time.
+
+    An item joins the open cluster when it starts before the cluster's
+    last release frame; an item that starts in that frame opens a new
+    cluster. The anchor is the cluster's first item's start frame.
+    """
+    clusters = []
+    end = 0
+    for item in items:
+        contacts = _contacts(item)
+        if not contacts:
+            continue
+        if not clusters or item.start_frame >= end:
+            clusters.append((item.start_frame, []))
+        clusters[-1][1].extend(contacts)
+        end = max(end, *(release for release, _ in contacts))
+    return clusters
 
 
 def assemble_script(
     scenario: ClassifiedScenario, device_node: str = DEFAULT_DEVICE_NODE
 ) -> SendEventScript:
-    """Compile scenario items chronologically into one event script.
+    """Compile scenario items into one type-B event script.
 
-    Items are anchored at their start frame's absolute time, so the gap
-    between consecutive items equals their frame gap at 1000/fps ms per
-    frame. Raises OverlapConflict when an item would begin before the
-    previous item's contact closed, in frames or in the (separately
-    rounded) microseconds of its first and the release's events.
+    Each cluster (see `_clusters`) is one sweep over its contacts'
+    samples and releases, one sync window per frame, timed on one grid
+    from its anchor frame's time (raised to the previous cluster's
+    release when the two roundings put it 1 us earlier). A contact
+    opens in the lowest free slot with the next tracking id; its later
+    samples and its release select that slot first only when the
+    cluster holds more than one contact. `BTN_TOUCH` goes down with the
+    first contact and up with the last. Raises SlotExhaustion when a
+    contact opens while all MAX_SLOTS slots are held.
     """
     profile = scenario.profile
+    fps = profile.fps
     events: list[InputEvent] = []
+    append = events.append
     next_tid = 1
-    prev_end_frame: float | None = None
-    prev_end_us = 0
-    prev_desc = ""
-    for item in scenario.items:
-        t0_us = frame_offset_us(item.start_frame, profile.fps)
-        if prev_end_frame is not None and item.start_frame < prev_end_frame:
-            raise OverlapConflict(
-                f"item at frame {item.start_frame} starts before {prev_desc} "
-                f"releases at frame {prev_end_frame}"
-            )
-        if t0_us < prev_end_us:
-            raise OverlapConflict(
-                f"item at frame {item.start_frame} starts at {t0_us}us, before "
-                f"{prev_desc} releases at {prev_end_us}us"
-            )
-        emitted = len(events)
-        if isinstance(item, SingleFingerItem):
-            events.extend(
-                _emit_sfa(item.action, profile, t0_us, 0, next_tid)
-            )
-            next_tid += 1
-            prev_end_frame = item.start_frame + item.action.active_frames
-            prev_desc = f"single-finger item at frame {item.start_frame}"
-        else:
-            events.extend(_emit_mfa(list(item.actions), profile, t0_us, next_tid))
-            next_tid += len(item.actions)
-            prev_end_frame = max(a.active_end_frame for a in item.actions)
-            prev_desc = f"multi-finger item at frame {item.start_frame}"
-        if len(events) > emitted:
-            prev_end_us = events[-1][0]  # the item's last window: its release
+    t = 0  # timestamp of the last window
+    for anchor, contacts in _clusters(scenario.items):
+        t_anchor = max(frame_offset_us(anchor, fps), t)
+        # By first frame, then first center: the order ids are given in.
+        contacts.sort(key=lambda c: (c[1][0].frame, c[1][0].center))
+        marks = []
+        for order, (release, samples) in enumerate(contacts):
+            marks += [(touch.frame, 0, order, touch) for touch in samples]
+            marks.append((release, 1, order, None))
+        # In each frame, samples come before releases; no two marks tie.
+        marks.sort()
+        multi = len(contacts) > 1
+        free_slots = list(range(MAX_SLOTS))  # a heap: lowest slot first
+        slot_of = [None] * len(contacts)
+        window = marks[0][0]
+        t = t_anchor + frame_offset_us(window - anchor, fps)
+        for frame, is_release, order, touch in marks:
+            if frame != window:
+                append(_event((t, EV_SYN, SYN_REPORT, 0)))
+                window = frame
+                t = t_anchor + frame_offset_us(frame - anchor, fps)
+            slot = slot_of[order]
+            if slot is None:  # the contact's first sample opens it
+                if not free_slots:
+                    raise SlotExhaustion(
+                        f"more than {MAX_SLOTS} contacts down at frame {frame}"
+                    )
+                slot = slot_of[order] = heappop(free_slots)
+                append(_event((t, EV_ABS, ABS_MT_SLOT, slot)))
+                append(_event((t, EV_ABS, ABS_MT_TRACKING_ID, next_tid)))
+                next_tid += 1
+                if len(free_slots) == MAX_SLOTS - 1:  # the first one down
+                    append(_event((t, EV_KEY, BTN_TOUCH, 1)))
+            elif multi:
+                append(_event((t, EV_ABS, ABS_MT_SLOT, slot)))
+            if is_release:
+                append(_event((t, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE)))
+                heappush(free_slots, slot)
+                if len(free_slots) == MAX_SLOTS:  # the last one up
+                    append(_event((t, EV_KEY, BTN_TOUCH, 0)))
+            else:
+                x, y = _device_coords(touch.center, profile)
+                append(_event((t, EV_ABS, ABS_MT_POSITION_X, x)))
+                append(_event((t, EV_ABS, ABS_MT_POSITION_Y, y)))
+        append(_event((t, EV_SYN, SYN_REPORT, 0)))
     script = SendEventScript(
         device_node=device_node, events=tuple(events), profile=profile
     )

@@ -25,10 +25,6 @@ class SlotExhaustion(TraceReplayError):
     """More simultaneous contacts than the protocol's slot budget."""
 
 
-class OverlapConflict(TraceReplayError):
-    """Two scenario items would emit overlapping event windows."""
-
-
 class ScriptFormatError(TraceReplayError):
     """Serialized script (log or runnable bytes) cannot be parsed."""
 

@@ -8,6 +8,7 @@ import itertools
 import time
 
 import numpy as np
+import pytest
 
 from tracereplay.classify import (
     ActionKind,
@@ -56,13 +57,14 @@ def report(criterion, name, passed, detail=""):
 
 
 def run_batch(preset_name):
+    """(predicted symbols, true symbols, classified scenario) per trace."""
     results = []
     for i in range(N_SCENARIOS):
         scenario = random_scenario(PROFILE, seed=SCENARIO_SEED_BASE + i)
         noise = noise_preset(preset_name, seed=NOISE_SEED_BASE + i)
         trace, truth = synthesize_trace(scenario, noise)
-        pred = classify_trace(trace).symbols(extended=True)
-        results.append((pred, truth))
+        classified = classify_trace(trace)
+        results.append((classified.symbols(extended=True), truth, classified))
     return results
 
 
@@ -73,7 +75,7 @@ class TestCriterion1ZeroNoiseRoundTrip:
         elapsed = time.perf_counter() - start
         exact = sum(
             1
-            for pred, truth in results
+            for pred, truth, _ in results
             if levenshtein(pred, truth) == 0 and lcs_ratio(pred, truth) == 1.0
         )
         report(
@@ -87,7 +89,7 @@ class TestCriterion1ZeroNoiseRoundTrip:
 class TestCriterion2NoisyRobustness:
     def test_physical_device_preset(self):
         results = run_batch("physical-device")
-        mean_lcs = sum(lcs_ratio(p, t) for p, t in results) / len(results)
+        mean_lcs = sum(lcs_ratio(p, t) for p, t, _ in results) / len(results)
         report(
             2,
             "noisy robustness / physical-device",
@@ -97,12 +99,32 @@ class TestCriterion2NoisyRobustness:
 
     def test_emulator_preset(self):
         results = run_batch("emulator")
-        mean_lcs = sum(lcs_ratio(p, t) for p, t in results) / len(results)
+        mean_lcs = sum(lcs_ratio(p, t) for p, t, _ in results) / len(results)
         report(
             2,
             "noisy robustness / emulator",
             mean_lcs >= 0.80,
             f"mean lcs_ratio {mean_lcs:.4f} (>= 0.80)",
+        )
+
+
+class TestCriterion8CompileTotality:
+    """Kept apart from criterion 1, so its timed loop does not assemble."""
+
+    @pytest.mark.parametrize("preset", ["clean", "physical-device", "emulator"])
+    def test_every_batch_trace_assembles(self, preset):
+        failures = []
+        for i, (_, _, classified) in enumerate(run_batch(preset)):
+            try:
+                assemble_script(classified)
+            except Exception as exc:  # noqa: BLE001 - recorded as failure
+                failures.append(f"{i}: {type(exc).__name__}: {exc}")
+        report(
+            8,
+            f"compile totality / {preset}",
+            not failures,
+            f"{N_SCENARIOS - len(failures)}/{N_SCENARIOS} assemble, "
+            f"failures: {failures[:3] if failures else 'none'}",
         )
 
 

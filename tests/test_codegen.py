@@ -28,7 +28,7 @@ from tracereplay.codegen import (
     translate_runnable,
     validate_script,
 )
-from tracereplay.errors import OverlapConflict, ScriptFormatError, SlotExhaustion
+from tracereplay.errors import ScriptFormatError, SlotExhaustion
 from tracereplay.model import DeviceProfile
 
 from conftest import make_sequence, make_touch
@@ -203,18 +203,30 @@ class TestAssemble:
             e._replace(timestamp_us=e.timestamp_us + shift) for e in events_from(0)
         )
 
-    def test_overlapping_sfas_conflict(self, profile):
+    def test_overlapping_sfas_share_one_timeline(self, profile):
+        # The second tap starts while the first is down: two fingers at
+        # once, in slots 0 and 1, under one BTN_TOUCH down/up pair.
         first = classify_action(make_sequence(0, 10, 100, 100), profile)
         second = classify_action(make_sequence(7, 10, 600, 600), profile)
         scenario = self.scenario_of(
             profile, [SingleFingerItem(first), SingleFingerItem(second)]
         )
-        with pytest.raises(OverlapConflict):
-            assemble_script(scenario)
+        events = assemble_script(scenario).events
+        opens = [(e.timestamp_us, e.value) for e in events
+                 if e.event_code == ABS_MT_TRACKING_ID
+                 and e.value != TRACKING_RELEASE]
+        assert opens == [(0, 1), (frame_offset_us(7, 30), 2)]
+        slots = [e.value for e in events if e.event_code == ABS_MT_SLOT]
+        assert sorted(set(slots)) == [0, 1]
+        btns = [(e.timestamp_us, e.value) for e in events
+                if e.event_code == BTN_TOUCH]
+        assert btns == [(0, 1), (frame_offset_us(17, 30), 0)]
+        ends = [e.timestamp_us for e in releases(events)]
+        assert ends == [frame_offset_us(10, 30), frame_offset_us(17, 30)]
 
     def test_item_in_mfa_release_window(self, profile):
-        # An item may start in the frame whose window releases an MFA,
-        # unless the two rounding steps put its start before the release.
+        # An item that starts in the frame whose window releases an MFA
+        # opens after that window, at the release's time.
         def scenario(mfa_start, tap_start):
             a = classify_action(make_sequence(mfa_start, 3, 200, 500), profile)
             b = classify_action(make_sequence(mfa_start, 3, 800, 1500), profile)
@@ -224,16 +236,62 @@ class TestAssemble:
                 [MultiFingerItem((a, b), finger_count=2), SingleFingerItem(tap)],
             )
 
+        def release_and_tap_windows(script):
+            events = script.events
+            mfa_release = releases(events)[1]
+            tap_open = next(e for e in events
+                            if e.event_code == ABS_MT_TRACKING_ID and e.value == 3)
+            # The release's window closes before the tap's opens.
+            syn = next(i for i in range(events.index(mfa_release), len(events))
+                       if events[i].event_type == EV_SYN)
+            assert events.index(tap_open) > syn
+            return mfa_release.timestamp_us, tap_open.timestamp_us
+
         # Frames 0-2, then a tap at frame 2: both at 66,667 us.
-        script = assemble_script(scenario(0, 2))
-        mfa_release = releases(script.events)[1].timestamp_us
-        tap_start = next(e.timestamp_us for e in script.events
-                         if e.event_code == ABS_MT_TRACKING_ID and e.value == 3)
-        assert tap_start == mfa_release == frame_offset_us(2, 30)
+        assert release_and_tap_windows(assemble_script(scenario(0, 2))) == (
+            frame_offset_us(2, 30), frame_offset_us(2, 30)) == (66667, 66667)
         # Frames 2-4, then a tap at frame 4: the release rounds to
-        # 66,667 + 66,667 us, the tap's start to 133,333 us.
-        with pytest.raises(OverlapConflict, match="starts at 133333us"):
-            assemble_script(scenario(2, 4))
+        # 66,667 + 66,667 us, frame 4 to 133,333 us; the tap opens at
+        # the release's time, not 1 us before it.
+        assert release_and_tap_windows(assemble_script(scenario(2, 4))) == (
+            133334, 133334)
+
+    def test_more_than_max_slots_overlapping_sfas(self, profile):
+        taps = [
+            SingleFingerItem(classify_action(
+                make_sequence(k, 15, 60 + 90 * k, 500), profile))
+            for k in range(11)
+        ]
+        with pytest.raises(SlotExhaustion, match="at frame 10"):
+            assemble_script(self.scenario_of(profile, taps))
+        # Ten at once fit.
+        assemble_script(self.scenario_of(profile, taps[:10]))
+
+    def test_one_action_mfa_selects_its_slot_once(self, profile):
+        # A group of one finger is one contact: like an SFA, it writes
+        # ABS_MT_SLOT only when it opens; unlike one, it releases in its
+        # last active frame's window.
+        action = classify_action(make_sequence(0, 6, 100, 100, dx=25), profile)
+        events = mfa_events([action], profile)
+        assert [e for e in events if e.event_code == ABS_MT_SLOT] == [
+            (0, EV_ABS, ABS_MT_SLOT, 0)]
+        (end,) = releases(events)
+        assert end.timestamp_us == frame_offset_us(5, 30)
+        assert len(coordinate_samples(events)) == 6
+
+    def test_mfa_finger_without_high_touch_takes_no_tracking_id(self, profile):
+        faded = make_sequence(0, 0, 500, 500, fade_frames=4)
+        a = classify_action(make_sequence(0, 10, 100, 100), profile)
+        b = classify_action(make_sequence(0, 10, 800, 800), profile)
+        ghost = classify_action(faded, profile)
+        tap = classify_action(make_sequence(20, 5, 300, 300), profile)
+        scenario = self.scenario_of(profile, [
+            MultiFingerItem((a, ghost, b), finger_count=3), SingleFingerItem(tap),
+        ])
+        opens = [e.value for e in assemble_script(scenario).events
+                 if e.event_code == ABS_MT_TRACKING_ID
+                 and e.value != TRACKING_RELEASE]
+        assert opens == [1, 2, 3]
 
     def test_tracking_ids_unique(self, profile):
         a = classify_action(make_sequence(0, 10, 100, 100), profile)

@@ -1,13 +1,17 @@
-"""Differential test of event emission and both script encodings
+"""Differential test of script assembly and both script encodings
 against reference implementations.
 
 The `_oracle_*` functions and `_OracleEvent` are these stages as they
 were when each event was a frozen dataclass built through its
 `__init__`, read by attribute, and every log line was formatted in
-full. Emitted events must equal the reference's as 4-tuples, and both
-encodings must match the reference's byte for byte, on classified
-synthetic traces, hand-built single- and multi-finger items, and
-arbitrary in-range event sequences.
+full; `_oracle_assemble_script` is the assembler of that time, which
+emitted each item on its own and rejected items that overlap in time.
+Wherever the reference compiles a scenario, `assemble_script` must give
+its events as 4-tuples and both encodings byte for byte; where the
+reference rejects an overlap, `assemble_script` must compile a script
+that the type-B checker accepts. The scenarios are classified synthetic
+traces and hand-built single- and multi-finger items; the encodings are
+also checked on arbitrary in-range event sequences.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tracereplay import codegen
 from tracereplay.classify import (
     ActionKind,
+    ClassifiedScenario,
     MultiFingerItem,
     SingleFingerItem,
     classify_action,
@@ -51,11 +55,14 @@ from tracereplay.codegen import (
     parse_script,
     serialize_script,
     translate_runnable,
+    validate_script,
 )
-from tracereplay.errors import OverlapConflict, ScriptFormatError, SlotExhaustion
+from tracereplay.errors import ScriptFormatError, SlotExhaustion
 from tracereplay.model import DeviceProfile, Opacity, TouchDetection
 from tracereplay.segment import TouchSequence
 from tracereplay.synth import noise_preset, random_scenario, synthesize_trace
+
+from type_b import check_type_b, peak_contacts
 
 _LOG_LINE = re.compile(
     r"^\[(\d+)\.(\d{6})\] (\S+): ([0-9a-f]{4}) ([0-9a-f]{4}) ([0-9a-f]{8})$"
@@ -175,6 +182,54 @@ def _oracle_emit_mfa(actions, profile, t0_us, first_tracking_id):
             window.append(_OracleEvent(t, EV_SYN, SYN_REPORT, 0))
             events.extend(window)
     return events
+
+
+class OverlapConflict(Exception):
+    """The reference's error for items whose event windows overlap."""
+
+
+def _oracle_assemble_script(scenario, device_node="/dev/input/event2"):
+    profile = scenario.profile
+    events = []
+    next_tid = 1
+    prev_end_frame = None
+    prev_end_us = 0
+    prev_desc = ""
+    for item in scenario.items:
+        t0_us = frame_offset_us(item.start_frame, profile.fps)
+        if prev_end_frame is not None and item.start_frame < prev_end_frame:
+            raise OverlapConflict(
+                f"item at frame {item.start_frame} starts before {prev_desc} "
+                f"releases at frame {prev_end_frame}"
+            )
+        if t0_us < prev_end_us:
+            raise OverlapConflict(
+                f"item at frame {item.start_frame} starts at {t0_us}us, before "
+                f"{prev_desc} releases at {prev_end_us}us"
+            )
+        emitted = len(events)
+        if isinstance(item, SingleFingerItem):
+            events.extend(
+                _oracle_emit_sfa(item.action, profile, t0_us, 0, next_tid)
+            )
+            next_tid += 1
+            prev_end_frame = item.start_frame + item.action.active_frames
+            prev_desc = f"single-finger item at frame {item.start_frame}"
+        else:
+            events.extend(
+                _oracle_emit_mfa(list(item.actions), profile, t0_us, next_tid)
+            )
+            next_tid += len(item.actions)
+            prev_end_frame = max(a.active_end_frame for a in item.actions)
+            prev_desc = f"multi-finger item at frame {item.start_frame}"
+        if len(events) > emitted:
+            prev_end_us = events[-1].timestamp_us
+    script = SendEventScript(
+        device_node=device_node, events=tuple(events), profile=profile
+    )
+    validate_script(script._replace(events=_tuples(events)))
+    return script
+
 
 def _oracle_serialize_script(script: SendEventScript) -> bytes:
     """Write the human-readable log form; inverse of parse_script."""
@@ -306,23 +361,38 @@ def _oracle_script(script: SendEventScript) -> SendEventScript:
     )
 
 
-def _check_item(item, t0_us=0, tid=1):
-    """An item's events equal the reference's, or both exhaust the slots."""
-    if isinstance(item, SingleFingerItem):
-        emit = (codegen._emit_sfa, item.action, PROFILE, t0_us, 0, tid)
-        reference = (_oracle_emit_sfa, item.action, PROFILE, t0_us, 0, tid)
-    else:
-        emit = (codegen._emit_mfa, list(item.actions), PROFILE, t0_us, tid)
-        reference = (_oracle_emit_mfa, list(item.actions), PROFILE, t0_us, tid)
+def _check_scenario(scenario):
+    """`assemble_script` gives the reference's events and bytes where
+    the reference compiles, the reference's error where it fails for
+    another reason, and a script the type-B checker accepts where it
+    rejects an overlap; SlotExhaustion only past MAX_SLOTS contacts.
+    Returns the script when both compile."""
     try:
-        want = reference[0](*reference[1:])
-    except SlotExhaustion:
-        with pytest.raises(SlotExhaustion):
-            emit[0](*emit[1:])
-        return
-    got = emit[0](*emit[1:])
-    assert all(type(e) is InputEvent for e in got)
-    assert got == _tuples(want)
+        want = _oracle_assemble_script(scenario)
+    except OverlapConflict:
+        try:
+            script = assemble_script(scenario)
+        except SlotExhaustion:
+            assert peak_contacts(scenario) > MAX_SLOTS
+        else:
+            check_type_b(translate_runnable(script), scenario)
+        return None
+    except (ScriptFormatError, SlotExhaustion) as exc:
+        with pytest.raises(type(exc)):
+            assemble_script(scenario)
+        return None
+    got = assemble_script(scenario)
+    assert all(type(e) is InputEvent for e in got.events)
+    assert list(got.events) == _tuples(want.events)
+    assert serialize_script(got) == _oracle_serialize_script(want)
+    assert translate_runnable(got) == _oracle_translate_runnable(want)
+    return got
+
+
+def _scenario(*items):
+    return ClassifiedScenario(
+        PROFILE, tuple(sorted(items, key=lambda item: item.start_frame))
+    )
 
 
 def _check_encodings(script: SendEventScript) -> None:
@@ -372,35 +442,57 @@ def actions(draw, start=None):
     return classify_action(TouchSequence(touches=tuple(touches)), PROFILE)
 
 
+#: First frames up to about 55 minutes in at 30 fps: the first event's
+#: timestamp, a step from 0, stays within u32 microseconds.
+_STARTS = st.one_of(st.integers(0, 40), st.integers(0, 100_000))
+
+
 @st.composite
-def mfa_items(draw):
-    """2-12 fingers starting within a few frames of each other; more
-    than MAX_SLOTS overlapping fingers exhaust the slots."""
-    first = draw(st.integers(0, 20))
+def mfa_items(draw, first=None, most=12):
+    """2 to `most` fingers starting within a few frames of each other;
+    more than MAX_SLOTS overlapping fingers exhaust the slots."""
+    if first is None:
+        first = draw(_STARTS)
     fingers = [
         draw(actions(start=first + draw(st.integers(0, 8))))
-        for _ in range(draw(st.integers(2, 12)))
+        for _ in range(draw(st.integers(2, most)))
     ]
     return MultiFingerItem(actions=tuple(fingers), finger_count=len(fingers))
+
+
+@st.composite
+def overlapping_items(draw):
+    """1-6 single- and multi-finger items starting within 60 frames, so
+    that many overlap in time."""
+    first = draw(st.integers(0, 20))
+    return [
+        draw(st.one_of(
+            actions(start=first + draw(st.integers(0, 60))).map(SingleFingerItem),
+            mfa_items(first=first + draw(st.integers(0, 60)), most=4),
+        ))
+        for _ in range(draw(st.integers(1, 6)))
+    ]
 
 
 # --- properties ---
 
 
-@given(actions(), st.integers(0, 10**10), st.integers(0, MAX_SLOTS - 1),
-       st.integers(1, 2**31 - 1))
+@given(_STARTS.flatmap(lambda start: actions(start=start)))
 @settings(max_examples=300, deadline=None)
-def test_sfa_matches_oracle(action, t0_us, slot, tid):
-    got = codegen._emit_sfa(action, PROFILE, t0_us, slot, tid)
-    want = _oracle_emit_sfa(action, PROFILE, t0_us, slot, tid)
-    assert all(type(e) is InputEvent for e in got)
-    assert got == _tuples(want)
+def test_sfa_matches_oracle(action):
+    assert _check_scenario(_scenario(SingleFingerItem(action))) is not None
 
 
-@given(mfa_items(), st.integers(0, 10**10), st.integers(1, 1000))
+@given(mfa_items())
 @settings(max_examples=300, deadline=None)
-def test_mfa_matches_oracle(item, t0_us, tid):
-    _check_item(item, t0_us, tid)
+def test_mfa_matches_oracle(item):
+    _check_scenario(_scenario(item))
+
+
+@given(overlapping_items())
+@settings(max_examples=300, deadline=None)
+def test_hand_built_scenarios_match_oracle(items):
+    _check_scenario(_scenario(*items))
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["physical-device", "emulator"]))
@@ -409,14 +501,9 @@ def test_mfa_matches_oracle(item, t0_us, tid):
 def test_classified_traces_match_oracle(seed, preset):
     scenario = random_scenario(PROFILE, seed=seed, n_actions=12)
     trace, _ = synthesize_trace(scenario, noise_preset(preset, seed=seed))
-    classified = classify_trace(trace)
-    for item in classified.items:
-        _check_item(item, frame_offset_us(item.start_frame, PROFILE.fps), 1)
-    try:
-        script = assemble_script(classified)
-    except (OverlapConflict, SlotExhaustion):
-        return
-    _check_encodings(script)
+    script = _check_scenario(classify_trace(trace))
+    if script is not None:
+        _check_encodings(script)
 
 
 _NODE = st.text(

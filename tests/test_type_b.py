@@ -1,0 +1,121 @@
+"""Compile totality, judged by the type-B checker in `type_b.py`.
+
+Every classified trace compiles to a script the checker accepts, or
+raises SlotExhaustion, and only when the scenario itself holds more
+than MAX_SLOTS contacts at once. The checker is first shown to reject
+each kind of defect it claims to catch.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tracereplay.classify import (
+    ClassifiedScenario,
+    SingleFingerItem,
+    classify_action,
+    classify_trace,
+)
+from tracereplay.codegen import (
+    ABS_MT_POSITION_X,
+    ABS_MT_TRACKING_ID,
+    BTN_TOUCH,
+    MAX_SLOTS,
+    SYN_REPORT,
+    SendEventScript,
+    assemble_script,
+    translate_runnable,
+)
+from tracereplay.errors import SlotExhaustion
+from tracereplay.model import DeviceProfile
+from tracereplay.synth import noise_preset, random_scenario, synthesize_trace
+
+from conftest import make_sequence
+from type_b import check_type_b, peak_contacts
+
+PROFILE = DeviceProfile(name="nexus5", screen_width=1080, screen_height=1920, fps=30)
+
+
+def two_taps():
+    """Two overlapping taps: contacts 1 and 2 in slots 0 and 1."""
+    first = classify_action(make_sequence(0, 10, 100, 100), PROFILE)
+    second = classify_action(make_sequence(4, 10, 600, 600), PROFILE)
+    return ClassifiedScenario(
+        PROFILE, (SingleFingerItem(first), SingleFingerItem(second))
+    )
+
+
+def test_checker_accepts_two_overlapping_taps():
+    scenario = two_taps()
+    samples = check_type_b(translate_runnable(assemble_script(scenario)), scenario)
+    assert samples == {1: [(100, 100)], 2: [(600, 600)]}
+
+
+def _first(events, code, value=None):
+    return next(i for i, e in enumerate(events)
+                if e.event_code == code and value in (None, e.value))
+
+
+def _drop_first_btn_up(events):
+    del events[_first(events, BTN_TOUCH, 0)]
+
+
+def _second_opens_in_first_slot(events):
+    i = _first(events, ABS_MT_TRACKING_ID, 2) - 1
+    events[i] = events[i]._replace(value=0)
+
+
+def _second_reuses_first_id(events):
+    i = _first(events, ABS_MT_TRACKING_ID, 2)
+    events[i] = events[i]._replace(value=1)
+
+
+def _wrong_coordinate(events):
+    i = _first(events, ABS_MT_POSITION_X)
+    events[i] = events[i]._replace(value=events[i].value + 1)
+
+
+def _drop_last_release(events):
+    i = max(i for i, e in enumerate(events)
+            if e.event_code == ABS_MT_TRACKING_ID and e.value < 0)
+    del events[i - 1:i + 1]  # its slot selection and the release
+
+
+def _first_window_ends_1us_late(events):
+    i = _first(events, SYN_REPORT)
+    events[i] = events[i]._replace(timestamp_us=events[i].timestamp_us + 1)
+
+
+@pytest.mark.parametrize("defect, message", [
+    (_drop_first_btn_up, "BTN_TOUCH stale"),
+    (_second_opens_in_first_slot, "open slot 0 reused"),
+    (_second_reuses_first_id, "tracking id 1 opened twice"),
+    (_wrong_coordinate, r"samples differ: extra Counter\(\{\(\(101, 100\),\)"),
+    (_drop_last_release, "BTN_TOUCH up with 1 open"),
+    (_first_window_ends_1us_late, "window at 0us holds an event at 1us"),
+])
+def test_checker_rejects(defect, message):
+    scenario = two_taps()
+    script = assemble_script(scenario)
+    events = list(script.events)
+    defect(events)
+    broken = SendEventScript(script.device_node, tuple(events), PROFILE)
+    with pytest.raises(AssertionError, match=message):
+        check_type_b(translate_runnable(broken), scenario)
+
+
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["clean", "physical-device", "emulator"]))
+@settings(max_examples=60, deadline=None)
+def test_every_classified_trace_compiles_or_exhausts_slots(seed, preset):
+    truth = random_scenario(PROFILE, seed=seed, n_actions=25)
+    trace, _ = synthesize_trace(truth, noise_preset(preset, seed=seed))
+    scenario = classify_trace(trace)
+    try:
+        script = assemble_script(scenario)
+    except SlotExhaustion:
+        assert peak_contacts(scenario) > MAX_SLOTS
+        return
+    check_type_b(translate_runnable(script), scenario)

@@ -1,0 +1,144 @@
+"""Type-B checker: decode a runnable script by multi-touch slot semantics.
+
+In the Linux multi-touch protocol type B
+(`Documentation/input/multi-touch-protocol.rst`), `ABS_MT_SLOT` selects
+a slot, `ABS_MT_TRACKING_ID` >= 0 opens a contact in the selected slot
+and -1 releases it, positions update the selected slot's contact, and
+`SYN_REPORT` closes a window. `check_type_b` replays `script.bin` under
+those rules and compares the contacts it finds with the ones the
+scenario describes, worked out here without calling codegen.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import Counter
+
+from tracereplay.classify import ActionKind, SingleFingerItem
+from tracereplay.codegen import (
+    ABS_MT_POSITION_X,
+    ABS_MT_POSITION_Y,
+    ABS_MT_SLOT,
+    ABS_MT_TRACKING_ID,
+    BTN_TOUCH,
+    EV_ABS,
+    EV_KEY,
+    EV_SYN,
+    MAX_SLOTS,
+    SYN_REPORT,
+    TRACKING_RELEASE,
+    parse_runnable,
+)
+
+
+def scenario_contacts(scenario):
+    """(first frame, release frame, touches) of each contact in the
+    scenario: an SFA is one contact (its first touch, plus its later
+    high-opacity touches for a gesture), released the frame after its
+    last active frame; each MFA finger with a high-opacity touch is one
+    contact of those touches, released in its last active frame."""
+    contacts = []
+    for item in scenario.items:
+        if isinstance(item, SingleFingerItem):
+            action = item.action
+            touches = action.sequence.touches[:1]
+            if action.kind is ActionKind.GESTURE:
+                touches += action.sequence.high_touches[1:]
+            contacts.append(
+                (action.start_frame, action.active_end_frame + 1, touches)
+            )
+        else:
+            contacts += [
+                (a.start_frame, a.active_end_frame, a.sequence.high_touches)
+                for a in item.actions
+                if a.sequence.high_touches
+            ]
+    return contacts
+
+
+def peak_contacts(scenario) -> int:
+    """Most contacts whose frames, first to release, share one frame."""
+    changes = Counter()
+    for first, release, _ in scenario_contacts(scenario):
+        changes[first] += 1
+        changes[release + 1] -= 1
+    peak = held = 0
+    for frame in sorted(changes):
+        held += changes[frame]
+        peak = max(peak, held)
+    return peak
+
+
+def device_point(center, profile) -> tuple[int, int]:
+    """A center rounded half-up to device pixels and clamped on-screen."""
+    x = min(max(math.floor(center[0] + 0.5), 0), profile.screen_width - 1)
+    y = min(max(math.floor(center[1] + 0.5), 0), profile.screen_height - 1)
+    return x, y
+
+
+def check_type_b(runnable: bytes, scenario) -> dict[int, list[tuple[int, int]]]:
+    """Assert that `runnable` is a well-formed type-B stream of exactly
+    the scenario's contacts; return each tracking id's samples.
+
+    Checks that each tracking id opens once and closes once, that no
+    slot is opened while its contact is open, that `BTN_TOUCH` goes
+    down as the first contact opens and up as the last one releases,
+    that every window ends in `SYN_REPORT` at one timestamp, and that
+    the contacts' samples, one per window, are the scenario contacts'
+    device-rounded centers.
+    """
+    slot = 0
+    open_in = {}  # slot -> tracking id
+    samples: dict[int, list[tuple[int, int]]] = {}
+    window = {}  # tracking id -> {position code: value} in this window
+    window_t = None
+    button = False
+    for t, etype, code, value in parse_runnable(runnable):
+        if window_t is None:
+            window_t = t
+        assert t == window_t, f"window at {window_t}us holds an event at {t}us"
+        if (etype, code) == (EV_ABS, ABS_MT_SLOT):
+            assert 0 <= value < MAX_SLOTS, f"slot {value} out of range"
+            slot = value
+        elif (etype, code) == (EV_ABS, ABS_MT_TRACKING_ID):
+            if value == TRACKING_RELEASE:
+                assert slot in open_in, f"release of empty slot {slot} at {t}us"
+                del open_in[slot]
+            else:
+                assert slot not in open_in, f"open slot {slot} reused at {t}us"
+                assert value not in samples, f"tracking id {value} opened twice"
+                open_in[slot] = value
+                samples[value] = []
+        elif etype == EV_ABS and code in (ABS_MT_POSITION_X, ABS_MT_POSITION_Y):
+            assert slot in open_in, f"position for empty slot {slot} at {t}us"
+            position = window.setdefault(open_in[slot], {})
+            assert code not in position, f"two positions in one window at {t}us"
+            position[code] = value
+        elif (etype, code) == (EV_KEY, BTN_TOUCH):
+            if value:
+                assert not button and len(open_in) == 1, (
+                    f"BTN_TOUCH down with {len(open_in)} open at {t}us")
+            else:
+                assert button and not open_in, (
+                    f"BTN_TOUCH up with {len(open_in)} open at {t}us")
+            button = bool(value)
+        else:
+            assert (etype, code, value) == (EV_SYN, SYN_REPORT, 0), (
+                f"unexpected event {(etype, code, value)} at {t}us")
+            assert button == bool(open_in), f"BTN_TOUCH stale at {t}us"
+            for tid, position in window.items():
+                assert len(position) == 2, f"half a position at {t}us"
+                samples[tid].append(
+                    (position[ABS_MT_POSITION_X], position[ABS_MT_POSITION_Y])
+                )
+            window, window_t = {}, None
+    assert window_t is None, "last window has no SYN_REPORT"
+    assert not open_in, f"contacts left open: {sorted(open_in.values())}"
+    profile = scenario.profile
+    want = Counter(
+        tuple(device_point(touch.center, profile) for touch in touches)
+        for _, _, touches in scenario_contacts(scenario)
+    )
+    got = Counter(map(tuple, samples.values()))
+    assert got == want, f"samples differ: extra {got - want}, missing {want - got}"
+    return samples
