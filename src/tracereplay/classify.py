@@ -22,7 +22,6 @@ from .model import (
     DetectionTrace,
     DeviceProfile,
     Frozen,
-    Opacity,
     TouchDetection,
     _int_field,
     detections_json,
@@ -93,24 +92,8 @@ class AtomicAction(NamedTuple):
         raw = data["touches"]
         if not isinstance(raw, list):
             raise SchemaViolation("action touches must be a list")
-        # One walk loads the touches and checks what TouchSequence would:
-        # frames strictly increase and the low-opacity touches are a suffix.
-        touches = []
-        previous, highs, valid = -1, None, True  # highs: index of the first low
-        for touch in map(TouchDetection.from_dict, raw):
-            valid = valid and touch.frame > previous
-            previous = touch.frame
-            if touch.opacity is Opacity.LOW:
-                if highs is None:
-                    highs = len(touches)
-            elif highs is not None:
-                valid = False
-            touches.append(touch)
-        touches = tuple(touches)
-        if not (valid and touches):
-            TouchSequence(touches=touches)  # raises the constructor's error
         return cls(
-            kind=kind, sequence=TouchSequence._validated(touches, touches[:highs])
+            kind=kind, sequence=TouchSequence(tuple(map(TouchDetection.from_dict, raw)))
         )
 
 

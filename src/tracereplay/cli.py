@@ -4,8 +4,11 @@ Subcommands mirror the pipeline stages: synthesize (scenario fixture ->
 trace), classify (trace -> classified scenario), generate (classified
 scenario -> log + runnable script), replay (runnable -> device),
 evaluate (sequence files -> metrics), and pipeline (classify ->
-generate -> optional replay). Exit codes: 0 success, 1 runtime failure,
-2 input/config error.
+generate -> optional replay). Exit codes: 0 success; 1 runtime
+failure, which is exactly a `SlotExhaustion`, `TransportError` or
+`NonZeroExit`; 2 for every other `TraceReplayError` and every `OSError`
+(input and config errors). `main` alone maps a run's outcome to its
+exit code.
 """
 
 from __future__ import annotations
@@ -19,14 +22,12 @@ from typing import TYPE_CHECKING
 # run loads no module it does not use.
 from .config import Config, load_config, read_file
 from .errors import (
-    BoundsViolation,
     ConfigError,
-    EmptyGroundTruth,
-    InvalidScenario,
-    MalformedJson,
+    NonZeroExit,
     SchemaViolation,
-    ScriptFormatError,
+    SlotExhaustion,
     TraceReplayError,
+    TransportError,
 )
 
 if TYPE_CHECKING:
@@ -37,16 +38,8 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_INPUT = 2
 
-_INPUT_ERRORS = (
-    MalformedJson,
-    SchemaViolation,
-    BoundsViolation,
-    InvalidScenario,
-    ScriptFormatError,
-    EmptyGroundTruth,
-    ConfigError,
-    OSError,
-)
+#: The errors that exit EXIT_RUNTIME; every other error is an input error.
+_RUNTIME_ERRORS = (SlotExhaustion, TransportError, NonZeroExit)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -56,13 +49,11 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config)
         _apply_overrides(config, args)
         config.validate()
-        return args.handler(args, config)
-    except _INPUT_ERRORS as exc:
+        args.handler(args, config)
+    except (TraceReplayError, OSError) as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except TraceReplayError as exc:
-        print(f"error ({args.command}): {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return EXIT_RUNTIME if isinstance(exc, _RUNTIME_ERRORS) else EXIT_INPUT
+    return EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a detection trace")
     p.add_argument("--trace", required=True, help="detection trace JSON")
     _common_flags(p)
-    p.set_defaults(handler=_cmd_classify)
+    p.set_defaults(handler=_classify)
 
     p = sub.add_parser("generate", help="compile a classified scenario to scripts")
     p.add_argument("--scenario-file", required=True, help="classified scenario JSON")
@@ -163,7 +154,7 @@ def _out_dir(config: Config) -> Path:
     return out
 
 
-def _cmd_synthesize(args, config: Config) -> int:
+def _cmd_synthesize(args, config: Config) -> None:
     from . import metrics, synth  # the only command that needs numpy
     from .model import serialize_trace
 
@@ -179,21 +170,15 @@ def _cmd_synthesize(args, config: Config) -> int:
     (out / "truth.txt").write_text(metrics.dump_sequence_file({sid: symbols}))
     print(f"wrote {out / 'trace.json'} ({len(trace)} detections)")
     print(f"wrote {out / 'truth.txt'} ({''.join(symbols) or '-'})")
-    return EXIT_OK
 
 
-def _cmd_classify(args, config: Config) -> int:
-    _classify(args.trace, config)
-    return EXIT_OK
-
-
-def _classify(trace_path: str, config: Config) -> ClassifiedScenario:
-    """Classify a trace file; write classified.json and predicted.txt."""
+def _classify(args, config: Config) -> ClassifiedScenario:
+    """Classify the `--trace` file; write classified.json and predicted.txt."""
     from .classify import classify_trace
     from .metrics import dump_sequence_file
     from .model import parse_trace
 
-    trace = parse_trace(read_file("--trace", trace_path))
+    trace = parse_trace(read_file("--trace", args.trace))
     scenario = classify_trace(
         trace,
         min_confidence=config.min_confidence,
@@ -202,21 +187,21 @@ def _classify(trace_path: str, config: Config) -> ClassifiedScenario:
     symbols = scenario.symbols(extended=config.extended_alphabet)
     out = _out_dir(config)
     (out / "classified.json").write_bytes(scenario.to_json())
-    sid = Path(trace_path).stem
+    sid = Path(args.trace).stem
     (out / "predicted.txt").write_text(dump_sequence_file({sid: symbols}))
     print(f"wrote {out / 'classified.json'} ({len(scenario.items)} items)")
     print(f"wrote {out / 'predicted.txt'} ({''.join(symbols) or '-'})")
     return scenario
 
 
-def _cmd_generate(args, config: Config) -> int:
+def _cmd_generate(args, config: Config) -> None:
     from .classify import ClassifiedScenario
 
     data = read_file("--scenario-file", args.scenario_file)
-    return _generate(ClassifiedScenario.from_json(data), config)
+    _generate(ClassifiedScenario.from_json(data), config)
 
 
-def _generate(scenario: ClassifiedScenario, config: Config) -> int:
+def _generate(scenario: ClassifiedScenario, config: Config) -> None:
     from . import codegen
 
     script = codegen.assemble_script(scenario, device_node=config.device_node)
@@ -225,17 +210,15 @@ def _generate(scenario: ClassifiedScenario, config: Config) -> int:
     (out / "script.bin").write_bytes(codegen.translate_runnable(script))
     print(f"wrote {out / 'script.log'} ({len(script.events)} events)")
     print(f"wrote {out / 'script.bin'}")
-    return EXIT_OK
 
 
-def _cmd_replay(args, config: Config) -> int:
+def _cmd_replay(args, config: Config) -> None:
     script = read_file("--script", args.script, text=False)
     report = _replay(script, args.dry_run, config)
     print(
         f"replay finished: exit={report.exit_code} "
         f"duration={report.duration_ms:.1f}ms calls={len(report.transcript)}"
     )
-    return EXIT_OK
 
 
 def _replay(script: bytes, dry_run: bool, config: Config) -> ReplayReport:
@@ -260,7 +243,7 @@ def _replay(script: bytes, dry_run: bool, config: Config) -> ReplayReport:
     return replay.push_and_replay(script, transport, cfg)
 
 
-def _cmd_evaluate(args, config: Config) -> int:
+def _cmd_evaluate(args, config: Config) -> None:
     from . import metrics
 
     pred = metrics.load_sequence_file(read_file("--pred", args.pred))
@@ -274,11 +257,10 @@ def _cmd_evaluate(args, config: Config) -> int:
     if args.json_out:
         Path(args.json_out).write_bytes(report.to_json())
         print(f"wrote {args.json_out}")
-    return EXIT_OK
 
 
-def _cmd_pipeline(args, config: Config) -> int:
-    scenario = _classify(args.trace, config)
+def _cmd_pipeline(args, config: Config) -> None:
+    scenario = _classify(args, config)
     _generate(scenario, config)
     if args.replay or args.dry_run:
         script = (_out_dir(config) / "script.bin").read_bytes()
@@ -286,7 +268,6 @@ def _cmd_pipeline(args, config: Config) -> int:
         mode = "dry-run" if args.dry_run else "device"
         print(f"replay ({mode}): exit={report.exit_code} "
               f"calls={len(report.transcript)}")
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -238,36 +238,45 @@ class TouchDetection(Frozen):
 class DetectionTrace(Frozen):
     """All detections of one recording, sorted by frame.
 
-    The constructor re-sorts detections (stable) so the frame-order
-    invariant always holds, and validates every bbox against the
-    profile's screen rectangle.
+    The constructor is the one placement check: every detection must
+    lie inside the profile's screen and before `frame_count`. Of the
+    misplaced ones, the first in frame order (ties in input order) is
+    raised. Detections given out of frame order are re-sorted (stable).
     """
 
     _fields = ("profile", "detections", "frame_count")
 
     def __init__(self, profile: DeviceProfile, detections: tuple[TouchDetection, ...],
                  frame_count: int):
-        ordered = tuple(sorted(detections, key=_frame))
+        detections = tuple(detections)
         if frame_count < 0:
             raise SchemaViolation(f"frame_count must be >= 0, got {frame_count}")
         width, height = profile.screen_width, profile.screen_height
-        for det in ordered:
-            error = _placement_error(det, frame_count, width, height)
-            if error is not None:
-                raise error
-        self._set(profile, ordered, frame_count)
-
-    @classmethod
-    def _validated(
-        cls,
-        profile: DeviceProfile,
-        detections: tuple[TouchDetection, ...],
-        frame_count: int,
-    ) -> "DetectionTrace":
-        """Build from detections already checked, placed and sorted."""
-        return _unchecked(
-            cls, profile=profile, detections=detections, frame_count=frame_count
-        )
+        misplaced = None
+        previous = 0
+        ordered = True
+        for det in detections:
+            frame = det.frame
+            x, y, w, h = det.bbox
+            if (
+                frame >= frame_count or x < 0.0 or y < 0.0
+                or x + w > width or y + h > height
+            ) and (misplaced is None or frame < misplaced.frame):
+                misplaced = det
+            ordered = ordered and frame >= previous
+            previous = frame
+        if misplaced is not None:
+            if misplaced.frame >= frame_count:
+                raise SchemaViolation(
+                    f"detection frame {misplaced.frame} >= frame_count {frame_count}"
+                )
+            raise BoundsViolation(
+                f"bbox {misplaced.bbox} outside {width}x{height} screen "
+                f"(frame {misplaced.frame})"
+            )
+        if not ordered:
+            detections = tuple(sorted(detections, key=_frame))
+        self._set(profile, detections, frame_count)
 
     def __len__(self) -> int:
         return len(self.detections)
@@ -277,8 +286,10 @@ def parse_trace(data: bytes | str) -> DetectionTrace:
     """Parse a trace JSON document and validate all invariants.
 
     Raises MalformedJson on syntax errors, SchemaViolation on missing
-    or out-of-range fields, BoundsViolation on off-screen boxes.
-    Detections are re-sorted by frame if the document is unsorted.
+    or out-of-range fields, BoundsViolation on off-screen boxes. The
+    document and its `frame_count` are checked here, each detection's
+    own fields by `TouchDetection.from_dict`, and placement and order,
+    once every detection has loaded, by the `DetectionTrace` constructor.
     """
     doc = load_document(
         data, TRACE_SCHEMA_VERSION, ("device", "frame_count", "detections")
@@ -288,31 +299,9 @@ def parse_trace(data: bytes | str) -> DetectionTrace:
     profile = DeviceProfile.from_dict(doc["device"])
     frame_count = _int_field(doc, "frame_count")
     _require(frame_count >= 0, f"frame_count must be >= 0, got {frame_count}")
-    width, height = profile.screen_width, profile.screen_height
-
-    # One pass. A detection's own fields are checked as it is built;
-    # the first misplaced one in frame order is raised only once every
-    # detection has passed its own checks.
-    load = TouchDetection.from_dict
-    detections = []
-    misplaced = None
-    previous = 0
-    ordered = True
-    for raw in doc["detections"]:
-        det = load(raw)
-        detections.append(det)
-        frame = det.frame
-        x, y, w, h = det.bbox
-        if frame >= frame_count or x < 0.0 or y < 0.0 or x + w > width or y + h > height:
-            if misplaced is None or frame < misplaced.frame:
-                misplaced = det
-        ordered = ordered and frame >= previous
-        previous = frame
-    if misplaced is not None:
-        raise _placement_error(misplaced, frame_count, width, height)
-    if not ordered:
-        detections.sort(key=_frame)
-    return DetectionTrace._validated(profile, tuple(detections), frame_count)
+    return DetectionTrace(
+        profile, tuple(map(TouchDetection.from_dict, doc["detections"])), frame_count
+    )
 
 
 def load_document(data: bytes | str, version: int, fields: tuple[str, ...]) -> dict:
@@ -416,22 +405,6 @@ _new = object.__new__
 
 def _frame(det: TouchDetection) -> int:
     return det.frame
-
-
-def _placement_error(
-    det: TouchDetection, frame_count: int, width: int, height: int
-) -> SchemaViolation | BoundsViolation | None:
-    """Why `det` cannot sit in a trace of this length and screen size."""
-    if det.frame >= frame_count:
-        return SchemaViolation(
-            f"detection frame {det.frame} >= frame_count {frame_count}"
-        )
-    x, y, w, h = det.bbox
-    if x < 0 or y < 0 or x + w > width or y + h > height:
-        return BoundsViolation(
-            f"bbox {det.bbox} outside {width}x{height} screen (frame {det.frame})"
-        )
-    return None
 
 
 def _is_number(value) -> bool:

@@ -41,32 +41,19 @@ class DeviceTransport:
 
 
 class MockTransport(DeviceTransport):
-    """In-memory transport that records calls for assertions."""
+    """In-memory transport that records calls for assertions; every
+    push succeeds and every command exits 0."""
 
-    def __init__(
-        self,
-        exec_results: list[tuple[int, str]] | None = None,
-        fail_on_push: bool = False,
-        fail_on_exec: bool = False,
-    ):
+    def __init__(self):
         super().__init__()
         self.pushed: dict[str, bytes] = {}
-        self.exec_results = list(exec_results or [])
-        self.fail_on_push = fail_on_push
-        self.fail_on_exec = fail_on_exec
 
     def push(self, data: bytes, remote_path: str) -> None:
         self.calls.append(TransportCall("push", remote_path))
-        if self.fail_on_push:
-            raise TransportError(f"push to {remote_path} failed")
         self.pushed[remote_path] = data
 
     def exec(self, command: str) -> tuple[int, str]:
         self.calls.append(TransportCall("exec", command))
-        if self.fail_on_exec:
-            raise TransportError(f"exec {command!r} failed")
-        if self.exec_results:
-            return self.exec_results.pop(0)
         return 0, ""
 
 
@@ -82,12 +69,6 @@ class BridgeTransport(DeviceTransport):
         self.bridge_path = bridge_path
         self.serial = serial
 
-    def _base(self) -> list[str]:
-        cmd = [self.bridge_path]
-        if self.serial:
-            cmd += ["-s", self.serial]
-        return cmd
-
     def push(self, data: bytes, remote_path: str) -> None:
         import tempfile
 
@@ -95,33 +76,30 @@ class BridgeTransport(DeviceTransport):
         with tempfile.NamedTemporaryFile() as tmp:
             tmp.write(data)
             tmp.flush()
-            self._run(self._base() + ["push", tmp.name, remote_path])
-
-    def exec(self, command: str) -> tuple[int, str]:
-        import subprocess
-
-        self.calls.append(TransportCall("exec", command))
-        try:
-            proc = subprocess.run(
-                self._base() + ["shell", command],
-                capture_output=True,
-                text=True,
-            )
-        except OSError as exc:
-            raise TransportError(f"cannot run bridge binary: {exc}") from exc
-        return proc.returncode, proc.stdout + proc.stderr
-
-    def _run(self, cmd: list[str]) -> None:
-        import subprocess
-
-        try:
-            proc = subprocess.run(cmd, capture_output=True, text=True)
-        except OSError as exc:
-            raise TransportError(f"cannot run bridge binary: {exc}") from exc
+            proc = self._run("push", tmp.name, remote_path)
         if proc.returncode != 0:
             raise TransportError(
-                f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr.strip()}"
+                f"{' '.join(proc.args)} exited {proc.returncode}: "
+                f"{proc.stderr.strip()}"
             )
+
+    def exec(self, command: str) -> tuple[int, str]:
+        self.calls.append(TransportCall("exec", command))
+        proc = self._run("shell", command)
+        return proc.returncode, proc.stdout + proc.stderr
+
+    def _run(self, *args: str):
+        """The finished bridge process for `args`, after `-s SERIAL` when
+        a serial is set, its output captured as text."""
+        import subprocess
+
+        serial = ["-s", self.serial] if self.serial else []
+        try:
+            return subprocess.run(
+                [self.bridge_path, *serial, *args], capture_output=True, text=True
+            )
+        except OSError as exc:
+            raise TransportError(f"cannot run bridge binary: {exc}") from exc
 
 
 class ReplayConfig(NamedTuple):

@@ -28,7 +28,7 @@ from math import dist
 from operator import attrgetter
 
 from .errors import SchemaViolation
-from .model import DetectionTrace, Frozen, Opacity, TouchDetection, _unchecked
+from .model import _LOW, DetectionTrace, Frozen, Opacity, TouchDetection, _unchecked
 
 #: Detections below this confidence are dropped before linking.
 MIN_CONFIDENCE = 0.7
@@ -44,35 +44,37 @@ _opacity = attrgetter("opacity")
 class TouchSequence(Frozen):
     """One finger's contiguous contact: one touch per consecutive frame.
 
-    Low-opacity touches may only appear as a trailing fade suffix, so
-    `high_touches`, worked out once when the sequence is built, is the
-    prefix before the first low-opacity touch; like `center` on a
-    detection, it takes no part in `==`, `hash` or `repr`.
+    The constructor checks, in one walk, that the touches are not empty,
+    that their frames strictly increase and that the low-opacity ones
+    are a trailing fade suffix, and raises the first of these that
+    fails. `high_touches`, found in the same walk, is the prefix before
+    the first low-opacity touch; like `center` on a detection, it takes
+    no part in `==`, `hash` or `repr`.
     """
 
     _fields = ("touches",)
 
     def __init__(self, touches: tuple[TouchDetection, ...]):
         touches = tuple(touches)
+        previous, highs, increasing, suffix = -1, None, True, True
+        for i, touch in enumerate(touches):
+            increasing = increasing and touch.frame > previous
+            previous = touch.frame
+            if touch.opacity is _LOW:
+                if highs is None:
+                    highs = i
+            elif highs is not None:
+                suffix = False
         if not touches:
             raise SchemaViolation("touch sequence cannot be empty")
-        frames = [t.frame for t in touches]
-        if any(b <= a for a, b in zip(frames, frames[1:])):
+        if not increasing:
+            frames = [t.frame for t in touches]
             raise SchemaViolation(f"sequence frames must strictly increase: {frames}")
-        highs = next(
-            (i for i, t in enumerate(touches) if t.opacity is Opacity.LOW), len(touches)
-        )
-        if any(t.opacity is Opacity.HIGH for t in touches[highs:]):
+        if not suffix:
             raise SchemaViolation(
                 "high-opacity touch after a low-opacity one; fades must be a suffix"
             )
         self._set(touches, high_touches=touches[:highs])
-
-    @classmethod
-    def _validated(cls, touches: tuple, high_touches: tuple) -> "TouchSequence":
-        """Build from non-empty touches in strictly increasing frames whose
-        fades are a suffix; `high_touches` is the part before the fades."""
-        return _unchecked(cls, touches=touches, high_touches=high_touches)
 
     @property
     def start_frame(self) -> int:
@@ -98,7 +100,10 @@ def filter_confidence(
     """Drop detections whose confidence is strictly below the threshold."""
     kept = tuple(d for d in trace.detections if d.confidence >= min_confidence)
     # A subset of a validated, sorted trace needs no second validation.
-    return DetectionTrace._validated(trace.profile, kept, trace.frame_count)
+    return _unchecked(
+        DetectionTrace, profile=trace.profile, detections=kept,
+        frame_count=trace.frame_count,
+    )
 
 
 def segment_trace(
@@ -226,7 +231,7 @@ def _split_at_fades(
         cut = min(opacities.index(Opacity.HIGH, low), end)
         if chain[cut - 1].frame - chain[start].frame + 1 > MAX_DISCARD_FRAMES:
             touches = tuple(chain[start:cut])
-            sequences.append(
-                TouchSequence._validated(touches, touches[: low - start])
-            )
+            sequences.append(_unchecked(
+                TouchSequence, touches=touches, high_touches=touches[: low - start]
+            ))
         start = cut

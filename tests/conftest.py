@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from tracereplay.model import DeviceProfile, Opacity, TouchDetection
@@ -32,3 +34,25 @@ def make_sequence(start, high_frames, x, y, fade_frames=0, dx=0.0, dy=0.0):
             make_touch(start + high_frames + k, lx, ly, opacity=Opacity.LOW)
         )
     return TouchSequence(touches=tuple(touches))
+
+
+def fake_bridge(directory, push_code=0, shell_code=0):
+    """An executable debug bridge in `directory` that appends its argv,
+    as one JSON line, to the log file it returns with it. `push` exits
+    `push_code` and `shell` exits `shell_code`, each writing a line to
+    stdout and, when failing, one to stderr."""
+    bridge, log = directory / "fake-bridge", directory / "bridge-argv.log"
+    bridge.write_text(f"""#!{sys.executable}
+import json, sys
+argv = sys.argv[1:]
+with open({str(log)!r}, "a") as log:
+    log.write(json.dumps(argv) + "\\n")
+op = argv[2] if argv[0] == "-s" else argv[0]
+code = {{"push": {push_code}, "shell": {shell_code}}}[op]
+print(op + " out")
+if code:
+    print(op + " said no", file=sys.stderr)
+sys.exit(code)
+""")
+    bridge.chmod(0o755)
+    return bridge, log

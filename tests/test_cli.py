@@ -6,11 +6,15 @@ from pathlib import Path
 
 import pytest
 
+from tracereplay import codegen, segment
 from tracereplay.cli import main
-from tracereplay.config import load_config
+from tracereplay.config import Config, load_config
 from tracereplay.errors import ConfigError
 from tracereplay.model import DeviceProfile
+from tracereplay.replay import ReplayConfig
 from tracereplay.synth import GroundTruthAction, GroundTruthScenario, random_scenario
+
+from conftest import fake_bridge
 
 
 @pytest.fixture
@@ -231,6 +235,40 @@ def test_replay_without_agent_exits_2(tmp_path, fixture_scenario):
     assert main(["replay", "--script", str(out / "script.bin")]) == 2
 
 
+def test_eleven_overlapping_taps_exit_1(tmp_path, capsys, profile):
+    # Eleven single-finger taps held at once need more than the ten slots.
+    def tap(x):
+        touches = [{"frame": f, "bbox": [x, 500.0, 40.0, 40.0], "confidence": 0.9,
+                    "opacity": "high"} for f in range(5)]
+        return {"type": "sfa", "action": {"kind": "tap", "touches": touches}}
+
+    doc = tmp_path / "classified.json"
+    doc.write_text(json.dumps({"schema_version": 1, "device": profile.to_dict(),
+                               "items": [tap(50.0 + 90.0 * k) for k in range(11)]}))
+    assert main(["generate", "--scenario-file", str(doc),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error (generate): more than 10 contacts down at frame 0")
+
+
+@pytest.mark.parametrize("push_code, shell_code, reason", [
+    (1, 0, "{bridge} push "), (0, 1, "replay agent exited with code 1"),
+], ids=["push-fails", "agent-exits-1"])
+def test_replay_through_failing_bridge_exits_1(tmp_path, capsys, fixture_scenario,
+                                               push_code, shell_code, reason):
+    out = tmp_path / "out"
+    main(["synthesize", "--scenario", str(fixture_scenario), "--out-dir", str(out)])
+    main(["pipeline", "--trace", str(out / "trace.json"), "--out-dir", str(out),
+          "--dry-run"])  # also stages out/agent.stub
+    bridge, _ = fake_bridge(tmp_path, push_code, shell_code)
+    capsys.readouterr()
+    assert main(["replay", "--script", str(out / "script.bin"),
+                 "--agent", str(out / "agent.stub"), "--bridge", str(bridge),
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error (replay): " + reason.format(bridge=bridge))
+
+
 def test_extended_alphabet_flag(tmp_path, profile):
     scenario = random_scenario(profile, seed=41, n_actions=6,
                                weights=(0.2, 0.1, 0.2, 0.5))
@@ -280,6 +318,13 @@ class TestConfig:
         assert config.remote_dir == "/data/local/tmp"
         assert config.device_node == "/dev/input/event2"
         assert config.min_confidence == 0.7
+
+    def test_defaults_are_the_pipeline_constants(self):
+        # Written out in Config, which must not import these modules.
+        config = Config()
+        assert config.min_confidence == segment.MIN_CONFIDENCE
+        assert config.device_node == codegen.DEFAULT_DEVICE_NODE
+        assert config.remote_dir == ReplayConfig._field_defaults["remote_dir"]
 
     def test_file_overrides(self, tmp_path):
         file = tmp_path / "config.json"

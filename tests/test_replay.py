@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from tracereplay.classify import ClassifiedScenario, SingleFingerItem, classify_action
@@ -9,12 +11,29 @@ from tracereplay.errors import (
     TransportError,
 )
 from tracereplay.replay import (
+    BridgeTransport,
     MockTransport,
     ReplayConfig,
     push_and_replay,
 )
 
-from conftest import make_sequence
+from conftest import fake_bridge, make_sequence
+
+
+class FailingPush(MockTransport):
+    """A device that refuses every push."""
+
+    def push(self, data, remote_path):
+        super().push(data, remote_path)
+        raise TransportError(f"push to {remote_path} failed")
+
+
+class CrashingAgent(MockTransport):
+    """A device whose replay agent exits 1."""
+
+    def exec(self, command):
+        super().exec(command)
+        return 1, "segfault"
 
 
 @pytest.fixture
@@ -45,12 +64,12 @@ class TestPushAndReplay:
         assert report.duration_ms >= 0
 
     def test_push_failure_propagates(self, runnable, agent):
-        transport = MockTransport(fail_on_push=True)
+        transport = FailingPush()
         with pytest.raises(TransportError):
             push_and_replay(runnable, transport, ReplayConfig(agent_path=agent))
 
     def test_nonzero_exit(self, runnable, agent):
-        transport = MockTransport(exec_results=[(1, "segfault")])
+        transport = CrashingAgent()
         with pytest.raises(NonZeroExit) as err:
             push_and_replay(runnable, transport, ReplayConfig(agent_path=agent))
         assert err.value.exit_code == 1
@@ -110,3 +129,41 @@ class TestPushAndReplay:
         transport = MockTransport()
         push_and_replay(runnable, transport, ReplayConfig(agent_path=agent))
         assert transport.pushed["/data/local/tmp/scenario.bin"] == runnable
+
+
+class TestBridgeTransport:
+    def test_serial_prefix_and_push_arguments(self, tmp_path):
+        bridge, log = fake_bridge(tmp_path)
+        transport = BridgeTransport(bridge_path=str(bridge), serial="emu-5554")
+        transport.push(b"payload", "/data/local/tmp/x.bin")
+        (argv,) = [json.loads(line) for line in log.read_text().splitlines()]
+        assert argv[:3] == ["-s", "emu-5554", "push"]
+        assert argv[4] == "/data/local/tmp/x.bin"
+        assert len(argv) == 5
+        assert transport.calls == [("push", "/data/local/tmp/x.bin")]
+
+    def test_no_serial_no_prefix(self, tmp_path):
+        bridge, log = fake_bridge(tmp_path)
+        BridgeTransport(bridge_path=str(bridge)).exec("true")
+        assert json.loads(log.read_text()) == ["shell", "true"]
+
+    def test_failing_push_names_command_and_stderr(self, tmp_path):
+        bridge, _ = fake_bridge(tmp_path, push_code=1)
+        transport = BridgeTransport(bridge_path=str(bridge), serial="emu-5554")
+        with pytest.raises(TransportError) as err:
+            transport.push(b"payload", "/data/local/tmp/x.bin")
+        message = str(err.value)
+        assert message.startswith(f"{bridge} -s emu-5554 push ")
+        assert message.endswith(" /data/local/tmp/x.bin exited 1: push said no")
+
+    def test_exec_returns_code_and_output_without_raising(self, tmp_path):
+        bridge, _ = fake_bridge(tmp_path, shell_code=3)
+        transport = BridgeTransport(bridge_path=str(bridge))
+        assert transport.exec("ls") == (3, "shell out\nshell said no\n")
+
+    def test_missing_binary_is_transport_error(self, tmp_path):
+        transport = BridgeTransport(bridge_path=str(tmp_path / "absent"))
+        for call in (lambda: transport.push(b"x", "/tmp/x"),
+                     lambda: transport.exec("ls")):
+            with pytest.raises(TransportError, match="^cannot run bridge binary: "):
+                call()

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracereplay.errors import BoundsViolation, SchemaViolation
 from tracereplay.model import DetectionTrace, DeviceProfile, Opacity
 from tracereplay.segment import TouchSequence, filter_confidence, segment_trace
 from tracereplay.synth import NoiseModel, random_scenario, synthesize_trace
@@ -26,20 +27,58 @@ def segment(touches):
     return segment_trace(make_trace(PROFILE, touches))
 
 
+H, L = Opacity.HIGH, Opacity.LOW
+
+
+def sequence(frames, opacities=None):
+    opacities = opacities or [H] * len(frames)
+    return TouchSequence(
+        touches=tuple(make_touch(f, 0, 0, opacity=o) for f, o in zip(frames, opacities))
+    )
+
+
 class TestTouchSequence:
     def test_frames_must_increase(self):
-        with pytest.raises(Exception):
-            TouchSequence(touches=(make_touch(3, 0, 0), make_touch(3, 5, 5)))
+        with pytest.raises(
+            SchemaViolation, match=r"^sequence frames must strictly increase: \[3, 3\]$"
+        ):
+            sequence([3, 3])
 
     def test_low_must_be_suffix(self):
-        with pytest.raises(Exception):
-            TouchSequence(
-                touches=(
-                    make_touch(0, 0, 0),
-                    make_touch(1, 0, 0, opacity=Opacity.LOW),
-                    make_touch(2, 0, 0),
-                )
-            )
+        with pytest.raises(
+            SchemaViolation,
+            match="^high-opacity touch after a low-opacity one; fades must be a suffix$",
+        ):
+            sequence([0, 1, 2], [H, L, H])
+
+    def test_frame_order_error_wins_over_a_later_fade_defect(self):
+        # The walk meets the fade defect (third touch) before the order
+        # defect (fourth touch); the order error is still the one raised.
+        with pytest.raises(
+            SchemaViolation,
+            match=r"^sequence frames must strictly increase: \[0, 1, 2, 1\]$",
+        ):
+            sequence([0, 1, 2, 1], [H, L, H, H])
+
+    def test_empty(self):
+        with pytest.raises(SchemaViolation, match="^touch sequence cannot be empty$"):
+            sequence([])
+
+
+class TestDetectionTrace:
+    def test_first_misplaced_detection_in_frame_order_decides(self):
+        # Frame 7 lies past frame_count (SchemaViolation) but frame 5,
+        # later in the input, is off-screen and comes first by frame.
+        with pytest.raises(BoundsViolation, match=r"\(frame 5\)$"):
+            make_trace(PROFILE, [make_touch(7, 100, 100), make_touch(5, 1075, 100)],
+                       frame_count=6)
+
+    def test_unsorted_input_is_sorted_stably(self):
+        touches = [make_touch(6, 100, 100), make_touch(4, 200, 100),
+                   make_touch(6, 300, 100), make_touch(4, 400, 100)]
+        trace = make_trace(PROFILE, touches)
+        assert trace.detections == tuple(sorted(touches, key=lambda d: d.frame))
+        assert [d.center[0] for d in trace.detections] == [200, 400, 100, 300]
 
 
 @given(
