@@ -246,6 +246,11 @@ def per_frame_touch_counts(actions: list[AtomicAction]) -> Counter:
     return Counter([t.frame for a in actions for t in a.sequence.touches])
 
 
+def _chronological(action: AtomicAction) -> tuple:
+    """Sort key of actions: start frame, end frame, first center."""
+    return (action.start_frame, action.end_frame, action.sequence.touches[0].center)
+
+
 def group_overlapping(actions: list[AtomicAction]) -> list[list[AtomicAction]]:
     """Chronological stack sweep over frame-overlapping actions.
 
@@ -256,10 +261,7 @@ def group_overlapping(actions: list[AtomicAction]) -> list[list[AtomicAction]]:
     """
     if not actions:
         return []
-    ordered = sorted(
-        actions,
-        key=lambda a: (a.start_frame, a.end_frame, a.sequence.touches[0].center),
-    )
+    ordered = sorted(actions, key=_chronological)
     stack: list[list[AtomicAction]] = [[ordered[0]]]
     for action in ordered[1:]:
         top = stack[-1]
@@ -296,10 +298,7 @@ def identify_sfa_mfa(
     single-fingered action outright; the rest are grouped by the stack
     sweep, with singleton groups demoted back to single-fingered.
     """
-    ordered = sorted(
-        actions,
-        key=lambda a: (a.start_frame, a.end_frame, a.sequence.touches[0].center),
-    )
+    ordered = sorted(actions, key=_chronological)
     counts = per_frame_touch_counts(ordered)
     # bisect_right(multi_frames, f) counts the multi-touch frames up to f:
     # a prefix sum kept only at the frames where it grows.

@@ -63,89 +63,52 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON configuration file")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synthesize", help="render a scenario fixture into a trace")
-    p.add_argument("--scenario", required=True, help="scenario fixture JSON")
-    p.add_argument("--noise", help="noise preset: clean | physical-device | emulator")
-    p.add_argument("--seed", type=int, help="noise RNG seed")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_synthesize)
-
-    p = sub.add_parser("classify", help="classify a detection trace")
-    p.add_argument("--trace", required=True, help="detection trace JSON")
-    _common_flags(p)
-    p.set_defaults(handler=_classify)
-
-    p = sub.add_parser("generate", help="compile a classified scenario to scripts")
-    p.add_argument("--scenario-file", required=True, help="classified scenario JSON")
-    p.add_argument("--device-node", help="touch input device path on target")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_generate)
-
-    p = sub.add_parser("replay", help="push and run a runnable script")
-    p.add_argument("--script", required=True, help="runnable script file")
-    p.add_argument("--agent", help="local path of the replay agent binary")
-    p.add_argument("--bridge", help="debug-bridge executable path")
-    p.add_argument("--serial", help="target device serial")
-    p.add_argument("--dry-run", action="store_true",
-                   help="use an in-memory transport; no device interaction")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_replay)
-
-    p = sub.add_parser("evaluate", help="score predicted vs ground-truth sequences")
-    p.add_argument("--pred", required=True, help="predicted sequence file")
-    p.add_argument("--truth", required=True, help="ground-truth sequence file")
-    p.add_argument("--json-out", help="also write the report as JSON")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_evaluate)
-
-    p = sub.add_parser("pipeline", help="classify, generate, optionally replay")
-    p.add_argument("--trace", required=True, help="detection trace JSON")
-    p.add_argument("--device-node", help="touch input device path on target")
-    p.add_argument("--agent", help="local path of the replay agent binary")
-    p.add_argument("--bridge", help="debug-bridge executable path")
-    p.add_argument("--serial", help="target device serial")
-    p.add_argument("--replay", action="store_true", help="replay after generating")
-    p.add_argument("--dry-run", action="store_true",
-                   help="with --replay: in-memory transport, no device calls")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_pipeline)
-
+    for command, (help_text, handler, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(handler=handler)
     return parser
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out-dir", help="output directory (default: out)")
-    p.add_argument("--min-confidence", type=float,
-                   help="detection confidence threshold (default 0.7)")
-    p.add_argument("--extended", action="store_true", default=None,
-                   help="finger-count-annotated symbols (G2, G3, ...)")
-    p.add_argument("--duration-cutoff", action="store_true", default=None,
-                   help="use the wall-clock tap cutoff for high-fps traces")
-
-
-#: Command-line flag (argparse dest) -> the Config field it overrides.
-_OVERRIDES = {
-    "out_dir": "out_dir",
-    "min_confidence": "min_confidence",
-    "extended": "extended_alphabet",
-    "duration_cutoff": "duration_based_cutoff",
-    "seed": "seed",
-    "noise": "noise_preset",
-    "bridge": "bridge_path",
-    "serial": "device_serial",
-    "agent": "agent_path",
-    "device_node": "device_node",
+#: Each flag's argparse arguments. A flag that overrides a setting
+#: stores into that `Config` field; the rest are command inputs.
+_FLAGS = {
+    "--scenario": dict(required=True, help="scenario fixture JSON"),
+    "--trace": dict(required=True, help="detection trace JSON"),
+    "--scenario-file": dict(required=True, help="classified scenario JSON"),
+    "--script": dict(required=True, help="runnable script file"),
+    "--pred": dict(required=True, help="predicted sequence file"),
+    "--truth": dict(required=True, help="ground-truth sequence file"),
+    "--json-out": dict(help="also write the report as JSON"),
+    "--noise": dict(dest="noise_preset",
+                    help="noise preset: clean | physical-device | emulator"),
+    "--seed": dict(type=int, help="noise RNG seed"),
+    "--device-node": dict(help="touch input device path on target"),
+    "--agent": dict(dest="agent_path", help="local path of the replay agent binary"),
+    "--bridge": dict(dest="bridge_path", help="debug-bridge executable path"),
+    "--serial": dict(dest="device_serial", help="target device serial"),
+    "--replay": dict(action="store_true", help="replay after generating"),
+    "--dry-run": dict(action="store_true",
+                      help="replay through an in-memory transport; no device calls"),
+    "--out-dir": dict(help="output directory (default: out)"),
+    "--min-confidence": dict(type=float,
+                             help="detection confidence threshold (default 0.7)"),
+    "--extended": dict(dest="extended_alphabet", action="store_true", default=None,
+                       help="finger-count-annotated symbols (G2, G3, ...)"),
+    "--duration-cutoff": dict(dest="duration_based_cutoff", action="store_true",
+                              default=None,
+                              help="use the wall-clock tap cutoff for high-fps traces"),
 }
 
 
 def _apply_overrides(config: Config, args) -> None:
     """Apply every flag that was given, empty values included: the
     config check rejects those rather than falling back silently."""
-    for flag, key in _OVERRIDES.items():
-        value = getattr(args, flag, None)
+    for name in Config._fields:
+        value = getattr(args, name, None)
         if value is not None:
-            setattr(config, key, value)
+            setattr(config, name, value)
 
 
 def _out_dir(config: Config) -> Path:
@@ -224,21 +187,20 @@ def _cmd_replay(args, config: Config) -> None:
 def _replay(script: bytes, dry_run: bool, config: Config) -> ReplayReport:
     from . import replay
 
+    agent_path = config.agent_path
     if dry_run:
         transport: replay.DeviceTransport = replay.MockTransport()
-        agent_path = config.agent_path
         if agent_path is None:
             # No real binary needed for a dry run; stage a placeholder.
             placeholder = _out_dir(config) / "agent.stub"
             placeholder.write_bytes(b"\x7fELF-stub")
             agent_path = str(placeholder)
+    elif agent_path is None:
+        raise ConfigError("replay requires --agent (or agent_path in config)")
     else:
-        if config.agent_path is None:
-            raise ConfigError("replay requires --agent (or agent_path in config)")
         transport = replay.BridgeTransport(
             bridge_path=config.bridge_path, serial=config.device_serial
         )
-        agent_path = config.agent_path
     cfg = replay.ReplayConfig(agent_path=agent_path, remote_dir=config.remote_dir)
     return replay.push_and_replay(script, transport, cfg)
 
@@ -268,6 +230,27 @@ def _cmd_pipeline(args, config: Config) -> None:
         mode = "dry-run" if args.dry_run else "device"
         print(f"replay ({mode}): exit={report.exit_code} "
               f"calls={len(report.transcript)}")
+
+
+#: Command -> its help text, its handler and the flags it reads.
+_COMMANDS = {
+    "synthesize": ("render a scenario fixture into a trace", _cmd_synthesize,
+                   ("--scenario", "--noise", "--seed", "--out-dir", "--extended")),
+    "classify": ("classify a detection trace", _classify,
+                 ("--trace", "--out-dir", "--min-confidence", "--extended",
+                  "--duration-cutoff")),
+    "generate": ("compile a classified scenario to scripts", _cmd_generate,
+                 ("--scenario-file", "--device-node", "--out-dir")),
+    "replay": ("push and run a runnable script", _cmd_replay,
+               ("--script", "--agent", "--bridge", "--serial", "--dry-run",
+                "--out-dir")),
+    "evaluate": ("score predicted vs ground-truth sequences", _cmd_evaluate,
+                 ("--pred", "--truth", "--json-out")),
+    "pipeline": ("classify, generate, optionally replay", _cmd_pipeline,
+                 ("--trace", "--device-node", "--agent", "--bridge", "--serial",
+                  "--replay", "--dry-run", "--out-dir", "--min-confidence",
+                  "--extended", "--duration-cutoff")),
+}
 
 
 if __name__ == "__main__":

@@ -43,37 +43,23 @@ _NON_EMPTY = ("out_dir", "bridge_path", "agent_path", "device_serial",
 
 
 class Config(Record):
-    """The settings of one run: `__init__`'s parameters, with their
-    defaults and the types `validate` accepts."""
+    """The settings of one run: the annotated attributes below, with
+    their defaults and the types `validate` accepts."""
 
-    def __init__(
-        self,
-        bridge_path: str = "adb",
-        device_serial: str | None = None,
-        agent_path: str | None = None,
-        remote_dir: str = "/data/local/tmp",
-        device_node: str = "/dev/input/event2",
-        noise_preset: str = "clean",
-        seed: int = 0,
-        out_dir: str = "out",
-        min_confidence: float = 0.7,
-        extended_alphabet: bool = False,
-        duration_based_cutoff: bool = False,
-    ):
-        self.bridge_path = bridge_path
-        self.device_serial = device_serial
-        self.agent_path = agent_path
-        self.remote_dir = remote_dir
-        self.device_node = device_node
-        self.noise_preset = noise_preset
-        self.seed = seed
-        self.out_dir = out_dir
-        self.min_confidence = min_confidence
-        self.extended_alphabet = extended_alphabet
-        self.duration_based_cutoff = duration_based_cutoff
+    bridge_path: str = "adb"
+    device_serial: str | None = None
+    agent_path: str | None = None
+    remote_dir: str = "/data/local/tmp"
+    device_node: str = "/dev/input/event2"
+    noise_preset: str = "clean"
+    seed: int = 0
+    out_dir: str = "out"
+    min_confidence: float = 0.7
+    extended_alphabet: bool = False
+    duration_based_cutoff: bool = False
 
     #: Setting -> the text of its annotated type.
-    _types = __init__.__annotations__
+    _types = __annotations__
     _fields = tuple(_types)
 
     def validate(self) -> None:

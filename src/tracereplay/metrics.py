@@ -128,64 +128,32 @@ class MetricsReport(NamedTuple):
 
     @classmethod
     def from_sequences(cls, pred: Symbols, truth: Symbols) -> "MetricsReport":
-        per_type, macro_p, macro_r = precision_recall(pred, truth)
-        return cls(
-            levenshtein=levenshtein(pred, truth),
-            lcs_ratio=lcs_ratio(pred, truth),
-            per_type=per_type,
-            macro_precision=macro_p,
-            macro_recall=macro_r,
-        )
+        # precision_recall returns the last three fields, in order.
+        return cls(levenshtein(pred, truth), lcs_ratio(pred, truth),
+                   *precision_recall(pred, truth))
 
     def to_dict(self) -> dict:
         return {
-            "levenshtein": self.levenshtein,
-            "lcs_ratio": self.lcs_ratio,
+            **self._asdict(),
             "per_type": {
-                symbol: {
-                    "tp": s.tp,
-                    "fp": s.fp,
-                    "fn": s.fn,
-                    "precision": s.precision,
-                    "recall": s.recall,
-                }
+                symbol: {**s._asdict(), "precision": s.precision, "recall": s.recall}
                 for symbol, s in self.per_type.items()
             },
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
         }
 
 
 class BatchReport(NamedTuple):
     ids: tuple[str, ...]
     reports: tuple[MetricsReport, ...]
-
-    @property
-    def mean_levenshtein(self) -> float:
-        return sum(r.levenshtein for r in self.reports) / len(self.reports)
-
-    @property
-    def mean_lcs_ratio(self) -> float:
-        return sum(r.lcs_ratio for r in self.reports) / len(self.reports)
-
-    @property
-    def mean_macro_precision(self) -> float:
-        return sum(r.macro_precision for r in self.reports) / len(self.reports)
-
-    @property
-    def mean_macro_recall(self) -> float:
-        return sum(r.macro_recall for r in self.reports) / len(self.reports)
+    mean_levenshtein: float
+    mean_lcs_ratio: float
+    mean_macro_precision: float
+    mean_macro_recall: float
 
     def to_dict(self) -> dict:
-        return {
-            "scenarios": {
-                sid: r.to_dict() for sid, r in zip(self.ids, self.reports)
-            },
-            "mean_levenshtein": self.mean_levenshtein,
-            "mean_lcs_ratio": self.mean_lcs_ratio,
-            "mean_macro_precision": self.mean_macro_precision,
-            "mean_macro_recall": self.mean_macro_recall,
-        }
+        doc = self._asdict()
+        reports = zip(doc.pop("ids"), doc.pop("reports"))
+        return {"scenarios": {sid: r.to_dict() for sid, r in reports}, **doc}
 
     def to_json(self) -> bytes:
         return json.dumps(self.to_dict(), indent=2).encode("utf-8")
@@ -195,24 +163,12 @@ class BatchReport(NamedTuple):
         header = ("scenario", "lev", "lcs_ratio", "precision", "recall")
         rows = [header]
         for sid, r in zip(self.ids, self.reports):
-            rows.append(
-                (
-                    sid,
-                    str(r.levenshtein),
-                    f"{r.lcs_ratio:.4f}",
-                    f"{r.macro_precision:.4f}",
-                    f"{r.macro_recall:.4f}",
-                )
-            )
-        rows.append(
-            (
-                "MEAN",
-                f"{self.mean_levenshtein:.2f}",
-                f"{self.mean_lcs_ratio:.4f}",
-                f"{self.mean_macro_precision:.4f}",
-                f"{self.mean_macro_recall:.4f}",
-            )
-        )
+            rows.append(_table_row(sid, str(r.levenshtein), r.lcs_ratio,
+                                   r.macro_precision, r.macro_recall))
+        rows.append(_table_row(
+            "MEAN", f"{self.mean_levenshtein:.2f}", self.mean_lcs_ratio,
+            self.mean_macro_precision, self.mean_macro_recall,
+        ))
         widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
         lines = [
             "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
@@ -222,13 +178,25 @@ class BatchReport(NamedTuple):
         return "\n".join(lines)
 
 
+def _table_row(name: str, lev: str, *ratios: float) -> tuple[str, ...]:
+    """A `format_table` row, each ratio to four decimal places."""
+    return (name, lev, *(f"{ratio:.4f}" for ratio in ratios))
+
+
 def evaluate_batch(pairs: list[tuple[Symbols, Symbols]], ids=None) -> BatchReport:
     """Score each (pred, truth) pair and aggregate the means."""
     if not pairs:
         raise EmptyGroundTruth("evaluate_batch needs at least one pair")
     ids = tuple(ids) if ids else tuple(f"pair-{i}" for i in range(len(pairs)))
     reports = tuple(MetricsReport.from_sequences(p, t) for p, t in pairs)
-    return BatchReport(ids=ids, reports=reports)
+
+    def mean(field: str) -> float:
+        return sum(getattr(r, field) for r in reports) / len(reports)
+
+    return BatchReport(
+        ids, reports, mean("levenshtein"), mean("lcs_ratio"),
+        mean("macro_precision"), mean("macro_recall"),
+    )
 
 
 def load_sequence_file(text: str) -> dict[str, Symbols]:

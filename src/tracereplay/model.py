@@ -28,6 +28,7 @@ import json
 import math
 from enum import Enum
 from functools import lru_cache
+from operator import attrgetter
 
 from .errors import BoundsViolation, MalformedJson, SchemaViolation
 
@@ -54,6 +55,9 @@ _OPACITY_TEXT = {opacity: opacity.value for opacity in Opacity}
 _HIGH, _LOW = Opacity.HIGH, Opacity.LOW
 _isfinite = math.isfinite
 _setattr = object.__setattr__
+
+#: The sort and grouping key of detections (`DetectionTrace`, `segment`).
+_frame = attrgetter("frame")
 
 
 class Record:
@@ -360,14 +364,8 @@ def json_array(elements: list[str], depth: int) -> str:
 
 
 def device_json(profile: DeviceProfile, depth: int) -> str:
-    pad = "  " * (depth + 1)
-    return (
-        f'{{\n{pad}"name": {json.dumps(profile.name)},\n'
-        f'{pad}"width": {profile.screen_width},\n'
-        f'{pad}"height": {profile.screen_height},\n'
-        f'{pad}"fps": {profile.fps},\n'
-        f'{pad}"touch_slop": {profile.touch_slop}\n{"  " * depth}}}'
-    )
+    """The device object, opening at `depth`."""
+    return json.dumps(profile.to_dict(), indent=2).replace("\n", "\n" + "  " * depth)
 
 
 def detections_json(detections, depth: int) -> str:
@@ -401,10 +399,6 @@ def _unchecked(cls, **fields):
 
 
 _new = object.__new__
-
-
-def _frame(det: TouchDetection) -> int:
-    return det.frame
 
 
 def _is_number(value) -> bool:

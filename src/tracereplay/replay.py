@@ -78,10 +78,11 @@ class BridgeTransport(DeviceTransport):
             tmp.flush()
             proc = self._run("push", tmp.name, remote_path)
         if proc.returncode != 0:
-            raise TransportError(
-                f"{' '.join(proc.args)} exited {proc.returncode}: "
-                f"{proc.stderr.strip()}"
-            )
+            # The temporary file is gone by now: name the data by its size.
+            args = [*proc.args[:-2], f"<{len(data)} bytes>", remote_path]
+            message = f"{' '.join(args)} exited {proc.returncode}"
+            stderr = proc.stderr.strip()
+            raise TransportError(f"{message}: {stderr}" if stderr else message)
 
     def exec(self, command: str) -> tuple[int, str]:
         self.calls.append(TransportCall("exec", command))

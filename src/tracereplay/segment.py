@@ -28,7 +28,9 @@ from math import dist
 from operator import attrgetter
 
 from .errors import SchemaViolation
-from .model import _LOW, DetectionTrace, Frozen, Opacity, TouchDetection, _unchecked
+from .model import (
+    _LOW, DetectionTrace, Frozen, Opacity, TouchDetection, _frame, _unchecked,
+)
 
 #: Detections below this confidence are dropped before linking.
 MIN_CONFIDENCE = 0.7
@@ -36,7 +38,6 @@ MIN_CONFIDENCE = 0.7
 #: Sequences spanning this many frames or fewer are discarded.
 MAX_DISCARD_FRAMES = 2
 
-_frame = attrgetter("frame")
 _center = attrgetter("center")
 _opacity = attrgetter("opacity")
 

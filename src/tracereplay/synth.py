@@ -20,6 +20,7 @@ from .model import (
     DeviceProfile,
     Opacity,
     TouchDetection,
+    _is_number,
     load_document,
 )
 
@@ -33,7 +34,14 @@ INDICATOR_SIZE = 40.0
 #: one contact's visual appearance; only the remainder varies per frame.
 JITTER_BIAS_VARIANCE = 0.8
 
+#: Length of the low-opacity tail after a finger lift, in frames.
+FADE_FRAMES = 3
+
 ACTION_KINDS = ("tap", "long_tap", "gesture")
+
+#: How often `random_scenario` draws each kind of action, before
+#: normalisation.
+_KIND_WEIGHTS = {"tap": 0.35, "long_tap": 0.15, "gesture": 0.30, "two_finger": 0.20}
 
 #: (frame, x, y) sample of one finger's position.
 PathPoint = tuple[int, float, float]
@@ -98,10 +106,12 @@ class GroundTruthAction:
     def from_dict(cls, data: dict) -> "GroundTruthAction":
         if not isinstance(data, dict) or "kind" not in data or "paths" not in data:
             raise SchemaViolation("action must be an object with kind and paths")
-        return cls(
-            kind=data["kind"],
-            paths=tuple(tuple(tuple(p) for p in path) for path in data["paths"]),
-        )
+        paths = data["paths"]
+        if not isinstance(paths, list) or not all(
+            isinstance(path, list) and all(map(_is_point, path)) for path in paths
+        ):
+            raise SchemaViolation("paths must be lists of [frame, x, y] points")
+        return cls(kind=data["kind"], paths=tuple(tuple(map(tuple, p)) for p in paths))
 
 
 @dataclass(frozen=True)
@@ -142,6 +152,8 @@ class GroundTruthScenario:
     @classmethod
     def from_json(cls, data: bytes | str) -> "GroundTruthScenario":
         doc = load_document(data, SCENARIO_SCHEMA_VERSION, ("device", "actions"))
+        if not isinstance(doc["actions"], list):
+            raise SchemaViolation("actions must be a list")
         return cls(
             profile=DeviceProfile.from_dict(doc["device"]),
             actions=tuple(GroundTruthAction.from_dict(a) for a in doc["actions"]),
@@ -157,14 +169,12 @@ class NoiseModel:
     (see JITTER_BIAS_VARIANCE). false_positive_rate is a per-frame
     probability of injecting a spurious short-lived detection;
     dropout_rate is a per-detection probability of the detector missing
-    a real touch. fade_frames is the length of the low-opacity tail
-    after a finger lift.
+    a real touch. Every lift leaves a FADE_FRAMES low-opacity tail.
     """
 
     position_jitter_sigma: float = 0.0
     false_positive_rate: float = 0.0
     dropout_rate: float = 0.0
-    fade_frames: int = 3
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -174,8 +184,6 @@ class NoiseModel:
             raise SchemaViolation("false_positive_rate must be in [0, 1]")
         if not 0.0 <= self.dropout_rate <= 1.0:
             raise SchemaViolation("dropout_rate must be in [0, 1]")
-        if self.fade_frames < 1:
-            raise SchemaViolation("fade_frames must be >= 1")
 
 
 #: Calibration presets; "clean" is exact, the other two approximate the
@@ -202,15 +210,13 @@ def noise_preset(name: str, seed: int = 0) -> NoiseModel:
 def synthesize_trace(
     scenario: GroundTruthScenario,
     noise: NoiseModel | None = None,
-    frame_count: int | None = None,
 ) -> tuple[DetectionTrace, tuple[str, ...]]:
     """Render a scenario into a detection trace.
 
     Returns the trace plus the scenario's action-type symbol sequence.
     Deterministic for identical (scenario, noise) inputs. With a
     zero-noise model every high-opacity detection center equals a path
-    point exactly. `frame_count` optionally pads the trace with empty
-    trailing frames (false positives are injected across the full span).
+    point exactly.
     """
     noise = noise or NoiseModel()
     rng = np.random.default_rng(noise.rng_seed)
@@ -236,7 +242,7 @@ def synthesize_trace(
                         _detection_at(profile, f, cx, cy, confidence, Opacity.HIGH)
                     )
             lift_frame = path[-1][0]
-            for k in range(1, noise.fade_frames + 1):
+            for k in range(1, FADE_FRAMES + 1):
                 confidence = float(rng.uniform(0.75, 0.95))
                 dropped = rng.random() < noise.dropout_rate
                 if not dropped:
@@ -247,12 +253,9 @@ def synthesize_trace(
                         )
                     )
 
-    content_frames = 0
+    span = 0
     if scenario.actions:
-        content_frames = (
-            max(a.end_frame for a in scenario.actions) + noise.fade_frames + 1
-        )
-    span = max(content_frames, frame_count or 0)
+        span = max(a.end_frame for a in scenario.actions) + FADE_FRAMES + 1
 
     # Spurious detections: short-lived, positioned anywhere, confidence
     # low enough that only some survive the downstream 0.7 filter.
@@ -302,13 +305,11 @@ def random_scenario(
     profile: DeviceProfile,
     seed: int,
     n_actions: int | None = None,
-    weights: tuple[float, float, float, float] = (0.35, 0.15, 0.30, 0.20),
 ) -> GroundTruthScenario:
     """Draw a random but valid scenario: taps, long taps, gestures, and
-    two-finger actions, with inter-action gaps wide enough that fade
-    tails never bridge adjacent actions.
-
-    `weights` orders as (tap, long_tap, gesture, two_finger).
+    two-finger actions, in the proportions of `_KIND_WEIGHTS`, with
+    inter-action gaps wide enough that fade tails never bridge adjacent
+    actions.
     """
     rng = np.random.default_rng(seed)
     n = int(n_actions if n_actions is not None else rng.integers(5, 26))
@@ -316,8 +317,8 @@ def random_scenario(
     width, height = float(profile.screen_width), float(profile.screen_height)
     cursor = int(rng.integers(5, 20))
     actions: list[GroundTruthAction] = []
-    kinds = ("tap", "long_tap", "gesture", "two_finger")
-    probs = np.asarray(weights, dtype=float)
+    kinds = tuple(_KIND_WEIGHTS)
+    probs = np.asarray(tuple(_KIND_WEIGHTS.values()), dtype=float)
     probs = probs / probs.sum()
 
     for _ in range(n):
@@ -338,6 +339,12 @@ def random_scenario(
         cursor = action.end_frame + int(rng.integers(8, 25))
 
     return GroundTruthScenario(profile=profile, actions=tuple(actions))
+
+
+def _is_point(point) -> bool:
+    """Whether `point` is [frame, x, y]: three numbers, an integer frame."""
+    return (isinstance(point, list) and len(point) == 3
+            and all(map(_is_number, point)) and isinstance(point[0], int))
 
 
 def _stationary_action(kind, start, duration, rng, width, height, margin):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,12 +8,12 @@ from pathlib import Path
 import pytest
 
 from tracereplay import codegen, segment
-from tracereplay.cli import main
+from tracereplay.cli import _build_parser, main
 from tracereplay.config import Config, load_config
-from tracereplay.errors import ConfigError
+from tracereplay.errors import ConfigError, SchemaViolation
 from tracereplay.model import DeviceProfile
 from tracereplay.replay import ReplayConfig
-from tracereplay.synth import GroundTruthAction, GroundTruthScenario, random_scenario
+from tracereplay.synth import GroundTruthAction, GroundTruthScenario
 
 from conftest import fake_bridge
 
@@ -270,8 +271,14 @@ def test_replay_through_failing_bridge_exits_1(tmp_path, capsys, fixture_scenari
 
 
 def test_extended_alphabet_flag(tmp_path, profile):
-    scenario = random_scenario(profile, seed=41, n_actions=6,
-                               weights=(0.2, 0.1, 0.2, 0.5))
+    # One two-finger spread: both fingers move apart along one line.
+    spread = tuple(
+        tuple((k, 540.0 + sign * (100.0 + 8.0 * k), 960.0) for k in range(12))
+        for sign in (1.0, -1.0)
+    )
+    scenario = GroundTruthScenario(
+        profile=profile, actions=(GroundTruthAction(kind="gesture", paths=spread),)
+    )
     fixture = tmp_path / "two_finger.json"
     fixture.write_bytes(scenario.to_json())
     out = tmp_path / "out"
@@ -310,6 +317,82 @@ def test_deterministic_given_seed(tmp_path, fixture_scenario):
         main(["synthesize", "--scenario", str(fixture_scenario),
               "--noise", "emulator", "--seed", "7", "--out-dir", str(out)])
     assert (out_a / "trace.json").read_bytes() == (out_b / "trace.json").read_bytes()
+
+
+@pytest.mark.parametrize("actions", [
+    5,
+    [{"kind": "tap", "paths": 5}],
+    [{"kind": "tap", "paths": [[[0, 1]]]}],
+    [{"kind": "tap", "paths": [[["a", 1, 2]]]}],
+    [{"kind": "tap", "paths": [[[0, None, 2]]]}],
+    [{"kind": "tap", "paths": [[[True, 1, 2]]]}],
+], ids=["int-actions", "int-paths", "two-value-point", "string-frame", "null-x",
+        "bool-frame"])
+def test_synthesize_malformed_fixture_exits_2(tmp_path, capsys, profile, actions):
+    data = json.dumps({"schema_version": 1, "device": profile.to_dict(),
+                       "actions": actions})
+    with pytest.raises(SchemaViolation):
+        GroundTruthScenario.from_json(data)
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(data)
+    assert main(["synthesize", "--scenario", str(fixture),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (synthesize): ")
+    assert "Traceback" not in err
+
+
+#: The option strings of each command, `-h`/`--help` aside: only the
+#: flags its handler reads.
+COMMAND_FLAGS = {
+    "synthesize": {"--scenario", "--noise", "--seed", "--out-dir", "--extended"},
+    "classify": {"--trace", "--out-dir", "--min-confidence", "--extended",
+                 "--duration-cutoff"},
+    "generate": {"--scenario-file", "--device-node", "--out-dir"},
+    "replay": {"--script", "--agent", "--bridge", "--serial", "--dry-run",
+               "--out-dir"},
+    "evaluate": {"--pred", "--truth", "--json-out"},
+    "pipeline": {"--trace", "--device-node", "--agent", "--bridge", "--serial",
+                 "--replay", "--dry-run", "--out-dir", "--min-confidence",
+                 "--extended", "--duration-cutoff"},
+}
+
+#: Flag dests that are a command's own inputs rather than settings.
+COMMAND_INPUTS = {"trace", "scenario", "scenario_file", "script", "pred", "truth",
+                  "json_out", "replay", "dry_run", "help"}
+
+
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    (sub,) = [action for action in _build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_each_command_has_the_flags_it_reads():
+    commands = subparsers()
+    assert set(commands) == set(COMMAND_FLAGS)
+    for command, parser in commands.items():
+        options = {option for action in parser._actions
+                   for option in action.option_strings}
+        assert options - {"-h", "--help"} == COMMAND_FLAGS[command], command
+
+
+def test_every_setting_flag_stores_into_a_config_field():
+    for command, parser in subparsers().items():
+        for action in parser._actions:
+            if action.dest not in COMMAND_INPUTS:
+                assert action.dest in Config._fields, (command, action.option_strings)
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--scenario-file", "classified.json", "--extended"],
+    ["evaluate", "--pred", "p.txt", "--truth", "t.txt", "--out-dir", "x"],
+], ids=["generate-extended", "evaluate-out-dir"])
+def test_flag_the_command_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestConfig:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -155,6 +156,16 @@ class TestBridgeTransport:
         message = str(err.value)
         assert message.startswith(f"{bridge} -s emu-5554 push ")
         assert message.endswith(" /data/local/tmp/x.bin exited 1: push said no")
+
+    def test_silent_failing_push_names_the_data_by_size(self, tmp_path):
+        # A bridge that exits 1 and writes nothing: the message ends at the
+        # exit status and names no temporary file, which is deleted by then.
+        bridge = tmp_path / "silent-bridge"
+        bridge.write_text(f"#!{sys.executable}\nimport sys\nsys.exit(1)\n")
+        bridge.chmod(0o755)
+        with pytest.raises(TransportError) as err:
+            BridgeTransport(bridge_path=str(bridge)).push(b"payload", "/data/x.bin")
+        assert str(err.value) == f"{bridge} push <7 bytes> /data/x.bin exited 1"
 
     def test_exec_returns_code_and_output_without_raising(self, tmp_path):
         bridge, _ = fake_bridge(tmp_path, shell_code=3)

@@ -283,7 +283,7 @@ class TestSegmentProperties:
         profile = DeviceProfile(name="d", screen_width=1080,
                                 screen_height=1920, fps=30)
         scenario = random_scenario(profile, seed=seed, n_actions=4)
-        trace, _ = synthesize_trace(scenario, NoiseModel(fade_frames=3))
+        trace, _ = synthesize_trace(scenario, NoiseModel())
         sequences = segment_trace(trace)
         truth_paths = sorted(
             (path[0][0], path[-1][0])

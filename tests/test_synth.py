@@ -69,8 +69,6 @@ class TestNoiseModel:
     def test_rates_validated(self):
         with pytest.raises(SchemaViolation):
             NoiseModel(false_positive_rate=1.5)
-        with pytest.raises(SchemaViolation):
-            NoiseModel(fade_frames=0)
 
     def test_unknown_preset(self):
         with pytest.raises(SchemaViolation):
@@ -84,7 +82,7 @@ class TestSynthesize:
         scenario = GroundTruthScenario(
             profile=profile, actions=(tap_action(5, 10, 100, 200),)
         )
-        trace, symbols = synthesize_trace(scenario, NoiseModel(fade_frames=3))
+        trace, symbols = synthesize_trace(scenario, NoiseModel())
         assert symbols == ("T",)
         highs = [d for d in trace.detections if d.opacity is Opacity.HIGH]
         lows = [d for d in trace.detections if d.opacity is Opacity.LOW]
@@ -131,17 +129,20 @@ class TestSynthesize:
                 assert (f, x, y) in truth_points
 
     def test_false_positive_count_within_binomial_bounds(self, profile):
-        # One Bernoulli injection per frame; all detections of an empty
-        # scenario are false positives, one distinct position each.
+        # One Bernoulli injection per frame of the trace's span, which one
+        # tap ending at frame 19,996 stretches to 20,000 frames (its fade
+        # included). Each false positive has its own position; the tap's
+        # detections, all at (300, 300), are left out of the count.
         frames = 20000
         rate = 0.01
-        scenario = GroundTruthScenario(profile=profile, actions=())
-        trace, _ = synthesize_trace(
-            scenario,
-            NoiseModel(false_positive_rate=rate, rng_seed=11),
-            frame_count=frames,
+        scenario = GroundTruthScenario(
+            profile=profile, actions=(tap_action(19_990, 7, 300, 300),)
         )
-        contacts = {d.center for d in trace.detections}
+        trace, _ = synthesize_trace(
+            scenario, NoiseModel(false_positive_rate=rate, rng_seed=11)
+        )
+        assert trace.frame_count == frames
+        contacts = {d.center for d in trace.detections} - {(300.0, 300.0)}
         mean = frames * rate
         bound = 3 * math.sqrt(frames * rate * (1 - rate))
         assert abs(len(contacts) - mean) <= bound
