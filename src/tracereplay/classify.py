@@ -7,6 +7,7 @@ is stationary but longer; a Gesture otherwise. Actions whose frames
 mostly contain multiple simultaneous touches are regrouped into
 multi-fingered actions via a chronological stack sweep, and each
 multi-fingered group's finger count is the per-frame touch-count mode.
+A scenario's symbols are spelled in `model`'s action-symbol alphabet.
 """
 
 from __future__ import annotations
@@ -19,13 +20,17 @@ from typing import NamedTuple, Union
 
 from .errors import SchemaViolation
 from .model import (
+    KIND_SYMBOLS,
     DetectionTrace,
     DeviceProfile,
     Frozen,
+    Symbols,
     TouchDetection,
     _int_field,
+    collapse_finger_counts,
     detections_json,
     device_json,
+    gesture_symbol,
     json_array,
     load_document,
 )
@@ -53,10 +58,6 @@ class ActionKind(Enum):
     LONG_TAP = "long_tap"
     GESTURE = "gesture"
 
-    @property
-    def symbol(self) -> str:
-        return {"tap": "T", "long_tap": "L", "gesture": "G"}[self.value]
-
 
 class AtomicAction(NamedTuple):
     """One finger's classified contiguous contact."""
@@ -77,10 +78,6 @@ class AtomicAction(NamedTuple):
         """Last high-opacity frame: the fade tail is not active contact."""
         return self.sequence.last_high_frame
 
-    @property
-    def active_frames(self) -> int:
-        return self.active_end_frame - self.start_frame + 1
-
     @classmethod
     def from_dict(cls, data: dict) -> "AtomicAction":
         if not isinstance(data, dict) or "kind" not in data or "touches" not in data:
@@ -92,9 +89,7 @@ class AtomicAction(NamedTuple):
         raw = data["touches"]
         if not isinstance(raw, list):
             raise SchemaViolation("action touches must be a list")
-        return cls(
-            kind=kind, sequence=TouchSequence(tuple(map(TouchDetection.from_dict, raw)))
-        )
+        return cls(kind, TouchSequence(map(TouchDetection.from_dict, raw)))
 
 
 class SingleFingerItem(NamedTuple):
@@ -108,8 +103,8 @@ class SingleFingerItem(NamedTuple):
     def end_frame(self) -> int:
         return self.action.end_frame
 
-    def symbol(self, extended: bool = False) -> str:
-        return self.action.kind.symbol
+    def symbol(self) -> str:
+        return KIND_SYMBOLS[self.action.kind.value]
 
 
 class MultiFingerItem(NamedTuple):
@@ -124,8 +119,8 @@ class MultiFingerItem(NamedTuple):
     def end_frame(self) -> int:
         return max(a.end_frame for a in self.actions)
 
-    def symbol(self, extended: bool = False) -> str:
-        return f"G{self.finger_count}" if extended else "G"
+    def symbol(self) -> str:
+        return gesture_symbol(self.finger_count)
 
 
 ScenarioItem = Union[SingleFingerItem, MultiFingerItem]
@@ -143,8 +138,10 @@ class ClassifiedScenario(Frozen):
             raise SchemaViolation("scenario items must be ordered by start frame")
         self._set(profile, items)
 
-    def symbols(self, extended: bool = False) -> tuple[str, ...]:
-        return tuple(item.symbol(extended) for item in self.items)
+    def symbols(self, extended: bool = False) -> Symbols:
+        """The items' symbols; without `extended`, `G<n>` reads `G`."""
+        symbols = tuple(item.symbol() for item in self.items)
+        return symbols if extended else collapse_finger_counts(symbols)
 
     def to_json(self) -> bytes:
         """The classified.json document, laid out as json.dumps(indent=2)."""
@@ -188,10 +185,7 @@ class ClassifiedScenario(Frozen):
                 if not isinstance(raw_actions, list):
                     raise SchemaViolation("mfa actions must be a list")
                 actions = tuple(map(AtomicAction.from_dict, raw_actions))
-                finger_count = _int_field(raw, "finger_count")
-                items.append(
-                    MultiFingerItem(actions=actions, finger_count=finger_count)
-                )
+                items.append(MultiFingerItem(actions, _int_field(raw, "finger_count")))
             else:
                 raise SchemaViolation(f"unknown item type {raw['type']!r}")
         # Checked after the walk, so that a defect in a later item is the
@@ -284,8 +278,7 @@ def classify_finger_count(actions: list[AtomicAction]) -> int:
     start = min(a.start_frame for a in actions)
     end = max(a.end_frame for a in actions)
     frequency = Counter(counts.get(f, 0) for f in range(start, end + 1))
-    mode = max(frequency.items(), key=lambda kv: (kv[1], kv[0]))[0]
-    return mode
+    return max(frequency.items(), key=lambda kv: (kv[1], kv[0]))[0]
 
 
 def identify_sfa_mfa(
@@ -318,11 +311,7 @@ def identify_sfa_mfa(
         if len(group) == 1:
             items.append(SingleFingerItem(group[0]))
         else:
-            items.append(
-                MultiFingerItem(
-                    actions=tuple(group), finger_count=classify_finger_count(group)
-                )
-            )
+            items.append(MultiFingerItem(tuple(group), classify_finger_count(group)))
     items.sort(key=lambda item: (item.start_frame, item.end_frame))
     return ClassifiedScenario(profile=profile, items=tuple(items))
 

@@ -118,19 +118,19 @@ def _out_dir(config: Config) -> Path:
 
 
 def _cmd_synthesize(args, config: Config) -> None:
-    from . import metrics, synth  # the only command that needs numpy
-    from .model import serialize_trace
+    from . import synth  # the only command that needs numpy
+    from .model import collapse_finger_counts, dump_sequence_file, serialize_trace
 
     data = read_file("--scenario", args.scenario)
     scenario = synth.GroundTruthScenario.from_json(data)
     noise = synth.noise_preset(config.noise_preset, seed=config.seed)
     trace, symbols = synth.synthesize_trace(scenario, noise)
     if not config.extended_alphabet:
-        symbols = metrics.collapse_finger_counts(symbols)
+        symbols = collapse_finger_counts(symbols)
     out = _out_dir(config)
     (out / "trace.json").write_bytes(serialize_trace(trace))
     sid = Path(args.scenario).stem
-    (out / "truth.txt").write_text(metrics.dump_sequence_file({sid: symbols}))
+    (out / "truth.txt").write_text(dump_sequence_file({sid: symbols}))
     print(f"wrote {out / 'trace.json'} ({len(trace)} detections)")
     print(f"wrote {out / 'truth.txt'} ({''.join(symbols) or '-'})")
 
@@ -138,8 +138,7 @@ def _cmd_synthesize(args, config: Config) -> None:
 def _classify(args, config: Config) -> ClassifiedScenario:
     """Classify the `--trace` file; write classified.json and predicted.txt."""
     from .classify import classify_trace
-    from .metrics import dump_sequence_file
-    from .model import parse_trace
+    from .model import dump_sequence_file, parse_trace
 
     trace = parse_trace(read_file("--trace", args.trace))
     scenario = classify_trace(
@@ -206,15 +205,16 @@ def _replay(script: bytes, dry_run: bool, config: Config) -> ReplayReport:
 
 
 def _cmd_evaluate(args, config: Config) -> None:
-    from . import metrics
+    from .metrics import evaluate_batch
+    from .model import load_sequence_file
 
-    pred = metrics.load_sequence_file(read_file("--pred", args.pred))
-    truth = metrics.load_sequence_file(read_file("--truth", args.truth))
+    pred = load_sequence_file(read_file("--pred", args.pred))
+    truth = load_sequence_file(read_file("--truth", args.truth))
     missing = sorted(set(truth) - set(pred))
     if missing:
         raise SchemaViolation(f"prediction file missing scenarios: {missing}")
     ids = list(truth)
-    report = metrics.evaluate_batch([(pred[sid], truth[sid]) for sid in ids], ids)
+    report = evaluate_batch([(pred[sid], truth[sid]) for sid in ids], ids)
     print(report.format_table())
     if args.json_out:
         Path(args.json_out).write_bytes(report.to_json())

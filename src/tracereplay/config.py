@@ -14,7 +14,7 @@ import os
 from pathlib import Path
 
 from .errors import ConfigError
-from .model import DeviceProfile, Record, valid_device_node
+from .model import DeviceProfile, valid_device_node
 
 ENV_BRIDGE = "TRACEREPLAY_BRIDGE"
 ENV_OUT_DIR = "TRACEREPLAY_OUT_DIR"
@@ -42,7 +42,7 @@ _NON_EMPTY = ("out_dir", "bridge_path", "agent_path", "device_serial",
               "noise_preset", "remote_dir")
 
 
-class Config(Record):
+class Config:
     """The settings of one run: the annotated attributes below, with
     their defaults and the types `validate` accepts."""
 

@@ -1,43 +1,19 @@
-"""Sequence metrics between predicted and ground-truth action types.
+"""Scores of predicted against ground-truth action-type sequences.
 
-Scenarios are compared as symbol sequences over T (tap), L (long tap),
-and G (gesture); multi-fingered actions use finger-count-annotated
-symbols such as G2 in extended-alphabet mode. Levenshtein distance and
-the LCS ratio measure ordered agreement; precision/recall treat the
+The sequences are spelled in `model`'s action-symbol alphabet, which
+also reads and writes the sequence files. Levenshtein distance and the
+LCS ratio measure ordered agreement; precision/recall treat the
 sequences as order-agnostic bags of actions.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from collections import Counter
 from typing import NamedTuple
 
-from .errors import EmptyGroundTruth, SchemaViolation
-
-_SYMBOL = re.compile(r"G\d+|[TLG]")
-
-Symbols = tuple[str, ...]
-
-
-def parse_symbols(text: str) -> Symbols:
-    """Tokenize a symbol string like 'TTG2G' into ('T','T','G2','G')."""
-    symbols: list[str] = []
-    pos = 0
-    text = text.strip()
-    while pos < len(text):
-        match = _SYMBOL.match(text, pos)
-        if match is None:
-            raise SchemaViolation(f"invalid action symbol at {text[pos:]!r}")
-        symbols.append(match.group())
-        pos = match.end()
-    return tuple(symbols)
-
-
-def collapse_finger_counts(symbols: Symbols) -> Symbols:
-    """Map extended symbols (G2, G3, ...) down to the basic alphabet."""
-    return tuple("G" if s.startswith("G") else s for s in symbols)
+from .errors import EmptyGroundTruth
+from .model import Symbols
 
 
 def levenshtein(pred: Symbols, truth: Symbols) -> int:
@@ -196,30 +172,4 @@ def evaluate_batch(pairs: list[tuple[Symbols, Symbols]], ids=None) -> BatchRepor
     return BatchReport(
         ids, reports, mean("levenshtein"), mean("lcs_ratio"),
         mean("macro_precision"), mean("macro_recall"),
-    )
-
-
-def load_sequence_file(text: str) -> dict[str, Symbols]:
-    """Parse 'scenario_id SYMBOLS' lines; '#' lines are comments."""
-    sequences: dict[str, Symbols] = {}
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise SchemaViolation(
-                f"line {number}: expected 'scenario_id SYMBOLS', got {raw!r}"
-            )
-        sid, symbols = parts
-        if sid in sequences:
-            raise SchemaViolation(f"line {number}: duplicate scenario id {sid!r}")
-        sequences[sid] = () if symbols == "-" else parse_symbols(symbols)
-    return sequences
-
-
-def dump_sequence_file(sequences: dict[str, Symbols]) -> str:
-    # "-" marks an empty sequence so every scenario keeps its line.
-    return "".join(
-        f"{sid} {''.join(syms) or '-'}\n" for sid, syms in sequences.items()
     )

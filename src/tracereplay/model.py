@@ -1,4 +1,4 @@
-"""Device profile and detection-trace data model.
+"""Device profile, detection-trace data model and action-symbol alphabet.
 
 A detection trace is the boundary object between the upstream
 touch-detection stage and this pipeline: one entry per detected touch
@@ -20,12 +20,18 @@ Trace JSON schema (version 1)::
     }
 
 All downstream logic works with the bbox center point only.
+
+The module is also the one home of the action-symbol alphabet that truth
+(`synth`) and predictions (`classify`) are spelled in, and of the
+sequence files (`truth.txt`, `predicted.txt`) that carry them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
+from collections.abc import Iterable
 from enum import Enum
 from functools import lru_cache
 from operator import attrgetter
@@ -60,10 +66,12 @@ _setattr = object.__setattr__
 _frame = attrgetter("frame")
 
 
-class Record:
-    """Base of the package's record classes: `==` and `repr` over the
-    fields named in `_fields`, in order, and no hash. Instances keep a
-    `__dict__`, so field reads are plain attribute reads."""
+class Frozen:
+    """Base of the package's records: `==`, `hash` and `repr` over the
+    fields named in `_fields`, in order, and no assignment once built.
+    Field reads are plain `__dict__` reads. A subclass's `__init__`
+    checks its arguments and sets the fields with `_set`; `_unchecked`
+    fills one from fields already checked."""
 
     _fields: tuple[str, ...] = ()
 
@@ -78,14 +86,6 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
-
-
-class Frozen(Record):
-    """A hashable record that cannot be assigned to once built.
-
-    A subclass's `__init__` checks its arguments and sets the fields
-    with `_set`; `_unchecked` fills one from fields already checked.
-    """
 
     def _set(self, *values, **derived) -> None:
         """Set the fields to `values`, in order, then each attribute in
@@ -250,11 +250,12 @@ class DetectionTrace(Frozen):
 
     _fields = ("profile", "detections", "frame_count")
 
-    def __init__(self, profile: DeviceProfile, detections: tuple[TouchDetection, ...],
+    def __init__(self, profile: DeviceProfile, detections: Iterable[TouchDetection],
                  frame_count: int):
-        detections = tuple(detections)
+        # Before `detections`, which may be a lazy loader, is consumed.
         if frame_count < 0:
             raise SchemaViolation(f"frame_count must be >= 0, got {frame_count}")
+        detections = tuple(detections)
         width, height = profile.screen_width, profile.screen_height
         misplaced = None
         previous = 0
@@ -291,9 +292,10 @@ def parse_trace(data: bytes | str) -> DetectionTrace:
 
     Raises MalformedJson on syntax errors, SchemaViolation on missing
     or out-of-range fields, BoundsViolation on off-screen boxes. The
-    document and its `frame_count` are checked here, each detection's
-    own fields by `TouchDetection.from_dict`, and placement and order,
-    once every detection has loaded, by the `DetectionTrace` constructor.
+    document and the type of its `frame_count` are checked here, each
+    detection's own fields by `TouchDetection.from_dict`, and the sign of
+    `frame_count`, then placement and order, by the `DetectionTrace`
+    constructor.
     """
     doc = load_document(
         data, TRACE_SCHEMA_VERSION, ("device", "frame_count", "detections")
@@ -301,10 +303,9 @@ def parse_trace(data: bytes | str) -> DetectionTrace:
     _require(isinstance(doc["detections"], list), "detections must be a list")
 
     profile = DeviceProfile.from_dict(doc["device"])
-    frame_count = _int_field(doc, "frame_count")
-    _require(frame_count >= 0, f"frame_count must be >= 0, got {frame_count}")
     return DetectionTrace(
-        profile, tuple(map(TouchDetection.from_dict, doc["detections"])), frame_count
+        profile, map(TouchDetection.from_dict, doc["detections"]),
+        _int_field(doc, "frame_count"),
     )
 
 
@@ -387,6 +388,63 @@ def _detection_template(depth: int) -> str:
         f'{outer}{{\n{inner}"frame": %s,\n{inner}"bbox": [\n'
         + ",\n".join(f"{value}%r" for _ in range(4))
         + f'\n{inner}],\n{inner}"confidence": %r,\n{inner}"opacity": "%s"\n{outer}}}'
+    )
+
+
+# The action-symbol alphabet: a letter per action kind; in the extended
+# alphabet a multi-fingered gesture of n fingers is `G<n>`.
+
+#: An action-type symbol sequence, e.g. ('T', 'G2', 'L').
+Symbols = tuple[str, ...]
+
+KIND_SYMBOLS = {"tap": "T", "long_tap": "L", "gesture": "G"}
+_GESTURE = KIND_SYMBOLS["gesture"]
+#: One symbol; `re` compiles it on first use, not on every import.
+_SYMBOL = rf"{_GESTURE}\d+|[{''.join(KIND_SYMBOLS.values())}]"
+
+
+def gesture_symbol(fingers: int) -> str:
+    """The extended-alphabet symbol of a `fingers`-finger gesture (`G<n>`)."""
+    return f"{_GESTURE}{fingers}"
+
+
+def collapse_finger_counts(symbols: Symbols) -> Symbols:
+    """Map extended symbols (G2, G3, ...) down to the basic alphabet."""
+    return tuple(_GESTURE if s.startswith(_GESTURE) else s for s in symbols)
+
+
+def parse_symbols(text: str) -> Symbols:
+    """Tokenize a symbol string like 'TTG2G' into ('T','T','G2','G')."""
+    text = text.strip()
+    end = re.match(f"(?:{_SYMBOL})*", text).end()  # the longest run of symbols
+    if end < len(text):
+        raise SchemaViolation(f"invalid action symbol at {text[end:]!r}")
+    return tuple(re.findall(_SYMBOL, text))
+
+
+def load_sequence_file(text: str) -> dict[str, Symbols]:
+    """Parse 'scenario_id SYMBOLS' lines; '#' lines are comments."""
+    sequences: dict[str, Symbols] = {}
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise SchemaViolation(
+                f"line {number}: expected 'scenario_id SYMBOLS', got {raw!r}"
+            )
+        sid, symbols = parts
+        if sid in sequences:
+            raise SchemaViolation(f"line {number}: duplicate scenario id {sid!r}")
+        sequences[sid] = () if symbols == "-" else parse_symbols(symbols)
+    return sequences
+
+
+def dump_sequence_file(sequences: dict[str, Symbols]) -> str:
+    # "-" marks an empty sequence so every scenario keeps its line.
+    return "".join(
+        f"{sid} {''.join(syms) or '-'}\n" for sid, syms in sequences.items()
     )
 
 

@@ -16,11 +16,14 @@ import numpy as np
 
 from .errors import InvalidScenario, SchemaViolation
 from .model import (
+    KIND_SYMBOLS,
     DetectionTrace,
     DeviceProfile,
     Opacity,
+    Symbols,
     TouchDetection,
     _is_number,
+    gesture_symbol,
     load_document,
 )
 
@@ -36,8 +39,6 @@ JITTER_BIAS_VARIANCE = 0.8
 
 #: Length of the low-opacity tail after a finger lift, in frames.
 FADE_FRAMES = 3
-
-ACTION_KINDS = ("tap", "long_tap", "gesture")
 
 #: How often `random_scenario` draws each kind of action, before
 #: normalisation.
@@ -59,7 +60,7 @@ class GroundTruthAction:
     paths: tuple[tuple[PathPoint, ...], ...]
 
     def __post_init__(self):
-        if self.kind not in ACTION_KINDS:
+        if self.kind not in KIND_SYMBOLS:
             raise InvalidScenario(f"unknown action kind {self.kind!r}")
         paths = tuple(
             tuple((int(f), float(x), float(y)) for f, x, y in path)
@@ -93,8 +94,8 @@ class GroundTruthAction:
     def symbol(self) -> str:
         """Ground-truth action-type symbol (finger-count annotated)."""
         if self.fingers > 1:
-            return f"G{self.fingers}"
-        return {"tap": "T", "long_tap": "L", "gesture": "G"}[self.kind]
+            return gesture_symbol(self.fingers)
+        return KIND_SYMBOLS[self.kind]
 
     def to_dict(self) -> dict:
         return {
@@ -138,7 +139,7 @@ class GroundTruthScenario:
                         )
 
     @property
-    def symbols(self) -> tuple[str, ...]:
+    def symbols(self) -> Symbols:
         return tuple(a.symbol for a in self.actions)
 
     def to_json(self) -> bytes:
@@ -210,7 +211,7 @@ def noise_preset(name: str, seed: int = 0) -> NoiseModel:
 def synthesize_trace(
     scenario: GroundTruthScenario,
     noise: NoiseModel | None = None,
-) -> tuple[DetectionTrace, tuple[str, ...]]:
+) -> tuple[DetectionTrace, Symbols]:
     """Render a scenario into a detection trace.
 
     Returns the trace plus the scenario's action-type symbol sequence.

@@ -300,7 +300,7 @@ def random_classified_scenario(rng) -> ClassifiedScenario:
                 PROFILE,
             )
             items.append(SingleFingerItem(action))
-            end = cursor + action.active_frames
+            end = cursor + action.active_end_frame - action.start_frame + 1
         else:  # multi finger, staggered windows allowed
             n_fingers = int(rng.integers(2, 5))
             frames = int(rng.integers(8, 30))

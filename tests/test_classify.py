@@ -17,8 +17,19 @@ from tracereplay.classify import (
     identify_sfa_mfa,
     tap_cutoff_frames,
 )
-from tracereplay.model import DeviceProfile, Opacity
-from tracereplay.synth import NoiseModel, random_scenario, synthesize_trace
+from tracereplay.model import (
+    DeviceProfile,
+    Opacity,
+    collapse_finger_counts,
+    dump_sequence_file,
+    load_sequence_file,
+)
+from tracereplay.synth import (
+    NoiseModel,
+    noise_preset,
+    random_scenario,
+    synthesize_trace,
+)
 
 from conftest import make_sequence, make_touch
 
@@ -34,7 +45,7 @@ class TestClassifyAction:
         seq = make_sequence(0, 10, 300, 300, fade_frames=3)
         action = classify_action(seq, profile)
         assert action.kind is ActionKind.TAP
-        assert action.active_frames == 10
+        assert action.active_end_frame - action.start_frame + 1 == 10
 
     def test_long_stationary_press_is_long_tap(self, profile):
         seq = make_sequence(0, 25, 300, 300)
@@ -312,3 +323,23 @@ class TestZeroNoiseRoundTrip:
         trace, truth = synthesize_trace(scenario, NoiseModel())
         classified = classify_trace(trace)
         assert classified.symbols(extended=True) == truth == (f"G{fingers}",)
+
+
+class TestSymbolAlphabet:
+    """Ground truth and predictions share `model`'s one alphabet."""
+
+    @pytest.mark.parametrize("preset", ["clean", "physical-device", "emulator"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_emitted_symbols_survive_sequence_files(self, profile, preset, seed):
+        scenario = random_scenario(profile, seed=seed)
+        trace, truth = synthesize_trace(scenario, noise_preset(preset, seed=seed))
+        classified = classify_trace(trace)
+        predicted = classified.symbols(extended=True)
+        assert classified.symbols() == collapse_finger_counts(predicted)
+        sequences = {
+            "truth": truth,
+            "truth-basic": collapse_finger_counts(truth),
+            "predicted": predicted,
+            "predicted-basic": classified.symbols(),
+        }
+        assert load_sequence_file(dump_sequence_file(sequences)) == sequences

@@ -126,7 +126,8 @@ def test_runtime_path_does_not_import_numpy(tmp_path, fixture_scenario):
     # The interpreter's own start-up (site, .pth files) may load any of
     # these; only what tracereplay adds counts.
     added = set(pipeline) - set(bare.stdout.split())
-    unused = {"dataclasses", "inspect", "subprocess", "tracereplay.synth", "numpy"}
+    unused = {"dataclasses", "inspect", "subprocess", "tracereplay.synth", "numpy",
+              "tracereplay.metrics"}
     assert added & unused == set()
 
 

@@ -511,15 +511,30 @@ class TestDeviceNode:
             assert parse_script(serialize_script(script)) == script
 
 
+#: A log without its version line, which parses once that line heads it.
+LOG_BODY = (
+    b"# device_node: /dev/input/event2\n"
+    b'# profile: {"fps": 30, "height": 1920, "name": "d", "touch_slop": 8, "width": 1080}\n'
+    b"[0.000000] /dev/input/event2: 0000 0000 00000000\n"
+)
+
+
 class TestParseScriptErrors:
     @pytest.mark.parametrize("data", [
-        b"# profile: {bad\n",
+        b"# tracereplay-log 1\n# profile: {bad\n",
         b"\xff\n",
-        "# profile: [1, 2\n",
-    ], ids=["bad-profile-json", "not-ascii", "truncated-profile"])
+        "# tracereplay-log 1\n# profile: [1, 2\n",
+        b"# tracereplay-log 2\n" + LOG_BODY,
+        LOG_BODY,
+    ], ids=["bad-profile-json", "not-ascii", "truncated-profile", "version-2-header",
+            "no-header"])
     def test_typed_error(self, data):
         with pytest.raises(ScriptFormatError):
             parse_script(data)
+
+    def test_log_body_parses_under_its_header(self):
+        script = parse_script(b"\n# tracereplay-log 1\n" + LOG_BODY)
+        assert script.events == ((0, 0, 0, 0),)
 
     def test_non_ascii_digit_in_str_log_rejected(self, profile):
         # A str regex reads any Unicode digit as a digit, and int() too.

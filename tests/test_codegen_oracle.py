@@ -112,7 +112,9 @@ def _oracle_emit_sfa(action, profile, t0_us, slot, tracking_id):
                     _OracleEvent(t, EV_SYN, SYN_REPORT, 0),
                 ]
             )
-    t_end = t0_us + frame_offset_us(action.active_frames, fps)
+    t_end = t0_us + frame_offset_us(
+        action.active_end_frame - action.start_frame + 1, fps
+    )
     events.extend(
         [
             _OracleEvent(t_end, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE),
@@ -213,7 +215,10 @@ def _oracle_assemble_script(scenario, device_node="/dev/input/event2"):
                 _oracle_emit_sfa(item.action, profile, t0_us, 0, next_tid)
             )
             next_tid += 1
-            prev_end_frame = item.start_frame + item.action.active_frames
+            action = item.action
+            prev_end_frame = (
+                item.start_frame + action.active_end_frame - action.start_frame + 1
+            )
             prev_desc = f"single-finger item at frame {item.start_frame}"
         else:
             events.extend(

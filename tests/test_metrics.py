@@ -7,15 +7,17 @@ from hypothesis import strategies as st
 from tracereplay.errors import EmptyGroundTruth, SchemaViolation
 from tracereplay.metrics import (
     MetricsReport,
-    collapse_finger_counts,
-    dump_sequence_file,
     evaluate_batch,
     lcs_length,
     lcs_ratio,
     levenshtein,
+    precision_recall,
+)
+from tracereplay.model import (
+    collapse_finger_counts,
+    dump_sequence_file,
     load_sequence_file,
     parse_symbols,
-    precision_recall,
 )
 
 ALPHABET = ("T", "L", "G", "G2", "G3")

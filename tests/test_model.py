@@ -203,6 +203,12 @@ class TestParseTrace:
         with pytest.raises(BoundsViolation):
             parse_trace(json.dumps(doc))
 
+    def test_negative_frame_count_is_reported_before_a_bad_detection(self):
+        # The constructor checks frame_count before it loads a detection.
+        doc = trace_doc([det(4, opacity="medium")], frame_count=-1)
+        with pytest.raises(SchemaViolation, match="frame_count must be >= 0, got -1"):
+            parse_trace(json.dumps(doc))
+
     def test_malformed_json(self):
         with pytest.raises(MalformedJson):
             parse_trace(b"{not json")
