@@ -26,6 +26,7 @@ from .model import (
     Frozen,
     Symbols,
     TouchDetection,
+    _center,
     _int_field,
     collapse_finger_counts,
     detections_json,
@@ -209,10 +210,11 @@ def classify_action(
     duration_based_cutoff: bool = False,
 ) -> AtomicAction:
     """Label one touch sequence as Tap, LongTap, or Gesture."""
-    x0, y0 = sequence.touches[0].center
+    touches = sequence.touches
+    x0, y0 = touches[0].center
+    slop = profile.touch_slop
     stationary = all(
-        math.hypot(t.center[0] - x0, t.center[1] - y0) <= profile.touch_slop
-        for t in sequence.touches
+        math.hypot(x - x0, y - y0) <= slop for x, y in map(_center, touches)
     )
     if not stationary:
         kind = ActionKind.GESTURE

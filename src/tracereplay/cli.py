@@ -128,10 +128,11 @@ def _cmd_synthesize(args, config: Config) -> None:
     if not config.extended_alphabet:
         symbols = collapse_finger_counts(symbols)
     out = _out_dir(config)
-    (out / "trace.json").write_bytes(serialize_trace(trace))
-    sid = Path(args.scenario).stem
-    (out / "truth.txt").write_text(dump_sequence_file({sid: symbols}))
-    print(f"wrote {out / 'trace.json'} ({len(trace)} detections)")
+    trace_file = out / "trace.json"
+    trace_file.write_bytes(serialize_trace(trace))
+    # Keyed by the trace file's stem, as `classify` keys its prediction.
+    (out / "truth.txt").write_text(dump_sequence_file({trace_file.stem: symbols}))
+    print(f"wrote {trace_file} ({len(trace)} detections)")
     print(f"wrote {out / 'truth.txt'} ({''.join(symbols) or '-'})")
 
 

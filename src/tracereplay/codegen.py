@@ -22,17 +22,17 @@ Two on-disk forms exist:
 from __future__ import annotations
 
 import json
-import math
 import re
 import struct
 from functools import partial
 from heapq import heappop, heappush
 from itertools import accumulate
+from math import floor
 from typing import NamedTuple
 
 from .classify import ActionKind, ClassifiedScenario, SingleFingerItem
 from .errors import ScriptFormatError, SlotExhaustion
-from .model import DeviceProfile, valid_device_node
+from .model import DeviceProfile, _frame_and_center, valid_device_node
 
 # Kernel input event vocabulary (multi-touch protocol type B).
 EV_SYN = 0x0000
@@ -166,6 +166,7 @@ def assemble_script(
     """
     profile = scenario.profile
     fps = profile.fps
+    max_x, max_y = profile.screen_width - 1, profile.screen_height - 1
     events: list[InputEvent] = []
     append = events.append
     next_tid = 1
@@ -173,10 +174,10 @@ def assemble_script(
     for anchor, contacts in _clusters(scenario.items):
         t_anchor = max(frame_offset_us(anchor, fps), t)
         # By first frame, then first center: the order ids are given in.
-        contacts.sort(key=lambda c: (c[1][0].frame, c[1][0].center))
+        contacts.sort(key=lambda c: _frame_and_center(c[1][0]))
         marks = []
         for order, (release, samples) in enumerate(contacts):
-            marks += [(touch.frame, 0, order, touch) for touch in samples]
+            marks += [(touch.frame, 0, order, touch.center) for touch in samples]
             marks.append((release, 1, order, None))
         # In each frame, samples come before releases; no two marks tie.
         marks.sort()
@@ -185,7 +186,7 @@ def assemble_script(
         slot_of = [None] * len(contacts)
         window = marks[0][0]
         t = t_anchor + frame_offset_us(window - anchor, fps)
-        for frame, is_release, order, touch in marks:
+        for frame, is_release, order, center in marks:
             if frame != window:
                 append(_event((t, EV_SYN, SYN_REPORT, 0)))
                 window = frame
@@ -210,7 +211,10 @@ def assemble_script(
                 if len(free_slots) == MAX_SLOTS:  # the last one up
                     append(_event((t, EV_KEY, BTN_TOUCH, 0)))
             else:
-                x, y = _device_coords(touch.center, profile)
+                # The center rounded half-up to device pixels, on-screen.
+                cx, cy = center
+                x = min(max(floor(cx + 0.5), 0), max_x)
+                y = min(max(floor(cy + 0.5), 0), max_y)
                 append(_event((t, EV_ABS, ABS_MT_POSITION_X, x)))
                 append(_event((t, EV_ABS, ABS_MT_POSITION_Y, y)))
         append(_event((t, EV_SYN, SYN_REPORT, 0)))
@@ -429,12 +433,3 @@ def parse_runnable(data: bytes) -> list[InputEvent]:
         return []
     deltas, types, codes, values = zip(*_RECORD.iter_unpack(body))
     return list(map(_event, zip(accumulate(deltas), types, codes, values)))
-
-
-def _device_coords(
-    center: tuple[float, float], profile: DeviceProfile
-) -> tuple[int, int]:
-    """Round a center half-up to device pixels, clamped on-screen."""
-    x = min(max(math.floor(center[0] + 0.5), 0), profile.screen_width - 1)
-    y = min(max(math.floor(center[1] + 0.5), 0), profile.screen_height - 1)
-    return x, y

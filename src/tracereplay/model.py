@@ -21,6 +21,12 @@ Trace JSON schema (version 1)::
 
 All downstream logic works with the bbox center point only.
 
+A detection (`TouchDetection`) is a tuple `(frame, bbox, confidence,
+opacity, center)` with `center` derived from `bbox`. The loader builds
+each one in C, with one `tuple.__new__` after its own checks, and the
+loops over every detection read its fields through C getters, by
+position or by name. The other records are `Frozen` objects.
+
 The module is also the one home of the action-symbol alphabet that truth
 (`synth`) and predictions (`classify`) are spelled in, and of the
 sequence files (`truth.txt`, `predicted.txt`) that carry them.
@@ -31,10 +37,10 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import namedtuple
 from collections.abc import Iterable
 from enum import Enum
-from functools import lru_cache
-from operator import attrgetter
+from operator import itemgetter
 
 from .errors import BoundsViolation, MalformedJson, SchemaViolation
 
@@ -52,18 +58,12 @@ class Opacity(Enum):
     LOW = "low"
 
 
-#: JSON text of each opacity class, read by the writers without going
-#: through the `Enum.value` descriptor once per detection.
-_OPACITY_TEXT = {opacity: opacity.value for opacity in Opacity}
-
 #: The members and the check the detection loader uses once per
 #: detection, bound here so that it reads no class or module attribute.
 _HIGH, _LOW = Opacity.HIGH, Opacity.LOW
 _isfinite = math.isfinite
 _setattr = object.__setattr__
-
-#: The sort and grouping key of detections (`DetectionTrace`, `segment`).
-_frame = attrgetter("frame")
+_tuple_new = tuple.__new__
 
 
 class Frozen:
@@ -147,19 +147,24 @@ class DeviceProfile(Frozen):
         )
 
 
-class TouchDetection(Frozen):
+class TouchDetection(
+    namedtuple("TouchDetection", ("frame", "bbox", "confidence", "opacity", "center"))
+):
     """One detected touch indicator in one video frame.
 
-    `bbox` is (x, y, w, h) in pixels. `center`, the canonical touch
-    coordinate (the bbox center), is computed once when the detection
-    is built; it is derived from `bbox`, so it takes no part in
-    construction, `==`, `hash` or `repr`.
+    A plain 5-tuple underneath, `(frame, bbox, confidence, opacity,
+    center)`, that compares equal to the plain tuple. `bbox` is (x, y,
+    w, h) in pixels. `center`, the canonical touch coordinate (the bbox
+    center), is derived from `bbox` when the detection is built, so it
+    is no constructor argument, never changes what `==` means and is
+    left out of `repr`. Every detection is built by the checking
+    constructor or by `from_dict`, which runs the same checks.
     """
 
-    _fields = ("frame", "bbox", "confidence", "opacity")
+    __slots__ = ()
 
-    def __init__(self, frame: int, bbox: tuple[float, float, float, float],
-                 confidence: float, opacity: Opacity):
+    def __new__(cls, frame: int, bbox: tuple[float, float, float, float],
+                confidence: float, opacity: Opacity):
         try:
             bbox = tuple(float(v) for v in bbox)
             confidence = float(confidence)
@@ -178,16 +183,41 @@ class TouchDetection(Frozen):
         if not 0.0 <= confidence <= 1.0:
             raise SchemaViolation(f"confidence must be in [0, 1], got {confidence}")
         x, y, w, h = bbox
-        self._set(frame, bbox, confidence, opacity, center=(x + w / 2.0, y + h / 2.0))
+        return _tuple_new(
+            cls, (frame, bbox, confidence, opacity, (x + w / 2.0, y + h / 2.0))
+        )
+
+    # The namedtuple helpers would build a tuple without the checks, or
+    # keep a `center` that no longer matches `bbox`: both go through
+    # the constructor instead, and pickling passes it the four fields.
+
+    @classmethod
+    def _make(cls, fields) -> "TouchDetection":
+        """A detection from `(frame, bbox, confidence, opacity)`."""
+        return cls(*fields)
+
+    def _replace(self, **changes) -> "TouchDetection":
+        """A copy with `changes` applied; `center` follows `bbox`."""
+        return type(self)(**dict(zip(self._fields, self[:4]), **changes))
+
+    def __getnewargs__(self) -> tuple:
+        return self[:4]
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(frame={self[0]!r}, bbox={self[1]!r}, "
+            f"confidence={self[2]!r}, opacity={self[3]!r})"
+        )
 
     @classmethod
     def from_dict(cls, data: dict) -> "TouchDetection":
         """Validate one JSON detection object and build it.
 
         The common case (float numbers, finite, in range) is checked
-        here once and built without the constructor checking it again;
-        anything else takes the field-by-field path, which raises the
-        precise error or accepts e.g. integer coordinates.
+        here once and built in C, by one `tuple.__new__`, without the
+        constructor checking it again; anything else takes the
+        field-by-field path, which raises the precise error or accepts
+        e.g. integer coordinates.
         """
         try:
             frame, bbox = data["frame"], data["bbox"]
@@ -203,15 +233,11 @@ class TouchDetection(Frozen):
             and _isfinite(x + y + w + h)
             and (opacity == "high" or opacity == "low")
         ):
-            det = _new(cls)
-            # One update call, not a write per key: the instance dict
-            # then reads as fast as one the constructor filled.
-            det.__dict__.update(
-                frame=frame, bbox=(x, y, w, h), confidence=confidence,
-                opacity=_HIGH if opacity == "high" else _LOW,
-                center=(x + w / 2.0, y + h / 2.0),
-            )
-            return det
+            return _tuple_new(cls, (
+                frame, (x, y, w, h), confidence,
+                _HIGH if opacity == "high" else _LOW,
+                (x + w / 2.0, y + h / 2.0),
+            ))
         return cls._from_dict_checked(data)
 
     @classmethod
@@ -239,6 +265,16 @@ class TouchDetection(Frozen):
         )
 
 
+#: Getters of `TouchDetection` fields by position, for the loops that
+#: read one or two fields of every detection, e.g. the sort and
+#: grouping key of detections (`DetectionTrace`, `segment`).
+_frame = itemgetter(0)
+_frame_and_bbox = itemgetter(0, 1)
+_opacity = itemgetter(3)
+_center = itemgetter(4)
+_frame_and_center = itemgetter(0, 4)
+
+
 class DetectionTrace(Frozen):
     """All detections of one recording, sorted by frame.
 
@@ -257,27 +293,26 @@ class DetectionTrace(Frozen):
             raise SchemaViolation(f"frame_count must be >= 0, got {frame_count}")
         detections = tuple(detections)
         width, height = profile.screen_width, profile.screen_height
-        misplaced = None
+        misplaced = None  # (frame, bbox) of the first misplaced detection
         previous = 0
         ordered = True
-        for det in detections:
-            frame = det.frame
-            x, y, w, h = det.bbox
+        for frame, bbox in map(_frame_and_bbox, detections):
+            x, y, w, h = bbox
             if (
                 frame >= frame_count or x < 0.0 or y < 0.0
                 or x + w > width or y + h > height
-            ) and (misplaced is None or frame < misplaced.frame):
-                misplaced = det
+            ) and (misplaced is None or frame < misplaced[0]):
+                misplaced = frame, bbox
             ordered = ordered and frame >= previous
             previous = frame
         if misplaced is not None:
-            if misplaced.frame >= frame_count:
+            frame, bbox = misplaced
+            if frame >= frame_count:
                 raise SchemaViolation(
-                    f"detection frame {misplaced.frame} >= frame_count {frame_count}"
+                    f"detection frame {frame} >= frame_count {frame_count}"
                 )
             raise BoundsViolation(
-                f"bbox {misplaced.bbox} outside {width}x{height} screen "
-                f"(frame {misplaced.frame})"
+                f"bbox {bbox} outside {width}x{height} screen (frame {frame})"
             )
         if not ordered:
             detections = tuple(sorted(detections, key=_frame))
@@ -371,23 +406,23 @@ def device_json(profile: DeviceProfile, depth: int) -> str:
 
 def detections_json(detections, depth: int) -> str:
     """JSON array of detections, the array opening at `depth`."""
-    template = _detection_template(depth + 1)
+    outer, inner, value = ("  " * n for n in (depth + 1, depth + 2, depth + 3))
+    # The text around each value; an f-string joins the pieces without
+    # parsing a format string once per detection.
+    frame_key = f'{outer}{{\n{inner}"frame": '
+    bbox_key = f',\n{inner}"bbox": [\n{value}'
+    comma = f",\n{value}"
+    confidence_key = f'\n{inner}],\n{inner}"confidence": '
+    opacity_key = f',\n{inner}"opacity": "'
+    end = f'"\n{outer}}}'
     return json_array(
         [
-            template % (d.frame, *d.bbox, d.confidence, _OPACITY_TEXT[d.opacity])
-            for d in detections
+            f"{frame_key}{frame}{bbox_key}{x!r}{comma}{y!r}{comma}{w!r}{comma}{h!r}"
+            f"{confidence_key}{confidence!r}{opacity_key}"
+            f"{'low' if opacity is _LOW else 'high'}{end}"
+            for frame, (x, y, w, h), confidence, opacity, _ in detections
         ],
         depth,
-    )
-
-
-@lru_cache(maxsize=8)
-def _detection_template(depth: int) -> str:
-    outer, inner, value = ("  " * n for n in (depth, depth + 1, depth + 2))
-    return (
-        f'{outer}{{\n{inner}"frame": %s,\n{inner}"bbox": [\n'
-        + ",\n".join(f"{value}%r" for _ in range(4))
-        + f'\n{inner}],\n{inner}"confidence": %r,\n{inner}"opacity": "%s"\n{outer}}}'
     )
 
 
@@ -399,8 +434,9 @@ Symbols = tuple[str, ...]
 
 KIND_SYMBOLS = {"tap": "T", "long_tap": "L", "gesture": "G"}
 _GESTURE = KIND_SYMBOLS["gesture"]
-#: One symbol; `re` compiles it on first use, not on every import.
-_SYMBOL = rf"{_GESTURE}\d+|[{''.join(KIND_SYMBOLS.values())}]"
+#: One symbol; `re` compiles it on first use, not on every import. The
+#: finger count is ASCII digits: `\d` would take any Unicode digit.
+_SYMBOL = rf"{_GESTURE}[0-9]+|[{''.join(KIND_SYMBOLS.values())}]"
 
 
 def gesture_symbol(fingers: int) -> str:

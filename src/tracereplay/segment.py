@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from itertools import groupby
 from math import dist
-from operator import attrgetter
 
 from .errors import SchemaViolation
 from .model import (
-    _LOW, DetectionTrace, Frozen, Opacity, TouchDetection, _frame, _unchecked,
+    _LOW, DetectionTrace, Frozen, Opacity, TouchDetection, _center, _frame,
+    _frame_and_center, _opacity, _unchecked,
 )
 
 #: Detections below this confidence are dropped before linking.
@@ -37,9 +37,6 @@ MIN_CONFIDENCE = 0.7
 
 #: Sequences spanning this many frames or fewer are discarded.
 MAX_DISCARD_FRAMES = 2
-
-_center = attrgetter("center")
-_opacity = attrgetter("opacity")
 
 
 class TouchSequence(Frozen):
@@ -49,8 +46,8 @@ class TouchSequence(Frozen):
     that their frames strictly increase and that the low-opacity ones
     are a trailing fade suffix, and raises the first of these that
     fails. `high_touches`, found in the same walk, is the prefix before
-    the first low-opacity touch; like `center` on a detection, it takes
-    no part in `==`, `hash` or `repr`.
+    the first low-opacity touch; like `center` on a detection, it is
+    derived, so it takes no part in `==`, `hash` or `repr`.
     """
 
     _fields = ("touches",)
@@ -59,8 +56,9 @@ class TouchSequence(Frozen):
         touches = tuple(touches)
         previous, highs, increasing, suffix = -1, None, True, True
         for i, touch in enumerate(touches):
-            increasing = increasing and touch.frame > previous
-            previous = touch.frame
+            frame = touch.frame
+            increasing = increasing and frame > previous
+            previous = frame
             if touch.opacity is _LOW:
                 if highs is None:
                     highs = i
@@ -99,7 +97,7 @@ def filter_confidence(
     trace: DetectionTrace, min_confidence: float = MIN_CONFIDENCE
 ) -> DetectionTrace:
     """Drop detections whose confidence is strictly below the threshold."""
-    kept = tuple(d for d in trace.detections if d.confidence >= min_confidence)
+    kept = tuple([d for d in trace.detections if d.confidence >= min_confidence])
     # A subset of a validated, sorted trace needs no second validation.
     return _unchecked(
         DetectionTrace, profile=trace.profile, detections=kept,
@@ -116,7 +114,7 @@ def segment_trace(
     sequences: list[TouchSequence] = []
     for chain in chains:
         _split_at_fades(chain, sequences)
-    sequences.sort(key=lambda s: (s.start_frame, s.touches[0].center))
+    sequences.sort(key=lambda s: _frame_and_center(s.touches[0]))
     return sequences
 
 
@@ -158,7 +156,7 @@ def _link_chains(
             linked = {ti for _, ti in links}
             open_chains += [[t] for ti, t in enumerate(touches) if ti not in linked]
     done += open_chains
-    done.sort(key=lambda c: (c[0].frame, c[0].center))
+    done.sort(key=lambda c: _frame_and_center(c[0]))
     return done
 
 

@@ -48,11 +48,6 @@ def test_synthesize_classify_evaluate_round_trip(tmp_path, fixture_scenario, cap
     ]) == 0
     assert (out / "classified.json").is_file()
 
-    # Scenario ids differ (file stems), so align them for evaluation.
-    truth = (out / "truth.txt").read_text().split()[1]
-    pred = (out / "predicted.txt").read_text().split()[1]
-    (out / "truth.txt").write_text(f"scn {truth}\n")
-    (out / "predicted.txt").write_text(f"scn {pred}\n")
     assert main([
         "evaluate", "--pred", str(out / "predicted.txt"),
         "--truth", str(out / "truth.txt"),

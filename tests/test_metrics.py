@@ -66,6 +66,14 @@ class TestParseSymbols:
         with pytest.raises(SchemaViolation):
             parse_symbols("TXG")
 
+    @pytest.mark.parametrize("digit", ["\u0662", "\uff12", "\u096a"],
+                             ids=["arabic-indic", "fullwidth", "devanagari"])
+    def test_finger_count_is_ascii_digits_only(self, digit):
+        with pytest.raises(SchemaViolation):
+            parse_symbols(f"G{digit}")
+        with pytest.raises(SchemaViolation):
+            load_sequence_file(f"a G{digit}T\n")
+
     def test_collapse(self):
         assert collapse_finger_counts(("T", "G2", "G", "L")) == ("T", "G", "G", "L")
 

@@ -1,11 +1,18 @@
+import copy
 import inspect
 import json
+import pickle
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tracereplay.classify import ClassifiedScenario
+from tracereplay.classify import (
+    ActionKind,
+    AtomicAction,
+    ClassifiedScenario,
+    SingleFingerItem,
+)
 from tracereplay.codegen import frame_offset_us
 from tracereplay.errors import BoundsViolation, MalformedJson, SchemaViolation
 from tracereplay.model import (
@@ -16,6 +23,8 @@ from tracereplay.model import (
     parse_trace,
     serialize_trace,
 )
+from tracereplay.segment import TouchSequence
+from tracereplay.synth import GroundTruthAction, GroundTruthScenario, synthesize_trace
 
 from conftest import make_sequence, make_touch
 
@@ -112,6 +121,22 @@ class TestCachedCenter:
         assert fast == checked == built
         assert fast.center == checked.center == built.center == expected
         assert all(type(v) is float for v in built.center)
+        # classified.json, and the generator's placement of a tap there.
+        profile = DeviceProfile(name="d", screen_width=1080, screen_height=1920,
+                                fps=30)
+        item = SingleFingerItem(AtomicAction(ActionKind.TAP, TouchSequence((built,))))
+        (loaded,) = ClassifiedScenario.from_json(
+            ClassifiedScenario(profile=profile, items=(item,)).to_json()
+        ).items
+        (from_json,) = loaded.action.sequence.touches
+        assert from_json == built and from_json.center == expected
+        tap = GroundTruthAction(kind="tap", paths=(((3, *expected),),))
+        trace, _ = synthesize_trace(GroundTruthScenario(profile, (tap,)))
+        assert trace.detections
+        for d in (fast, checked, built, from_json, *trace.detections):
+            assert type(d) is TouchDetection
+            bx, by, bw, bh = d.bbox
+            assert d.center == (bx + bw / 2.0, by + bh / 2.0)
 
     def test_constructor_recomputes_center(self):
         d = make_touch(0, 100, 200)
@@ -130,14 +155,43 @@ class TestCachedCenter:
         assert list(inspect.signature(TouchDetection).parameters) == [
             "frame", "bbox", "confidence", "opacity",
         ]
+        fields = dict(frame=4, bbox=d.bbox, confidence=0.9, opacity=Opacity.HIGH)
+        with pytest.raises(TypeError):
+            TouchDetection(**fields, center=d.center)
         assert repr(d) == (
             "TouchDetection(frame=4, bbox=(80.0, 180.0, 40.0, 40.0), "
             "confidence=0.9, opacity=<Opacity.HIGH: 'high'>)"
         )
-        other = make_touch(4, 100, 200)
-        object.__setattr__(other, "center", (0.0, 0.0))
-        assert other == d
-        assert hash(other) == hash(d) == hash((4, d.bbox, 0.9, Opacity.HIGH))
+        # Equal, and hashed equal, exactly when the four fields are equal.
+        for same in (TouchDetection(**fields), TouchDetection.from_dict(
+                dict(fields, bbox=list(d.bbox), opacity="high"))):
+            assert same == d and hash(same) == hash(d)
+        for change in (dict(frame=5), dict(confidence=0.8),
+                       dict(opacity=Opacity.LOW),
+                       dict(bbox=(79.0, 179.0, 42.0, 42.0))):  # the same center
+            assert TouchDetection(**dict(fields, **change)) != d
+
+    def test_namedtuple_helpers_check_and_derive_center(self):
+        d = make_touch(4, 100, 200)
+        moved = d._replace(bbox=(0.0, 0.0, 10.0, 30.0))
+        assert type(moved) is TouchDetection
+        assert moved.center == (5.0, 15.0)
+        assert moved == TouchDetection(frame=4, bbox=(0.0, 0.0, 10.0, 30.0),
+                                       confidence=0.9, opacity=Opacity.HIGH)
+        for bad in (dict(frame=-1), dict(confidence=1.5),
+                    dict(bbox=(0.0, 0.0, 0.0, 30.0))):
+            with pytest.raises(SchemaViolation):
+                d._replace(**bad)
+        with pytest.raises(TypeError):
+            d._replace(center=(0.0, 0.0))
+        assert TouchDetection._make((4, d.bbox, 0.9, Opacity.HIGH)) == d
+        with pytest.raises(SchemaViolation):
+            TouchDetection._make((4, d.bbox, 1.5, Opacity.HIGH))
+        with pytest.raises(TypeError):  # no center to take over
+            TouchDetection._make((4, (0.0, 0.0, 10.0, 30.0), 0.9, Opacity.HIGH,
+                                  d.center))
+        for same in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert type(same) is TouchDetection and same == d
 
 
 def test_records_reject_assignment(profile):
