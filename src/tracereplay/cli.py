@@ -9,14 +9,25 @@ failure, which is exactly a `SlotExhaustion`, `TransportError` or
 `NonZeroExit`; 2 for every other `TraceReplayError` and every `OSError`
 (input and config errors). `main` alone maps a run's outcome to its
 exit code.
+
+`run` is the process entry of `python -m tracereplay` and of the
+`tracereplay` console script. A process runs one command and exits, so
+`run` turns the cyclic garbage collector off, calls `main`, flushes
+stdout and stderr, and ends with `os._exit`, which skips interpreter
+teardown (freeing every object the run built). A usage error, an
+uncaught exception or a flush that fails exits the ordinary way.
+`main` and the library never touch the collector and never exit the
+process; every file a command writes is closed before `main` returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 # Each command imports the modules it runs in its handler, so that a
 # run loads no module it does not use.
@@ -54,6 +65,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return EXIT_RUNTIME if isinstance(exc, _RUNTIME_ERRORS) else EXIT_INPUT
     return EXIT_OK
+
+
+def run() -> NoReturn:
+    """Run one command as this process's whole life (see the module
+    docstring)."""
+    gc.disable()  # a run builds few reference cycles; the exit reclaims them
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):  # missing, broken or closed
+        sys.exit(code)
+    os._exit(code)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -164,15 +188,18 @@ def _cmd_generate(args, config: Config) -> None:
     _generate(ClassifiedScenario.from_json(data), config)
 
 
-def _generate(scenario: ClassifiedScenario, config: Config) -> None:
+def _generate(scenario: ClassifiedScenario, config: Config) -> bytes:
+    """Write script.log and script.bin; return the runnable bytes."""
     from . import codegen
 
     script = codegen.assemble_script(scenario, device_node=config.device_node)
     out = _out_dir(config)
     (out / "script.log").write_bytes(codegen.serialize_script(script))
-    (out / "script.bin").write_bytes(codegen.translate_runnable(script))
+    runnable = codegen.translate_runnable(script)
+    (out / "script.bin").write_bytes(runnable)
     print(f"wrote {out / 'script.log'} ({len(script.events)} events)")
     print(f"wrote {out / 'script.bin'}")
+    return runnable
 
 
 def _cmd_replay(args, config: Config) -> None:
@@ -223,10 +250,8 @@ def _cmd_evaluate(args, config: Config) -> None:
 
 
 def _cmd_pipeline(args, config: Config) -> None:
-    scenario = _classify(args, config)
-    _generate(scenario, config)
+    script = _generate(_classify(args, config), config)
     if args.replay or args.dry_run:
-        script = (_out_dir(config) / "script.bin").read_bytes()
         report = _replay(script, args.dry_run, config)
         mode = "dry-run" if args.dry_run else "device"
         print(f"replay ({mode}): exit={report.exit_code} "
@@ -255,4 +280,4 @@ _COMMANDS = {
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -435,8 +435,9 @@ Symbols = tuple[str, ...]
 KIND_SYMBOLS = {"tap": "T", "long_tap": "L", "gesture": "G"}
 _GESTURE = KIND_SYMBOLS["gesture"]
 #: One symbol; `re` compiles it on first use, not on every import. The
-#: finger count is ASCII digits: `\d` would take any Unicode digit.
-_SYMBOL = rf"{_GESTURE}[0-9]+|[{''.join(KIND_SYMBOLS.values())}]"
+#: finger count is what `gesture_symbol` writes: ASCII digits (`\d` would
+#: take any Unicode digit), at least 1, without leading zeros.
+_SYMBOL = rf"{_GESTURE}[1-9][0-9]*|[{''.join(KIND_SYMBOLS.values())}]"
 
 
 def gesture_symbol(fingers: int) -> str:

@@ -1,3 +1,4 @@
+import json
 import sys
 
 import pytest
@@ -11,6 +12,21 @@ INDICATOR = 40.0
 @pytest.fixture
 def profile():
     return DeviceProfile(name="nexus5", screen_width=1080, screen_height=1920, fps=30)
+
+
+@pytest.fixture
+def overlapping_taps(tmp_path, profile):
+    """A classified scenario of eleven taps held at once: one contact
+    more than the ten slots, so `generate` raises SlotExhaustion."""
+    def tap(x):
+        touches = [{"frame": f, "bbox": [x, 500.0, 40.0, 40.0], "confidence": 0.9,
+                    "opacity": "high"} for f in range(5)]
+        return {"type": "sfa", "action": {"kind": "tap", "touches": touches}}
+
+    path = tmp_path / "classified.json"
+    path.write_text(json.dumps({"schema_version": 1, "device": profile.to_dict(),
+                                "items": [tap(50.0 + 90.0 * k) for k in range(11)]}))
+    return path
 
 
 def make_touch(frame, x, y, opacity=Opacity.HIGH, confidence=0.9, size=INDICATOR):

@@ -232,17 +232,8 @@ def test_replay_without_agent_exits_2(tmp_path, fixture_scenario):
     assert main(["replay", "--script", str(out / "script.bin")]) == 2
 
 
-def test_eleven_overlapping_taps_exit_1(tmp_path, capsys, profile):
-    # Eleven single-finger taps held at once need more than the ten slots.
-    def tap(x):
-        touches = [{"frame": f, "bbox": [x, 500.0, 40.0, 40.0], "confidence": 0.9,
-                    "opacity": "high"} for f in range(5)]
-        return {"type": "sfa", "action": {"kind": "tap", "touches": touches}}
-
-    doc = tmp_path / "classified.json"
-    doc.write_text(json.dumps({"schema_version": 1, "device": profile.to_dict(),
-                               "items": [tap(50.0 + 90.0 * k) for k in range(11)]}))
-    assert main(["generate", "--scenario-file", str(doc),
+def test_eleven_overlapping_taps_exit_1(tmp_path, capsys, overlapping_taps):
+    assert main(["generate", "--scenario-file", str(overlapping_taps),
                  "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error (generate): more than 10 contacts down at frame 0")

@@ -16,6 +16,7 @@ from tracereplay.metrics import (
 from tracereplay.model import (
     collapse_finger_counts,
     dump_sequence_file,
+    gesture_symbol,
     load_sequence_file,
     parse_symbols,
 )
@@ -73,6 +74,19 @@ class TestParseSymbols:
             parse_symbols(f"G{digit}")
         with pytest.raises(SchemaViolation):
             load_sequence_file(f"a G{digit}T\n")
+
+    @pytest.mark.parametrize("count", ["0", "02", "00", "010"])
+    def test_finger_count_is_positive_without_leading_zeros(self, count):
+        with pytest.raises(SchemaViolation):
+            parse_symbols(f"G{count}")
+        with pytest.raises(SchemaViolation):
+            load_sequence_file(f"a G{count}T\n")
+
+    def test_every_written_gesture_symbol_parses(self):
+        for fingers in range(1, 101):
+            symbol = gesture_symbol(fingers)
+            assert parse_symbols(f"T{symbol}G") == ("T", symbol, "G")
+        assert load_sequence_file("b G1T\n") == {"b": ("G1", "T")}
 
     def test_collapse(self):
         assert collapse_finger_counts(("T", "G2", "G", "L")) == ("T", "G", "G", "L")
