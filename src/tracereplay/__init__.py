@@ -15,8 +15,8 @@ _EXPORTS = {
     for module, names in {
         "classify": (
             "ActionKind", "AtomicAction", "ClassifiedScenario", "MultiFingerItem",
-            "SingleFingerItem", "classify_action", "classify_finger_count",
-            "classify_trace", "filter_actions", "identify_sfa_mfa",
+            "classify_action", "classify_finger_count", "classify_trace",
+            "filter_actions", "identify_sfa_mfa",
         ),
         "codegen": (
             "InputEvent", "SendEventScript", "assemble_script", "parse_runnable",

@@ -79,6 +79,9 @@ class AtomicAction(NamedTuple):
         """Last high-opacity frame: the fade tail is not active contact."""
         return self.sequence.last_high_frame
 
+    def symbol(self) -> str:
+        return KIND_SYMBOLS[self.kind.value]
+
     @classmethod
     def from_dict(cls, data: dict) -> "AtomicAction":
         if not isinstance(data, dict) or "kind" not in data or "touches" not in data:
@@ -91,21 +94,6 @@ class AtomicAction(NamedTuple):
         if not isinstance(raw, list):
             raise SchemaViolation("action touches must be a list")
         return cls(kind, TouchSequence(map(TouchDetection.from_dict, raw)))
-
-
-class SingleFingerItem(NamedTuple):
-    action: AtomicAction
-
-    @property
-    def start_frame(self) -> int:
-        return self.action.start_frame
-
-    @property
-    def end_frame(self) -> int:
-        return self.action.end_frame
-
-    def symbol(self) -> str:
-        return KIND_SYMBOLS[self.action.kind.value]
 
 
 class MultiFingerItem(NamedTuple):
@@ -124,7 +112,8 @@ class MultiFingerItem(NamedTuple):
         return gesture_symbol(self.finger_count)
 
 
-ScenarioItem = Union[SingleFingerItem, MultiFingerItem]
+#: A single-fingered item is its action.
+ScenarioItem = Union[AtomicAction, MultiFingerItem]
 
 
 class ClassifiedScenario(Frozen):
@@ -148,10 +137,10 @@ class ClassifiedScenario(Frozen):
         """The classified.json document, laid out as json.dumps(indent=2)."""
         items = []
         for item in self.items:
-            if isinstance(item, SingleFingerItem):
+            if isinstance(item, AtomicAction):
                 items.append(
                     '    {\n      "type": "sfa",\n      "action": '
-                    f"{_action_json(item.action, 3)}\n    }}"
+                    f"{_action_json(item, 3)}\n    }}"
                 )
             else:
                 actions = json_array(
@@ -179,8 +168,7 @@ class ClassifiedScenario(Frozen):
             if not isinstance(raw, dict) or "type" not in raw:
                 raise SchemaViolation("item must be an object with a type")
             if raw["type"] == "sfa":
-                action = AtomicAction.from_dict(raw.get("action"))
-                items.append(SingleFingerItem(action))
+                items.append(AtomicAction.from_dict(raw.get("action")))
             elif raw["type"] == "mfa":
                 raw_actions = raw.get("actions")
                 if not isinstance(raw_actions, list):
@@ -298,7 +286,7 @@ def identify_sfa_mfa(
     # bisect_right(multi_frames, f) counts the multi-touch frames up to f:
     # a prefix sum kept only at the frames where it grows.
     multi_frames = sorted([f for f, n in counts.items() if n >= 2])
-    singles: list[AtomicAction] = []
+    items: list[ScenarioItem] = []
     potential_multi: list[AtomicAction] = []
     for action in ordered:
         start, end = action.start_frame, action.end_frame
@@ -306,12 +294,11 @@ def identify_sfa_mfa(
         if multi / (end - start + 1) > MULTI_TOUCH_GATE:
             potential_multi.append(action)
         else:
-            singles.append(action)
+            items.append(action)
 
-    items: list[ScenarioItem] = [SingleFingerItem(a) for a in singles]
     for group in group_overlapping(potential_multi):
         if len(group) == 1:
-            items.append(SingleFingerItem(group[0]))
+            items.append(group[0])
         else:
             items.append(MultiFingerItem(tuple(group), classify_finger_count(group)))
     items.sort(key=lambda item: (item.start_frame, item.end_frame))

@@ -4,11 +4,11 @@ Subcommands mirror the pipeline stages: synthesize (scenario fixture ->
 trace), classify (trace -> classified scenario), generate (classified
 scenario -> log + runnable script), replay (runnable -> device),
 evaluate (sequence files -> metrics), and pipeline (classify ->
-generate -> optional replay). Exit codes: 0 success; 1 runtime
-failure, which is exactly a `SlotExhaustion`, `TransportError` or
-`NonZeroExit`; 2 for every other `TraceReplayError` and every `OSError`
-(input and config errors). `main` alone maps a run's outcome to its
-exit code.
+generate -> optional replay). Exit codes: 0 success; 1 device-side
+failure, which is exactly a `TransportError` or `NonZeroExit`; 2 for
+every other `TraceReplayError` and every `OSError` (input and config
+errors, a scenario that cannot be compiled among them). `main` alone
+maps a run's outcome to its exit code.
 
 `run` is the process entry of `python -m tracereplay` and of the
 `tracereplay` console script. A process runs one command and exits, so
@@ -36,7 +36,6 @@ from .errors import (
     ConfigError,
     NonZeroExit,
     SchemaViolation,
-    SlotExhaustion,
     TraceReplayError,
     TransportError,
 )
@@ -50,7 +49,7 @@ EXIT_RUNTIME = 1
 EXIT_INPUT = 2
 
 #: The errors that exit EXIT_RUNTIME; every other error is an input error.
-_RUNTIME_ERRORS = (SlotExhaustion, TransportError, NonZeroExit)
+_RUNTIME_ERRORS = (TransportError, NonZeroExit)
 
 
 def main(argv: list[str] | None = None) -> int:

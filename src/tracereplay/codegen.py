@@ -30,7 +30,7 @@ from itertools import accumulate
 from math import floor
 from typing import NamedTuple
 
-from .classify import ActionKind, ClassifiedScenario, SingleFingerItem
+from .classify import ActionKind, AtomicAction, ClassifiedScenario
 from .errors import ScriptFormatError, SlotExhaustion
 from .model import DeviceProfile, _frame_and_center, valid_device_node
 
@@ -116,12 +116,11 @@ def _contacts(item):
     frame. Each MFA finger with a high-opacity touch is one contact of
     those touches, released in its last active frame's window.
     """
-    if isinstance(item, SingleFingerItem):
-        action = item.action
-        samples = action.sequence.touches[:1]
-        if action.kind is ActionKind.GESTURE:
-            samples += action.sequence.high_touches[1:]
-        return [(action.active_end_frame + 1, samples)]
+    if isinstance(item, AtomicAction):
+        samples = item.sequence.touches[:1]
+        if item.kind is ActionKind.GESTURE:
+            samples += item.sequence.high_touches[1:]
+        return [(item.active_end_frame + 1, samples)]
     return [
         (action.active_end_frame, action.sequence.high_touches)
         for action in item.actions

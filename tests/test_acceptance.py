@@ -15,7 +15,6 @@ from tracereplay.classify import (
     AtomicAction,
     ClassifiedScenario,
     MultiFingerItem,
-    SingleFingerItem,
     classify_action,
     classify_trace,
     filter_actions,
@@ -250,7 +249,7 @@ class TestCriterion4ThresholdBoundaries:
         ]
         half_items = identify_sfa_mfa(at_half, PROFILE).items
         over_items = identify_sfa_mfa(over_half, PROFILE).items
-        ok = all(isinstance(i, SingleFingerItem) for i in half_items) and [
+        ok = all(isinstance(i, AtomicAction) for i in half_items) and [
             isinstance(i, MultiFingerItem) for i in over_items
         ] == [True]
         report(
@@ -299,7 +298,7 @@ def random_classified_scenario(rng) -> ClassifiedScenario:
                 make_sequence(cursor, frames, x, y, dx=dx, fade_frames=fade),
                 PROFILE,
             )
-            items.append(SingleFingerItem(action))
+            items.append(action)
             end = cursor + action.active_end_frame - action.start_frame + 1
         else:  # multi finger, staggered windows allowed
             n_fingers = int(rng.integers(2, 5))

@@ -24,7 +24,6 @@ from tracereplay.classify import (
     AtomicAction,
     ClassifiedScenario,
     MultiFingerItem,
-    SingleFingerItem,
     classify_trace,
 )
 from tracereplay.errors import MalformedJson, SchemaViolation, TraceReplayError
@@ -71,7 +70,7 @@ def _oracle_from_json(data: bytes | str) -> ClassifiedScenario:
         if not isinstance(raw, dict) or "type" not in raw:
             raise SchemaViolation("item must be an object with a type")
         if raw["type"] == "sfa":
-            items.append(SingleFingerItem(_oracle_action_from_dict(raw["action"])))
+            items.append(_oracle_action_from_dict(raw["action"]))
         elif raw["type"] == "mfa":
             actions = tuple(_oracle_action_from_dict(a) for a in raw["actions"])
             items.append(
@@ -190,7 +189,7 @@ def _high_touches(scenario):
         action.sequence.high_touches
         for item in scenario.items
         for action in (
-            item.actions if isinstance(item, MultiFingerItem) else (item.action,)
+            item.actions if isinstance(item, MultiFingerItem) else (item,)
         )
     ]
 

@@ -8,7 +8,6 @@ from tracereplay.classify import (
     AtomicAction,
     ClassifiedScenario,
     MultiFingerItem,
-    SingleFingerItem,
     classify_action,
     classify_finger_count,
     classify_trace,
@@ -219,7 +218,7 @@ class TestIdentifySfaMfa:
             for s in (0, 20, 40)
         ]
         scenario = identify_sfa_mfa(actions, profile)
-        assert all(isinstance(i, SingleFingerItem) for i in scenario.items)
+        assert all(isinstance(i, AtomicAction) for i in scenario.items)
         assert scenario.symbols() == ("T", "T", "T")
 
     def test_fast_typing_stays_sfa(self, profile):
@@ -236,7 +235,7 @@ class TestIdentifySfaMfa:
         a = classify_action(make_sequence(0, 10, 100, 100), profile)
         b = classify_action(make_sequence(5, 10, 600, 100), profile)
         scenario = identify_sfa_mfa([a, b], profile)
-        assert all(isinstance(i, SingleFingerItem) for i in scenario.items)
+        assert all(isinstance(i, AtomicAction) for i in scenario.items)
 
     def test_majority_overlap_becomes_mfa(self, profile):
         a = classify_action(make_sequence(0, 10, 100, 100), profile)
@@ -270,8 +269,8 @@ class TestIdentifySfaMfa:
         scenario = identify_sfa_mfa(actions, profile)
         flattened = []
         for item in scenario.items:
-            if isinstance(item, SingleFingerItem):
-                flattened.append(item.action)
+            if isinstance(item, AtomicAction):
+                flattened.append(item)
             else:
                 flattened.extend(item.actions)
         assert sorted(map(id, flattened)) == sorted(map(id, actions))

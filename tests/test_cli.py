@@ -232,11 +232,29 @@ def test_replay_without_agent_exits_2(tmp_path, fixture_scenario):
     assert main(["replay", "--script", str(out / "script.bin")]) == 2
 
 
-def test_eleven_overlapping_taps_exit_1(tmp_path, capsys, overlapping_taps):
+def test_eleven_overlapping_taps_exit_2(tmp_path, capsys, overlapping_taps):
     assert main(["generate", "--scenario-file", str(overlapping_taps),
-                 "--out-dir", str(tmp_path / "out")]) == 1
+                 "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error (generate): more than 10 contacts down at frame 0")
+
+
+def test_eleven_finger_trace_is_an_input_error(tmp_path, capsys, profile):
+    """`parse_trace` accepts eleven fingers held at once, and the
+    classifier makes them one G item that no ten-slot script can hold:
+    the trace cannot be compiled, which exits 2 like any other input."""
+    detections = [{"frame": f, "bbox": [50.0 + 90.0 * k, 500.0, 40.0, 40.0],
+                   "confidence": 0.9, "opacity": "high"}
+                  for f in range(12) for k in range(11)]
+    trace = tmp_path / "eleven.json"
+    trace.write_text(json.dumps({"schema_version": 1, "device": profile.to_dict(),
+                                 "frame_count": 20, "detections": detections}))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--trace", str(trace), "--out-dir", str(out),
+                 "--dry-run"]) == 2
+    assert capsys.readouterr().err == (
+        "error (pipeline): more than 10 contacts down at frame 0\n")
+    assert (out / "predicted.txt").read_text() == "eleven G\n"
 
 
 @pytest.mark.parametrize("push_code, shell_code, reason", [

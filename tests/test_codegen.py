@@ -4,7 +4,6 @@ import pytest
 from tracereplay.classify import (
     ClassifiedScenario,
     MultiFingerItem,
-    SingleFingerItem,
     classify_action,
 )
 from tracereplay.codegen import (
@@ -56,7 +55,7 @@ def releases(events):
 
 def sfa_events(action, profile):
     """Events of a scenario holding the one single-fingered `action`."""
-    scenario = ClassifiedScenario(profile, (SingleFingerItem(action),))
+    scenario = ClassifiedScenario(profile, (action,))
     return assemble_script(scenario).events
 
 
@@ -177,9 +176,7 @@ class TestAssemble:
     def test_gap_between_taps(self, profile):
         first = classify_action(make_sequence(10, 10, 100, 100), profile)
         second = classify_action(make_sequence(70, 10, 600, 600), profile)
-        scenario = self.scenario_of(
-            profile, [SingleFingerItem(first), SingleFingerItem(second)]
-        )
+        scenario = self.scenario_of(profile, [first, second])
         script = assemble_script(scenario)
         begins = [e for e in script.events
                   if e.event_code == ABS_MT_TRACKING_ID
@@ -208,9 +205,7 @@ class TestAssemble:
         # once, in slots 0 and 1, under one BTN_TOUCH down/up pair.
         first = classify_action(make_sequence(0, 10, 100, 100), profile)
         second = classify_action(make_sequence(7, 10, 600, 600), profile)
-        scenario = self.scenario_of(
-            profile, [SingleFingerItem(first), SingleFingerItem(second)]
-        )
+        scenario = self.scenario_of(profile, [first, second])
         events = assemble_script(scenario).events
         opens = [(e.timestamp_us, e.value) for e in events
                  if e.event_code == ABS_MT_TRACKING_ID
@@ -233,7 +228,7 @@ class TestAssemble:
             tap = classify_action(make_sequence(tap_start, 5, 500, 900), profile)
             return self.scenario_of(
                 profile,
-                [MultiFingerItem((a, b), finger_count=2), SingleFingerItem(tap)],
+                [MultiFingerItem((a, b), finger_count=2), tap],
             )
 
         def release_and_tap_windows(script):
@@ -258,8 +253,7 @@ class TestAssemble:
 
     def test_more_than_max_slots_overlapping_sfas(self, profile):
         taps = [
-            SingleFingerItem(classify_action(
-                make_sequence(k, 15, 60 + 90 * k, 500), profile))
+            classify_action(make_sequence(k, 15, 60 + 90 * k, 500), profile)
             for k in range(11)
         ]
         with pytest.raises(SlotExhaustion, match="at frame 10"):
@@ -286,7 +280,7 @@ class TestAssemble:
         ghost = classify_action(faded, profile)
         tap = classify_action(make_sequence(20, 5, 300, 300), profile)
         scenario = self.scenario_of(profile, [
-            MultiFingerItem((a, ghost, b), finger_count=3), SingleFingerItem(tap),
+            MultiFingerItem((a, ghost, b), finger_count=3), tap,
         ])
         opens = [e.value for e in assemble_script(scenario).events
                  if e.event_code == ABS_MT_TRACKING_ID
@@ -298,8 +292,7 @@ class TestAssemble:
         b = classify_action(make_sequence(30, 10, 200, 200), profile)
         c = classify_action(make_sequence(30, 10, 700, 700), profile)
         scenario = self.scenario_of(
-            profile,
-            [SingleFingerItem(a), MultiFingerItem(actions=(b, c), finger_count=2)],
+            profile, [a, MultiFingerItem(actions=(b, c), finger_count=2)]
         )
         script = assemble_script(scenario)
         opens = [e.value for e in script.events
@@ -346,7 +339,7 @@ class TestSerialization:
             action = classify_action(
                 make_sequence(cursor, frames, x, y, dx=dx), profile
             )
-            items.append(SingleFingerItem(action))
+            items.append(action)
             cursor += frames + int(rng.integers(2, 10))
         return assemble_script(
             ClassifiedScenario(profile=profile, items=tuple(items))
@@ -355,7 +348,7 @@ class TestSerialization:
     def test_log_line_grammar(self, profile):
         action = classify_action(make_sequence(0, 5, 100, 100), profile)
         script = assemble_script(
-            ClassifiedScenario(profile=profile, items=(SingleFingerItem(action),))
+            ClassifiedScenario(profile=profile, items=(action,))
         )
         lines = serialize_script(script).decode().splitlines()
         body = [l for l in lines if not l.startswith("#")]
@@ -435,7 +428,7 @@ class TestInputEventTuple:
     def test_script_and_decoders_hold_input_events(self, profile):
         action = classify_action(make_sequence(0, 5, 100, 100, dx=30), profile)
         script = assemble_script(
-            ClassifiedScenario(profile=profile, items=(SingleFingerItem(action),))
+            ClassifiedScenario(profile=profile, items=(action,))
         )
         assert type(script.events) is tuple
         for events in (script.events, parse_runnable(translate_runnable(script)),
@@ -505,7 +498,7 @@ class TestDeviceNode:
 
     def test_any_other_ascii_node_round_trips(self, profile):
         action = classify_action(make_sequence(0, 5, 100, 100), profile)
-        scenario = ClassifiedScenario(profile, (SingleFingerItem(action),))
+        scenario = ClassifiedScenario(profile, (action,))
         for node in ["/dev/input/event2", "x", "a:b", "[0.1]", "#", "/dev/\x00"]:
             script = assemble_script(scenario, device_node=node)
             assert parse_script(serialize_script(script)) == script
@@ -539,7 +532,7 @@ class TestParseScriptErrors:
     def test_non_ascii_digit_in_str_log_rejected(self, profile):
         # A str regex reads any Unicode digit as a digit, and int() too.
         action = classify_action(make_sequence(0, 5, 100, 100), profile)
-        scenario = ClassifiedScenario(profile, (SingleFingerItem(action),))
+        scenario = ClassifiedScenario(profile, (action,))
         log = serialize_script(assemble_script(scenario)).decode("ascii")
         with pytest.raises(ScriptFormatError, match="not ASCII"):
             parse_script(log.replace("[0.", "[\u0660.", 1))

@@ -29,9 +29,9 @@ from hypothesis import strategies as st
 
 from tracereplay.classify import (
     ActionKind,
+    AtomicAction,
     ClassifiedScenario,
     MultiFingerItem,
-    SingleFingerItem,
     classify_action,
     classify_trace,
 )
@@ -210,15 +210,10 @@ def _oracle_assemble_script(scenario, device_node="/dev/input/event2"):
                 f"{prev_desc} releases at {prev_end_us}us"
             )
         emitted = len(events)
-        if isinstance(item, SingleFingerItem):
-            events.extend(
-                _oracle_emit_sfa(item.action, profile, t0_us, 0, next_tid)
-            )
+        if isinstance(item, AtomicAction):
+            events.extend(_oracle_emit_sfa(item, profile, t0_us, 0, next_tid))
             next_tid += 1
-            action = item.action
-            prev_end_frame = (
-                item.start_frame + action.active_end_frame - action.start_frame + 1
-            )
+            prev_end_frame = item.active_end_frame + 1
             prev_desc = f"single-finger item at frame {item.start_frame}"
         else:
             events.extend(
@@ -472,7 +467,7 @@ def overlapping_items(draw):
     first = draw(st.integers(0, 20))
     return [
         draw(st.one_of(
-            actions(start=first + draw(st.integers(0, 60))).map(SingleFingerItem),
+            actions(start=first + draw(st.integers(0, 60))),
             mfa_items(first=first + draw(st.integers(0, 60)), most=4),
         ))
         for _ in range(draw(st.integers(1, 6)))
@@ -485,7 +480,7 @@ def overlapping_items(draw):
 @given(_STARTS.flatmap(lambda start: actions(start=start)))
 @settings(max_examples=300, deadline=None)
 def test_sfa_matches_oracle(action):
-    assert _check_scenario(_scenario(SingleFingerItem(action))) is not None
+    assert _check_scenario(_scenario(action)) is not None
 
 
 @given(mfa_items())

@@ -16,7 +16,6 @@ from tracereplay.classify import (
     AtomicAction,
     ClassifiedScenario,
     MultiFingerItem,
-    SingleFingerItem,
 )
 from tracereplay.errors import BoundsViolation, SchemaViolation
 from tracereplay.model import (
@@ -61,8 +60,8 @@ def _action_doc(a):
 def reference_classified(scenario):
     items = []
     for item in scenario.items:
-        if isinstance(item, SingleFingerItem):
-            items.append({"type": "sfa", "action": _action_doc(item.action)})
+        if isinstance(item, AtomicAction):
+            items.append({"type": "sfa", "action": _action_doc(item)})
         else:
             items.append({
                 "type": "mfa",
@@ -102,7 +101,7 @@ def actions(draw):
 
 
 items = st.one_of(
-    st.builds(SingleFingerItem, actions()),
+    actions(),
     st.builds(
         MultiFingerItem,
         actions=st.lists(actions(), min_size=1, max_size=3).map(tuple),

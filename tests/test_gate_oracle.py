@@ -22,7 +22,6 @@ from tracereplay.classify import (
     ClassifiedScenario,
     MultiFingerItem,
     ScenarioItem,
-    SingleFingerItem,
     classify_action,
     classify_finger_count,
     filter_actions,
@@ -60,10 +59,10 @@ def _oracle_identify_sfa_mfa(
         else:
             singles.append(action)
 
-    items: list[ScenarioItem] = [SingleFingerItem(a) for a in singles]
+    items: list[ScenarioItem] = list(singles)
     for group in group_overlapping(potential_multi):
         if len(group) == 1:
-            items.append(SingleFingerItem(group[0]))
+            items.append(group[0])
         else:
             items.append(
                 MultiFingerItem(

@@ -19,7 +19,12 @@ import hashlib
 import json
 from pathlib import Path
 
-from tracereplay.classify import MultiFingerItem, classify_trace
+from tracereplay.classify import (
+    AtomicAction,
+    ClassifiedScenario,
+    MultiFingerItem,
+    classify_trace,
+)
 from tracereplay.codegen import assemble_script, serialize_script, translate_runnable
 from tracereplay.config import DEVICE_PRESETS
 from tracereplay.errors import TraceReplayError
@@ -42,13 +47,18 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def case_digests(seed: int, preset: str) -> dict:
-    """Digests of every encoded output for one case; a compile that
-    fails records its error type in place of the script digests."""
+def case_trace(seed: int, preset: str) -> bytes:
+    """The trace.json of one case."""
     profile = PROFILES[seed % len(PROFILES)]
     scenario = random_scenario(profile, seed=seed)
     trace, _ = synthesize_trace(scenario, noise_preset(preset, seed=1000 + seed))
-    trace_bytes = serialize_trace(trace)
+    return serialize_trace(trace)
+
+
+def case_digests(seed: int, preset: str) -> dict:
+    """Digests of every encoded output for one case; a compile that
+    fails records its error type in place of the script digests."""
+    trace_bytes = case_trace(seed, preset)
     classified = classify_trace(parse_trace(trace_bytes))
     result = {
         "trace.json": _sha(trace_bytes),
@@ -84,6 +94,17 @@ def test_outputs_match_golden_digests():
         if digests != expected[case]
     }
     assert not mismatches
+
+
+def test_items_are_actions_or_multi_finger_items():
+    """A single-fingered item is its `AtomicAction`: the classifier and
+    the classified.json loader build no other item type."""
+    for preset in PRESETS:
+        for seed in SEEDS:
+            classified = classify_trace(parse_trace(case_trace(seed, preset)))
+            loaded = ClassifiedScenario.from_json(classified.to_json())
+            for item in classified.items + loaded.items:
+                assert type(item) in (AtomicAction, MultiFingerItem), (preset, seed)
 
 
 def test_golden_cases_cover_mfa_and_compiled_scripts():

@@ -11,7 +11,6 @@ from tracereplay.classify import (
     ActionKind,
     AtomicAction,
     ClassifiedScenario,
-    SingleFingerItem,
 )
 from tracereplay.codegen import frame_offset_us
 from tracereplay.errors import BoundsViolation, MalformedJson, SchemaViolation
@@ -124,11 +123,11 @@ class TestCachedCenter:
         # classified.json, and the generator's placement of a tap there.
         profile = DeviceProfile(name="d", screen_width=1080, screen_height=1920,
                                 fps=30)
-        item = SingleFingerItem(AtomicAction(ActionKind.TAP, TouchSequence((built,))))
+        item = AtomicAction(ActionKind.TAP, TouchSequence((built,)))
         (loaded,) = ClassifiedScenario.from_json(
             ClassifiedScenario(profile=profile, items=(item,)).to_json()
         ).items
-        (from_json,) = loaded.action.sequence.touches
+        (from_json,) = loaded.sequence.touches
         assert from_json == built and from_json.center == expected
         tap = GroundTruthAction(kind="tap", paths=(((3, *expected),),))
         trace, _ = synthesize_trace(GroundTruthScenario(profile, (tap,)))

@@ -87,19 +87,26 @@ def test_pipeline_child_prints_and_writes_what_main_does(tmp_path, trace_file, c
 
 @pytest.mark.parametrize("entry", ENTRIES)
 @pytest.mark.parametrize("case, code, err_start", [
-    ("slot-exhaustion", 1, "error (generate): more than 10 contacts down at frame 0"),
+    ("slot-exhaustion", 2, "error (generate): more than 10 contacts down at frame 0"),
     ("missing-trace", 2, "error (pipeline): --trace absent.json: "),
     ("usage-error", 2, "usage: tracereplay pipeline "),
+    ("failing-bridge", 1, "error (replay): false push "),
 ])
-def test_failing_child_exits_as_main_does(tmp_path, capsys, monkeypatch, overlapping_taps,
-                                          entry, case, code, err_start):
+def test_failing_child_exits_as_main_does(tmp_path, trace_file, capsys, monkeypatch,
+                                          overlapping_taps, entry, case, code, err_start):
     args = {
         "slot-exhaustion": ["generate", "--scenario-file", overlapping_taps.name,
                             "--out-dir", "out"],
         "missing-trace": ["pipeline", "--trace", "absent.json", "--out-dir", "out"],
         "usage-error": ["pipeline", "--out-dir", "out"],  # no --trace
+        # `false` fails the push: the one device-side failure a child can reach.
+        "failing-bridge": ["replay", "--script", "staged/script.bin", "--agent",
+                           "staged/agent.stub", "--bridge", "false", "--out-dir", "out"],
     }[case]
     monkeypatch.chdir(tmp_path)
+    # A dry run writes script.bin and stages agent.stub.
+    assert main(["pipeline", "--trace", str(trace_file), "--out-dir", "staged",
+                 "--dry-run"]) == 0
     expected = in_process(args, capsys)
     assert expected[0] == code
     assert expected[2].startswith(err_start)
@@ -158,5 +165,5 @@ def test_main_leaves_the_collector_on(tmp_path, trace_file, overlapping_taps):
                  "--dry-run"]) == 0
     assert gc.isenabled()
     assert main(["generate", "--scenario-file", str(overlapping_taps),
-                 "--out-dir", str(tmp_path / "out")]) == 1
+                 "--out-dir", str(tmp_path / "out")]) == 2
     assert gc.isenabled()

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from tracereplay.classify import ClassifiedScenario, SingleFingerItem, classify_action
+from tracereplay.classify import ClassifiedScenario, classify_action
 from tracereplay.codegen import assemble_script, translate_runnable
 from tracereplay.errors import (
     ConfigError,
@@ -40,7 +40,7 @@ class CrashingAgent(MockTransport):
 @pytest.fixture
 def runnable(profile):
     action = classify_action(make_sequence(0, 5, 100, 100), profile)
-    scenario = ClassifiedScenario(profile=profile, items=(SingleFingerItem(action),))
+    scenario = ClassifiedScenario(profile=profile, items=(action,))
     return translate_runnable(assemble_script(scenario))
 
 

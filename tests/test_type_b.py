@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from tracereplay.classify import (
     ClassifiedScenario,
-    SingleFingerItem,
     classify_action,
     classify_trace,
 )
@@ -42,9 +41,7 @@ def two_taps():
     """Two overlapping taps: contacts 1 and 2 in slots 0 and 1."""
     first = classify_action(make_sequence(0, 10, 100, 100), PROFILE)
     second = classify_action(make_sequence(4, 10, 600, 600), PROFILE)
-    return ClassifiedScenario(
-        PROFILE, (SingleFingerItem(first), SingleFingerItem(second))
-    )
+    return ClassifiedScenario(PROFILE, (first, second))
 
 
 def test_checker_accepts_two_overlapping_taps():

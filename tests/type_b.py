@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from tracereplay.classify import ActionKind, SingleFingerItem
+from tracereplay.classify import ActionKind, AtomicAction
 from tracereplay.codegen import (
     ABS_MT_POSITION_X,
     ABS_MT_POSITION_Y,
@@ -39,13 +39,12 @@ def scenario_contacts(scenario):
     contact of those touches, released in its last active frame."""
     contacts = []
     for item in scenario.items:
-        if isinstance(item, SingleFingerItem):
-            action = item.action
-            touches = action.sequence.touches[:1]
-            if action.kind is ActionKind.GESTURE:
-                touches += action.sequence.high_touches[1:]
+        if isinstance(item, AtomicAction):
+            touches = item.sequence.touches[:1]
+            if item.kind is ActionKind.GESTURE:
+                touches += item.sequence.high_touches[1:]
             contacts.append(
-                (action.start_frame, action.active_end_frame + 1, touches)
+                (item.start_frame, item.active_end_frame + 1, touches)
             )
         else:
             contacts += [
