@@ -27,7 +27,7 @@ from .model import (
     Symbols,
     TouchDetection,
     _center,
-    _int_field,
+    _int,
     collapse_finger_counts,
     detections_json,
     device_json,
@@ -174,7 +174,8 @@ class ClassifiedScenario(Frozen):
                 if not isinstance(raw_actions, list):
                     raise SchemaViolation("mfa actions must be a list")
                 actions = tuple(map(AtomicAction.from_dict, raw_actions))
-                items.append(MultiFingerItem(actions, _int_field(raw, "finger_count")))
+                count = _int(raw.get("finger_count"), "finger_count")
+                items.append(MultiFingerItem(actions, count))
             else:
                 raise SchemaViolation(f"unknown item type {raw['type']!r}")
         # Checked after the walk, so that a defect in a later item is the

@@ -67,11 +67,13 @@ _tuple_new = tuple.__new__
 
 
 class Frozen:
-    """Base of the package's records: `==`, `hash` and `repr` over the
-    fields named in `_fields`, in order, and no assignment once built.
-    Field reads are plain `__dict__` reads. A subclass's `__init__`
-    checks its arguments and sets the fields with `_set`; `_unchecked`
-    fills one from fields already checked."""
+    """Base of every record the package checks, ground truth included:
+    `==`, `hash` and `repr` over the fields named in `_fields`, in
+    order, and no assignment once built. Field reads are plain
+    `__dict__` reads. A subclass's `__init__` is its whole check, types
+    included, so that a record it accepts survives its JSON writer and
+    reader, if it has them; it sets the fields with `_set`.
+    `_unchecked` fills one from fields already checked."""
 
     _fields: tuple[str, ...] = ()
 
@@ -112,14 +114,14 @@ class DeviceProfile(Frozen):
 
     def __init__(self, name: str, screen_width: int, screen_height: int, fps: int,
                  touch_slop: int = DEFAULT_TOUCH_SLOP):
-        if screen_width <= 0 or screen_height <= 0:
-            raise SchemaViolation(
-                f"screen size must be positive, got {screen_width}x{screen_height}"
-            )
-        if fps < MIN_FPS:
-            raise SchemaViolation(f"fps must be >= {MIN_FPS}, got {fps}")
-        if touch_slop <= 0:
-            raise SchemaViolation(f"touch_slop must be positive, got {touch_slop}")
+        _require(isinstance(name, str), "device name must be a string")
+        for key, value in zip(("width", "height", "fps", "touch_slop"),
+                              (screen_width, screen_height, fps, touch_slop)):
+            _int(value, key)
+        _require(screen_width > 0 and screen_height > 0,
+                 f"screen size must be positive, got {screen_width}x{screen_height}")
+        _require(fps >= MIN_FPS, f"fps must be >= {MIN_FPS}, got {fps}")
+        _require(touch_slop > 0, f"touch_slop must be positive, got {touch_slop}")
         self._set(name, screen_width, screen_height, fps, touch_slop)
 
     def to_dict(self) -> dict:
@@ -136,15 +138,8 @@ class DeviceProfile(Frozen):
         _require(isinstance(data, dict), "device must be an object")
         for key in ("name", "width", "height", "fps"):
             _require(key in data, f"device missing field '{key}'")
-        _require(isinstance(data["name"], str), "device name must be a string")
-        return cls(
-            name=data["name"],
-            screen_width=_int_field(data, "width"),
-            screen_height=_int_field(data, "height"),
-            fps=_int_field(data, "fps"),
-            touch_slop=_int_field(data, "touch_slop") if "touch_slop" in data
-            else DEFAULT_TOUCH_SLOP,
-        )
+        return cls(data["name"], data["width"], data["height"], data["fps"],
+                   data.get("touch_slop", DEFAULT_TOUCH_SLOP))
 
 
 class TouchDetection(
@@ -157,21 +152,25 @@ class TouchDetection(
     w, h) in pixels. `center`, the canonical touch coordinate (the bbox
     center), is derived from `bbox` when the detection is built, so it
     is no constructor argument, never changes what `==` means and is
-    left out of `repr`. Every detection is built by the checking
-    constructor or by `from_dict`, which runs the same checks.
+    left out of `repr`. The constructor checks every field: `frame` a
+    non-negative integer, `opacity` an `Opacity` member, `bbox` and
+    `confidence` floats (once converted) in range. Every detection is
+    built by it or by `from_dict`, which runs the same checks.
     """
 
     __slots__ = ()
 
     def __new__(cls, frame: int, bbox: tuple[float, float, float, float],
                 confidence: float, opacity: Opacity):
+        if opacity is not _HIGH and opacity is not _LOW:
+            raise SchemaViolation(f"opacity must be an Opacity member, got {opacity!r}")
+        _int(frame, "frame")
         try:
             bbox = tuple(float(v) for v in bbox)
             confidence = float(confidence)
-        except OverflowError:
-            raise SchemaViolation(
-                f"bbox or confidence out of float range (frame {frame})"
-            ) from None
+        except (OverflowError, TypeError, ValueError) as exc:
+            why = "out of float range" if type(exc) is OverflowError else "not a number"
+            raise SchemaViolation(f"bbox or confidence {why} (frame {frame})") from None
         if frame < 0:
             raise SchemaViolation(f"frame must be non-negative, got {frame}")
         if len(bbox) != 4:
@@ -257,12 +256,7 @@ class TouchDetection(
             opacity in (Opacity.HIGH.value, Opacity.LOW.value),
             f"opacity must be 'high' or 'low', got {opacity!r}",
         )
-        return cls(
-            frame=_int_field(data, "frame"),
-            bbox=tuple(bbox),
-            confidence=data["confidence"],
-            opacity=Opacity(opacity),
-        )
+        return cls(data["frame"], bbox, data["confidence"], Opacity(opacity))
 
 
 #: Getters of `TouchDetection` fields by position, for the loops that
@@ -278,10 +272,11 @@ _frame_and_center = itemgetter(0, 4)
 class DetectionTrace(Frozen):
     """All detections of one recording, sorted by frame.
 
-    The constructor is the one placement check: every detection must
-    lie inside the profile's screen and before `frame_count`. Of the
-    misplaced ones, the first in frame order (ties in input order) is
-    raised. Detections given out of frame order are re-sorted (stable).
+    The constructor is the one placement check: `frame_count` must be a
+    non-negative integer, and every detection must lie inside the
+    profile's screen and before `frame_count`. Of the misplaced ones,
+    the first in frame order (ties in input order) is raised.
+    Detections given out of frame order are re-sorted (stable).
     """
 
     _fields = ("profile", "detections", "frame_count")
@@ -289,6 +284,7 @@ class DetectionTrace(Frozen):
     def __init__(self, profile: DeviceProfile, detections: Iterable[TouchDetection],
                  frame_count: int):
         # Before `detections`, which may be a lazy loader, is consumed.
+        _int(frame_count, "frame_count")
         if frame_count < 0:
             raise SchemaViolation(f"frame_count must be >= 0, got {frame_count}")
         detections = tuple(detections)
@@ -326,10 +322,11 @@ def parse_trace(data: bytes | str) -> DetectionTrace:
     """Parse a trace JSON document and validate all invariants.
 
     Raises MalformedJson on syntax errors, SchemaViolation on missing
-    or out-of-range fields, BoundsViolation on off-screen boxes. The
-    document and the type of its `frame_count` are checked here, each
-    detection's own fields by `TouchDetection.from_dict`, and the sign of
-    `frame_count`, then placement and order, by the `DetectionTrace`
+    or out-of-range fields, BoundsViolation on off-screen boxes. Only
+    the document's shape (an object with its keys, a detection list) is
+    checked here; the device by `DeviceProfile.from_dict`, each
+    detection by `TouchDetection.from_dict`, and `frame_count` (its type,
+    then its sign), then placement and order, by the `DetectionTrace`
     constructor.
     """
     doc = load_document(
@@ -339,8 +336,7 @@ def parse_trace(data: bytes | str) -> DetectionTrace:
 
     profile = DeviceProfile.from_dict(doc["device"])
     return DetectionTrace(
-        profile, map(TouchDetection.from_dict, doc["detections"]),
-        _int_field(doc, "frame_count"),
+        profile, map(TouchDetection.from_dict, doc["detections"]), doc["frame_count"]
     )
 
 
@@ -500,13 +496,12 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _int_field(data: dict, key: str) -> int:
-    value = data.get(key)
-    _require(
-        isinstance(value, int) and not isinstance(value, bool),
-        f"field '{key}' must be an integer, got {value!r}",
-    )
-    return value
+def _int(value, key: str) -> int:
+    """`value`, unless it is no integer (a bool is none): the check of
+    each integer field, named by its JSON key."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise SchemaViolation(f"field '{key}' must be an integer, got {value!r}")
 
 
 def _require(condition: bool, message: str) -> None:

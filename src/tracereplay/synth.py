@@ -10,7 +10,6 @@ optionally corrupts the result with a seeded noise model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,10 +18,12 @@ from .model import (
     KIND_SYMBOLS,
     DetectionTrace,
     DeviceProfile,
+    Frozen,
     Opacity,
     Symbols,
     TouchDetection,
     _is_number,
+    _require,
     gesture_symbol,
     load_document,
 )
@@ -48,25 +49,22 @@ _KIND_WEIGHTS = {"tap": 0.35, "long_tap": 0.15, "gesture": 0.30, "two_finger": 0
 PathPoint = tuple[int, float, float]
 
 
-@dataclass(frozen=True)
-class GroundTruthAction:
+class GroundTruthAction(Frozen):
     """One user action: one timed path per finger.
 
     kind applies to single-finger actions; any action with two or more
     fingers is treated as a multi-fingered gesture downstream.
     """
 
-    kind: str
-    paths: tuple[tuple[PathPoint, ...], ...]
+    _fields = ("kind", "paths")
 
-    def __post_init__(self):
-        if self.kind not in KIND_SYMBOLS:
-            raise InvalidScenario(f"unknown action kind {self.kind!r}")
+    def __init__(self, kind: str, paths: tuple[tuple[PathPoint, ...], ...]):
+        if kind not in KIND_SYMBOLS:
+            raise InvalidScenario(f"unknown action kind {kind!r}")
         paths = tuple(
             tuple((int(f), float(x), float(y)) for f, x, y in path)
-            for path in self.paths
+            for path in paths
         )
-        object.__setattr__(self, "paths", paths)
         if not paths or any(not path for path in paths):
             raise InvalidScenario("action needs at least one non-empty path")
         if len(paths) > 10:
@@ -77,6 +75,7 @@ class GroundTruthAction:
                 raise InvalidScenario(
                     f"path frames must strictly increase, got {frames}"
                 )
+        self._set(kind, paths)
 
     @property
     def fingers(self) -> int:
@@ -115,20 +114,18 @@ class GroundTruthAction:
         return cls(kind=data["kind"], paths=tuple(tuple(map(tuple, p)) for p in paths))
 
 
-@dataclass(frozen=True)
-class GroundTruthScenario:
+class GroundTruthScenario(Frozen):
     """Chronological ground-truth actions plus the device they target."""
 
-    profile: DeviceProfile
-    actions: tuple[GroundTruthAction, ...]
+    _fields = ("profile", "actions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "actions", tuple(self.actions))
-        starts = [a.start_frame for a in self.actions]
+    def __init__(self, profile: DeviceProfile, actions: tuple[GroundTruthAction, ...]):
+        actions = tuple(actions)
+        starts = [a.start_frame for a in actions]
         if any(b < a for a, b in zip(starts, starts[1:])):
             raise InvalidScenario("actions must be ordered by start frame")
-        slop = self.profile.touch_slop
-        for action in self.actions:
+        slop = profile.touch_slop
+        for action in actions:
             if action.kind in ("tap", "long_tap") and action.fingers == 1:
                 (path,) = action.paths
                 x0, y0 = path[0][1], path[0][2]
@@ -137,6 +134,7 @@ class GroundTruthScenario:
                         raise InvalidScenario(
                             f"{action.kind} path wanders beyond touch slop"
                         )
+        self._set(profile, actions)
 
     @property
     def symbols(self) -> Symbols:
@@ -161,8 +159,7 @@ class GroundTruthScenario:
         )
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(Frozen):
     """Detector-imperfection model applied during synthesis.
 
     position_jitter_sigma is the total per-axis standard deviation of
@@ -171,20 +168,23 @@ class NoiseModel:
     probability of injecting a spurious short-lived detection;
     dropout_rate is a per-detection probability of the detector missing
     a real touch. Every lift leaves a FADE_FRAMES low-opacity tail.
+    rng_seed seeds the noise generator: a non-negative integer.
     """
 
-    position_jitter_sigma: float = 0.0
-    false_positive_rate: float = 0.0
-    dropout_rate: float = 0.0
-    rng_seed: int = 0
+    _fields = ("position_jitter_sigma", "false_positive_rate", "dropout_rate",
+               "rng_seed")
 
-    def __post_init__(self):
-        if self.position_jitter_sigma < 0:
-            raise SchemaViolation("position_jitter_sigma must be >= 0")
-        if not 0.0 <= self.false_positive_rate <= 1.0:
-            raise SchemaViolation("false_positive_rate must be in [0, 1]")
-        if not 0.0 <= self.dropout_rate <= 1.0:
-            raise SchemaViolation("dropout_rate must be in [0, 1]")
+    def __init__(self, position_jitter_sigma: float = 0.0,
+                 false_positive_rate: float = 0.0, dropout_rate: float = 0.0,
+                 rng_seed: int = 0):
+        _require(position_jitter_sigma >= 0, "position_jitter_sigma must be >= 0")
+        _require(0.0 <= false_positive_rate <= 1.0,
+                 "false_positive_rate must be in [0, 1]")
+        _require(0.0 <= dropout_rate <= 1.0, "dropout_rate must be in [0, 1]")
+        _require(isinstance(rng_seed, int) and not isinstance(rng_seed, bool)
+                 and rng_seed >= 0,
+                 f"noise seed must be a non-negative integer, got {rng_seed!r}")
+        self._set(position_jitter_sigma, false_positive_rate, dropout_rate, rng_seed)
 
 
 #: Calibration presets; "clean" is exact, the other two approximate the
@@ -205,7 +205,9 @@ def noise_preset(name: str, seed: int = 0) -> NoiseModel:
         raise SchemaViolation(
             f"unknown noise preset {name!r}; options: {sorted(NOISE_PRESETS)}"
         )
-    return replace(NOISE_PRESETS[name], rng_seed=seed)
+    p = NOISE_PRESETS[name]
+    return NoiseModel(p.position_jitter_sigma, p.false_positive_rate, p.dropout_rate,
+                      seed)
 
 
 def synthesize_trace(

@@ -126,6 +126,57 @@ def test_runtime_path_does_not_import_numpy(tmp_path, fixture_scenario):
     assert added & unused == set()
 
 
+def test_synthesize_does_not_import_dataclasses(tmp_path, fixture_scenario):
+    # numpy itself loads `inspect`, `ast` and `dis`; only `dataclasses`
+    # is tracereplay's to avoid.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = (
+        "import json, sys\n"
+        "from tracereplay.cli import main\n"
+        f"code = main(['synthesize', '--scenario', {str(fixture_scenario)!r},\n"
+        f"             '--noise', 'emulator', '--out-dir', {str(tmp_path / 'out')!r}])\n"
+        "assert code == 0, code\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert "numpy" in loaded
+    assert "dataclasses" not in loaded - set(bare.stdout.split())
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_negative_seed_exits_2(tmp_path, capsys, fixture_scenario, how):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": -1}))
+    argv = ["synthesize", "--scenario", str(fixture_scenario),
+            "--out-dir", str(tmp_path / "out")]
+    argv = (argv + ["--seed", "-1"] if how == "flag"
+            else ["--config", str(config)] + argv)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == ("error (synthesize): noise seed must be a non-negative "
+                   "integer, got -1\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_exits_2_in_a_fresh_interpreter(tmp_path, fixture_scenario):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "tracereplay", "synthesize", "--scenario",
+         str(fixture_scenario), "--seed", "-1", "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == ("error (synthesize): noise seed must be a non-negative "
+                           "integer, got -1\n")  # one line, no traceback
+
+
 def test_missing_input_exits_2(tmp_path):
     assert main(["classify", "--trace", str(tmp_path / "absent.json")]) == 2
 

@@ -4,7 +4,7 @@ import json
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from tracereplay.classify import (
@@ -299,6 +299,94 @@ class TestParseTrace:
             frame_count=10,
         )
         assert parse_trace(serialize_trace(trace)) == trace
+
+
+#: A valid value of each constructor argument of a one-detection trace.
+VALID_ARGUMENTS = {
+    "name": st.text(max_size=8), "width": st.integers(100, 3000),
+    "height": st.integers(100, 3000), "fps": st.integers(30, 240),
+    "touch_slop": st.integers(1, 20), "frame": st.integers(0, 50),
+    "x": st.floats(0, 50), "y": st.floats(0, 50), "w": st.floats(1, 50),
+    "h": st.floats(1, 50), "confidence": st.floats(0, 1),
+    "opacity": st.sampled_from(Opacity), "frame_count": st.integers(51, 100),
+}
+ANY_VALUE = st.one_of(st.integers(-3, 3000), st.booleans(), st.floats(),
+                      st.text(max_size=4), st.sampled_from(Opacity))
+VALID = dict(name="d", width=1080, height=1920, fps=30, touch_slop=8, frame=3,
+             x=100.0, y=100.0, w=40.0, h=40.0, confidence=0.9,
+             opacity=Opacity.HIGH, frame_count=10)
+#: Arguments of the wrong type, from which `serialize_trace` would write
+#: a trace that `parse_trace` rejects (or, for the opacity, reads back as
+#: a high-opacity touch), and the error the constructor raises for each:
+#: the JSON reader's message where it has one.
+UNWRITABLE = [
+    (dict(opacity="low"), "opacity must be an Opacity member, got 'low'"),
+    (dict(frame=True), "field 'frame' must be an integer, got True"),
+    (dict(frame=3.5), "field 'frame' must be an integer, got 3.5"),
+    (dict(frame_count=2.5), "field 'frame_count' must be an integer, got 2.5"),
+    (dict(frame_count=True), "field 'frame_count' must be an integer, got True"),
+    (dict(name=5), "device name must be a string"),
+    (dict(width=True), "field 'width' must be an integer, got True"),
+    (dict(width=1080.5), "field 'width' must be an integer, got 1080.5"),
+    (dict(fps=30.0), "field 'fps' must be an integer, got 30.0"),
+    (dict(touch_slop=2.5), "field 'touch_slop' must be an integer, got 2.5"),
+]
+
+
+@st.composite
+def trace_arguments(draw):
+    """Valid arguments with up to three replaced by a value of any type."""
+    args = draw(st.fixed_dictionaries(VALID_ARGUMENTS))
+    keys = draw(st.lists(st.sampled_from(list(VALID_ARGUMENTS)), max_size=3,
+                         unique=True))
+    for key in keys:
+        args[key] = draw(ANY_VALUE)
+    return args
+
+
+def build_trace(args):
+    profile = DeviceProfile(args["name"], args["width"], args["height"], args["fps"],
+                            args["touch_slop"])
+    bbox = (args["x"], args["y"], args["w"], args["h"])
+    detection = TouchDetection(args["frame"], bbox, args["confidence"],
+                               args["opacity"])
+    return DetectionTrace(profile, (detection,), args["frame_count"])
+
+
+def with_unwritable_examples(test):
+    for change, _ in UNWRITABLE:
+        test = example(dict(VALID, **change))(test)
+    return test
+
+
+class TestConstructorIsTheCheck:
+    """A trace the constructors accept comes back unchanged through
+    `serialize_trace` and `parse_trace`."""
+
+    @seed(20261019)
+    @settings(max_examples=300, deadline=None)
+    @given(trace_arguments())
+    @with_unwritable_examples
+    def test_a_built_trace_is_rejected_or_round_trips(self, args):
+        try:
+            trace = build_trace(args)
+        except (SchemaViolation, BoundsViolation):
+            return
+        assert parse_trace(serialize_trace(trace)) == trace
+
+    @pytest.mark.parametrize("change, message", UNWRITABLE,
+                             ids=[repr(change) for change, _ in UNWRITABLE])
+    def test_unwritable_argument_is_rejected_at_construction(self, change, message):
+        build_trace(VALID)
+        with pytest.raises(SchemaViolation) as caught:
+            build_trace(dict(VALID, **change))
+        assert str(caught.value) == message
+
+    def test_bbox_or_confidence_that_is_no_number(self):
+        for change in (dict(confidence="high"), dict(x=Opacity.LOW), dict(w="")):
+            with pytest.raises(SchemaViolation,
+                               match=r"bbox or confidence not a number \(frame 3\)"):
+                build_trace(dict(VALID, **change))
 
 
 class TestFrameTime:

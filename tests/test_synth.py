@@ -64,11 +64,55 @@ class TestScenarioModel:
         )
         assert GroundTruthScenario.from_json(scenario.to_json()) == scenario
 
+    def test_records_keep_eq_hash_and_repr(self, profile):
+        # What the frozen dataclasses these records were gave.
+        tap = GroundTruthAction("tap", (((0, 1, 2),),))
+        assert repr(tap) == "GroundTruthAction(kind='tap', paths=(((0, 1.0, 2.0),),))"
+        assert tap == GroundTruthAction(kind="tap", paths=[[(0.0, 1, 2.0)]])
+        assert hash(tap) == hash(("tap", (((0, 1.0, 2.0),),)))
+        assert tap != GroundTruthAction("long_tap", tap.paths)
+        assert tap != ("tap", tap.paths)
+        scenario = GroundTruthScenario(profile, [tap])
+        assert repr(scenario) == (
+            "GroundTruthScenario(profile=DeviceProfile(name='nexus5', "
+            "screen_width=1080, screen_height=1920, fps=30, touch_slop=8), "
+            f"actions=({tap!r},))"
+        )
+        assert hash(scenario) == hash((profile, (tap,)))
+        assert scenario == GroundTruthScenario(profile=profile, actions=(tap,))
+        assert scenario != GroundTruthScenario(profile, ())
+        for record, field in ((tap, "kind"), (scenario, "actions")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        for seed in range(5):
+            scenario = random_scenario(profile, seed=seed)
+            loaded = GroundTruthScenario.from_json(scenario.to_json())
+            assert loaded == scenario and hash(loaded) == hash(scenario)
+            assert repr(loaded) == repr(scenario)
+
 
 class TestNoiseModel:
     def test_rates_validated(self):
         with pytest.raises(SchemaViolation):
             NoiseModel(false_positive_rate=1.5)
+
+    def test_keeps_eq_hash_and_repr(self):
+        noise = noise_preset("emulator", seed=5)
+        assert repr(noise) == ("NoiseModel(position_jitter_sigma=4.0, "
+                               "false_positive_rate=0.01, dropout_rate=0.03, rng_seed=5)")
+        assert noise == NoiseModel(4.0, 0.01, 0.03, 5)
+        assert hash(noise) == hash((4.0, 0.01, 0.03, 5))
+        assert noise != NoiseModel(4.0, 0.01, 0.03, 6)
+        assert NoiseModel() == noise_preset("clean") == NoiseModel(rng_seed=0)
+        with pytest.raises(AttributeError):
+            noise.rng_seed = 6
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.0, "1", None])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(SchemaViolation, match="noise seed must be a non-negative"):
+            NoiseModel(rng_seed=seed)
+        with pytest.raises(SchemaViolation, match="noise seed must be a non-negative"):
+            noise_preset("emulator", seed=seed)
 
     def test_unknown_preset(self):
         with pytest.raises(SchemaViolation):
