@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .classify import ActionKind, AtomicAction, ClassifiedScenario
 from .errors import ScriptFormatError, SlotExhaustion
-from .model import DeviceProfile, _frame_and_center, valid_device_node
+from .model import DeviceProfile, _frame_and_center, decode_json, valid_device_node
 
 # Kernel input event vocabulary (multi-touch protocol type B).
 EV_SYN = 0x0000
@@ -368,13 +368,9 @@ def parse_script(data: bytes | str) -> SendEventScript:
             if line.startswith("# device_node: "):
                 device_node = line[len("# device_node: "):]
             elif line.startswith("# profile: "):
-                try:
-                    doc = json.loads(line[len("# profile: "):])
-                except json.JSONDecodeError as exc:
-                    raise ScriptFormatError(
-                        f"bad profile header: {exc}"
-                    ) from None
-                profile = DeviceProfile.from_dict(doc)
+                profile = DeviceProfile.from_dict(decode_json(
+                    line[len("# profile: "):], ScriptFormatError, "bad profile header"
+                ))
             continue
         match = _LOG_LINE.match(line)
         if match is None:
@@ -387,9 +383,13 @@ def parse_script(data: bytes | str) -> SendEventScript:
         raw_value = int(value, 16)
         if raw_value >= 1 << 31:
             raw_value -= 1 << 32
+        try:
+            seconds = int(secs)
+        except ValueError:  # more digits than int() converts
+            raise ScriptFormatError(f"log timestamp has {len(secs)} digits") from None
         append(
             _event((
-                int(secs) * 1_000_000 + int(micros),
+                seconds * 1_000_000 + int(micros),
                 int(etype, 16),
                 int(code, 16),
                 raw_value,

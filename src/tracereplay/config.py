@@ -2,19 +2,18 @@
 
 Precedence per setting: command-line flag > environment variable >
 config file > built-in default. The config file is a flat JSON object;
-unknown keys are rejected so typos fail loudly. `load_config` does not
-use `model.load_document`: a config file has no `schema_version`, and
-its errors are `ConfigError`s.
+unknown keys are rejected so typos fail loudly. `load_config` decodes
+the file with `model.decode_json`, not `model.load_document`: a config
+file has no `schema_version`, and its errors are `ConfigError`s.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
 from .errors import ConfigError
-from .model import DeviceProfile, valid_device_node
+from .model import DeviceProfile, decode_json, valid_device_node
 
 ENV_BRIDGE = "TRACEREPLAY_BRIDGE"
 ENV_OUT_DIR = "TRACEREPLAY_OUT_DIR"
@@ -96,10 +95,8 @@ def load_config(path: str | None) -> Config:
     """Build a Config from an optional JSON file plus the environment."""
     config = Config()
     if path is not None:
-        try:
-            doc = json.loads(read_file("--config", path))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        doc = decode_json(read_file("--config", path), ConfigError,
+                          "config is not valid JSON")
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
         for key, value in doc.items():

@@ -42,7 +42,7 @@ from collections.abc import Iterable
 from enum import Enum
 from operator import itemgetter
 
-from .errors import BoundsViolation, MalformedJson, SchemaViolation
+from .errors import BoundsViolation, MalformedJson, SchemaViolation, TraceReplayError
 
 TRACE_SCHEMA_VERSION = 1
 
@@ -347,15 +347,7 @@ def load_document(data: bytes | str, version: int, fields: tuple[str, ...]) -> d
     unless it is an object with `schema_version` equal to `version` and
     every key in `fields`.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedJson(f"input is not UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise MalformedJson(f"invalid JSON: {exc}") from exc
+    doc = decode_json(data, MalformedJson, "invalid JSON")
     _require(isinstance(doc, dict), "top-level value must be an object")
     for key in ("schema_version", *fields):
         _require(key in doc, f"document missing field '{key}'")
@@ -364,6 +356,15 @@ def load_document(data: bytes | str, version: int, fields: tuple[str, ...]) -> d
         f"unsupported schema_version {doc['schema_version']!r}",
     )
     return doc
+
+
+def decode_json(data: bytes | str, error: type[TraceReplayError], what: str):
+    """The value of JSON `data` (UTF-8 if bytes), or `error("<what>: <reason>")`
+    for any decode failure, nesting past the recursion limit and huge ints too."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (RecursionError, ValueError) as exc:  # the decode errors are ValueErrors
+        raise error(f"{what}: {exc}") from None
 
 
 def valid_device_node(node: str) -> bool:

@@ -10,6 +10,7 @@ optionally corrupts the result with a seeded noise model.
 from __future__ import annotations
 
 import json
+from math import hypot, isfinite
 
 import numpy as np
 
@@ -47,24 +48,22 @@ _KIND_WEIGHTS = {"tap": 0.35, "long_tap": 0.15, "gesture": 0.30, "two_finger": 0
 
 #: (frame, x, y) sample of one finger's position.
 PathPoint = tuple[int, float, float]
+_BAD_POINT = "paths must be lists of [frame, x, y] points"
 
 
 class GroundTruthAction(Frozen):
-    """One user action: one timed path per finger.
-
-    kind applies to single-finger actions; any action with two or more
-    fingers is treated as a multi-fingered gesture downstream.
+    """One user action: one timed path per finger, each point (frame, x,
+    y) an integer frame (not a bool) and finite numbers x and y, stored
+    as floats. The string kind applies to single-finger actions; any
+    action with two or more fingers is a multi-fingered gesture downstream.
     """
 
     _fields = ("kind", "paths")
 
     def __init__(self, kind: str, paths: tuple[tuple[PathPoint, ...], ...]):
-        if kind not in KIND_SYMBOLS:
+        if not isinstance(kind, str) or kind not in KIND_SYMBOLS:
             raise InvalidScenario(f"unknown action kind {kind!r}")
-        paths = tuple(
-            tuple((int(f), float(x), float(y)) for f, x, y in path)
-            for path in paths
-        )
+        paths = tuple(tuple(map(_point, path)) for path in paths)
         if not paths or any(not path for path in paths):
             raise InvalidScenario("action needs at least one non-empty path")
         if len(paths) > 10:
@@ -97,21 +96,16 @@ class GroundTruthAction(Frozen):
         return KIND_SYMBOLS[self.kind]
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "paths": [[[f, x, y] for f, x, y in path] for path in self.paths],
-        }
+        return {"kind": self.kind, "paths": self.paths}  # tuples dump as arrays
 
     @classmethod
     def from_dict(cls, data: dict) -> "GroundTruthAction":
         if not isinstance(data, dict) or "kind" not in data or "paths" not in data:
             raise SchemaViolation("action must be an object with kind and paths")
         paths = data["paths"]
-        if not isinstance(paths, list) or not all(
-            isinstance(path, list) and all(map(_is_point, path)) for path in paths
-        ):
-            raise SchemaViolation("paths must be lists of [frame, x, y] points")
-        return cls(kind=data["kind"], paths=tuple(tuple(map(tuple, p)) for p in paths))
+        if not isinstance(paths, list) or not all(isinstance(p, list) for p in paths):
+            raise SchemaViolation(_BAD_POINT)
+        return cls(kind=data["kind"], paths=paths)
 
 
 class GroundTruthScenario(Frozen):
@@ -130,7 +124,7 @@ class GroundTruthScenario(Frozen):
                 (path,) = action.paths
                 x0, y0 = path[0][1], path[0][2]
                 for _, x, y in path:
-                    if ((x - x0) ** 2 + (y - y0) ** 2) ** 0.5 > slop:
+                    if hypot(x - x0, y - y0) > slop:
                         raise InvalidScenario(
                             f"{action.kind} path wanders beyond touch slop"
                         )
@@ -159,6 +153,13 @@ class GroundTruthScenario(Frozen):
         )
 
 
+def _count(value, what: str) -> int:
+    """`value`, if it is a non-negative integer (a bool is none)."""
+    _require(isinstance(value, int) and not isinstance(value, bool) and value >= 0,
+             f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
 class NoiseModel(Frozen):
     """Detector-imperfection model applied during synthesis.
 
@@ -177,13 +178,13 @@ class NoiseModel(Frozen):
     def __init__(self, position_jitter_sigma: float = 0.0,
                  false_positive_rate: float = 0.0, dropout_rate: float = 0.0,
                  rng_seed: int = 0):
-        _require(position_jitter_sigma >= 0, "position_jitter_sigma must be >= 0")
-        _require(0.0 <= false_positive_rate <= 1.0,
-                 "false_positive_rate must be in [0, 1]")
-        _require(0.0 <= dropout_rate <= 1.0, "dropout_rate must be in [0, 1]")
-        _require(isinstance(rng_seed, int) and not isinstance(rng_seed, bool)
-                 and rng_seed >= 0,
-                 f"noise seed must be a non-negative integer, got {rng_seed!r}")
+        _require(_is_number(position_jitter_sigma) and position_jitter_sigma >= 0,
+                 "position_jitter_sigma must be a number >= 0")
+        _require(_is_number(false_positive_rate) and 0.0 <= false_positive_rate <= 1.0,
+                 "false_positive_rate must be a number in [0, 1]")
+        _require(_is_number(dropout_rate) and 0.0 <= dropout_rate <= 1.0,
+                 "dropout_rate must be a number in [0, 1]")
+        _count(rng_seed, "noise seed")
         self._set(position_jitter_sigma, false_positive_rate, dropout_rate, rng_seed)
 
 
@@ -312,10 +313,10 @@ def random_scenario(
     """Draw a random but valid scenario: taps, long taps, gestures, and
     two-finger actions, in the proportions of `_KIND_WEIGHTS`, with
     inter-action gaps wide enough that fade tails never bridge adjacent
-    actions.
+    actions. `seed`, and `n_actions` unless None, are non-negative ints.
     """
-    rng = np.random.default_rng(seed)
-    n = int(n_actions if n_actions is not None else rng.integers(5, 26))
+    rng = np.random.default_rng(_count(seed, "scenario seed"))
+    n = rng.integers(5, 26) if n_actions is None else _count(n_actions, "n_actions")
     margin = 60.0
     width, height = float(profile.screen_width), float(profile.screen_height)
     cursor = int(rng.integers(5, 20))
@@ -344,10 +345,17 @@ def random_scenario(
     return GroundTruthScenario(profile=profile, actions=tuple(actions))
 
 
-def _is_point(point) -> bool:
-    """Whether `point` is [frame, x, y]: three numbers, an integer frame."""
-    return (isinstance(point, list) and len(point) == 3
-            and all(map(_is_number, point)) and isinstance(point[0], int))
+def _point(point) -> PathPoint:
+    """`point` as (frame, float(x), float(y)), if it is three values: an
+    integer frame (not a bool) and finite numbers x and y."""
+    try:
+        frame, x, y = point
+        if all(map(_is_number, (frame, x, y))) and isinstance(frame, int):
+            if isfinite(x) and isfinite(y):
+                return frame, float(x), float(y)
+    except (OverflowError, TypeError, ValueError):  # no 3 values; a huge int
+        pass
+    raise SchemaViolation(_BAD_POINT)
 
 
 def _stationary_action(kind, start, duration, rng, width, height, margin):

@@ -8,6 +8,13 @@ from tracereplay.segment import TouchSequence
 
 INDICATOR = 40.0
 
+#: Well-formed JSON that the decoder still rejects: nesting far past the
+#: recursion limit, and an integer past CPython's int-digit limit.
+UNDECODABLE_JSON = {
+    "deep": "[" * 100_000 + "]" * 100_000,
+    "huge-int": '{"schema_version": ' + "9" * 5000 + "}",
+}
+
 
 @pytest.fixture
 def profile():

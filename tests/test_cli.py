@@ -15,7 +15,7 @@ from tracereplay.model import DeviceProfile
 from tracereplay.replay import ReplayConfig
 from tracereplay.synth import GroundTruthAction, GroundTruthScenario
 
-from conftest import fake_bridge
+from conftest import UNDECODABLE_JSON, fake_bridge
 
 
 @pytest.fixture
@@ -91,6 +91,39 @@ def test_pipeline_non_finite_bbox_exits_2(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith("error (pipeline): ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", UNDECODABLE_JSON, ids=UNDECODABLE_JSON)
+@pytest.mark.parametrize("command", ["classify", "pipeline", "generate", "synthesize",
+                                     "--config"])
+def test_undecodable_json_exits_2(tmp_path, capsys, command, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(UNDECODABLE_JSON[doc])
+    out = ["--out-dir", str(tmp_path / "out")]
+    argv = {
+        "classify": ["classify", "--trace", str(bad)] + out,
+        "pipeline": ["pipeline", "--trace", str(bad), "--dry-run"] + out,
+        "generate": ["generate", "--scenario-file", str(bad)] + out,
+        "synthesize": ["synthesize", "--scenario", str(bad)] + out,
+        "--config": ["--config", str(bad), "classify", "--trace", str(bad)] + out,
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    if command == "--config":
+        assert err.startswith("error (classify): config is not valid JSON: ")
+    else:
+        assert err.startswith(f"error ({command}): invalid JSON: ")
+    assert err.count("\n") == 1  # one line: no traceback
+    assert not (tmp_path / "out").exists()
+
+
+def test_synthesize_list_kind_exits_2(tmp_path, capsys, profile):
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps({"schema_version": 1, "device": profile.to_dict(),
+                                   "actions": [{"kind": [], "paths": [[[0, 1, 2]]]}]}))
+    assert main(["synthesize", "--scenario", str(fixture),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error (synthesize): unknown action kind []\n"
 
 
 def test_runtime_path_does_not_import_numpy(tmp_path, fixture_scenario):
@@ -382,8 +415,11 @@ def test_deterministic_given_seed(tmp_path, fixture_scenario):
     [{"kind": "tap", "paths": [[["a", 1, 2]]]}],
     [{"kind": "tap", "paths": [[[0, None, 2]]]}],
     [{"kind": "tap", "paths": [[[True, 1, 2]]]}],
+    [{"kind": "tap", "paths": [[[0.0, 1, 2]]]}],
+    [{"kind": "tap", "paths": [[[0, float("nan"), 2]]]}],
+    [{"kind": "tap", "paths": [[[0, 10**400, 2]]]}],
 ], ids=["int-actions", "int-paths", "two-value-point", "string-frame", "null-x",
-        "bool-frame"])
+        "bool-frame", "float-frame", "nan-x", "huge-int-x"])
 def test_synthesize_malformed_fixture_exits_2(tmp_path, capsys, profile, actions):
     data = json.dumps({"schema_version": 1, "device": profile.to_dict(),
                        "actions": actions})

@@ -15,6 +15,7 @@ from tracereplay.codegen import (
     EV_ABS,
     EV_KEY,
     EV_SYN,
+    LOG_HEADER,
     SYN_REPORT,
     TRACKING_RELEASE,
     InputEvent,
@@ -30,7 +31,7 @@ from tracereplay.codegen import (
 from tracereplay.errors import ScriptFormatError, SlotExhaustion
 from tracereplay.model import DeviceProfile
 
-from conftest import make_sequence, make_touch
+from conftest import UNDECODABLE_JSON, make_sequence, make_touch
 
 
 def coordinate_samples(events):
@@ -519,8 +520,11 @@ class TestParseScriptErrors:
         "# tracereplay-log 1\n# profile: [1, 2\n",
         b"# tracereplay-log 2\n" + LOG_BODY,
         LOG_BODY,
+        *(f"{LOG_HEADER}\n# profile: {doc}\n" for doc in UNDECODABLE_JSON.values()),
+        f"{LOG_HEADER}\n[{'9' * 5000}.000000] /dev/x: 0000 0000 00000000\n",
     ], ids=["bad-profile-json", "not-ascii", "truncated-profile", "version-2-header",
-            "no-header"])
+            "no-header", *(f"{name}-profile" for name in UNDECODABLE_JSON),
+            "timestamp-past-int-digit-limit"])
     def test_typed_error(self, data):
         with pytest.raises(ScriptFormatError):
             parse_script(data)

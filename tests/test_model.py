@@ -13,19 +13,31 @@ from tracereplay.classify import (
     ClassifiedScenario,
 )
 from tracereplay.codegen import frame_offset_us
-from tracereplay.errors import BoundsViolation, MalformedJson, SchemaViolation
+from tracereplay.errors import (
+    BoundsViolation,
+    MalformedJson,
+    SchemaViolation,
+    TraceReplayError,
+)
 from tracereplay.model import (
     DetectionTrace,
     DeviceProfile,
     Opacity,
     TouchDetection,
+    load_document,
     parse_trace,
     serialize_trace,
 )
 from tracereplay.segment import TouchSequence
-from tracereplay.synth import GroundTruthAction, GroundTruthScenario, synthesize_trace
+from tracereplay.synth import (
+    GroundTruthAction,
+    GroundTruthScenario,
+    NoiseModel,
+    random_scenario,
+    synthesize_trace,
+)
 
-from conftest import make_sequence, make_touch
+from conftest import UNDECODABLE_JSON, make_sequence, make_touch
 
 
 def trace_doc(detections, width=1080, height=1920, fps=30, frame_count=100):
@@ -266,6 +278,12 @@ class TestParseTrace:
         with pytest.raises(MalformedJson):
             parse_trace(b"{not json")
 
+    @pytest.mark.parametrize("doc", UNDECODABLE_JSON.values(), ids=UNDECODABLE_JSON)
+    def test_undecodable_json(self, doc):
+        for data in (doc, doc.encode("utf-8")):
+            with pytest.raises(MalformedJson, match="^invalid JSON: "):
+                load_document(data, 1, ())
+
     def test_bbox_outside_screen(self):
         doc = trace_doc([det(4, bbox=(1070, 100, 40, 40))])
         with pytest.raises(BoundsViolation):
@@ -334,13 +352,13 @@ UNWRITABLE = [
 
 
 @st.composite
-def trace_arguments(draw):
-    """Valid arguments with up to three replaced by a value of any type."""
-    args = draw(st.fixed_dictionaries(VALID_ARGUMENTS))
-    keys = draw(st.lists(st.sampled_from(list(VALID_ARGUMENTS)), max_size=3,
-                         unique=True))
+def replaced_arguments(draw, valid, any_value):
+    """Arguments drawn from `valid`, a strategy per argument, with up to
+    three replaced by a draw from `any_value`."""
+    args = draw(st.fixed_dictionaries(valid))
+    keys = draw(st.lists(st.sampled_from(list(valid)), max_size=3, unique=True))
     for key in keys:
-        args[key] = draw(ANY_VALUE)
+        args[key] = draw(any_value)
     return args
 
 
@@ -359,13 +377,66 @@ def with_unwritable_examples(test):
     return test
 
 
+#: A valid value of each argument of the ground-truth constructors: the
+#: two points of a one-finger action, a noise model, a random scenario.
+GROUND_TRUTH_ARGUMENTS = {
+    "kind": st.sampled_from(["tap", "long_tap", "gesture"]),
+    "frame": st.integers(0, 50), "x": st.floats(0, 1000), "y": st.floats(0, 1000),
+    "last_frame": st.integers(51, 100), "last_x": st.floats(0, 1000),
+    "last_y": st.floats(0, 1000), "position_jitter_sigma": st.floats(0, 8),
+    "false_positive_rate": st.floats(0, 1), "dropout_rate": st.floats(0, 1),
+    "rng_seed": st.integers(0, 2**40), "seed": st.integers(0, 2**40),
+    "n_actions": st.none() | st.integers(0, 4),
+}
+VALID_GROUND_TRUTH = dict(kind="gesture", frame=3, x=100.0, y=100.0, last_frame=9,
+                          last_x=300.0, last_y=100.0, position_jitter_sigma=2.0,
+                          false_positive_rate=0.01, dropout_rate=0.01, rng_seed=1,
+                          seed=2, n_actions=3)
+#: Arguments the ground-truth constructors reject; before they were the
+#: whole check, each was coerced, crashed or gave an empty scenario.
+REJECTED_GROUND_TRUTH = [
+    dict(kind=[]), dict(frame=1.9), dict(frame=True), dict(frame=0.0), dict(x="a"),
+    dict(x=float("nan")), dict(x=float("inf")), dict(position_jitter_sigma="a"),
+    dict(dropout_rate=None), dict(rng_seed=-1), dict(rng_seed=1.5), dict(seed=-1),
+    dict(seed=1.5), dict(n_actions="3"), dict(n_actions=-3),
+]
+GROUND_TRUTH_ANY_VALUE = st.one_of(ANY_VALUE, st.none(),
+                                   st.lists(st.integers(), max_size=3))
+GROUND_TRUTH_PROFILE = DeviceProfile("d", 1080, 1920, 30)
+#: The scenario each drawn noise model is synthesized over.
+NOISY_SCENARIO = random_scenario(GROUND_TRUTH_PROFILE, seed=0, n_actions=3)
+
+
+def action_scenario(args):
+    path = ((args["frame"], args["x"], args["y"]),
+            (args["last_frame"], args["last_x"], args["last_y"]))
+    return GroundTruthScenario(GROUND_TRUTH_PROFILE,
+                               (GroundTruthAction(args["kind"], (path,)),))
+
+
+def drawn_scenario(args):
+    return random_scenario(GROUND_TRUTH_PROFILE, args["seed"], args["n_actions"])
+
+
+def noise_model(args):
+    return NoiseModel(args["position_jitter_sigma"], args["false_positive_rate"],
+                      args["dropout_rate"], args["rng_seed"])
+
+
+def with_rejected_ground_truth_examples(test):
+    for change in REJECTED_GROUND_TRUTH:
+        test = example(dict(VALID_GROUND_TRUTH, **change))(test)
+    # Two points further apart than a float's square can hold.
+    return example(dict(VALID_GROUND_TRUTH, kind="tap", x=-1e200, last_x=1e200))(test)
+
+
 class TestConstructorIsTheCheck:
-    """A trace the constructors accept comes back unchanged through
-    `serialize_trace` and `parse_trace`."""
+    """A trace or a scenario the constructors accept comes back unchanged
+    through its JSON writer and reader."""
 
     @seed(20261019)
     @settings(max_examples=300, deadline=None)
-    @given(trace_arguments())
+    @given(replaced_arguments(VALID_ARGUMENTS, ANY_VALUE))
     @with_unwritable_examples
     def test_a_built_trace_is_rejected_or_round_trips(self, args):
         try:
@@ -381,6 +452,38 @@ class TestConstructorIsTheCheck:
         with pytest.raises(SchemaViolation) as caught:
             build_trace(dict(VALID, **change))
         assert str(caught.value) == message
+
+    @seed(20261019)
+    @settings(max_examples=300, deadline=None)
+    @given(replaced_arguments(GROUND_TRUTH_ARGUMENTS, GROUND_TRUTH_ANY_VALUE))
+    @with_rejected_ground_truth_examples
+    def test_ground_truth_is_rejected_or_round_trips(self, args):
+        for build in (action_scenario, drawn_scenario):
+            try:
+                scenario = build(args)
+            except TraceReplayError:
+                continue
+            loaded = GroundTruthScenario.from_json(scenario.to_json())
+            assert loaded == scenario
+            assert (hash(loaded), repr(loaded)) == (hash(scenario), repr(scenario))
+        try:
+            noise = noise_model(args)
+            trace, _ = synthesize_trace(NOISY_SCENARIO, noise)
+        except TraceReplayError:
+            return
+        assert parse_trace(serialize_trace(trace)) == trace
+
+    @pytest.mark.parametrize("change", REJECTED_GROUND_TRUTH, ids=repr)
+    def test_ground_truth_argument_is_rejected(self, change):
+        # Each argument is read by one constructor, which must reject it.
+        rejected = []
+        for build in (action_scenario, drawn_scenario, noise_model):
+            build(VALID_GROUND_TRUTH)
+            try:
+                build(dict(VALID_GROUND_TRUTH, **change))
+            except TraceReplayError:
+                rejected.append(build)
+        assert len(rejected) == 1
 
     def test_bbox_or_confidence_that_is_no_number(self):
         for change in (dict(confidence="high"), dict(x=Opacity.LOW), dict(w="")):

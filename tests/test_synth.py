@@ -68,7 +68,9 @@ class TestScenarioModel:
         # What the frozen dataclasses these records were gave.
         tap = GroundTruthAction("tap", (((0, 1, 2),),))
         assert repr(tap) == "GroundTruthAction(kind='tap', paths=(((0, 1.0, 2.0),),))"
-        assert tap == GroundTruthAction(kind="tap", paths=[[(0.0, 1, 2.0)]])
+        assert tap == GroundTruthAction(kind="tap", paths=[[(0, 1, 2.0)]])
+        with pytest.raises(SchemaViolation):  # a frame is an int, never coerced
+            GroundTruthAction(kind="tap", paths=[[(0.0, 1, 2.0)]])
         assert hash(tap) == hash(("tap", (((0, 1.0, 2.0),),)))
         assert tap != GroundTruthAction("long_tap", tap.paths)
         assert tap != ("tap", tap.paths)
