@@ -3,8 +3,8 @@ device input scripts, plus the synthetic-trace generator and metrics
 used to verify the pipeline end to end.
 
 Every public name is loaded from its submodule on first use (PEP 562),
-so `import tracereplay` imports no submodule, and only the synthetic-
-trace generator loads numpy.
+so `import tracereplay` imports no submodule. The package has no runtime
+dependency outside the standard library.
 """
 
 __version__ = "0.1.0"

@@ -141,7 +141,7 @@ def _out_dir(config: Config) -> Path:
 
 
 def _cmd_synthesize(args, config: Config) -> None:
-    from . import synth  # the only command that needs numpy
+    from . import synth  # no other command loads the generator
     from .model import collapse_finger_counts, dump_sequence_file, serialize_trace
 
     data = read_file("--scenario", args.scenario)

@@ -498,11 +498,17 @@ def _is_number(value) -> bool:
 
 
 def _int(value, key: str) -> int:
-    """`value`, unless it is no integer (a bool is none): the check of
-    each integer field, named by its JSON key."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise SchemaViolation(f"field '{key}' must be an integer, got {value!r}")
+    """`value`, unless it is no integer (a bool is none) or one with more
+    digits than `str` writes: the check of each integer field, named by
+    its JSON key."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaViolation(f"field '{key}' must be an integer, got {value!r}")
+    if value.bit_length() > 1000:  # 302 digits or fewer pass every limit (>= 640)
+        try:
+            str(value)
+        except ValueError:
+            raise SchemaViolation(f"field '{key}' has too many digits to write") from None
+    return value
 
 
 def _require(condition: bool, message: str) -> None:

@@ -10,9 +10,11 @@ optionally corrupts the result with a seeded noise model.
 from __future__ import annotations
 
 import json
-from math import hypot, isfinite
-
-import numpy as np
+from bisect import bisect
+from itertools import accumulate
+from math import cos, floor, hypot, inf, isfinite, log, log1p, pi, sin
+from random import Random
+from statistics import NormalDist
 
 from .errors import InvalidScenario, SchemaViolation
 from .model import (
@@ -23,6 +25,7 @@ from .model import (
     Opacity,
     Symbols,
     TouchDetection,
+    _int,
     _is_number,
     _require,
     gesture_symbol,
@@ -42,9 +45,11 @@ JITTER_BIAS_VARIANCE = 0.8
 #: Length of the low-opacity tail after a finger lift, in frames.
 FADE_FRAMES = 3
 
-#: How often `random_scenario` draws each kind of action, before
-#: normalisation.
+#: How often `random_scenario` draws each kind of action (the shares sum
+#: to 1), and where each kind's share of [0, 1) ends, but the last's.
 _KIND_WEIGHTS = {"tap": 0.35, "long_tap": 0.15, "gesture": 0.30, "two_finger": 0.20}
+_KINDS = tuple(_KIND_WEIGHTS)
+_KIND_BOUNDS = tuple(accumulate(_KIND_WEIGHTS.values()))[:-1]
 
 #: (frame, x, y) sample of one finger's position.
 PathPoint = tuple[int, float, float]
@@ -223,7 +228,7 @@ def synthesize_trace(
     point exactly.
     """
     noise = noise or NoiseModel()
-    rng = np.random.default_rng(noise.rng_seed)
+    rng = Random(noise.rng_seed)
     profile = scenario.profile
     sigma = noise.position_jitter_sigma
     bias_sigma = sigma * JITTER_BIAS_VARIANCE ** 0.5
@@ -232,13 +237,13 @@ def synthesize_trace(
     detections: list[TouchDetection] = []
     for action in scenario.actions:
         for path in action.paths:
-            bias = rng.normal(0.0, 1.0, 2) * bias_sigma
+            bias_x = _normal(rng) * bias_sigma
+            bias_y = _normal(rng) * bias_sigma
             last_pos = None
             for f, x, y in path:
-                wobble = rng.normal(0.0, 1.0, 2) * frame_sigma
-                cx = x + bias[0] + wobble[0]
-                cy = y + bias[1] + wobble[1]
-                confidence = float(rng.uniform(0.8, 1.0))
+                cx = x + bias_x + _normal(rng) * frame_sigma
+                cy = y + bias_y + _normal(rng) * frame_sigma
+                confidence = rng.uniform(0.8, 1.0)
                 dropped = rng.random() < noise.dropout_rate
                 last_pos = (cx, cy)
                 if not dropped:
@@ -247,7 +252,7 @@ def synthesize_trace(
                     )
             lift_frame = path[-1][0]
             for k in range(1, FADE_FRAMES + 1):
-                confidence = float(rng.uniform(0.75, 0.95))
+                confidence = rng.uniform(0.75, 0.95)
                 dropped = rng.random() < noise.dropout_rate
                 if not dropped:
                     detections.append(
@@ -262,18 +267,26 @@ def synthesize_trace(
         span = max(a.end_frame for a in scenario.actions) + FADE_FRAMES + 1
 
     # Spurious detections: short-lived, positioned anywhere, confidence
-    # low enough that only some survive the downstream 0.7 filter.
+    # low enough that only some survive the downstream 0.7 filter. Each
+    # frame of the span starts one with probability false_positive_rate;
+    # the frames between two starts are drawn at once, geometrically.
     half = INDICATOR_SIZE / 2.0
-    for f in range(span):
-        if rng.random() < noise.false_positive_rate:
-            fx = float(rng.uniform(half, profile.screen_width - half))
-            fy = float(rng.uniform(half, profile.screen_height - half))
-            lifetime = int(rng.integers(1, 3))
-            confidence = float(rng.uniform(0.5, 1.0))
-            for k in range(lifetime):
-                detections.append(
-                    _detection_at(profile, f + k, fx, fy, confidence, Opacity.HIGH)
-                )
+    rate = noise.false_positive_rate
+    log_none = log1p(-rate) if rate < 1.0 else -inf  # log P(a frame starts none)
+    f = -1  # the last frame that started one
+    while rate:
+        gap = log(1.0 - rng.random()) / log_none  # frames before the next start; may be inf
+        if gap >= span - f - 1:
+            break
+        f += 1 + floor(gap)
+        fx = rng.uniform(half, profile.screen_width - half)
+        fy = rng.uniform(half, profile.screen_height - half)
+        lifetime = _integer(rng, 1, 3)
+        confidence = rng.uniform(0.5, 1.0)
+        for k in range(lifetime):
+            detections.append(
+                _detection_at(profile, f + k, fx, fy, confidence, Opacity.HIGH)
+            )
 
     total = max(
         span, max((d.frame for d in detections), default=-1) + 1
@@ -315,63 +328,77 @@ def random_scenario(
     inter-action gaps wide enough that fade tails never bridge adjacent
     actions. `seed`, and `n_actions` unless None, are non-negative ints.
     """
-    rng = np.random.default_rng(_count(seed, "scenario seed"))
-    n = rng.integers(5, 26) if n_actions is None else _count(n_actions, "n_actions")
+    rng = Random(_count(seed, "scenario seed"))
+    n = _integer(rng, 5, 26) if n_actions is None else _count(n_actions, "n_actions")
     margin = 60.0
     width, height = float(profile.screen_width), float(profile.screen_height)
-    cursor = int(rng.integers(5, 20))
+    cursor = _integer(rng, 5, 20)
     actions: list[GroundTruthAction] = []
-    kinds = tuple(_KIND_WEIGHTS)
-    probs = np.asarray(tuple(_KIND_WEIGHTS.values()), dtype=float)
-    probs = probs / probs.sum()
 
     for _ in range(n):
-        choice = kinds[int(rng.choice(4, p=probs))]
+        choice = _KINDS[bisect(_KIND_BOUNDS, rng.random())]
         if choice == "tap":
-            duration = int(rng.integers(5, 16))
+            duration = _integer(rng, 5, 16)
             action = _stationary_action("tap", cursor, duration, rng, width, height, margin)
         elif choice == "long_tap":
-            duration = int(rng.integers(25, 46))
+            duration = _integer(rng, 25, 46)
             action = _stationary_action("long_tap", cursor, duration, rng, width, height, margin)
         elif choice == "gesture":
-            duration = int(rng.integers(8, 41))
+            duration = _integer(rng, 8, 41)
             action = _swipe_action(cursor, duration, rng, width, height, margin)
         else:
-            duration = int(rng.integers(10, 31))
+            duration = _integer(rng, 10, 31)
             action = _two_finger_action(cursor, duration, rng, width, height, margin)
         actions.append(action)
-        cursor = action.end_frame + int(rng.integers(8, 25))
+        cursor = action.end_frame + _integer(rng, 8, 25)
 
     return GroundTruthScenario(profile=profile, actions=tuple(actions))
 
 
 def _point(point) -> PathPoint:
     """`point` as (frame, float(x), float(y)), if it is three values: an
-    integer frame (not a bool) and finite numbers x and y."""
+    integer frame (not a bool) that `str` can write, and finite numbers
+    x and y."""
     try:
         frame, x, y = point
         if all(map(_is_number, (frame, x, y))) and isinstance(frame, int):
             if isfinite(x) and isfinite(y):
-                return frame, float(x), float(y)
+                return _int(frame, "frame"), float(x), float(y)
     except (OverflowError, TypeError, ValueError):  # no 3 values; a huge int
         pass
     raise SchemaViolation(_BAD_POINT)
 
 
+def _integer(rng: Random, lo: int, hi: int) -> int:
+    """A uniform draw from the integers in [lo, hi)."""
+    return lo + floor((hi - lo) * rng.random())
+
+
+_inv_cdf = NormalDist().inv_cdf
+
+
+def _normal(rng: Random) -> float:
+    """A standard normal draw: the inverse normal CDF of a draw in (0, 1)."""
+    u = 0.0
+    while not u:
+        u = rng.random()
+    return _inv_cdf(u)
+
+
 def _stationary_action(kind, start, duration, rng, width, height, margin):
-    x = float(rng.uniform(margin, width - margin))
-    y = float(rng.uniform(margin, height - margin))
+    x = rng.uniform(margin, width - margin)
+    y = rng.uniform(margin, height - margin)
     path = tuple((start + k, x, y) for k in range(duration))
     return GroundTruthAction(kind=kind, paths=(path,))
 
 
 def _swipe_action(start, duration, rng, width, height, margin):
-    x0 = float(rng.uniform(margin, width - margin))
-    y0 = float(rng.uniform(margin, height - margin))
-    angle = float(rng.uniform(0.0, 2.0 * np.pi))
-    length = float(rng.uniform(80.0, 400.0))
-    x1 = min(max(x0 + length * np.cos(angle), margin), width - margin)
-    y1 = min(max(y0 + length * np.sin(angle), margin), height - margin)
+    x0 = rng.uniform(margin, width - margin)
+    y0 = rng.uniform(margin, height - margin)
+    angle = rng.uniform(0.0, 2.0 * pi)
+    length = rng.uniform(80.0, 400.0)
+    x1 = min(max(x0 + length * cos(angle), margin), width - margin)
+    y1 = min(max(y0 + length * sin(angle), margin), height - margin)
     # Re-aim at the far side if clamping collapsed the travel distance;
     # a swipe must wander well past the touch slop to stay a gesture.
     if ((x1 - x0) ** 2 + (y1 - y0) ** 2) ** 0.5 < 60.0:
@@ -389,18 +416,18 @@ def _swipe_action(start, duration, rng, width, height, margin):
 def _two_finger_action(start, duration, rng, width, height, margin):
     # Wide enough inset that finger orbits (r <= 270px) never clamp.
     inset = margin + 280.0
-    cx = float(rng.uniform(inset, width - inset))
-    cy = float(rng.uniform(inset, height - inset))
-    angle = float(rng.uniform(0.0, 2.0 * np.pi))
-    ux, uy = float(np.cos(angle)), float(np.sin(angle))
-    r0 = float(rng.uniform(80.0, 150.0))
+    cx = rng.uniform(inset, width - inset)
+    cy = rng.uniform(inset, height - inset)
+    angle = rng.uniform(0.0, 2.0 * pi)
+    ux, uy = cos(angle), sin(angle)
+    r0 = rng.uniform(80.0, 150.0)
     if rng.random() < 0.25:
         r1 = r0  # two-finger tap: both fingers hold still
         duration = min(duration, 15)
     elif rng.random() < 0.5:
-        r1 = r0 + float(rng.uniform(40.0, 120.0))  # spread
+        r1 = r0 + rng.uniform(40.0, 120.0)  # spread
     else:
-        r1 = max(r0 - float(rng.uniform(40.0, 120.0)), 75.0)  # pinch
+        r1 = max(r0 - rng.uniform(40.0, 120.0), 75.0)  # pinch
     paths = []
     for sign in (1.0, -1.0):
         path = []

@@ -5,9 +5,9 @@ per criterion. All seeds are fixed; every check is deterministic.
 """
 
 import itertools
+import random
 import time
 
-import numpy as np
 import pytest
 
 from tracereplay.classify import (
@@ -164,14 +164,14 @@ def oracle_partition(actions):
 
 class TestCriterion3GroupingOracle:
     def test_stack_equals_interval_overlap_oracle(self):
-        rng = np.random.default_rng(77)
+        rng = random.Random(77)
         mismatches = 0
         for _ in range(10_000):
-            n = int(rng.integers(1, 11))
+            n = rng.randrange(1, 11)
             actions = []
             for k in range(n):
-                start = int(rng.integers(0, 120))
-                length = int(rng.integers(0, 40))
+                start = rng.randrange(0, 120)
+                length = rng.randrange(0, 40)
                 actions.append(
                     interval_action(start, start + length, x=60.0 + 10.0 * k)
                 )
@@ -285,15 +285,15 @@ class TestCriterion4ThresholdBoundaries:
 def random_classified_scenario(rng) -> ClassifiedScenario:
     """Valid scenario with non-overlapping emit windows, 1..4 fingers."""
     items = []
-    cursor = int(rng.integers(0, 12))
-    for _ in range(int(rng.integers(1, 8))):
+    cursor = rng.randrange(0, 12)
+    for _ in range(rng.randrange(1, 8)):
         roll = rng.random()
         if roll < 0.6:  # single finger
-            frames = int(rng.integers(3, 35))
-            x = float(rng.uniform(60, 1000))
-            y = float(rng.uniform(60, 1850))
-            dx = float(rng.uniform(-4, 4)) if rng.random() < 0.5 else 0.0
-            fade = int(rng.integers(0, 4))
+            frames = rng.randrange(3, 35)
+            x = rng.uniform(60, 1000)
+            y = rng.uniform(60, 1850)
+            dx = rng.uniform(-4, 4) if rng.random() < 0.5 else 0.0
+            fade = rng.randrange(0, 4)
             action = classify_action(
                 make_sequence(cursor, frames, x, y, dx=dx, fade_frames=fade),
                 PROFILE,
@@ -301,12 +301,12 @@ def random_classified_scenario(rng) -> ClassifiedScenario:
             items.append(action)
             end = cursor + action.active_end_frame - action.start_frame + 1
         else:  # multi finger, staggered windows allowed
-            n_fingers = int(rng.integers(2, 5))
-            frames = int(rng.integers(8, 30))
+            n_fingers = rng.randrange(2, 5)
+            frames = rng.randrange(8, 30)
             fingers = []
             for k in range(n_fingers):
-                stagger = int(rng.integers(0, 3))
-                length = max(frames - int(rng.integers(0, 4)) - stagger, 3)
+                stagger = rng.randrange(0, 3)
+                length = max(frames - rng.randrange(0, 4) - stagger, 3)
                 fingers.append(
                     classify_action(
                         make_sequence(
@@ -314,7 +314,7 @@ def random_classified_scenario(rng) -> ClassifiedScenario:
                             length,
                             120.0 + 220.0 * k,
                             500.0 + 40.0 * k,
-                            dx=float(rng.uniform(-3, 3)),
+                            dx=rng.uniform(-3, 3),
                         ),
                         PROFILE,
                     )
@@ -323,7 +323,7 @@ def random_classified_scenario(rng) -> ClassifiedScenario:
                 MultiFingerItem(actions=tuple(fingers), finger_count=n_fingers)
             )
             end = max(f.active_end_frame for f in fingers)
-        cursor = end + int(rng.integers(2, 12))
+        cursor = end + rng.randrange(2, 12)
     return ClassifiedScenario(profile=PROFILE, items=tuple(items))
 
 
@@ -362,7 +362,7 @@ def check_contact_cadence(script):
 
 class TestCriterion5CodegenFuzz:
     def test_well_formed_and_lossless(self):
-        rng = np.random.default_rng(4242)
+        rng = random.Random(4242)
         failures = []
         for i in range(1000):
             scenario = random_classified_scenario(rng)
@@ -427,13 +427,13 @@ class TestCriterion6MetricOracles:
     ALPHABET = ("T", "L", "G", "G2")
 
     def random_pair(self, rng):
-        la, lb = int(rng.integers(0, 13)), int(rng.integers(0, 13))
-        a = tuple(self.ALPHABET[i] for i in rng.integers(0, 4, la))
-        b = tuple(self.ALPHABET[i] for i in rng.integers(0, 4, lb))
+        la, lb = rng.randrange(0, 13), rng.randrange(0, 13)
+        a = tuple(rng.choices(self.ALPHABET, k=la))
+        b = tuple(rng.choices(self.ALPHABET, k=lb))
         return a, b
 
     def test_dp_equals_oracles(self):
-        rng = np.random.default_rng(271828)
+        rng = random.Random(271828)
         bad = 0
         for _ in range(5000):
             a, b = self.random_pair(rng)
@@ -449,7 +449,7 @@ class TestCriterion6MetricOracles:
         )
 
     def test_metric_axioms(self):
-        rng = np.random.default_rng(314159)
+        rng = random.Random(314159)
         ok = True
         for _ in range(2000):
             a, b = self.random_pair(rng)
@@ -467,13 +467,13 @@ class TestCriterion7Throughput:
     def test_three_minute_trace_under_one_second(self):
         # 3 minutes at 30fps = 5400 frames; ~36 actions of ~11 touches
         # plus fades lands near 500 detections.
-        rng = np.random.default_rng(99)
+        rng = random.Random(99)
         detections = []
         cursor = 10
         while cursor < 5200:
-            frames = int(rng.integers(6, 14))
-            x = float(rng.uniform(60, 1000))
-            y = float(rng.uniform(60, 1850))
+            frames = rng.randrange(6, 14)
+            x = rng.uniform(60, 1000)
+            y = rng.uniform(60, 1850)
             for k in range(frames):
                 detections.append(make_touch(cursor + k, x, y, confidence=0.95))
             for k in range(3):
@@ -481,7 +481,7 @@ class TestCriterion7Throughput:
                     make_touch(cursor + frames + k, x, y, opacity=Opacity.LOW,
                                confidence=0.9)
                 )
-            cursor += frames + 3 + int(rng.integers(120, 160))
+            cursor += frames + 3 + rng.randrange(120, 160)
         trace = DetectionTrace(
             profile=PROFILE, detections=tuple(detections), frame_count=5400
         )

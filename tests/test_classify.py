@@ -1,4 +1,5 @@
-import numpy as np
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,13 +175,13 @@ def oracle_groups(actions):
 
 class TestGroupingOracle:
     def test_matches_interval_overlap_components(self):
-        rng = np.random.default_rng(2024)
+        rng = random.Random(2024)
         for _ in range(500):
-            n = int(rng.integers(1, 11))
+            n = rng.randrange(1, 11)
             actions = []
             for k in range(n):
-                start = int(rng.integers(0, 100))
-                length = int(rng.integers(1, 40))
+                start = rng.randrange(0, 100)
+                length = rng.randrange(1, 40)
                 actions.append(interval_action(start, start + length, x=100 + 10 * k))
             got = {
                 frozenset(id(a) for a in group)

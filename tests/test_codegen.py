@@ -1,4 +1,5 @@
-import numpy as np
+import random
+
 import pytest
 
 from tracereplay.classify import (
@@ -329,19 +330,19 @@ class TestCoordinateRounding:
 
 class TestSerialization:
     def build_script(self, profile, seed=0):
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         items = []
-        cursor = int(rng.integers(0, 10))
-        for _ in range(int(rng.integers(1, 6))):
-            frames = int(rng.integers(5, 30))
-            x = float(rng.uniform(60, 1000))
-            y = float(rng.uniform(60, 1800))
-            dx = float(rng.uniform(-3, 3))
+        cursor = rng.randrange(0, 10)
+        for _ in range(rng.randrange(1, 6)):
+            frames = rng.randrange(5, 30)
+            x = rng.uniform(60, 1000)
+            y = rng.uniform(60, 1800)
+            dx = rng.uniform(-3, 3)
             action = classify_action(
                 make_sequence(cursor, frames, x, y, dx=dx), profile
             )
             items.append(action)
-            cursor += frames + int(rng.integers(2, 10))
+            cursor += frames + rng.randrange(2, 10)
         return assemble_script(
             ClassifiedScenario(profile=profile, items=tuple(items))
         )

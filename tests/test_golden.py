@@ -1,10 +1,14 @@
 """Golden-bytes regression: every encoder's output is pinned by sha256.
 
-The digests in `golden_digests.json` were recorded from the encoders
-before the schema-specific writers replaced `json.dumps(..., indent=2)`;
-any change to a single output byte of `trace.json`, `classified.json`,
-`script.log` or `script.bin` fails here. Cases are fixed
-`random_scenario` seeds under each noise preset, on three device
+The digests in `golden_digests.json` were re-recorded when the
+generator moved to the standard library's `random.Random`, which
+changed every seeded `trace.json`. The encoders did not change with
+it: the classify and codegen of the commit before that move, run on
+the new `trace.json` bytes, give the same `classified.json`,
+`script.log` and `script.bin` digests and `mfa_items` counts as pinned
+here. Any change to a single output byte of `trace.json`,
+`classified.json`, `script.log` or `script.bin` fails here. Cases are
+fixed `random_scenario` seeds under each noise preset, on three device
 profiles (one with a non-ASCII name and a 60 fps rate).
 
 To print the digests of the current code (only after a deliberate

@@ -333,6 +333,19 @@ ANY_VALUE = st.one_of(st.integers(-3, 3000), st.booleans(), st.floats(),
 VALID = dict(name="d", width=1080, height=1920, fps=30, touch_slop=8, frame=3,
              x=100.0, y=100.0, w=40.0, h=40.0, confidence=0.9,
              opacity=Opacity.HIGH, frame_count=10)
+#: An int with more digits than `str` writes (or `repr`, so test ids
+#: spell it out).
+TOO_LONG = 10**5000
+
+
+def case_id(change: dict) -> str:
+    """`repr(change)`, with TOO_LONG as `10**5000`."""
+    return "{%s}" % ", ".join(
+        f"{key!r}: {'10**5000' if value is TOO_LONG else repr(value)}"
+        for key, value in change.items()
+    )
+
+
 #: Arguments of the wrong type, from which `serialize_trace` would write
 #: a trace that `parse_trace` rejects (or, for the opacity, reads back as
 #: a high-opacity touch), and the error the constructor raises for each:
@@ -348,6 +361,7 @@ UNWRITABLE = [
     (dict(width=1080.5), "field 'width' must be an integer, got 1080.5"),
     (dict(fps=30.0), "field 'fps' must be an integer, got 30.0"),
     (dict(touch_slop=2.5), "field 'touch_slop' must be an integer, got 2.5"),
+    (dict(frame=TOO_LONG), "field 'frame' has too many digits to write"),
 ]
 
 
@@ -398,7 +412,7 @@ REJECTED_GROUND_TRUTH = [
     dict(kind=[]), dict(frame=1.9), dict(frame=True), dict(frame=0.0), dict(x="a"),
     dict(x=float("nan")), dict(x=float("inf")), dict(position_jitter_sigma="a"),
     dict(dropout_rate=None), dict(rng_seed=-1), dict(rng_seed=1.5), dict(seed=-1),
-    dict(seed=1.5), dict(n_actions="3"), dict(n_actions=-3),
+    dict(seed=1.5), dict(n_actions="3"), dict(n_actions=-3), dict(last_frame=TOO_LONG),
 ]
 GROUND_TRUTH_ANY_VALUE = st.one_of(ANY_VALUE, st.none(),
                                    st.lists(st.integers(), max_size=3))
@@ -446,7 +460,7 @@ class TestConstructorIsTheCheck:
         assert parse_trace(serialize_trace(trace)) == trace
 
     @pytest.mark.parametrize("change, message", UNWRITABLE,
-                             ids=[repr(change) for change, _ in UNWRITABLE])
+                             ids=[case_id(change) for change, _ in UNWRITABLE])
     def test_unwritable_argument_is_rejected_at_construction(self, change, message):
         build_trace(VALID)
         with pytest.raises(SchemaViolation) as caught:
@@ -473,7 +487,7 @@ class TestConstructorIsTheCheck:
             return
         assert parse_trace(serialize_trace(trace)) == trace
 
-    @pytest.mark.parametrize("change", REJECTED_GROUND_TRUTH, ids=repr)
+    @pytest.mark.parametrize("change", REJECTED_GROUND_TRUTH, ids=case_id)
     def test_ground_truth_argument_is_rejected(self, change):
         # Each argument is read by one constructor, which must reject it.
         rejected = []

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -192,6 +193,37 @@ class TestSynthesize:
         mean = frames * rate
         bound = 3 * math.sqrt(frames * rate * (1 - rate))
         assert abs(len(contacts) - mean) <= bound
+
+    def test_false_positive_gaps_keep_the_per_frame_rate(self, profile):
+        # The draw skips the frames between two false positives at once;
+        # their count over 100,000 frames must still be Binomial(n, rate).
+        frames, rate = 100_000, 0.01
+        scenario = GroundTruthScenario(
+            profile=profile, actions=(tap_action(frames - 4, 1, 300, 300),)
+        )
+        trace, _ = synthesize_trace(
+            scenario, NoiseModel(false_positive_rate=rate, rng_seed=5)
+        )
+        assert trace.frame_count == frames
+        onsets = len({d.center for d in trace.detections} - {(300.0, 300.0)})
+        assert abs(onsets - frames * rate) <= 5 * math.sqrt(frames * rate * (1 - rate))
+
+    def test_rate_one_starts_a_false_positive_on_every_frame(self, profile):
+        # A tap at frame 96 and its fade span frames 0-99.
+        scenario = GroundTruthScenario(profile=profile, actions=(tap_action(96, 1, 300, 300),))
+        trace, _ = synthesize_trace(scenario, NoiseModel(false_positive_rate=1))
+        onsets = {d.center for d in trace.detections} - {(300.0, 300.0)}
+        assert len(onsets) == 100
+
+    def test_far_tap_costs_no_time_per_frame(self, profile):
+        # Without false positives nothing is drawn per frame of the span.
+        scenario = GroundTruthScenario(
+            profile=profile, actions=(tap_action(10**9, 1, 300, 300),)
+        )
+        start = time.perf_counter()
+        trace, _ = synthesize_trace(scenario, noise_preset("clean"))
+        assert time.perf_counter() - start < 1.0
+        assert (len(trace), trace.frame_count) == (4, 10**9 + 4)
 
     def test_dropout_removes_detections(self, profile):
         scenario = GroundTruthScenario(
