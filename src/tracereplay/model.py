@@ -62,6 +62,8 @@ class Opacity(Enum):
 #: detection, bound here so that it reads no class or module attribute.
 _HIGH, _LOW = Opacity.HIGH, Opacity.LOW
 _isfinite = math.isfinite
+#: Every integer field lies below this; see `_int`.
+_INT_CEILING = 2**1000
 _setattr = object.__setattr__
 _tuple_new = tuple.__new__
 
@@ -108,20 +110,19 @@ class Frozen:
 
 
 class DeviceProfile(Frozen):
-    """Static facts about the recording device."""
+    """Static facts about the recording device: `screen_width`,
+    `screen_height` and `touch_slop` integers >= 1 and `fps` >= `MIN_FPS`,
+    each below 2**1000 (see `_int`)."""
 
     _fields = ("name", "screen_width", "screen_height", "fps", "touch_slop")
 
     def __init__(self, name: str, screen_width: int, screen_height: int, fps: int,
                  touch_slop: int = DEFAULT_TOUCH_SLOP):
         _require(isinstance(name, str), "device name must be a string")
-        for key, value in zip(("width", "height", "fps", "touch_slop"),
-                              (screen_width, screen_height, fps, touch_slop)):
-            _int(value, key)
-        _require(screen_width > 0 and screen_height > 0,
-                 f"screen size must be positive, got {screen_width}x{screen_height}")
-        _require(fps >= MIN_FPS, f"fps must be >= {MIN_FPS}, got {fps}")
-        _require(touch_slop > 0, f"touch_slop must be positive, got {touch_slop}")
+        _int(screen_width, "width", 1)
+        _int(screen_height, "height", 1)
+        _int(fps, "fps", MIN_FPS)
+        _int(touch_slop, "touch_slop", 1)
         self._set(name, screen_width, screen_height, fps, touch_slop)
 
     def to_dict(self) -> dict:
@@ -152,10 +153,11 @@ class TouchDetection(
     w, h) in pixels. `center`, the canonical touch coordinate (the bbox
     center), is derived from `bbox` when the detection is built, so it
     is no constructor argument, never changes what `==` means and is
-    left out of `repr`. The constructor checks every field: `frame` a
-    non-negative integer, `opacity` an `Opacity` member, `bbox` and
-    `confidence` floats (once converted) in range. Every detection is
-    built by it or by `from_dict`, which runs the same checks.
+    left out of `repr`. The constructor checks every field: `frame` an
+    integer in [0, 2**1000) (see `_int`), `opacity` an `Opacity` member,
+    `bbox` and `confidence` floats (once converted) in range, and the
+    center finite as well as the bbox entries. Every detection is built
+    by it or by `from_dict`, which runs the same checks.
     """
 
     __slots__ = ()
@@ -164,27 +166,26 @@ class TouchDetection(
                 confidence: float, opacity: Opacity):
         if opacity is not _HIGH and opacity is not _LOW:
             raise SchemaViolation(f"opacity must be an Opacity member, got {opacity!r}")
-        _int(frame, "frame")
+        _int(frame, "frame", 0)
         try:
             bbox = tuple(float(v) for v in bbox)
             confidence = float(confidence)
         except (OverflowError, TypeError, ValueError) as exc:
             why = "out of float range" if type(exc) is OverflowError else "not a number"
             raise SchemaViolation(f"bbox or confidence {why} (frame {frame})") from None
-        if frame < 0:
-            raise SchemaViolation(f"frame must be non-negative, got {frame}")
         if len(bbox) != 4:
             raise SchemaViolation("bbox must have exactly 4 entries")
-        if not all(map(math.isfinite, bbox)):
+        if not all(map(_isfinite, bbox)):
             raise SchemaViolation(f"bbox entries must be finite, got {bbox}")
-        if bbox[2] <= 0 or bbox[3] <= 0:
-            raise SchemaViolation(f"bbox size must be positive, got {bbox}")
+        x, y, w, h = bbox
+        center = x + w / 2.0, y + h / 2.0
+        if not all(map(_isfinite, center)):
+            raise SchemaViolation(f"bbox center must be finite, got {bbox}")
+        if w <= 0 or h <= 0:
+            raise SchemaViolation(f"bbox size must be > 0, got {bbox}")
         if not 0.0 <= confidence <= 1.0:
             raise SchemaViolation(f"confidence must be in [0, 1], got {confidence}")
-        x, y, w, h = bbox
-        return _tuple_new(
-            cls, (frame, bbox, confidence, opacity, (x + w / 2.0, y + h / 2.0))
-        )
+        return _tuple_new(cls, (frame, bbox, confidence, opacity, center))
 
     # The namedtuple helpers would build a tuple without the checks, or
     # keep a `center` that no longer matches `bbox`: both go through
@@ -226,16 +227,16 @@ class TouchDetection(
             return cls._from_dict_checked(data)
         if (
             type(bbox) is list
-            and type(frame) is int and frame >= 0
+            and type(frame) is int and 0 <= frame < _INT_CEILING
             and type(x) is type(y) is type(w) is type(h) is type(confidence) is float
             and w > 0.0 and h > 0.0 and 0.0 <= confidence <= 1.0
-            and _isfinite(x + y + w + h)
             and (opacity == "high" or opacity == "low")
+            # A finite center has finite entries; an overflow falls through.
+            and _isfinite((cx := x + w / 2.0) + (cy := y + h / 2.0))
         ):
             return _tuple_new(cls, (
                 frame, (x, y, w, h), confidence,
-                _HIGH if opacity == "high" else _LOW,
-                (x + w / 2.0, y + h / 2.0),
+                _HIGH if opacity == "high" else _LOW, (cx, cy),
             ))
         return cls._from_dict_checked(data)
 
@@ -272,8 +273,8 @@ _frame_and_center = itemgetter(0, 4)
 class DetectionTrace(Frozen):
     """All detections of one recording, sorted by frame.
 
-    The constructor is the one placement check: `frame_count` must be a
-    non-negative integer, and every detection must lie inside the
+    The constructor is the one placement check: `frame_count` must be an
+    integer in [0, 2**1000), and every detection must lie inside the
     profile's screen and before `frame_count`. Of the misplaced ones,
     the first in frame order (ties in input order) is raised.
     Detections given out of frame order are re-sorted (stable).
@@ -284,9 +285,7 @@ class DetectionTrace(Frozen):
     def __init__(self, profile: DeviceProfile, detections: Iterable[TouchDetection],
                  frame_count: int):
         # Before `detections`, which may be a lazy loader, is consumed.
-        _int(frame_count, "frame_count")
-        if frame_count < 0:
-            raise SchemaViolation(f"frame_count must be >= 0, got {frame_count}")
+        _int(frame_count, "frame_count", 0)
         detections = tuple(detections)
         width, height = profile.screen_width, profile.screen_height
         misplaced = None  # (frame, bbox) of the first misplaced detection
@@ -326,7 +325,7 @@ def parse_trace(data: bytes | str) -> DetectionTrace:
     the document's shape (an object with its keys, a detection list) is
     checked here; the device by `DeviceProfile.from_dict`, each
     detection by `TouchDetection.from_dict`, and `frame_count` (its type,
-    then its sign), then placement and order, by the `DetectionTrace`
+    then its range), then placement and order, by the `DetectionTrace`
     constructor.
     """
     doc = load_document(
@@ -497,17 +496,17 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _int(value, key: str) -> int:
-    """`value`, unless it is no integer (a bool is none) or one with more
-    digits than `str` writes: the check of each integer field, named by
-    its JSON key."""
+def _int(value, key: str, low: int) -> int:
+    """`value`, if it is an integer (a bool is none) with `low <= value <
+    2**1000`: the check of each integer field, named by its JSON key.
+    Below the ceiling (about 301 digits) `str` writes the value, and each
+    float the pipeline derives from it stays finite."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaViolation(f"field '{key}' must be an integer, got {value!r}")
-    if value.bit_length() > 1000:  # 302 digits or fewer pass every limit (>= 640)
-        try:
-            str(value)
-        except ValueError:
-            raise SchemaViolation(f"field '{key}' has too many digits to write") from None
+    if not low <= value < _INT_CEILING:
+        # `str` may refuse a value past the ceiling, so that one goes unnamed.
+        got = f", got {value}" if -_INT_CEILING < value < low else ""
+        raise SchemaViolation(f"field '{key}' must be in [{low}, 2**1000){got}")
     return value
 
 

@@ -158,13 +158,6 @@ class GroundTruthScenario(Frozen):
         )
 
 
-def _count(value, what: str) -> int:
-    """`value`, if it is a non-negative integer (a bool is none)."""
-    _require(isinstance(value, int) and not isinstance(value, bool) and value >= 0,
-             f"{what} must be a non-negative integer, got {value!r}")
-    return value
-
-
 class NoiseModel(Frozen):
     """Detector-imperfection model applied during synthesis.
 
@@ -174,7 +167,8 @@ class NoiseModel(Frozen):
     probability of injecting a spurious short-lived detection;
     dropout_rate is a per-detection probability of the detector missing
     a real touch. Every lift leaves a FADE_FRAMES low-opacity tail.
-    rng_seed seeds the noise generator: a non-negative integer.
+    rng_seed seeds the noise generator: an integer in [0, 2**1000), which
+    reads `seed` in its errors, as the flag and the config key do.
     """
 
     _fields = ("position_jitter_sigma", "false_positive_rate", "dropout_rate",
@@ -189,7 +183,7 @@ class NoiseModel(Frozen):
                  "false_positive_rate must be a number in [0, 1]")
         _require(_is_number(dropout_rate) and 0.0 <= dropout_rate <= 1.0,
                  "dropout_rate must be a number in [0, 1]")
-        _count(rng_seed, "noise seed")
+        _int(rng_seed, "seed", 0)
         self._set(position_jitter_sigma, false_positive_rate, dropout_rate, rng_seed)
 
 
@@ -326,10 +320,10 @@ def random_scenario(
     """Draw a random but valid scenario: taps, long taps, gestures, and
     two-finger actions, in the proportions of `_KIND_WEIGHTS`, with
     inter-action gaps wide enough that fade tails never bridge adjacent
-    actions. `seed`, and `n_actions` unless None, are non-negative ints.
+    actions. `seed`, and `n_actions` unless None, are ints in [0, 2**1000).
     """
-    rng = Random(_count(seed, "scenario seed"))
-    n = _integer(rng, 5, 26) if n_actions is None else _count(n_actions, "n_actions")
+    rng = Random(_int(seed, "seed", 0))
+    n = _integer(rng, 5, 26) if n_actions is None else _int(n_actions, "n_actions", 0)
     margin = 60.0
     width, height = float(profile.screen_width), float(profile.screen_height)
     cursor = _integer(rng, 5, 20)
@@ -357,13 +351,13 @@ def random_scenario(
 
 def _point(point) -> PathPoint:
     """`point` as (frame, float(x), float(y)), if it is three values: an
-    integer frame (not a bool) that `str` can write, and finite numbers
-    x and y."""
+    integer frame (not a bool) in [0, 2**1000), and finite numbers x and
+    y."""
     try:
         frame, x, y = point
         if all(map(_is_number, (frame, x, y))) and isinstance(frame, int):
             if isfinite(x) and isfinite(y):
-                return _int(frame, "frame"), float(x), float(y)
+                return _int(frame, "frame", 0), float(x), float(y)
     except (OverflowError, TypeError, ValueError):  # no 3 values; a huge int
         pass
     raise SchemaViolation(_BAD_POINT)

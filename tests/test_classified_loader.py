@@ -6,8 +6,9 @@ before each sequence was checked in the walk that loads it, copied
 unchanged apart from their names. Mutated documents must load to the
 same scenario, or raise the same error type with the same message. The
 exceptions are the inputs the old loader crashed on with a raw
-`TypeError`, `KeyError` or `ValueError`, and containers that are not
-lists: the loader now raises `SchemaViolation` for both.
+`TypeError`, `KeyError` or `ValueError`, containers that are not lists,
+and a negative `finger_count`, which the old loader took: the loader now
+raises `SchemaViolation` for all three.
 """
 
 from __future__ import annotations
@@ -153,6 +154,14 @@ def _has_non_list(doc) -> bool:
     )
 
 
+def _has_negative_finger_count(doc) -> bool:
+    return any(
+        isinstance(node, dict) and node.get("type") == "mfa"
+        and type(node.get("finger_count")) is int and node["finger_count"] < 0
+        for _, node in _nodes(doc)
+    )
+
+
 def _outcome(load, text):
     try:
         return load(text)
@@ -175,7 +184,7 @@ def test_mutated_documents_load_like_oracle(scenario, defects, rnd, as_bytes):
         want = _outcome(_oracle_from_json, text)
     except (TypeError, KeyError, ValueError):
         want = None  # the old loader crashed
-    if want is None or _has_non_list(doc):
+    if want is None or _has_non_list(doc) or _has_negative_finger_count(doc):
         assert isinstance(got, tuple) and got[0] is SchemaViolation, got
         return
     assert got == want

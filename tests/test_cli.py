@@ -1,19 +1,25 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tracereplay import codegen, segment
+from tracereplay.classify import classify_trace
 from tracereplay.cli import _build_parser, main
 from tracereplay.config import Config, load_config
 from tracereplay.errors import ConfigError, SchemaViolation
-from tracereplay.model import DeviceProfile
+from tracereplay.model import DeviceProfile, serialize_trace
 from tracereplay.replay import ReplayConfig
-from tracereplay.synth import GroundTruthAction, GroundTruthScenario
+from tracereplay.synth import GroundTruthAction, GroundTruthScenario, synthesize_trace
 
 from conftest import UNDECODABLE_JSON, fake_bridge
 
@@ -192,9 +198,22 @@ def test_negative_seed_exits_2(tmp_path, capsys, fixture_scenario, how):
             else ["--config", str(config)] + argv)
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err == ("error (synthesize): noise seed must be a non-negative "
-                   "integer, got -1\n")
+    assert err == "error (synthesize): field 'seed' must be in [0, 2**1000), got -1\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_seed_in_a_config_file_lies_below_2_to_the_1000(tmp_path, capsys,
+                                                       fixture_scenario):
+    config = tmp_path / "config.json"
+    argv = ["--config", str(config), "synthesize", "--scenario", str(fixture_scenario),
+            "--out-dir", str(tmp_path / "out")]
+    config.write_text(json.dumps({"seed": 2**1000 - 1}))
+    assert main(argv) == 0
+    capsys.readouterr()
+    config.write_text(json.dumps({"seed": 2**1000}))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error (synthesize): field 'seed' must be in [0, 2**1000)\n")
 
 
 def test_negative_seed_exits_2_in_a_fresh_interpreter(tmp_path, fixture_scenario):
@@ -205,8 +224,8 @@ def test_negative_seed_exits_2_in_a_fresh_interpreter(tmp_path, fixture_scenario
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 2
-    assert proc.stderr == ("error (synthesize): noise seed must be a non-negative "
-                           "integer, got -1\n")  # one line, no traceback
+    assert proc.stderr == (  # one line, no traceback
+        "error (synthesize): field 'seed' must be in [0, 2**1000), got -1\n")
 
 
 def test_missing_input_exits_2(tmp_path):
@@ -338,6 +357,97 @@ def test_eleven_finger_trace_is_an_input_error(tmp_path, capsys, profile):
     assert capsys.readouterr().err == (
         "error (pipeline): more than 10 contacts down at frame 0\n")
     assert (out / "predicted.txt").read_text() == "eleven G\n"
+
+
+def _extreme_base():
+    """A small trace, a tap, a swipe and a pinch, its classified.json and
+    its frame count."""
+    profile = DeviceProfile(name="d", screen_width=1080, screen_height=1920, fps=30)
+    tap = tuple((k, 300.0, 400.0) for k in range(8))
+    swipe = tuple((20 + k, 100.0 + 30.0 * k, 900.0) for k in range(12))
+    pinch = tuple(tuple((45 + k, 540.0 + s * (100.0 + 10.0 * k), 1200.0)
+                        for k in range(12)) for s in (1, -1))
+    scenario = GroundTruthScenario(profile, (
+        GroundTruthAction("tap", (tap,)), GroundTruthAction("gesture", (swipe,)),
+        GroundTruthAction("gesture", pinch),
+    ))
+    trace, _ = synthesize_trace(scenario)
+    return serialize_trace(trace), classify_trace(trace).to_json(), trace.frame_count
+
+
+EXTREME_TRACE, EXTREME_CLASSIFIED, EXTREME_FRAME_COUNT = _extreme_base()
+#: The integer fields, each set to a value from EXTREME_INTS, and a bbox
+#: whose entries may be set to +-HUGE, which can overflow its center.
+EXTREME_FIELDS = ("frame", "frame_count", "width", "height", "fps", "touch_slop")
+EXTREME_INTS = (2**1000 - 1, 2**1000, 10**400, 10**4000)
+HUGE = 1.7e308
+
+
+@st.composite
+def extreme_changes(draw):
+    field = draw(st.sampled_from(EXTREME_FIELDS + ("bbox",)))
+    if field == "bbox":
+        return field, draw(st.tuples(*[st.sampled_from([None, HUGE, -HUGE])] * 4))
+    return field, draw(st.sampled_from(EXTREME_INTS))
+
+
+def _with_change(text, change):
+    """Trace or classified.json `text` with `change` applied. A `frame`
+    moves the whole recording to end there, its detections still
+    actions: a lone far detection is a blip that never reaches codegen.
+    A `bbox` changes the first touch's entries that are not None."""
+    doc = json.loads(text)
+    touches = doc.get("detections") or [
+        touch for item in doc["items"]
+        for action in item.get("actions", [item.get("action")])
+        for touch in action["touches"]
+    ]
+    field, value = change
+    if field == "frame":
+        for touch in touches:
+            touch["frame"] += value - EXTREME_FRAME_COUNT
+        field = "frame_count"
+    if field == "bbox":
+        bbox = touches[0]["bbox"]
+        bbox[:] = [old if new is None else new for old, new in zip(bbox, value)]
+    elif field in doc["device"]:
+        doc["device"][field] = value
+    elif field in doc:  # frame_count; classified.json has none
+        doc[field] = value
+    return json.dumps(doc)
+
+
+def _assert_exits_0_or_2(argv):
+    """`main(argv)` returns 0, or 2 after one `error (<command>): ` line."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), err.getvalue()
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error ({argv[0]}): ")
+
+
+@settings(max_examples=40, deadline=None)
+@given(extreme_changes())
+@example(("frame", 10**400))  # the frame offset overflowed
+@example(("touch_slop", 10**400))  # the linker's float(touch_slop) overflowed
+@example(("fps", 10**400))  # the duration cutoff overflowed
+@example(("bbox", (HUGE, None, HUGE, None)))  # an infinite center, checked path
+@example(("bbox", (HUGE, -HUGE, HUGE, None)))  # an infinite center, fast path
+def test_extreme_numbers_exit_0_or_2(change):
+    """Every integer field at, below and far past the ceiling, and bbox
+    entries whose center may overflow: `pipeline` and `generate` accept
+    the input or exit 2, and never raise."""
+    with tempfile.TemporaryDirectory() as tmp:
+        trace, classified = Path(tmp, "trace.json"), Path(tmp, "classified.json")
+        trace.write_text(_with_change(EXTREME_TRACE, change))
+        classified.write_text(_with_change(EXTREME_CLASSIFIED, change))
+        out = ["--out-dir", str(Path(tmp, "out"))]
+        pipeline = ["pipeline", "--trace", str(trace), "--dry-run", *out]
+        for cutoff in ([], ["--duration-cutoff"]):
+            _assert_exits_0_or_2(pipeline + cutoff)
+        _assert_exits_0_or_2(["generate", "--scenario-file", str(classified), *out])
 
 
 @pytest.mark.parametrize("push_code, shell_code, reason", [

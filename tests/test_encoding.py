@@ -6,6 +6,7 @@ built the way the encoder was fed before the schema-specific writers.
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,10 @@ WIDTH, HEIGHT = 1080, 1920
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+#: A bbox the detection constructor accepts: its center is finite too.
+bboxes = st.tuples(finite, finite, positive, positive).filter(
+    lambda b: math.isfinite(b[0] + b[2] / 2.0) and math.isfinite(b[1] + b[3] / 2.0)
+)
 unit = st.floats(min_value=0.0, max_value=1.0)
 
 profiles = st.builds(
@@ -90,7 +95,7 @@ def actions(draw):
     touches = tuple(
         TouchDetection(
             frame=start + k,
-            bbox=(draw(finite), draw(finite), draw(positive), draw(positive)),
+            bbox=draw(bboxes),
             confidence=draw(unit),
             opacity=Opacity.HIGH if k < highs else Opacity.LOW,
         )

@@ -271,8 +271,9 @@ class TestParseTrace:
     def test_negative_frame_count_is_reported_before_a_bad_detection(self):
         # The constructor checks frame_count before it loads a detection.
         doc = trace_doc([det(4, opacity="medium")], frame_count=-1)
-        with pytest.raises(SchemaViolation, match="frame_count must be >= 0, got -1"):
+        with pytest.raises(SchemaViolation) as caught:
             parse_trace(json.dumps(doc))
+        assert str(caught.value) == "field 'frame_count' must be in [0, 2**1000), got -1"
 
     def test_malformed_json(self):
         with pytest.raises(MalformedJson):
@@ -361,7 +362,7 @@ UNWRITABLE = [
     (dict(width=1080.5), "field 'width' must be an integer, got 1080.5"),
     (dict(fps=30.0), "field 'fps' must be an integer, got 30.0"),
     (dict(touch_slop=2.5), "field 'touch_slop' must be an integer, got 2.5"),
-    (dict(frame=TOO_LONG), "field 'frame' has too many digits to write"),
+    (dict(frame=TOO_LONG), "field 'frame' must be in [0, 2**1000)"),
 ]
 
 
@@ -504,6 +505,97 @@ class TestConstructorIsTheCheck:
             with pytest.raises(SchemaViolation,
                                match=r"bbox or confidence not a number \(frame 3\)"):
                 build_trace(dict(VALID, **change))
+
+
+#: Each integer field of a trace, by its JSON key, and the least value
+#: it takes; every one lies below CEILING.
+INTEGER_FIELDS = {"width": 1, "height": 1, "fps": 30, "touch_slop": 1, "frame": 0,
+                  "frame_count": 0}
+CEILING = 2**1000
+#: Finite bboxes whose center overflows: the first takes the checked
+#: path of `from_dict`, the second its fast path (its entries sum finite).
+CENTER_OVERFLOWS = [(1.7e308, 100.0, 1.7e308, 40.0), (1.7e308, -1e308, 1e308, 40.0)]
+
+
+def trace_json(args) -> str:
+    """The trace document of `build_trace(args)`."""
+    return json.dumps({
+        "schema_version": 1,
+        "device": {"name": args["name"], "width": args["width"],
+                   "height": args["height"], "fps": args["fps"],
+                   "touch_slop": args["touch_slop"]},
+        "frame_count": args["frame_count"],
+        "detections": [{"frame": args["frame"],
+                        "bbox": [args["x"], args["y"], args["w"], args["h"]],
+                        "confidence": args["confidence"],
+                        "opacity": args["opacity"].value}],
+    })
+
+
+def classified_json(touch, finger_count=2) -> str:
+    """A classified.json document of one two-touch MFA item."""
+    action = {"kind": "tap", "touches": [touch]}
+    return json.dumps({
+        "schema_version": 1,
+        "device": {"name": "d", "width": 1080, "height": 1920, "fps": 30},
+        "items": [{"type": "mfa", "finger_count": finger_count,
+                   "actions": [action, action]}],
+    })
+
+
+class TestIntegerCeiling:
+    """Every integer field is checked once, to lie in [least, 2**1000);
+    below the ceiling `str` writes it and the floats derived from it
+    stay finite. A detection's center must be finite too."""
+
+    @pytest.mark.parametrize("key", INTEGER_FIELDS)
+    def test_just_under_the_ceiling_round_trips(self, key):
+        args = dict(VALID, frame_count=CEILING - 1)  # the frame lies below it
+        args[key] = CEILING - 2 if key == "frame" else CEILING - 1
+        trace = build_trace(args)
+        assert parse_trace(serialize_trace(trace)) == trace
+        assert parse_trace(trace_json(args)) == trace
+
+    @pytest.mark.parametrize("key", INTEGER_FIELDS)
+    @pytest.mark.parametrize("value", [CEILING, 10**5000, -1, -(10**5000)],
+                             ids=["2**1000", "10**5000", "-1", "-10**5000"])
+    def test_out_of_range_is_rejected_naming_the_field(self, key, value):
+        message = f"field '{key}' must be in [{INTEGER_FIELDS[key]}, 2**1000)"
+        if -CEILING < value < CEILING:  # a value `str` may refuse goes unnamed
+            message += f", got {value}"
+        args = dict(VALID, **{key: value})
+        for load in (build_trace, lambda args: parse_trace(trace_json(args))):
+            if load is not build_trace and abs(value) > CEILING:
+                continue  # past the decoder's digit limit: no JSON to read
+            with pytest.raises(SchemaViolation) as caught:
+                load(args)
+            assert str(caught.value) == message
+
+    def test_finger_count(self):
+        touch = {"frame": 0, "bbox": [10.0, 10.0, 40.0, 40.0], "confidence": 0.9,
+                 "opacity": "high"}
+        near = ClassifiedScenario.from_json(classified_json(touch, CEILING - 1))
+        assert near.items[0].finger_count == CEILING - 1
+        assert ClassifiedScenario.from_json(near.to_json()) == near
+        for value, got in ((CEILING, ""), (-1, ", got -1")):
+            with pytest.raises(SchemaViolation) as caught:
+                ClassifiedScenario.from_json(classified_json(touch, value))
+            assert str(caught.value) == (
+                f"field 'finger_count' must be in [0, 2**1000){got}")
+
+    @pytest.mark.parametrize("bbox", CENTER_OVERFLOWS, ids=["checked", "fast"])
+    def test_center_must_be_finite(self, bbox):
+        message = "bbox center must be finite"
+        with pytest.raises(SchemaViolation, match=message):
+            TouchDetection(0, bbox, 0.9, Opacity.HIGH)
+        # All floats try the fast path first; an int entry takes the checked one.
+        for entries in (list(bbox), [int(v) if v == 40.0 else v for v in bbox]):
+            touch = {"frame": 0, "bbox": entries, "confidence": 0.9, "opacity": "high"}
+            for load in (TouchDetection.from_dict,
+                         lambda t: parse_trace(json.dumps(trace_doc([t]))),
+                         lambda t: ClassifiedScenario.from_json(classified_json(t))):
+                with pytest.raises(SchemaViolation, match=message):
+                    load(touch)
 
 
 class TestFrameTime:

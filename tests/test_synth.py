@@ -1,3 +1,4 @@
+import json
 import math
 import time
 
@@ -112,14 +113,62 @@ class TestNoiseModel:
 
     @pytest.mark.parametrize("seed", [-1, True, 1.0, "1", None])
     def test_seed_must_be_a_non_negative_int(self, seed):
-        with pytest.raises(SchemaViolation, match="noise seed must be a non-negative"):
+        with pytest.raises(SchemaViolation, match="^field 'seed' must be "):
             NoiseModel(rng_seed=seed)
-        with pytest.raises(SchemaViolation, match="noise seed must be a non-negative"):
+        with pytest.raises(SchemaViolation, match="^field 'seed' must be "):
             noise_preset("emulator", seed=seed)
 
     def test_unknown_preset(self):
         with pytest.raises(SchemaViolation):
             noise_preset("pristine")
+
+
+CEILING = 2**1000
+
+
+class TestIntegerCeiling:
+    """Path frames, seeds and action counts are checked like every other
+    integer field: each lies in [0, 2**1000)."""
+
+    def test_path_frame_just_under_the_ceiling_round_trips(self, profile):
+        scenario = GroundTruthScenario(profile, (tap_action(CEILING - 2, 2, 100, 100),))
+        assert scenario.actions[0].end_frame == CEILING - 1
+        loaded = GroundTruthScenario.from_json(scenario.to_json())
+        assert loaded == scenario
+
+    @pytest.mark.parametrize("frame, got", [(CEILING, ""), (-1, ", got -1")],
+                             ids=["2**1000", "-1"])
+    def test_path_frame_out_of_range(self, profile, frame, got):
+        message = f"field 'frame' must be in [0, 2**1000){got}"
+        with pytest.raises(SchemaViolation) as caught:
+            GroundTruthAction(kind="tap", paths=(((frame, 1.0, 2.0),),))
+        assert str(caught.value) == message
+        doc = json.dumps({"schema_version": 1, "device": profile.to_dict(),
+                          "actions": [{"kind": "tap", "paths": [[[frame, 1.0, 2.0]]]}]})
+        with pytest.raises(SchemaViolation) as caught:
+            GroundTruthScenario.from_json(doc)
+        assert str(caught.value) == message
+
+    def test_seeds_just_under_the_ceiling(self, profile):
+        noise = NoiseModel(dropout_rate=0.1, rng_seed=CEILING - 1)
+        assert noise_preset("emulator", seed=CEILING - 1).rng_seed == CEILING - 1
+        scenario = random_scenario(profile, seed=CEILING - 1, n_actions=2)
+        assert len(scenario.actions) == 2
+        trace, _ = synthesize_trace(scenario, noise)
+        assert trace == synthesize_trace(scenario, noise)[0]
+
+    @pytest.mark.parametrize("value, got", [(CEILING, ""), (-1, ", got -1")],
+                             ids=["2**1000", "-1"])
+    def test_seeds_and_action_count_out_of_range(self, profile, value, got):
+        for key, build in (
+            ("seed", lambda: NoiseModel(rng_seed=value)),
+            ("seed", lambda: noise_preset("clean", seed=value)),
+            ("seed", lambda: random_scenario(profile, seed=value)),
+            ("n_actions", lambda: random_scenario(profile, seed=1, n_actions=value)),
+        ):
+            with pytest.raises(SchemaViolation) as caught:
+                build()
+            assert str(caught.value) == f"field '{key}' must be in [0, 2**1000){got}"
 
 
 class TestSynthesize:
