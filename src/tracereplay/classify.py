@@ -174,7 +174,7 @@ class ClassifiedScenario(Frozen):
                 if not isinstance(raw_actions, list):
                     raise SchemaViolation("mfa actions must be a list")
                 actions = tuple(map(AtomicAction.from_dict, raw_actions))
-                count = _int(raw.get("finger_count"), "finger_count", 0)
+                count = _int(raw.get("finger_count"), "finger_count", 1)
                 items.append(MultiFingerItem(actions, count))
             else:
                 raise SchemaViolation(f"unknown item type {raw['type']!r}")

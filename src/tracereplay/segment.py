@@ -6,6 +6,11 @@ detections closes every open chain (every finger has lifted); otherwise:
 
 * a lone touch in the next frame continues the lone open chain;
   this rule is applied directly, without a pair search;
+* with two open chains and two touches, the first link forces the
+  second, so the result is the straight or the crossed matching; when
+  every link within the tie tolerance of the nearest lies in one of
+  them, that one is taken directly, and only near-ties in both go
+  through the pair search and tie rules below;
 * with several candidates, the spatially nearest pair links first
   (greedy over all open-chain x touch pairs);
 * when candidate distances are within a tie tolerance of each other, a
@@ -167,6 +172,17 @@ def _greedy_match(
 ) -> list[tuple[int, int]]:
     """Repeatedly link the globally nearest open-chain/touch pair, from
     one distance table that drops a linked chain's and touch's rows."""
+    if len(chains) == 2 == len(touches):
+        # The first link forces the second: when every near-tie lies in the
+        # straight or in the crossed matching, the greedy returns that one.
+        a, b = chains[0][-1].center, chains[1][-1].center
+        c, d = touches[0].center, touches[1].center
+        d00, d01, d10, d11 = dist(a, c), dist(a, d), dist(b, c), dist(b, d)
+        best = min(d00, d01, d10, d11)
+        straight = d00 - best < tie_tolerance or d11 - best < tie_tolerance
+        crossed = d01 - best < tie_tolerance or d10 - best < tie_tolerance
+        if straight != crossed:
+            return [(0, 0), (1, 1)] if straight else [(0, 1), (1, 0)]
     pairs = [
         (dist(chain[-1].center, touch.center), ci, ti)
         for ci, chain in enumerate(chains)

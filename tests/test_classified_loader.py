@@ -7,7 +7,7 @@ unchanged apart from their names. Mutated documents must load to the
 same scenario, or raise the same error type with the same message. The
 exceptions are the inputs the old loader crashed on with a raw
 `TypeError`, `KeyError` or `ValueError`, containers that are not lists,
-and a negative `finger_count`, which the old loader took: the loader now
+and a `finger_count` below 1, which the old loader took: the loader now
 raises `SchemaViolation` for all three.
 """
 
@@ -154,10 +154,10 @@ def _has_non_list(doc) -> bool:
     )
 
 
-def _has_negative_finger_count(doc) -> bool:
+def _has_finger_count_below_1(doc) -> bool:
     return any(
         isinstance(node, dict) and node.get("type") == "mfa"
-        and type(node.get("finger_count")) is int and node["finger_count"] < 0
+        and type(node.get("finger_count")) is int and node["finger_count"] < 1
         for _, node in _nodes(doc)
     )
 
@@ -184,7 +184,7 @@ def test_mutated_documents_load_like_oracle(scenario, defects, rnd, as_bytes):
         want = _outcome(_oracle_from_json, text)
     except (TypeError, KeyError, ValueError):
         want = None  # the old loader crashed
-    if want is None or _has_non_list(doc) or _has_negative_finger_count(doc):
+    if want is None or _has_non_list(doc) or _has_finger_count_below_1(doc):
         assert isinstance(got, tuple) and got[0] is SchemaViolation, got
         return
     assert got == want

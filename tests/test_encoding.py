@@ -110,7 +110,7 @@ items = st.one_of(
     st.builds(
         MultiFingerItem,
         actions=st.lists(actions(), min_size=1, max_size=3).map(tuple),
-        finger_count=st.integers(0, 10),
+        finger_count=st.integers(1, 10),
     ),
 )
 

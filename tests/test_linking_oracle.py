@@ -17,6 +17,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -351,3 +352,90 @@ def test_noisy_synthetic_traces_match_oracle(seed, preset):
     scenario = random_scenario(PROFILE, seed=seed, n_actions=8)
     trace, _ = synthesize_trace(scenario, noise_preset(preset, seed=seed))
     _assert_same_sequences(segment_trace(trace), _oracle_segment_trace(trace))
+
+
+# --- two-by-two frames, by hand ---
+
+
+def _touch(frame, x, y, low=False, confidence=0.9):
+    return TouchDetection(
+        frame=frame,
+        bbox=(x - SIZE / 2, y - SIZE / 2, SIZE, SIZE),
+        confidence=confidence,
+        opacity=Opacity.LOW if low else Opacity.HIGH,
+    )
+
+
+# Each case: one tuple of (x, y[, low[, confidence]]) touches per frame,
+# how often `_break_tie` runs (once when the last frame's near-ties fall
+# in both matchings, else never), and each chain's centers as linked.
+TWO_BY_TWO = {
+    "near-ties only in the straight matching": (
+        [((100, 100), (300, 100)), ((105, 100), (297, 100))],
+        0,
+        [[(100, 100), (105, 100)], [(300, 100), (297, 100)]],
+    ),
+    "near-ties only in the crossed matching": (
+        [((100, 200), (120, 100)), ((115, 200), (110, 100))],
+        0,
+        [[(100, 200), (115, 200)], [(120, 100), (110, 100)]],
+    ),
+    "equal distances in one matching": (
+        [((100, 100), (300, 100)), ((104, 100), (304, 100))],
+        0,
+        [[(100, 100), (104, 100)], [(300, 100), (304, 100)]],
+    ),
+    "equal distances in both matchings": (
+        [((100, 100), (120, 100)), ((110, 95), (110, 105))],
+        1,
+        [[(100, 100), (110, 95)], [(120, 100), (110, 105)]],
+    ),
+    # The lifting touch (106, 100) goes to the older chain, where the
+    # x/y rule alone would give it the newer one: the crossed matching.
+    "the fade rule decides": (
+        [((100, 100),), ((100, 100), (110, 100)), ((104, 100), (106, 100, True))],
+        1,
+        [[(100, 100), (100, 100), (106, 100)], [(110, 100), (104, 100)]],
+    ),
+    # The newer chain ends left of the older one, so the x/y rule gives
+    # it the left touch: the crossed matching.
+    "the x/y rule decides": (
+        [((110, 100),), ((110, 100), (100, 100)), ((104, 100), (106, 100))],
+        1,
+        [[(110, 100), (110, 100), (106, 100)], [(100, 100), (104, 100)]],
+    ),
+    "two touches sharing one center": (
+        [((100, 100), (120, 100)), ((110, 100, False, 0.9), (110, 100, False, 0.8))],
+        1,
+        [[(100, 100), (110, 100)], [(120, 100), (110, 100)]],
+    ),
+    "two chains sharing one center": (
+        [((100, 100, False, 0.9), (100, 100, False, 0.8)), ((103, 100), (120, 100))],
+        1,
+        [[(100, 100), (103, 100)], [(100, 100), (120, 100)]],
+    ),
+}
+
+
+@pytest.mark.parametrize("frames, tie_breaks, centers",
+                         TWO_BY_TWO.values(), ids=TWO_BY_TWO)
+def test_two_by_two_frame_matches_oracle(monkeypatch, frames, tie_breaks, centers):
+    # Only a last frame whose near-ties span both matchings reaches the
+    # tie rules; elsewhere the nearest links decide the matching alone.
+    break_tie = segment._break_tie
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return break_tie(*args)
+
+    monkeypatch.setattr(segment, "_break_tie", counted)
+    detections = tuple(
+        _touch(frame, *touch) for frame, touches in enumerate(frames) for touch in touches
+    )
+    tolerance = float(DEFAULT_TOUCH_SLOP)
+    got = segment._link_chains(detections, tolerance)
+    want = [chain for run in _runs(detections) for chain in _oracle_link_chains(run, tolerance)]
+    assert _ids(got) == _ids(want)
+    assert [[t.center for t in chain] for chain in got] == centers
+    assert len(calls) == tie_breaks

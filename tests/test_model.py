@@ -577,11 +577,11 @@ class TestIntegerCeiling:
         near = ClassifiedScenario.from_json(classified_json(touch, CEILING - 1))
         assert near.items[0].finger_count == CEILING - 1
         assert ClassifiedScenario.from_json(near.to_json()) == near
-        for value, got in ((CEILING, ""), (-1, ", got -1")):
+        for value, got in ((CEILING, ""), (0, ", got 0"), (-1, ", got -1")):
             with pytest.raises(SchemaViolation) as caught:
                 ClassifiedScenario.from_json(classified_json(touch, value))
             assert str(caught.value) == (
-                f"field 'finger_count' must be in [0, 2**1000){got}")
+                f"field 'finger_count' must be in [1, 2**1000){got}")
 
     @pytest.mark.parametrize("bbox", CENTER_OVERFLOWS, ids=["checked", "fast"])
     def test_center_must_be_finite(self, bbox):
