@@ -19,8 +19,8 @@ _EXPORTS = {
             "filter_actions", "identify_sfa_mfa",
         ),
         "codegen": (
-            "InputEvent", "SendEventScript", "assemble_script", "parse_runnable",
-            "parse_script", "serialize_script", "translate_runnable", "validate_script",
+            "SendEventScript", "assemble_script", "parse_runnable", "parse_script",
+            "serialize_script", "translate_runnable", "validate_script",
         ),
         "errors": ("TraceReplayError",),
         "metrics": (

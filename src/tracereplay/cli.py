@@ -114,9 +114,10 @@ _FLAGS = {
     "--replay": dict(action="store_true", help="replay after generating"),
     "--dry-run": dict(action="store_true",
                       help="replay through an in-memory transport; no device calls"),
-    "--out-dir": dict(help="output directory (default: out)"),
-    "--min-confidence": dict(type=float,
-                             help="detection confidence threshold (default 0.7)"),
+    "--out-dir": dict(help=f"output directory (default: {Config.out_dir})"),
+    "--min-confidence": dict(
+        type=float,
+        help=f"detection confidence threshold (default {Config.min_confidence})"),
     "--extended": dict(dest="extended_alphabet", action="store_true", default=None,
                        help="finger-count-annotated symbols (G2, G3, ...)"),
     "--duration-cutoff": dict(dest="duration_based_cutoff", action="store_true",

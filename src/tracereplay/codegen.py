@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import re
 import struct
-from functools import partial
 from heapq import heappop, heappush
 from itertools import accumulate
 from math import floor
@@ -77,29 +76,15 @@ _TYPE_CODE_TEXT = {
 }
 
 
-class InputEvent(NamedTuple):
-    """One kernel input event, timestamped from script start.
+class SendEventScript(NamedTuple):
+    """Replayable event stream plus the device it targets.
 
-    A plain 4-tuple underneath: it compares equal to
-    ``(timestamp_us, event_type, event_code, value)``.
+    Each event is a plain tuple ``(timestamp_us, event_type, event_code,
+    value)`` of ints, timestamped from script start.
     """
 
-    timestamp_us: int
-    event_type: int
-    event_code: int
-    value: int
-
-
-#: InputEvent from one 4-tuple, built in C without the Python-level
-#: ``__new__`` that ``InputEvent(...)`` runs.
-_event = partial(tuple.__new__, InputEvent)
-
-
-class SendEventScript(NamedTuple):
-    """Replayable event stream plus the device it targets."""
-
     device_node: str
-    events: tuple[InputEvent, ...]
+    events: tuple[tuple[int, int, int, int], ...]
     profile: DeviceProfile
 
 
@@ -166,7 +151,7 @@ def assemble_script(
     profile = scenario.profile
     fps = profile.fps
     max_x, max_y = profile.screen_width - 1, profile.screen_height - 1
-    events: list[InputEvent] = []
+    events = []
     append = events.append
     next_tid = 1
     t = 0  # timestamp of the last window
@@ -187,7 +172,7 @@ def assemble_script(
         t = t_anchor + frame_offset_us(window - anchor, fps)
         for frame, is_release, order, center in marks:
             if frame != window:
-                append(_event((t, EV_SYN, SYN_REPORT, 0)))
+                append((t, EV_SYN, SYN_REPORT, 0))
                 window = frame
                 t = t_anchor + frame_offset_us(frame - anchor, fps)
             slot = slot_of[order]
@@ -197,26 +182,26 @@ def assemble_script(
                         f"more than {MAX_SLOTS} contacts down at frame {frame}"
                     )
                 slot = slot_of[order] = heappop(free_slots)
-                append(_event((t, EV_ABS, ABS_MT_SLOT, slot)))
-                append(_event((t, EV_ABS, ABS_MT_TRACKING_ID, next_tid)))
+                append((t, EV_ABS, ABS_MT_SLOT, slot))
+                append((t, EV_ABS, ABS_MT_TRACKING_ID, next_tid))
                 next_tid += 1
                 if len(free_slots) == MAX_SLOTS - 1:  # the first one down
-                    append(_event((t, EV_KEY, BTN_TOUCH, 1)))
+                    append((t, EV_KEY, BTN_TOUCH, 1))
             elif multi:
-                append(_event((t, EV_ABS, ABS_MT_SLOT, slot)))
+                append((t, EV_ABS, ABS_MT_SLOT, slot))
             if is_release:
-                append(_event((t, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE)))
+                append((t, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE))
                 heappush(free_slots, slot)
                 if len(free_slots) == MAX_SLOTS:  # the last one up
-                    append(_event((t, EV_KEY, BTN_TOUCH, 0)))
+                    append((t, EV_KEY, BTN_TOUCH, 0))
             else:
                 # The center rounded half-up to device pixels, on-screen.
                 cx, cy = center
                 x = min(max(floor(cx + 0.5), 0), max_x)
                 y = min(max(floor(cy + 0.5), 0), max_y)
-                append(_event((t, EV_ABS, ABS_MT_POSITION_X, x)))
-                append(_event((t, EV_ABS, ABS_MT_POSITION_Y, y)))
-        append(_event((t, EV_SYN, SYN_REPORT, 0)))
+                append((t, EV_ABS, ABS_MT_POSITION_X, x))
+                append((t, EV_ABS, ABS_MT_POSITION_Y, y))
+        append((t, EV_SYN, SYN_REPORT, 0))
     script = SendEventScript(
         device_node=device_node, events=tuple(events), profile=profile
     )
@@ -358,7 +343,7 @@ def parse_script(data: bytes | str) -> SendEventScript:
         raise ScriptFormatError(f"log must start with {LOG_HEADER!r}")
     device_node = None
     profile = None
-    events: list[InputEvent] = []
+    events = []
     append = events.append
     for raw in lines:
         line = raw.rstrip()
@@ -387,14 +372,12 @@ def parse_script(data: bytes | str) -> SendEventScript:
             seconds = int(secs)
         except ValueError:  # more digits than int() converts
             raise ScriptFormatError(f"log timestamp has {len(secs)} digits") from None
-        append(
-            _event((
-                seconds * 1_000_000 + int(micros),
-                int(etype, 16),
-                int(code, 16),
-                raw_value,
-            ))
-        )
+        append((
+            seconds * 1_000_000 + int(micros),
+            int(etype, 16),
+            int(code, 16),
+            raw_value,
+        ))
     if device_node is None or profile is None:
         raise ScriptFormatError("log missing device_node/profile headers")
     return SendEventScript(
@@ -419,7 +402,7 @@ def translate_runnable(script: SendEventScript) -> bytes:
     return b"".join(chunks)
 
 
-def parse_runnable(data: bytes) -> list[InputEvent]:
+def parse_runnable(data: bytes) -> list[tuple[int, int, int, int]]:
     """Parse runnable bytes back into events with absolute timestamps."""
     if not data.startswith(RUNNABLE_MAGIC):
         raise ScriptFormatError("bad runnable magic")
@@ -431,4 +414,4 @@ def parse_runnable(data: bytes) -> list[InputEvent]:
     if not body:
         return []
     deltas, types, codes, values = zip(*_RECORD.iter_unpack(body))
-    return list(map(_event, zip(accumulate(deltas), types, codes, values)))
+    return list(zip(accumulate(deltas), types, codes, values))

@@ -43,7 +43,10 @@ _NON_EMPTY = ("out_dir", "bridge_path", "agent_path", "device_serial",
 
 class Config:
     """The settings of one run: the annotated attributes below, with
-    their defaults and the types `validate` accepts."""
+    their defaults and the types `validate` accepts. The defaults of
+    `min_confidence`, `device_node`, `remote_dir` and `bridge_path`
+    repeat those of the modules that use them, which this one does not
+    import; a test pins each pair equal."""
 
     bridge_path: str = "adb"
     device_serial: str | None = None

@@ -145,9 +145,6 @@ def push_and_replay(
     exit_code, output = transport.exec(f"chmod 755 {agent} && {agent} {script_path}")
     duration_ms = (time.perf_counter() - start) * 1000.0
 
-    transcript = tuple(transport.calls[first_call:])
     if exit_code != 0:
-        error = NonZeroExit(exit_code, output)
-        error.report = ReplayReport(exit_code, duration_ms, transcript)
-        raise error
-    return ReplayReport(exit_code, duration_ms, transcript)
+        raise NonZeroExit(exit_code, output)
+    return ReplayReport(exit_code, duration_ms, tuple(transport.calls[first_call:]))

@@ -57,15 +57,18 @@ _BAD_POINT = "paths must be lists of [frame, x, y] points"
 
 
 class GroundTruthAction(Frozen):
-    """One user action: one timed path per finger, each point (frame, x,
-    y) an integer frame (not a bool) and finite numbers x and y, stored
-    as floats. The string kind applies to single-finger actions; any
-    action with two or more fingers is a multi-fingered gesture downstream.
+    """One user action: one timed path per finger, the paths and each
+    path a list or tuple, each point (frame, x, y) an integer frame (not
+    a bool) and finite numbers x and y, stored as floats. The string
+    kind applies to single-finger actions; any action with two or more
+    fingers is a multi-fingered gesture downstream.
     """
 
     _fields = ("kind", "paths")
 
     def __init__(self, kind: str, paths: tuple[tuple[PathPoint, ...], ...]):
+        _require(isinstance(paths, (list, tuple))
+                 and all(isinstance(path, (list, tuple)) for path in paths), _BAD_POINT)
         if not isinstance(kind, str) or kind not in KIND_SYMBOLS:
             raise InvalidScenario(f"unknown action kind {kind!r}")
         paths = tuple(tuple(map(_point, path)) for path in paths)
@@ -107,18 +110,20 @@ class GroundTruthAction(Frozen):
     def from_dict(cls, data: dict) -> "GroundTruthAction":
         if not isinstance(data, dict) or "kind" not in data or "paths" not in data:
             raise SchemaViolation("action must be an object with kind and paths")
-        paths = data["paths"]
-        if not isinstance(paths, list) or not all(isinstance(p, list) for p in paths):
-            raise SchemaViolation(_BAD_POINT)
-        return cls(kind=data["kind"], paths=paths)
+        return cls(kind=data["kind"], paths=data["paths"])
 
 
 class GroundTruthScenario(Frozen):
-    """Chronological ground-truth actions plus the device they target."""
+    """Chronological ground-truth actions, a list or tuple of
+    GroundTruthAction, plus the DeviceProfile they target."""
 
     _fields = ("profile", "actions")
 
     def __init__(self, profile: DeviceProfile, actions: tuple[GroundTruthAction, ...]):
+        _require(isinstance(profile, DeviceProfile), "profile must be a DeviceProfile")
+        _require(isinstance(actions, (list, tuple))
+                 and all(isinstance(a, GroundTruthAction) for a in actions),
+                 "actions must be a list or tuple of GroundTruthAction")
         actions = tuple(actions)
         starts = [a.start_frame for a in actions]
         if any(b < a for a, b in zip(starts, starts[1:])):

@@ -334,22 +334,22 @@ def check_contact_cadence(script):
     contact_of_slot = {}
     last_sample = {}  # contact id -> timestamp of its last coordinate window
     window_touched = {}
-    for event in script.events:
-        if event.event_type == EV_ABS and event.event_code == ABS_MT_SLOT:
-            slot = event.value
-        elif event.event_type == EV_ABS and event.event_code == ABS_MT_TRACKING_ID:
-            if event.value == TRACKING_RELEASE:
+    for t_us, etype, code, value in script.events:
+        if etype == EV_ABS and code == ABS_MT_SLOT:
+            slot = value
+        elif etype == EV_ABS and code == ABS_MT_TRACKING_ID:
+            if value == TRACKING_RELEASE:
                 contact_of_slot.pop(slot, None)
             else:
-                contact_of_slot[slot] = event.value
-        elif event.event_type == EV_ABS and event.event_code in (
+                contact_of_slot[slot] = value
+        elif etype == EV_ABS and code in (
             ABS_MT_POSITION_X,
             ABS_MT_POSITION_Y,
         ):
             contact = contact_of_slot.get(slot)
             if contact is not None:
-                window_touched[contact] = event.timestamp_us
-        elif event.event_type == EV_SYN:
+                window_touched[contact] = t_us
+        elif etype == EV_SYN:
             for contact, t in window_touched.items():
                 if contact in last_sample:
                     delta = t - last_sample[contact]

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -18,7 +19,7 @@ from tracereplay.cli import _build_parser, main
 from tracereplay.config import Config, load_config
 from tracereplay.errors import ConfigError, SchemaViolation
 from tracereplay.model import DeviceProfile, serialize_trace
-from tracereplay.replay import ReplayConfig
+from tracereplay.replay import BridgeTransport, ReplayConfig
 from tracereplay.synth import GroundTruthAction, GroundTruthScenario, synthesize_trace
 
 from conftest import UNDECODABLE_JSON, fake_bridge
@@ -609,6 +610,14 @@ class TestConfig:
         assert config.min_confidence == segment.MIN_CONFIDENCE
         assert config.device_node == codegen.DEFAULT_DEVICE_NODE
         assert config.remote_dir == ReplayConfig._field_defaults["remote_dir"]
+        bridge = inspect.signature(BridgeTransport).parameters["bridge_path"]
+        assert config.bridge_path == bridge.default
+
+    def test_help_states_the_config_defaults(self):
+        flags = subparsers()["pipeline"]._option_string_actions
+        assert flags["--min-confidence"].help.endswith(
+            f"(default {Config.min_confidence})")
+        assert flags["--out-dir"].help.endswith(f"(default: {Config.out_dir})")
 
     def test_file_overrides(self, tmp_path):
         file = tmp_path / "config.json"

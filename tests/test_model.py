@@ -500,6 +500,24 @@ class TestConstructorIsTheCheck:
                 rejected.append(build)
         assert len(rejected) == 1
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: GroundTruthAction("tap", 5), "paths must be lists of [frame, x, y] points"),
+        (lambda: GroundTruthAction("tap", (5,)),
+         "paths must be lists of [frame, x, y] points"),
+        (lambda: GroundTruthAction("tap", None),
+         "paths must be lists of [frame, x, y] points"),
+        (lambda: GroundTruthScenario(GROUND_TRUTH_PROFILE, (1,)),
+         "actions must be a list or tuple of GroundTruthAction"),
+        (lambda: GroundTruthScenario(GROUND_TRUTH_PROFILE, 5),
+         "actions must be a list or tuple of GroundTruthAction"),
+        (lambda: GroundTruthScenario(None, ()), "profile must be a DeviceProfile"),
+    ], ids=["paths-int", "path-int", "paths-none", "action-int", "actions-int",
+            "profile-none"])
+    def test_ground_truth_argument_of_wrong_shape(self, build, message):
+        with pytest.raises(SchemaViolation) as caught:
+            build()
+        assert str(caught.value) == message
+
     def test_bbox_or_confidence_that_is_no_number(self):
         for change in (dict(confidence="high"), dict(x=Opacity.LOW), dict(w="")):
             with pytest.raises(SchemaViolation,

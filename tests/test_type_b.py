@@ -51,8 +51,13 @@ def test_checker_accepts_two_overlapping_taps():
 
 
 def _first(events, code, value=None):
-    return next(i for i, e in enumerate(events)
-                if e.event_code == code and value in (None, e.value))
+    return next(i for i, (_, _, c, v) in enumerate(events)
+                if c == code and value in (None, v))
+
+
+def _with_value(event, value):
+    t, etype, code, _ = event
+    return t, etype, code, value
 
 
 def _drop_first_btn_up(events):
@@ -61,28 +66,29 @@ def _drop_first_btn_up(events):
 
 def _second_opens_in_first_slot(events):
     i = _first(events, ABS_MT_TRACKING_ID, 2) - 1
-    events[i] = events[i]._replace(value=0)
+    events[i] = _with_value(events[i], 0)
 
 
 def _second_reuses_first_id(events):
     i = _first(events, ABS_MT_TRACKING_ID, 2)
-    events[i] = events[i]._replace(value=1)
+    events[i] = _with_value(events[i], 1)
 
 
 def _wrong_coordinate(events):
     i = _first(events, ABS_MT_POSITION_X)
-    events[i] = events[i]._replace(value=events[i].value + 1)
+    events[i] = _with_value(events[i], events[i][3] + 1)
 
 
 def _drop_last_release(events):
-    i = max(i for i, e in enumerate(events)
-            if e.event_code == ABS_MT_TRACKING_ID and e.value < 0)
+    i = max(i for i, (_, _, code, value) in enumerate(events)
+            if code == ABS_MT_TRACKING_ID and value < 0)
     del events[i - 1:i + 1]  # its slot selection and the release
 
 
 def _first_window_ends_1us_late(events):
     i = _first(events, SYN_REPORT)
-    events[i] = events[i]._replace(timestamp_us=events[i].timestamp_us + 1)
+    t, *rest = events[i]
+    events[i] = (t + 1, *rest)
 
 
 @pytest.mark.parametrize("defect, message", [
