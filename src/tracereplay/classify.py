@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from collections.abc import Iterable
 from enum import Enum
 from typing import NamedTuple, Union
 
@@ -28,6 +29,7 @@ from .model import (
     TouchDetection,
     _center,
     _int,
+    _require,
     collapse_finger_counts,
     detections_json,
     device_json,
@@ -117,12 +119,25 @@ ScenarioItem = Union[AtomicAction, MultiFingerItem]
 
 
 class ClassifiedScenario(Frozen):
-    """Chronological single- and multi-fingered actions of one trace."""
+    """Chronological single- and multi-fingered actions of one trace;
+    the constructor is the whole check, item types included."""
 
     _fields = ("profile", "items")
 
     def __init__(self, profile: DeviceProfile, items: tuple[ScenarioItem, ...]):
-        items = tuple(items)
+        _require(isinstance(profile, DeviceProfile), "profile must be a DeviceProfile")
+        # A value that is not iterable fails below, as one item of no type.
+        items = tuple(items) if isinstance(items, Iterable) else (None,)
+        for item in items:
+            actions = (item,)
+            if isinstance(item, MultiFingerItem):
+                _int(item.finger_count, "finger_count", 1)
+                actions = item.actions
+                _require(isinstance(actions, tuple), "mfa actions must be a tuple")
+                _require(actions, "mfa item must have at least one action")
+            _require(all(isinstance(a, AtomicAction) and isinstance(a.kind, ActionKind)
+                         and isinstance(a.sequence, TouchSequence) for a in actions),
+                     "scenario items must be AtomicActions or MultiFingerItems")
         starts = [item.start_frame for item in items]
         if any(b < a for a, b in zip(starts, starts[1:])):
             raise SchemaViolation("scenario items must be ordered by start frame")
@@ -174,15 +189,9 @@ class ClassifiedScenario(Frozen):
                 if not isinstance(raw_actions, list):
                     raise SchemaViolation("mfa actions must be a list")
                 actions = tuple(map(AtomicAction.from_dict, raw_actions))
-                count = _int(raw.get("finger_count"), "finger_count", 1)
-                items.append(MultiFingerItem(actions, count))
+                items.append(MultiFingerItem(actions, raw.get("finger_count")))
             else:
                 raise SchemaViolation(f"unknown item type {raw['type']!r}")
-        # Checked after the walk, so that a defect in a later item is the
-        # one reported, as it was before empty groups were rejected.
-        if any(isinstance(item, MultiFingerItem) and not item.actions
-               for item in items):
-            raise SchemaViolation("mfa item must have at least one action")
         return cls(profile=profile, items=tuple(items))
 
 

@@ -17,6 +17,10 @@ Two on-disk forms exist:
 * a compact runnable form consumed by the on-device replay agent: the
   8-byte magic ``V2SR\\x01\\x00\\x00\\x00`` followed by little-endian
   records ``(delta_us: u32, type: u16, code: u16, value: i32)``.
+
+A script is checked once, where it is made: `SendEventScript`'s
+constructor runs `validate_script`, and both encoders write every
+script it accepts.
 """
 
 from __future__ import annotations
@@ -27,11 +31,12 @@ import struct
 from heapq import heappop, heappush
 from itertools import accumulate
 from math import floor
-from typing import NamedTuple
 
 from .classify import ActionKind, AtomicAction, ClassifiedScenario
 from .errors import ScriptFormatError, SlotExhaustion
-from .model import DeviceProfile, _frame_and_center, decode_json, valid_device_node
+from .model import (
+    DeviceProfile, Frozen, _frame_and_center, decode_json, valid_device_node,
+)
 
 # Kernel input event vocabulary (multi-touch protocol type B).
 EV_SYN = 0x0000
@@ -54,7 +59,6 @@ RUNNABLE_MAGIC = b"V2SR\x01\x00\x00\x00"
 LOG_HEADER = "# tracereplay-log 1"
 _RECORD = struct.Struct("<IHHi")
 # Field ranges of a runnable record.
-_U16_MAX = 0xFFFF
 _U32_MAX = 0xFFFFFFFF
 _I32_END = 1 << 31
 
@@ -62,7 +66,7 @@ _LOG_LINE = re.compile(
     r"^\[(\d+)\.(\d{6})\] (\S+): ([0-9a-f]{4}) ([0-9a-f]{4}) ([0-9a-f]{8})$"
 )
 
-#: "type code " log text of each (event type, code) pair the emitters use.
+#: "type code " log text of each (event type, code) pair of the vocabulary.
 _TYPE_CODE_TEXT = {
     pair: "%04x %04x " % pair
     for pair in (
@@ -76,16 +80,20 @@ _TYPE_CODE_TEXT = {
 }
 
 
-class SendEventScript(NamedTuple):
+class SendEventScript(Frozen):
     """Replayable event stream plus the device it targets.
 
     Each event is a plain tuple ``(timestamp_us, event_type, event_code,
-    value)`` of ints, timestamped from script start.
+    value)`` of ints, timestamped from script start. The constructor,
+    which assembled, parsed and hand-built scripts all go through, is
+    the whole check: `validate_script`.
     """
 
-    device_node: str
-    events: tuple[tuple[int, int, int, int], ...]
-    profile: DeviceProfile
+    _fields = ("device_node", "events", "profile")
+
+    def __init__(self, device_node: str, events: tuple, profile: DeviceProfile):
+        self._set(device_node, tuple(events), profile)
+        validate_script(self)
 
 
 def frame_offset_us(frames: int, fps: int) -> int:
@@ -202,106 +210,94 @@ def assemble_script(
                 append((t, EV_ABS, ABS_MT_POSITION_X, x))
                 append((t, EV_ABS, ABS_MT_POSITION_Y, y))
         append((t, EV_SYN, SYN_REPORT, 0))
-    script = SendEventScript(
-        device_node=device_node, events=tuple(events), profile=profile
-    )
-    validate_script(script)
-    return script
+    return SendEventScript(device_node, events, profile)
 
 
 def validate_script(script: SendEventScript) -> None:
     """Check protocol well-formedness; raises ScriptFormatError.
 
-    Verifies the device node (see `valid_device_node`), that every
-    event fits a runnable record (type and code in u16, value in i32,
-    timestamps non-decreasing from 0 in steps of at most u32
-    microseconds), balanced open/close per tracking id, slot-state
-    consistency, on-screen coordinates, and paired touch-button
-    transitions. Both encoders accept every script of integer events
-    that passes.
+    Verifies the device node (see `valid_device_node`), the profile,
+    that every event is a tuple of 4 ints in the type-B vocabulary the
+    emitter writes (`(EV_SYN, SYN_REPORT, 0)`, `(EV_KEY, BTN_TOUCH, 0
+    or 1)`, `ABS_MT_SLOT` in [0, MAX_SLOTS), `ABS_MT_TRACKING_ID` -1 or
+    in [0, 2**31), on-screen `ABS_MT_POSITION_X` and `_Y`), timestamps
+    non-decreasing from 0 in steps of at most u32 microseconds,
+    balanced open/close per tracking id, slot-state consistency, and
+    paired touch-button transitions.
     """
     if not valid_device_node(script.device_node):
         raise ScriptFormatError(
             f"device node must be non-empty ASCII without whitespace, "
             f"got {script.device_node!r}"
         )
+    profile = script.profile
+    if not isinstance(profile, DeviceProfile):
+        raise ScriptFormatError(f"profile must be a DeviceProfile, got {profile!r}")
     # Coordinates past i32 cannot be encoded, however large the screen.
-    x_end = min(script.profile.screen_width, _I32_END)
-    y_end = min(script.profile.screen_height, _I32_END)
+    x_end = min(profile.screen_width, _I32_END)
+    y_end = min(profile.screen_height, _I32_END)
     open_tids: dict[int, int] = {}  # slot -> tracking id
     seen_tids: set[int] = set()
     current_slot = 0
     last_t = 0
-    btn_downs = btn_ups = 0
-    # Each branch checks the ranges its own tests do not already imply.
-    for t, etype, code, value in script.events:
-        if t != last_t:
-            if not last_t < t <= last_t + _U32_MAX:
-                raise _step_error(t, last_t)
+    btn_counts = [0, 0]  # touch-ups, touch-downs
+    for event in script.events:
+        try:
+            t, etype, code, value = event
+        except (TypeError, ValueError):
+            raise _outside_vocabulary(event) from None
+        # A timestamp object checked once needs no second check.
+        if (type(event) is not tuple or type(etype) is not int or type(code) is not int
+                or type(value) is not int or t is not last_t and type(t) is not int):
+            raise _outside_vocabulary(event)
+        if t is not last_t:
+            if t < last_t:
+                raise ScriptFormatError(f"timestamp decreases at {t}us")
+            if t > last_t + _U32_MAX:
+                raise ScriptFormatError(
+                    f"timestamp step {t - last_t}us at {t}us exceeds u32"
+                )
             last_t = t
-        if etype == EV_ABS:
-            if code == ABS_MT_POSITION_X:
-                if not 0 <= value < x_end:
-                    raise ScriptFormatError(f"x={value} off screen")
-            elif code == ABS_MT_POSITION_Y:
-                if not 0 <= value < y_end:
-                    raise ScriptFormatError(f"y={value} off screen")
-            elif code == ABS_MT_SLOT:
-                if not 0 <= value < MAX_SLOTS:
-                    raise ScriptFormatError(f"slot {value} out of range")
-                current_slot = value
-            elif code == ABS_MT_TRACKING_ID:
-                if value == TRACKING_RELEASE:
-                    if current_slot not in open_tids:
-                        raise ScriptFormatError(
-                            f"release on empty slot {current_slot}"
-                        )
-                    del open_tids[current_slot]
-                else:
-                    _check_record(etype, code, value)
-                    if current_slot in open_tids:
-                        raise ScriptFormatError(
-                            f"slot {current_slot} opened twice"
-                        )
-                    if value in seen_tids:
-                        raise ScriptFormatError(f"tracking id {value} reused")
-                    open_tids[current_slot] = value
-                    seen_tids.add(value)
-            else:
-                _check_record(etype, code, value)
-        elif etype == EV_SYN and code == SYN_REPORT and value == 0:
+        # Each code belongs to one event type.
+        if code == ABS_MT_POSITION_X and etype == EV_ABS:
+            if not 0 <= value < x_end:
+                raise ScriptFormatError(f"x={value} off screen")
+        elif code == ABS_MT_POSITION_Y and etype == EV_ABS:
+            if not 0 <= value < y_end:
+                raise ScriptFormatError(f"y={value} off screen")
+        elif code == SYN_REPORT and etype == EV_SYN and value == 0:
             pass
-        elif etype == EV_KEY and code == BTN_TOUCH:
-            _check_record(etype, code, value)
-            if value == 1:
-                btn_downs += 1
+        elif code == ABS_MT_SLOT and etype == EV_ABS:
+            if not 0 <= value < MAX_SLOTS:
+                raise ScriptFormatError(f"slot {value} out of range")
+            current_slot = value
+        elif code == ABS_MT_TRACKING_ID and etype == EV_ABS:
+            if value == TRACKING_RELEASE:
+                if current_slot not in open_tids:
+                    raise ScriptFormatError(f"release on empty slot {current_slot}")
+                del open_tids[current_slot]
             else:
-                btn_ups += 1
+                if not 0 <= value < _I32_END:
+                    raise ScriptFormatError(f"tracking id {value} out of range")
+                if current_slot in open_tids:
+                    raise ScriptFormatError(f"slot {current_slot} opened twice")
+                if value in seen_tids:
+                    raise ScriptFormatError(f"tracking id {value} reused")
+                open_tids[current_slot] = value
+                seen_tids.add(value)
+        elif code == BTN_TOUCH and etype == EV_KEY and 0 <= value <= 1:
+            btn_counts[value] += 1
         else:
-            _check_record(etype, code, value)
+            raise _outside_vocabulary(event)
     if open_tids:
         raise ScriptFormatError(f"contacts left open: {sorted(open_tids.values())}")
-    if btn_downs != btn_ups:
-        raise ScriptFormatError(f"{btn_downs} touch-downs vs {btn_ups} touch-ups")
+    ups, downs = btn_counts
+    if downs != ups:
+        raise ScriptFormatError(f"{downs} touch-downs vs {ups} touch-ups")
 
 
-def _step_error(t: int, last_t: int) -> ScriptFormatError:
-    if t < last_t:
-        return ScriptFormatError(f"timestamp decreases at {t}us")
-    return ScriptFormatError(
-        f"timestamp step {t - last_t}us at {t}us exceeds u32"
-    )
-
-
-def _check_record(etype: int, code: int, value: int) -> None:
-    """Raise ScriptFormatError unless a runnable record can hold the
-    event's type, code and value."""
-    if not 0 <= etype <= _U16_MAX:
-        raise ScriptFormatError(f"event type {etype} outside u16")
-    if not 0 <= code <= _U16_MAX:
-        raise ScriptFormatError(f"event code {code} outside u16")
-    if not -_I32_END <= value < _I32_END:
-        raise ScriptFormatError(f"event value {value} outside i32")
+def _outside_vocabulary(event) -> ScriptFormatError:
+    return ScriptFormatError(f"event {event!r} outside the type-B vocabulary")
 
 
 def serialize_script(script: SendEventScript) -> bytes:
@@ -320,11 +316,7 @@ def serialize_script(script: SendEventScript) -> bytes:
         if t != prefix_t:
             prefix_t = t
             prefix = "[%d.%06d] %s: " % (t // 1_000_000, t % 1_000_000, node)
-        try:
-            text = type_code[etype, code]
-        except KeyError:  # outside the vocabulary the emitters use
-            text = "%04x %04x " % (etype, code)
-        append("%s%s%08x" % (prefix, text, value & 0xFFFFFFFF))
+        append("%s%s%08x" % (prefix, type_code[etype, code], value & 0xFFFFFFFF))
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -392,13 +384,8 @@ def translate_runnable(script: SendEventScript) -> bytes:
     pack = _RECORD.pack
     prev = 0
     for t, etype, code, value in script.events:
-        delta = t - prev
-        if delta < 0:
-            raise ScriptFormatError(
-                f"timestamps must be non-decreasing, got step {delta}us"
-            )
+        append(pack(t - prev, etype, code, value))
         prev = t
-        append(pack(delta, etype, code, value))
     return b"".join(chunks)
 
 

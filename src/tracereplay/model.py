@@ -40,6 +40,7 @@ import re
 from collections import namedtuple
 from collections.abc import Iterable
 from enum import Enum
+from itertools import repeat
 from operator import itemgetter
 
 from .errors import BoundsViolation, MalformedJson, SchemaViolation, TraceReplayError
@@ -69,13 +70,13 @@ _tuple_new = tuple.__new__
 
 
 class Frozen:
-    """Base of every record the package checks, ground truth included:
-    `==`, `hash` and `repr` over the fields named in `_fields`, in
-    order, and no assignment once built. Field reads are plain
-    `__dict__` reads. A subclass's `__init__` is its whole check, types
-    included, so that a record it accepts survives its JSON writer and
-    reader, if it has them; it sets the fields with `_set`.
-    `_unchecked` fills one from fields already checked."""
+    """Base of every record the package checks, ground truth and event
+    scripts included: `==`, `hash` and `repr` over the fields named in
+    `_fields`, in order, and no assignment once built. Field reads are
+    plain `__dict__` reads. A subclass's `__init__` is its whole check,
+    types included, so that a record it accepts survives its writers and
+    readers, if it has them; it sets the fields with `_set`. `_unchecked`
+    fills one from fields already checked."""
 
     _fields: tuple[str, ...] = ()
 
@@ -273,8 +274,9 @@ _frame_and_center = itemgetter(0, 4)
 class DetectionTrace(Frozen):
     """All detections of one recording, sorted by frame.
 
-    The constructor is the one placement check: `frame_count` must be an
-    integer in [0, 2**1000), and every detection must lie inside the
+    The constructor is the whole check: the profile must be a
+    `DeviceProfile`, `frame_count` an integer in [0, 2**1000), and the
+    detections an iterable of `TouchDetection`, each inside the
     profile's screen and before `frame_count`. Of the misplaced ones,
     the first in frame order (ties in input order) is raised.
     Detections given out of frame order are re-sorted (stable).
@@ -284,9 +286,13 @@ class DetectionTrace(Frozen):
 
     def __init__(self, profile: DeviceProfile, detections: Iterable[TouchDetection],
                  frame_count: int):
+        _require(isinstance(profile, DeviceProfile), "profile must be a DeviceProfile")
         # Before `detections`, which may be a lazy loader, is consumed.
         _int(frame_count, "frame_count", 0)
-        detections = tuple(detections)
+        # A value that is not iterable fails below, as one non-detection.
+        detections = tuple(detections) if isinstance(detections, Iterable) else (None,)
+        _require(all(map(isinstance, detections, repeat(TouchDetection))),
+                 "detections must be an iterable of TouchDetection")
         width, height = profile.screen_width, profile.screen_height
         misplaced = None  # (frame, bbox) of the first misplaced detection
         previous = 0

@@ -94,9 +94,6 @@ class TouchSequence(Frozen):
         highs = self.high_touches
         return highs[-1].frame if highs else self.start_frame
 
-    def __len__(self) -> int:
-        return len(self.touches)
-
 
 def filter_confidence(
     trace: DetectionTrace, min_confidence: float = MIN_CONFIDENCE

@@ -8,7 +8,10 @@ same scenario, or raise the same error type with the same message. The
 exceptions are the inputs the old loader crashed on with a raw
 `TypeError`, `KeyError` or `ValueError`, containers that are not lists,
 and a `finger_count` below 1, which the old loader took: the loader now
-raises `SchemaViolation` for all three.
+raises `SchemaViolation` for all three. The old loader checked each
+`finger_count` as it read it; the scenario constructor now checks it
+after the walk, so where the old loader reported a finger count, the
+new one reports what it reports once every finger count is 1.
 """
 
 from __future__ import annotations
@@ -162,6 +165,15 @@ def _has_finger_count_below_1(doc) -> bool:
     )
 
 
+def _counts_fixed(doc) -> str:
+    """The document with the finger count of every mfa item set to 1."""
+    doc = json.loads(json.dumps(doc))
+    for _, node in _nodes(doc):
+        if isinstance(node, dict) and node.get("type") == "mfa":
+            node["finger_count"] = 1
+    return json.dumps(doc)
+
+
 def _outcome(load, text):
     try:
         return load(text)
@@ -186,6 +198,12 @@ def test_mutated_documents_load_like_oracle(scenario, defects, rnd, as_bytes):
         want = None  # the old loader crashed
     if want is None or _has_non_list(doc) or _has_finger_count_below_1(doc):
         assert isinstance(got, tuple) and got[0] is SchemaViolation, got
+        return
+    if (got != want and isinstance(want, tuple)
+            and want[1].startswith("field 'finger_count'")):
+        # The constructor checks finger counts after the walk, which
+        # reports any other defect in the document first.
+        assert got == _outcome(ClassifiedScenario.from_json, _counts_fixed(doc))
         return
     assert got == want
     if isinstance(want, ClassifiedScenario):
@@ -232,6 +250,16 @@ TOUCH = {"frame": 0, "bbox": [10.0, 10.0, 40.0, 40.0], "confidence": 0.9,
 def test_bad_structure_raises_schema_violation(text):
     with pytest.raises(SchemaViolation):
         ClassifiedScenario.from_json(text)
+
+
+def test_finger_count_is_checked_after_the_walk():
+    action = {"kind": "tap", "touches": [TOUCH]}
+    bad_count = {"type": "mfa", "finger_count": "2", "actions": [action]}
+    with pytest.raises(SchemaViolation,
+                       match="^field 'finger_count' must be an integer, got '2'$"):
+        ClassifiedScenario.from_json(_doc([bad_count]))
+    with pytest.raises(SchemaViolation, match="^unknown item type 'x'$"):
+        ClassifiedScenario.from_json(_doc([bad_count, {"type": "x"}]))
 
 
 def test_bytes_that_are_not_utf8_raise_malformed_json():

@@ -1,5 +1,6 @@
 import random
 import re
+from functools import partial
 
 import pytest
 
@@ -18,6 +19,7 @@ from tracereplay.codegen import (
     EV_KEY,
     EV_SYN,
     LOG_HEADER,
+    MAX_SLOTS,
     SYN_REPORT,
     TRACKING_RELEASE,
     SendEventScript,
@@ -385,26 +387,24 @@ class TestSerialization:
 
 
 class TestValidateScript:
+    """The constructor runs `validate_script` on every script."""
+
     def test_rejects_unbalanced_contact(self, profile):
         events = (
             (0, EV_ABS, ABS_MT_SLOT, 0),
             (0, EV_ABS, ABS_MT_TRACKING_ID, 1),
             (0, EV_SYN, SYN_REPORT, 0),
         )
-        script = SendEventScript(device_node="/dev/x", events=events,
-                                 profile=profile)
-        with pytest.raises(ScriptFormatError):
-            validate_script(script)
+        with pytest.raises(ScriptFormatError, match=r"^contacts left open: \[1\]$"):
+            SendEventScript(device_node="/dev/x", events=events, profile=profile)
 
     def test_rejects_decreasing_time(self, profile):
         events = (
             (100, EV_ABS, ABS_MT_TRACKING_ID, 1),
             (50, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE),
         )
-        script = SendEventScript(device_node="/dev/x", events=events,
-                                 profile=profile)
-        with pytest.raises(ScriptFormatError):
-            validate_script(script)
+        with pytest.raises(ScriptFormatError, match="^timestamp decreases at 50us$"):
+            SendEventScript(device_node="/dev/x", events=events, profile=profile)
 
     def test_rejects_off_screen_coordinate(self, profile):
         events = (
@@ -412,10 +412,8 @@ class TestValidateScript:
             (0, EV_ABS, ABS_MT_POSITION_X, 5000),
             (0, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE),
         )
-        script = SendEventScript(device_node="/dev/x", events=events,
-                                 profile=profile)
-        with pytest.raises(ScriptFormatError):
-            validate_script(script)
+        with pytest.raises(ScriptFormatError, match="^x=5000 off screen$"):
+            SendEventScript(device_node="/dev/x", events=events, profile=profile)
 
 
 def two_fingers(profile):
@@ -466,12 +464,47 @@ def _last_window_at_0us(events):
     events[-1] = (0, *events[-1][1:])
 
 
+def _first_timestamp_half_a_microsecond(events):
+    events[0] = (0.5, *events[0][1:])
+
+
+def _first_event_without_value(events):
+    events[0] = events[0][:3]
+
+
+def _first_sync_as_relative_axis(events):
+    i = _index(events, SYN_REPORT)
+    t, _, code, value = events[i]
+    events[i] = (t, 2, code, value)  # EV_REL
+
+
+def _btn_down_with_value_2(events):
+    _set_value(events, _index(events, BTN_TOUCH, 1), 2)
+
+
+def _first_open_takes_id_minus_2(events):
+    _set_value(events, _index(events, ABS_MT_TRACKING_ID, 1), -2)
+
+
+def _no_profile(events):
+    return {"profile": None}
+
+
 def _last_line_on_other_node(lines):
     lines[-1] = lines[-1].replace("/dev/input/event2", "/dev/input/event3")
 
 
 def _drop_profile_header(lines):
     lines.remove(next(line for line in lines if line.startswith("# profile: ")))
+
+
+def _last_line_5000s_in(lines):
+    lines[-1] = "[5000.000000]" + lines[-1].split("]", 1)[1]
+
+
+def _first_release_line_twice(lines):
+    i = next(i for i, line in enumerate(lines) if line.endswith(" 0039 ffffffff"))
+    lines.insert(i, lines[i])
 
 
 @pytest.mark.parametrize("defect, decoder, message", [
@@ -481,26 +514,41 @@ def _drop_profile_header(lines):
     (_second_open_in_first_slot, validate_script, "slot 0 opened twice"),
     (_second_open_takes_first_id, validate_script, "tracking id 1 reused"),
     (_drop_btn_up, validate_script, "1 touch-downs vs 0 touch-ups"),
-    (_last_window_at_0us, translate_runnable,
-     "timestamps must be non-decreasing, got step -66667us"),
+    (_last_window_at_0us, validate_script, "timestamp decreases at 0us"),
+    (_first_timestamp_half_a_microsecond, validate_script,
+     "event (0.5, 3, 47, 0) outside the type-B vocabulary"),
+    (_first_event_without_value, validate_script,
+     "event (0, 3, 47) outside the type-B vocabulary"),
+    (_first_sync_as_relative_axis, validate_script,
+     "event (0, 2, 0, 0) outside the type-B vocabulary"),
+    (_btn_down_with_value_2, validate_script,
+     "event (0, 1, 330, 2) outside the type-B vocabulary"),
+    (_first_open_takes_id_minus_2, validate_script, "tracking id -2 out of range"),
+    (_no_profile, validate_script, "profile must be a DeviceProfile, got None"),
     (_last_line_on_other_node, parse_script,
      "device node changed mid-log: '/dev/input/event3'"),
     (_drop_profile_header, parse_script, "log missing device_node/profile headers"),
+    (_last_line_5000s_in, parse_script,
+     "timestamp step 4999933333us at 5000000000us exceeds u32"),
+    (_first_release_line_twice, parse_script, "release on empty slot 0"),
 ], ids=lambda case: getattr(case, "__name__", None))
 def test_decoder_rejects(profile, defect, decoder, message):
-    """One change to `two_fingers`' events, or, for parse_script, to
-    the lines of its log, and the decoder's exact message."""
+    """One change to `two_fingers`' events, and the exact message of
+    `validate_script`, which the constructor runs; or one change to the
+    lines of its log, and the exact message of parse_script."""
     script = two_fingers(profile)
     if decoder is parse_script:
         lines = serialize_script(script).decode("ascii").splitlines()
         defect(lines)
-        data = "\n".join(lines)
+        build = partial(parse_script, "\n".join(lines))
     else:
         events = list(script.events)
-        defect(events)
-        data = script._replace(events=tuple(events))
+        fields = dict(device_node=script.device_node, events=events,
+                      profile=script.profile)
+        fields.update(defect(events) or {})  # a defect may replace a field
+        build = partial(SendEventScript, **fields)
     with pytest.raises(ScriptFormatError, match=f"^{re.escape(message)}$"):
-        decoder(data)
+        build()
 
 
 class TestEventTuples:
@@ -516,13 +564,11 @@ class TestEventTuples:
 
 
 class TestRecordRanges:
-    """validate_script rejects what a runnable record cannot hold, so
-    both encoders accept every script it passes."""
+    """The constructor rejects what a runnable record cannot hold, so
+    both encoders write every script it accepts."""
 
     def compile(self, profile, *events):
-        script = SendEventScript("/dev/input/event2", events, profile)
-        validate_script(script)
-        return script
+        return SendEventScript("/dev/input/event2", events, profile)
 
     @pytest.mark.parametrize("event", [
         (0, EV_SYN, SYN_REPORT, 2**31),
@@ -547,7 +593,8 @@ class TestRecordRanges:
                          (5 + 2**32, EV_SYN, SYN_REPORT, 0))
 
     def test_tracking_id_above_i32_rejected(self, profile):
-        with pytest.raises(ScriptFormatError, match="outside i32"):
+        with pytest.raises(ScriptFormatError,
+                           match="^tracking id 2147483648 out of range$"):
             self.compile(profile, (0, EV_ABS, ABS_MT_TRACKING_ID, 2**31))
 
     def test_coordinate_above_i32_rejected_on_any_screen(self):
@@ -558,11 +605,20 @@ class TestRecordRanges:
             self.compile(huge, (0, EV_ABS, ABS_MT_POSITION_X, 2**31))
 
     def test_edges_of_each_range_encode(self, profile):
+        """Two steps of u32 microseconds, the last slot, the largest
+        tracking id and the last pixel of each axis."""
+        opened, released = 2**32 - 1, 2**33 - 2
         script = self.compile(
             profile,
-            (2**32 - 1, 0xFFFF, 0xFFFF, 2**31 - 1),
-            (2**33 - 2, EV_SYN, SYN_REPORT, -(2**31)),
-            (2**33 - 2, 0, 0xFFFF, -1),
+            (opened, EV_ABS, ABS_MT_SLOT, MAX_SLOTS - 1),
+            (opened, EV_ABS, ABS_MT_TRACKING_ID, 2**31 - 1),
+            (opened, EV_KEY, BTN_TOUCH, 1),
+            (opened, EV_ABS, ABS_MT_POSITION_X, 1079),
+            (opened, EV_ABS, ABS_MT_POSITION_Y, 1919),
+            (opened, EV_SYN, SYN_REPORT, 0),
+            (released, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE),
+            (released, EV_KEY, BTN_TOUCH, 0),
+            (released, EV_SYN, SYN_REPORT, 0),
         )
         assert parse_runnable(translate_runnable(script)) == list(script.events)
         assert parse_script(serialize_script(script)) == script

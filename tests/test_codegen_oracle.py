@@ -11,7 +11,8 @@ its events as 4-tuples and both encodings byte for byte; where the
 reference rejects an overlap, `assemble_script` must compile a script
 that the type-B checker accepts. The scenarios are classified synthetic
 traces and hand-built single- and multi-finger items; the encodings are
-also checked on arbitrary in-range event sequences.
+also checked on hand-built type-B scripts. The reference scripts are
+`_OracleScript`s, because `SendEventScript` takes tuples of ints only.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 import re
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import pytest
 
@@ -54,7 +56,6 @@ from tracereplay.codegen import (
     parse_script,
     serialize_script,
     translate_runnable,
-    validate_script,
 )
 from tracereplay.errors import ScriptFormatError, SlotExhaustion
 from tracereplay.model import DeviceProfile, Opacity, TouchDetection
@@ -86,6 +87,14 @@ class _OracleEvent:
     def timestamp_ms(self) -> float:
         return self.timestamp_us / 1000.0
 
+
+class _OracleScript(NamedTuple):
+    """A script of that time: its events are `_OracleEvent`s, which the
+    constructor of `SendEventScript` does not take."""
+
+    device_node: str
+    events: tuple[_OracleEvent, ...]
+    profile: DeviceProfile
 
 
 def _oracle_emit_sfa(action, profile, t0_us, slot, tracking_id):
@@ -223,14 +232,14 @@ def _oracle_assemble_script(scenario, device_node="/dev/input/event2"):
             prev_desc = f"multi-finger item at frame {item.start_frame}"
         if len(events) > emitted:
             prev_end_us = events[-1].timestamp_us
-    script = SendEventScript(
+    # The check of that time, now made by the constructor.
+    SendEventScript(device_node=device_node, events=_tuples(events), profile=profile)
+    return _OracleScript(
         device_node=device_node, events=tuple(events), profile=profile
     )
-    validate_script(script._replace(events=_tuples(events)))
-    return script
 
 
-def _oracle_serialize_script(script: SendEventScript) -> bytes:
+def _oracle_serialize_script(script: _OracleScript) -> bytes:
     """Write the human-readable log form; inverse of parse_script."""
     lines = [
         "# tracereplay-log 1",
@@ -247,7 +256,7 @@ def _oracle_serialize_script(script: SendEventScript) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def _oracle_parse_script(data: bytes | str) -> SendEventScript:
+def _oracle_parse_script(data: bytes | str) -> _OracleScript:
     """Parse the log form back into a script."""
     if isinstance(data, bytes):
         data = data.decode("ascii")
@@ -287,12 +296,12 @@ def _oracle_parse_script(data: bytes | str) -> SendEventScript:
         )
     if device_node is None or profile is None:
         raise ScriptFormatError("log missing device_node/profile headers")
-    return SendEventScript(
+    return _OracleScript(
         device_node=device_node, events=tuple(events), profile=profile
     )
 
 
-def _oracle_translate_runnable(script: SendEventScript) -> bytes:
+def _oracle_translate_runnable(script: _OracleScript) -> bytes:
     """Write the compact delta-timestamped form for the replay agent."""
     chunks = [RUNNABLE_MAGIC]
     prev = 0
@@ -351,9 +360,9 @@ def _tuples(events):
     ]
 
 
-def _oracle_script(script: SendEventScript) -> SendEventScript:
+def _oracle_script(script: SendEventScript) -> _OracleScript:
     """The same script with reference events."""
-    return SendEventScript(
+    return _OracleScript(
         device_node=script.device_node,
         events=tuple(_OracleEvent(*e) for e in script.events),
         profile=script.profile,
@@ -512,21 +521,45 @@ _NODE = st.text(
 
 @st.composite
 def in_range_scripts(draw):
-    """Arbitrary events that a runnable record can hold: runs of equal
-    timestamps, steps that cross whole seconds, negative values and
-    timestamps past 2**31 us."""
+    """Type-B scripts the constructor accepts: windows that open, move
+    or release contacts in any free or held slot, at timestamps that
+    repeat, cross whole seconds, pass 2**31 us and step by a whole u32,
+    with tracking ids up to 2**31 - 1 and coordinates at the screen's
+    edges."""
     t = draw(st.sampled_from([0, 999_999, 2**31 - 3, 2**32 - 1]))
+    # Ids count down, one per open; 36 opens at most keep them >= 0.
+    next_tid = draw(st.sampled_from([35, 1000, 2**31 - 1]))
+    held = {}  # the slots whose contact is open, in the order they opened
     events = []
-    for i in range(draw(st.integers(0, 40))):
+    for i in range(draw(st.integers(0, 12))):
         if i:
-            t += draw(st.sampled_from([0, 0, 0, 1, 999_999, 1_000_000, 1_000_001]))
-        events.append((
-            t,
-            draw(st.integers(0, 0xFFFF)),
-            draw(st.integers(0, 0xFFFF)),
-            draw(st.one_of(st.sampled_from([-(2**31), -1, 0, 2**31 - 1]),
-                           st.integers(-(2**31), 2**31 - 1))),
-        ))
+            t += draw(st.sampled_from([0, 1, 999_999, 1_000_000, 1_000_001, 2**32 - 1]))
+        for _ in range(draw(st.integers(1, 3))):
+            free = [slot for slot in range(MAX_SLOTS) if slot not in held]
+            slot = draw(st.sampled_from(free + list(held)))
+            events.append((t, EV_ABS, ABS_MT_SLOT, slot))
+            if slot in held and draw(st.booleans()):
+                del held[slot]
+                events.append((t, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE))
+                if not held:
+                    events.append((t, EV_KEY, BTN_TOUCH, 0))
+                continue
+            if slot not in held:
+                held[slot] = True
+                events.append((t, EV_ABS, ABS_MT_TRACKING_ID, next_tid))
+                next_tid -= 1
+                if len(held) == 1:
+                    events.append((t, EV_KEY, BTN_TOUCH, 1))
+            events.append((t, EV_ABS, ABS_MT_POSITION_X, draw(
+                st.one_of(st.sampled_from([0, 1079]), st.integers(0, 1079)))))
+            events.append((t, EV_ABS, ABS_MT_POSITION_Y, draw(
+                st.one_of(st.sampled_from([0, 1919]), st.integers(0, 1919)))))
+        events.append((t, EV_SYN, SYN_REPORT, 0))
+    if held:
+        for slot in held:
+            events.append((t, EV_ABS, ABS_MT_SLOT, slot))
+            events.append((t, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE))
+        events += [(t, EV_KEY, BTN_TOUCH, 0), (t, EV_SYN, SYN_REPORT, 0)]
     return SendEventScript(
         device_node=draw(_NODE), events=tuple(events), profile=PROFILE
     )

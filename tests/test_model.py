@@ -11,6 +11,7 @@ from tracereplay.classify import (
     ActionKind,
     AtomicAction,
     ClassifiedScenario,
+    MultiFingerItem,
 )
 from tracereplay.codegen import frame_offset_us
 from tracereplay.errors import (
@@ -445,6 +446,14 @@ def with_rejected_ground_truth_examples(test):
     return example(dict(VALID_GROUND_TRUTH, kind="tap", x=-1e200, last_x=1e200))(test)
 
 
+_NO_ITEMS = "scenario items must be AtomicActions or MultiFingerItems"
+_TAP = AtomicAction(ActionKind.TAP, make_sequence(0, 5, 100, 100))
+
+
+def _scenario_of(item):
+    return ClassifiedScenario(GROUND_TRUTH_PROFILE, (item,))
+
+
 class TestConstructorIsTheCheck:
     """A trace or a scenario the constructors accept comes back unchanged
     through its JSON writer and reader."""
@@ -514,6 +523,37 @@ class TestConstructorIsTheCheck:
     ], ids=["paths-int", "path-int", "paths-none", "action-int", "actions-int",
             "profile-none"])
     def test_ground_truth_argument_of_wrong_shape(self, build, message):
+        with pytest.raises(SchemaViolation) as caught:
+            build()
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: DetectionTrace(None, (), 10), "profile must be a DeviceProfile"),
+        (lambda: DetectionTrace(GROUND_TRUTH_PROFILE, 5, 10),
+         "detections must be an iterable of TouchDetection"),
+        (lambda: DetectionTrace(GROUND_TRUTH_PROFILE, (1,), 10),
+         "detections must be an iterable of TouchDetection"),
+        (lambda: ClassifiedScenario(None, ()), "profile must be a DeviceProfile"),
+        (lambda: ClassifiedScenario(GROUND_TRUTH_PROFILE, 5), _NO_ITEMS),
+        (lambda: ClassifiedScenario(GROUND_TRUTH_PROFILE, (1,)), _NO_ITEMS),
+        (lambda: _scenario_of(AtomicAction("tap", make_sequence(0, 5, 100, 100))),
+         _NO_ITEMS),
+        (lambda: _scenario_of(AtomicAction(ActionKind.TAP, (make_touch(0, 9, 9),))),
+         _NO_ITEMS),
+        (lambda: _scenario_of(MultiFingerItem((1,), 1)), _NO_ITEMS),
+        (lambda: _scenario_of(MultiFingerItem((), 1)),
+         "mfa item must have at least one action"),
+        (lambda: _scenario_of(MultiFingerItem([_TAP], 1)),
+         "mfa actions must be a tuple"),
+        (lambda: _scenario_of(MultiFingerItem((_TAP,), 0)),
+         "field 'finger_count' must be in [1, 2**1000), got 0"),
+        (lambda: _scenario_of(MultiFingerItem((_TAP,), 1.0)),
+         "field 'finger_count' must be an integer, got 1.0"),
+    ], ids=["trace-profile-none", "detections-int", "detection-int",
+            "scenario-profile-none", "items-int", "item-int", "action-kind-str",
+            "action-sequence-tuple", "mfa-action-int", "mfa-no-action",
+            "mfa-actions-list", "mfa-zero-fingers", "mfa-float-fingers"])
+    def test_trace_and_scenario_argument_of_wrong_shape(self, build, message):
         with pytest.raises(SchemaViolation) as caught:
             build()
         assert str(caught.value) == message

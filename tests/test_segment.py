@@ -158,7 +158,7 @@ class TestSegmentActions:
         touches = [make_touch(f, 100, 100) for f in range(10)]
         sequences = segment(touches)
         assert len(sequences) == 1
-        assert len(sequences[0]) == 10
+        assert len(sequences[0].touches) == 10
 
     def test_interior_low_splits(self):
         # High 0..4, low on 5, high 6..11: the low node closes the first
@@ -196,7 +196,7 @@ class TestSegmentActions:
             touches.append(make_touch(f, 800 - 5 * f, 900))
         sequences = segment(touches)
         assert len(sequences) == 2
-        assert all(len(s) == 6 for s in sequences)
+        assert all(len(s.touches) == 6 for s in sequences)
 
     def test_equidistant_low_links_to_older_action(self):
         # Action A (frames 0..2, ends with a lifting touch) and action B
@@ -224,7 +224,7 @@ class TestSegmentActions:
         touches = [make_touch(f, 100, 100) for f in range(6)]
         touches += [make_touch(f, 700, 900) for f in range(3, 6)]
         sequences = segment(touches)
-        assert [(s.start_frame, len(s)) for s in sequences] == [(0, 6), (3, 3)]
+        assert [(s.start_frame, len(s.touches)) for s in sequences] == [(0, 6), (3, 3)]
 
     def test_unmatched_sequence_closes_at_gap(self):
         # Finger A vanishes at frame 3 while finger B continues; A's
@@ -232,7 +232,7 @@ class TestSegmentActions:
         touches = [make_touch(f, 100, 100) for f in (0, 1)]
         touches += [make_touch(f, 700, 900) for f in range(0, 6)]
         sequences = segment(touches)
-        assert [(s.start_frame, len(s)) for s in sequences] == [(0, 6)]
+        assert [(s.start_frame, len(s.touches)) for s in sequences] == [(0, 6)]
 
     def test_partition_accounts_for_every_touch(self):
         touches = [make_touch(f, 100, 100) for f in range(5)]
@@ -240,7 +240,7 @@ class TestSegmentActions:
         touches += [make_touch(f, 100, 100) for f in (6, 7)]
         touches += [make_touch(f, 600, 600) for f in range(2, 9)]
         sequences = segment(touches)
-        kept = sum(len(s) for s in sequences)
+        kept = sum(len(s.touches) for s in sequences)
         assert kept <= len(touches)
         # Discarded remainder is exactly the 2-frame piece at (100,100).
         assert len(touches) - kept == 2
