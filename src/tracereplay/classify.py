@@ -15,9 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Iterable
 from enum import Enum
-from typing import NamedTuple, Union
 
 from .errors import SchemaViolation
 from .model import (
@@ -30,6 +28,7 @@ from .model import (
     _center,
     _int,
     _require,
+    _tuple_of,
     collapse_finger_counts,
     detections_json,
     device_json,
@@ -62,11 +61,16 @@ class ActionKind(Enum):
     GESTURE = "gesture"
 
 
-class AtomicAction(NamedTuple):
-    """One finger's classified contiguous contact."""
+class AtomicAction(Frozen):
+    """One finger's classified contiguous contact: its kind and sequence."""
 
-    kind: ActionKind
-    sequence: TouchSequence
+    _fields = ("kind", "sequence")
+
+    def __init__(self, kind: ActionKind, sequence: TouchSequence):
+        _require(isinstance(kind, ActionKind), "action kind must be an ActionKind")
+        _require(isinstance(sequence, TouchSequence),
+                 "action sequence must be a TouchSequence")
+        self._set(kind, sequence)
 
     @property
     def start_frame(self) -> int:
@@ -98,9 +102,17 @@ class AtomicAction(NamedTuple):
         return cls(kind, TouchSequence(map(TouchDetection.from_dict, raw)))
 
 
-class MultiFingerItem(NamedTuple):
-    actions: tuple[AtomicAction, ...]
-    finger_count: int
+class MultiFingerItem(Frozen):
+    """One multi-fingered gesture: its fingers' actions and finger count."""
+
+    _fields = ("actions", "finger_count")
+
+    def __init__(self, actions: tuple[AtomicAction, ...], finger_count: int):
+        actions = _tuple_of(actions, AtomicAction,
+                            "mfa actions must be an iterable of AtomicAction")
+        _require(actions, "mfa item must have at least one action")
+        _int(finger_count, "finger_count", 1)
+        self._set(actions, finger_count)
 
     @property
     def start_frame(self) -> int:
@@ -115,29 +127,19 @@ class MultiFingerItem(NamedTuple):
 
 
 #: A single-fingered item is its action.
-ScenarioItem = Union[AtomicAction, MultiFingerItem]
+ScenarioItem = AtomicAction | MultiFingerItem
 
 
 class ClassifiedScenario(Frozen):
-    """Chronological single- and multi-fingered actions of one trace;
-    the constructor is the whole check, item types included."""
+    """Chronological single- and multi-fingered actions of one trace; the
+    constructor checks the profile, the items' types and their order."""
 
     _fields = ("profile", "items")
 
     def __init__(self, profile: DeviceProfile, items: tuple[ScenarioItem, ...]):
         _require(isinstance(profile, DeviceProfile), "profile must be a DeviceProfile")
-        # A value that is not iterable fails below, as one item of no type.
-        items = tuple(items) if isinstance(items, Iterable) else (None,)
-        for item in items:
-            actions = (item,)
-            if isinstance(item, MultiFingerItem):
-                _int(item.finger_count, "finger_count", 1)
-                actions = item.actions
-                _require(isinstance(actions, tuple), "mfa actions must be a tuple")
-                _require(actions, "mfa item must have at least one action")
-            _require(all(isinstance(a, AtomicAction) and isinstance(a.kind, ActionKind)
-                         and isinstance(a.sequence, TouchSequence) for a in actions),
-                     "scenario items must be AtomicActions or MultiFingerItems")
+        items = _tuple_of(items, (AtomicAction, MultiFingerItem),
+                          "scenario items must be AtomicActions or MultiFingerItems")
         starts = [item.start_frame for item in items]
         if any(b < a for a, b in zip(starts, starts[1:])):
             raise SchemaViolation("scenario items must be ordered by start frame")
@@ -188,11 +190,11 @@ class ClassifiedScenario(Frozen):
                 raw_actions = raw.get("actions")
                 if not isinstance(raw_actions, list):
                     raise SchemaViolation("mfa actions must be a list")
-                actions = tuple(map(AtomicAction.from_dict, raw_actions))
-                items.append(MultiFingerItem(actions, raw.get("finger_count")))
+                items.append(MultiFingerItem(map(AtomicAction.from_dict, raw_actions),
+                                             raw.get("finger_count")))
             else:
                 raise SchemaViolation(f"unknown item type {raw['type']!r}")
-        return cls(profile=profile, items=tuple(items))
+        return cls(profile, items)
 
 
 def tap_cutoff_frames(profile: DeviceProfile, duration_based: bool = False) -> int:
@@ -310,9 +312,9 @@ def identify_sfa_mfa(
         if len(group) == 1:
             items.append(group[0])
         else:
-            items.append(MultiFingerItem(tuple(group), classify_finger_count(group)))
+            items.append(MultiFingerItem(group, classify_finger_count(group)))
     items.sort(key=lambda item: (item.start_frame, item.end_frame))
-    return ClassifiedScenario(profile=profile, items=tuple(items))
+    return ClassifiedScenario(profile, items)
 
 
 def classify_trace(

@@ -16,7 +16,9 @@ Two on-disk forms exist:
 
 * a compact runnable form consumed by the on-device replay agent: the
   8-byte magic ``V2SR\\x01\\x00\\x00\\x00`` followed by little-endian
-  records ``(delta_us: u32, type: u16, code: u16, value: i32)``.
+  records ``(delta_us: u32, type: u16, code: u16, value: i32)``. An idle
+  gap between touches longer than a delta holds is split by empty
+  ``SYN_REPORT`` windows, up to `MAX_IDLE_REPORTS` of them.
 
 A script is checked once, where it is made: `SendEventScript`'s
 constructor runs `validate_script`, and both encoders write every
@@ -51,6 +53,10 @@ ABS_MT_TRACKING_ID = 0x0039
 TRACKING_RELEASE = -1  # closes a contact
 
 MAX_SLOTS = 10
+
+#: Most empty reports that split one idle gap (about 50 days at u32 us
+#: each); a longer gap raises ScriptFormatError.
+MAX_IDLE_REPORTS = 1000
 
 DEFAULT_DEVICE_NODE = "/dev/input/event2"
 
@@ -153,7 +159,10 @@ def assemble_script(
     opens in the lowest free slot with the next tracking id; its later
     samples and its release select that slot first only when the
     cluster holds more than one contact. `BTN_TOUCH` goes down with the
-    first contact and up with the last. Raises SlotExhaustion when a
+    first contact and up with the last. A cluster whose first window
+    lies more than u32 microseconds after the last window is preceded
+    by an empty report every u32 microseconds; past MAX_IDLE_REPORTS of
+    them it raises ScriptFormatError. Raises SlotExhaustion when a
     contact opens while all MAX_SLOTS slots are held.
     """
     profile = scenario.profile
@@ -177,7 +186,16 @@ def assemble_script(
         free_slots = list(range(MAX_SLOTS))  # a heap: lowest slot first
         slot_of = [None] * len(contacts)
         window = marks[0][0]
-        t = t_anchor + frame_offset_us(window - anchor, fps)
+        t_window = t_anchor + frame_offset_us(window - anchor, fps)
+        # No contact is down between clusters: empty reports split an idle
+        # step longer than a runnable delta holds.
+        idle = (t_window - t - 1) // _U32_MAX
+        if idle > MAX_IDLE_REPORTS:
+            raise ScriptFormatError(f"idle gap before frame {window} needs more "
+                                    f"than {MAX_IDLE_REPORTS} empty reports")
+        events += [(t + k * _U32_MAX, EV_SYN, SYN_REPORT, 0)
+                   for k in range(1, idle + 1)]
+        t = t_window
         for frame, is_release, order, center in marks:
             if frame != window:
                 append((t, EV_SYN, SYN_REPORT, 0))

@@ -156,9 +156,9 @@ class TouchDetection(
     is no constructor argument, never changes what `==` means and is
     left out of `repr`. The constructor checks every field: `frame` an
     integer in [0, 2**1000) (see `_int`), `opacity` an `Opacity` member,
-    `bbox` and `confidence` floats (once converted) in range, and the
-    center finite as well as the bbox entries. Every detection is built
-    by it or by `from_dict`, which runs the same checks.
+    `bbox` (4 of them) and `confidence` numbers, never bools or strings,
+    stored as floats, finite and in range, and the center finite. Every
+    detection is built by it or by `from_dict`, which runs the same checks.
     """
 
     __slots__ = ()
@@ -168,14 +168,16 @@ class TouchDetection(
         if opacity is not _HIGH and opacity is not _LOW:
             raise SchemaViolation(f"opacity must be an Opacity member, got {opacity!r}")
         _int(frame, "frame", 0)
+        if not (isinstance(bbox, (list, tuple)) and len(bbox) == 4
+                and all(map(_is_number, bbox))):
+            raise SchemaViolation(f"bbox must be a list of 4 numbers, got {bbox!r}")
+        _require(_is_number(confidence), "confidence must be a number")
         try:
-            bbox = tuple(float(v) for v in bbox)
+            bbox = tuple(map(float, bbox))
             confidence = float(confidence)
-        except (OverflowError, TypeError, ValueError) as exc:
-            why = "out of float range" if type(exc) is OverflowError else "not a number"
-            raise SchemaViolation(f"bbox or confidence {why} (frame {frame})") from None
-        if len(bbox) != 4:
-            raise SchemaViolation("bbox must have exactly 4 entries")
+        except OverflowError:
+            message = f"bbox or confidence out of float range (frame {frame})"
+            raise SchemaViolation(message) from None
         if not all(map(_isfinite, bbox)):
             raise SchemaViolation(f"bbox entries must be finite, got {bbox}")
         x, y, w, h = bbox
@@ -216,16 +218,16 @@ class TouchDetection(
 
         The common case (float numbers, finite, in range) is checked
         here once and built in C, by one `tuple.__new__`, without the
-        constructor checking it again; anything else takes the
-        field-by-field path, which raises the precise error or accepts
-        e.g. integer coordinates.
+        constructor checking it again. Anything else, e.g. integer
+        coordinates, is checked here only as a JSON object (the four
+        keys, the opacity text) and built by the constructor.
         """
         try:
             frame, bbox = data["frame"], data["bbox"]
             confidence, opacity = data["confidence"], data["opacity"]
             x, y, w, h = bbox
         except (KeyError, TypeError, ValueError):
-            return cls._from_dict_checked(data)
+            bbox = None  # fails the first test below
         if (
             type(bbox) is list
             and type(frame) is int and 0 <= frame < _INT_CEILING
@@ -239,26 +241,15 @@ class TouchDetection(
                 frame, (x, y, w, h), confidence,
                 _HIGH if opacity == "high" else _LOW, (cx, cy),
             ))
-        return cls._from_dict_checked(data)
-
-    @classmethod
-    def _from_dict_checked(cls, data) -> "TouchDetection":
         _require(isinstance(data, dict), "detection must be an object")
         for key in ("frame", "bbox", "confidence", "opacity"):
             _require(key in data, f"detection missing field '{key}'")
-        bbox = data["bbox"]
-        _require(
-            isinstance(bbox, list) and len(bbox) == 4
-            and all(_is_number(v) for v in bbox),
-            f"bbox must be a list of 4 numbers, got {bbox!r}",
-        )
-        _require(_is_number(data["confidence"]), "confidence must be a number")
         opacity = data["opacity"]
         _require(
             opacity in (Opacity.HIGH.value, Opacity.LOW.value),
             f"opacity must be 'high' or 'low', got {opacity!r}",
         )
-        return cls(data["frame"], bbox, data["confidence"], Opacity(opacity))
+        return cls(data["frame"], data["bbox"], data["confidence"], Opacity(opacity))
 
 
 #: Getters of `TouchDetection` fields by position, for the loops that
@@ -289,10 +280,8 @@ class DetectionTrace(Frozen):
         _require(isinstance(profile, DeviceProfile), "profile must be a DeviceProfile")
         # Before `detections`, which may be a lazy loader, is consumed.
         _int(frame_count, "frame_count", 0)
-        # A value that is not iterable fails below, as one non-detection.
-        detections = tuple(detections) if isinstance(detections, Iterable) else (None,)
-        _require(all(map(isinstance, detections, repeat(TouchDetection))),
-                 "detections must be an iterable of TouchDetection")
+        detections = _tuple_of(detections, TouchDetection,
+                               "detections must be an iterable of TouchDetection")
         width, height = profile.screen_width, profile.screen_height
         misplaced = None  # (frame, bbox) of the first misplaced detection
         previous = 0
@@ -500,6 +489,16 @@ _new = object.__new__
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _tuple_of(values, types, message: str) -> tuple:
+    """`values` as a tuple if it is an iterable of `types` (as `isinstance`
+    takes them), else `SchemaViolation(message)`."""
+    if isinstance(values, Iterable):
+        values = tuple(values)
+        if all(map(isinstance, values, repeat(types))):
+            return values
+    raise SchemaViolation(message)
 
 
 def _int(value, key: str, low: int) -> int:

@@ -34,7 +34,7 @@ from math import dist
 from .errors import SchemaViolation
 from .model import (
     _LOW, DetectionTrace, Frozen, Opacity, TouchDetection, _center, _frame,
-    _frame_and_center, _opacity, _unchecked,
+    _frame_and_center, _opacity, _tuple_of, _unchecked,
 )
 
 #: Detections below this confidence are dropped before linking.
@@ -47,18 +47,19 @@ MAX_DISCARD_FRAMES = 2
 class TouchSequence(Frozen):
     """One finger's contiguous contact: one touch per consecutive frame.
 
-    The constructor checks, in one walk, that the touches are not empty,
-    that their frames strictly increase and that the low-opacity ones
-    are a trailing fade suffix, and raises the first of these that
-    fails. `high_touches`, found in the same walk, is the prefix before
-    the first low-opacity touch; like `center` on a detection, it is
+    The constructor checks that the touches are `TouchDetection`s, then,
+    in one walk, that they are not empty, that their frames strictly
+    increase and that the low-opacity ones are a trailing fade suffix.
+    `high_touches`, found in the same walk, is the prefix before the
+    first low-opacity touch; like `center` on a detection, it is
     derived, so it takes no part in `==`, `hash` or `repr`.
     """
 
     _fields = ("touches",)
 
     def __init__(self, touches: tuple[TouchDetection, ...]):
-        touches = tuple(touches)
+        touches = _tuple_of(touches, TouchDetection,
+                            "touches must be an iterable of TouchDetection")
         previous, highs, increasing, suffix = -1, None, True, True
         for i, touch in enumerate(touches):
             frame = touch.frame

@@ -8,10 +8,11 @@ same scenario, or raise the same error type with the same message. The
 exceptions are the inputs the old loader crashed on with a raw
 `TypeError`, `KeyError` or `ValueError`, containers that are not lists,
 and a `finger_count` below 1, which the old loader took: the loader now
-raises `SchemaViolation` for all three. The old loader checked each
-`finger_count` as it read it; the scenario constructor now checks it
-after the walk, so where the old loader reported a finger count, the
-new one reports what it reports once every finger count is 1.
+raises `SchemaViolation` for all three. Like the old loader, an MFA
+item checks its `finger_count` as it is read, but after its actions: of
+an item with no action and a bad finger count, the old loader reported
+the count and the new one reports the empty item, which is what it
+reports once every finger count is 1.
 """
 
 from __future__ import annotations
@@ -201,8 +202,7 @@ def test_mutated_documents_load_like_oracle(scenario, defects, rnd, as_bytes):
         return
     if (got != want and isinstance(want, tuple)
             and want[1].startswith("field 'finger_count'")):
-        # The constructor checks finger counts after the walk, which
-        # reports any other defect in the document first.
+        # An MFA item checks that it has an action before its finger count.
         assert got == _outcome(ClassifiedScenario.from_json, _counts_fixed(doc))
         return
     assert got == want
@@ -252,14 +252,17 @@ def test_bad_structure_raises_schema_violation(text):
         ClassifiedScenario.from_json(text)
 
 
-def test_finger_count_is_checked_after_the_walk():
+def test_finger_count_is_checked_in_document_order():
+    # Each item checks itself as it is read: the first defect decides.
     action = {"kind": "tap", "touches": [TOUCH]}
     bad_count = {"type": "mfa", "finger_count": "2", "actions": [action]}
-    with pytest.raises(SchemaViolation,
-                       match="^field 'finger_count' must be an integer, got '2'$"):
+    bad_count_message = "^field 'finger_count' must be an integer, got '2'$"
+    with pytest.raises(SchemaViolation, match=bad_count_message):
         ClassifiedScenario.from_json(_doc([bad_count]))
-    with pytest.raises(SchemaViolation, match="^unknown item type 'x'$"):
+    with pytest.raises(SchemaViolation, match=bad_count_message):
         ClassifiedScenario.from_json(_doc([bad_count, {"type": "x"}]))
+    with pytest.raises(SchemaViolation, match="^unknown item type 'x'$"):
+        ClassifiedScenario.from_json(_doc([{"type": "x"}, bad_count]))
 
 
 def test_bytes_that_are_not_utf8_raise_malformed_json():

@@ -624,6 +624,41 @@ class TestRecordRanges:
         assert parse_script(serialize_script(script)) == script
 
 
+class TestIdleGap:
+    """A step longer than a runnable delta holds, before a cluster's
+    first window, is split by empty reports every u32 microseconds."""
+
+    U32 = 2**32 - 1
+
+    def compile(self, profile, *starts):
+        taps = [classify_action(make_sequence(start, 8, 300, 420), profile)
+                for start in starts]
+        return assemble_script(ClassifiedScenario(profile, taps))
+
+    @pytest.mark.parametrize("starts, idle_from", [
+        ((129_600,), 0),  # the one tap 72 minutes in
+        ((10, 129_010), 600_000),  # after the first tap's release, frame 18
+    ], ids=["late-first-tap", "taps-far-apart"])
+    def test_long_idle_gap_compiles_and_round_trips(self, profile, starts, idle_from):
+        script = self.compile(profile, *starts)
+        stamps = [t for t, *_ in script.events]
+        assert max(b - a for a, b in zip([0, *stamps], stamps)) <= self.U32
+        assert [t for t, _ in opens(script.events)] == [
+            frame_offset_us(start, profile.fps) for start in starts]
+        # The one empty report: a SYN_REPORT that follows no other event
+        # of its window.
+        empty = [event for event, before in zip(script.events, [None, *script.events])
+                 if event[1:] == (EV_SYN, SYN_REPORT, 0)
+                 and (before is None or before[1:3] == (EV_SYN, SYN_REPORT))]
+        assert empty == [(idle_from + self.U32, EV_SYN, SYN_REPORT, 0)]
+        assert parse_runnable(translate_runnable(script)) == list(script.events)
+        assert parse_script(serialize_script(script)) == script
+
+    def test_gap_past_max_idle_reports_is_rejected(self, profile):
+        with pytest.raises(ScriptFormatError, match="needs more than 1000 empty reports"):
+            self.compile(profile, 10**300)
+
+
 class TestDeviceNode:
     @pytest.mark.parametrize("node", ["", "/dev/a b", "/dev/é", "\t",
                                       "/dev/x\n", "/dev/\x1c"])

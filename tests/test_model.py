@@ -447,6 +447,7 @@ def with_rejected_ground_truth_examples(test):
 
 
 _NO_ITEMS = "scenario items must be AtomicActions or MultiFingerItems"
+_NO_TOUCHES = "touches must be an iterable of TouchDetection"
 _TAP = AtomicAction(ActionKind.TAP, make_sequence(0, 5, 100, 100))
 
 
@@ -537,32 +538,65 @@ class TestConstructorIsTheCheck:
         (lambda: ClassifiedScenario(GROUND_TRUTH_PROFILE, 5), _NO_ITEMS),
         (lambda: ClassifiedScenario(GROUND_TRUTH_PROFILE, (1,)), _NO_ITEMS),
         (lambda: _scenario_of(AtomicAction("tap", make_sequence(0, 5, 100, 100))),
-         _NO_ITEMS),
+         "action kind must be an ActionKind"),
         (lambda: _scenario_of(AtomicAction(ActionKind.TAP, (make_touch(0, 9, 9),))),
-         _NO_ITEMS),
-        (lambda: _scenario_of(MultiFingerItem((1,), 1)), _NO_ITEMS),
+         "action sequence must be a TouchSequence"),
+        (lambda: _scenario_of(MultiFingerItem((1,), 1)),
+         "mfa actions must be an iterable of AtomicAction"),
         (lambda: _scenario_of(MultiFingerItem((), 1)),
          "mfa item must have at least one action"),
-        (lambda: _scenario_of(MultiFingerItem([_TAP], 1)),
-         "mfa actions must be a tuple"),
         (lambda: _scenario_of(MultiFingerItem((_TAP,), 0)),
          "field 'finger_count' must be in [1, 2**1000), got 0"),
         (lambda: _scenario_of(MultiFingerItem((_TAP,), 1.0)),
          "field 'finger_count' must be an integer, got 1.0"),
+        (lambda: TouchSequence((1,)), _NO_TOUCHES),
+        (lambda: TouchSequence(5), _NO_TOUCHES),
+        (lambda: TouchSequence(None), _NO_TOUCHES),
     ], ids=["trace-profile-none", "detections-int", "detection-int",
             "scenario-profile-none", "items-int", "item-int", "action-kind-str",
             "action-sequence-tuple", "mfa-action-int", "mfa-no-action",
-            "mfa-actions-list", "mfa-zero-fingers", "mfa-float-fingers"])
+            "mfa-zero-fingers", "mfa-float-fingers", "sequence-touch-int",
+            "sequence-int", "sequence-none"])
     def test_trace_and_scenario_argument_of_wrong_shape(self, build, message):
         with pytest.raises(SchemaViolation) as caught:
             build()
         assert str(caught.value) == message
 
+    def test_mfa_actions_list_is_stored_as_a_tuple(self):
+        item = MultiFingerItem([_TAP], 1)
+        assert item.actions == (_TAP,) and type(item.actions) is tuple
+        assert _scenario_of(item).items == (item,)
+
     def test_bbox_or_confidence_that_is_no_number(self):
-        for change in (dict(confidence="high"), dict(x=Opacity.LOW), dict(w="")):
-            with pytest.raises(SchemaViolation,
-                               match=r"bbox or confidence not a number \(frame 3\)"):
+        for change, message in (
+            (dict(confidence="high"), "confidence must be a number"),
+            (dict(x=Opacity.LOW), "bbox must be a list of 4 numbers, got "
+                                  "(<Opacity.LOW: 'low'>, 100.0, 40.0, 40.0)"),
+            (dict(w=""), "bbox must be a list of 4 numbers, got (100.0, 100.0, '', 40.0)"),
+        ):
+            with pytest.raises(SchemaViolation) as caught:
                 build_trace(dict(VALID, **change))
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize("fields, message", [
+        ((("1", "2", "3", "4"), "0.9"),
+         "bbox must be a list of 4 numbers, got ('1', '2', '3', '4')"),
+        (((100.0, "100", 40.0, 40.0), 0.9),
+         "bbox must be a list of 4 numbers, got (100.0, '100', 40.0, 40.0)"),
+        (((100.0, 100.0, True, 40.0), 0.9),
+         "bbox must be a list of 4 numbers, got (100.0, 100.0, True, 40.0)"),
+        (((100.0, 100.0, 40.0, 40.0), "0.9"), "confidence must be a number"),
+        (((100.0, 100.0, 40.0, 40.0), True), "confidence must be a number"),
+        (((100.0, 100.0, 40.0), 0.9),
+         "bbox must be a list of 4 numbers, got (100.0, 100.0, 40.0)"),
+    ], ids=["all-str", "y-str", "w-bool", "confidence-str", "confidence-bool",
+            "three-entries"])
+    def test_detection_field_of_wrong_type_or_length(self, fields, message):
+        # Numbers only: the constructor converts no string and no bool.
+        bbox, confidence = fields
+        with pytest.raises(SchemaViolation) as caught:
+            TouchDetection(0, bbox, confidence, Opacity.HIGH)
+        assert str(caught.value) == message
 
 
 #: Each integer field of a trace, by its JSON key, and the least value

@@ -23,6 +23,7 @@ from tracereplay.codegen import (
     ABS_MT_POSITION_X,
     ABS_MT_TRACKING_ID,
     BTN_TOUCH,
+    EV_SYN,
     MAX_SLOTS,
     RUNNABLE_MAGIC,
     SYN_REPORT,
@@ -107,6 +108,26 @@ def test_checker_rejects(defect, message):
     defect(events)
     with pytest.raises(AssertionError, match=message):
         check_type_b(_runnable(events), scenario)
+
+
+def test_empty_window_changes_no_contact():
+    # An empty report, as codegen writes to split a long idle gap, closes
+    # a window that holds no event: the contacts decode the same.
+    scenario = two_taps()
+    events = list(assemble_script(scenario).events)
+    i = _first(events, SYN_REPORT)
+    t = events[i][0]
+    with_empty = [(0, EV_SYN, SYN_REPORT, 0), *events[:i + 1],
+                  (t + 1, EV_SYN, SYN_REPORT, 0), *events[i + 1:]]
+    assert (check_type_b(_runnable(with_empty), scenario)
+            == check_type_b(_runnable(events), scenario))
+
+
+def test_checker_accepts_a_tap_past_the_u32_step():
+    tap = classify_action(make_sequence(129_600, 8, 300, 420), PROFILE)
+    scenario = ClassifiedScenario(PROFILE, (tap,))
+    samples = check_type_b(translate_runnable(assemble_script(scenario)), scenario)
+    assert samples == {1: [(300, 420)]}
 
 
 def _runnable(events):
