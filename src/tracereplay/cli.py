@@ -55,11 +55,11 @@ _RUNTIME_ERRORS = (TransportError, NonZeroExit)
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Every setting flag given, empty values included: Config rejects those.
+    flags = {name: value for name, value in vars(args).items()
+             if name in Config._types and value is not None}
     try:
-        config = load_config(args.config)
-        _apply_overrides(config, args)
-        config.validate()
-        args.handler(args, config)
+        args.handler(args, load_config(args.config, flags))
     except (TraceReplayError, OSError) as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return EXIT_RUNTIME if isinstance(exc, _RUNTIME_ERRORS) else EXIT_INPUT
@@ -124,15 +124,6 @@ _FLAGS = {
                               default=None,
                               help="use the wall-clock tap cutoff for high-fps traces"),
 }
-
-
-def _apply_overrides(config: Config, args) -> None:
-    """Apply every flag that was given, empty values included: the
-    config check rejects those rather than falling back silently."""
-    for name in Config._fields:
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(config, name, value)
 
 
 def _out_dir(config: Config) -> Path:

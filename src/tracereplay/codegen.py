@@ -339,12 +339,15 @@ def serialize_script(script: SendEventScript) -> bytes:
 
 
 def parse_script(data: bytes | str) -> SendEventScript:
-    """Parse the log form back into a script; raises ScriptFormatError."""
+    """Parse the log form, bytes or str, back into a script; raises
+    ScriptFormatError."""
     if isinstance(data, bytes):
         try:
             data = data.decode("ascii")
         except UnicodeDecodeError as exc:
             raise ScriptFormatError(f"log is not ASCII: {exc}") from None
+    elif not isinstance(data, str):
+        raise ScriptFormatError(f"log must be bytes or str, got {type(data).__name__}")
     elif not data.isascii():
         # `\d` would match any Unicode digit, and int() would read it.
         raise ScriptFormatError("log is not ASCII")
@@ -408,7 +411,11 @@ def translate_runnable(script: SendEventScript) -> bytes:
 
 
 def parse_runnable(data: bytes) -> list[tuple[int, int, int, int]]:
-    """Parse runnable bytes back into events with absolute timestamps."""
+    """Parse runnable bytes (or a bytearray) back into events with
+    absolute timestamps; raises ScriptFormatError."""
+    if not isinstance(data, (bytes, bytearray)):
+        raise ScriptFormatError(
+            f"runnable must be bytes or bytearray, got {type(data).__name__}")
     if not data.startswith(RUNNABLE_MAGIC):
         raise ScriptFormatError("bad runnable magic")
     body = memoryview(data)[len(RUNNABLE_MAGIC):]

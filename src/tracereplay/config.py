@@ -2,9 +2,10 @@
 
 Precedence per setting: command-line flag > environment variable >
 config file > built-in default. The config file is a flat JSON object;
-unknown keys are rejected so typos fail loudly. `load_config` decodes
-the file with `model.decode_json`, not `model.load_document`: a config
-file has no `schema_version`, and its errors are `ConfigError`s.
+unknown keys are rejected so typos fail loudly. `load_config` merges
+the sources and builds one immutable `Config`, which checks them once.
+It decodes the file with `model.decode_json`, not `model.load_document`:
+a config file has no `schema_version`, and its errors are `ConfigError`s.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 from pathlib import Path
 
 from .errors import ConfigError
-from .model import DeviceProfile, decode_json, valid_device_node
+from .model import DeviceProfile, Frozen, decode_json, valid_device_node
 
 ENV_BRIDGE = "TRACEREPLAY_BRIDGE"
 ENV_OUT_DIR = "TRACEREPLAY_OUT_DIR"
@@ -36,14 +37,13 @@ _FIELD_TYPES = {
 }
 
 
-#: Settings that may be unset (None) or given, but never empty.
-_NON_EMPTY = ("out_dir", "bridge_path", "agent_path", "device_serial",
-              "noise_preset", "remote_dir")
-
-
-class Config:
+class Config(Frozen):
     """The settings of one run: the annotated attributes below, with
-    their defaults and the types `validate` accepts. The defaults of
+    their defaults. The constructor takes settings by name, leaves the
+    rest at their defaults and raises ConfigError for an unknown setting,
+    a value not of its setting's type, a `min_confidence` that is not a
+    finite number in [0, 1], a `device_node` that cannot head a script
+    log line, or any other empty string. The defaults of
     `min_confidence`, `device_node`, `remote_dir` and `bridge_path`
     repeat those of the modules that use them, which this one does not
     import; a test pins each pair equal."""
@@ -64,11 +64,10 @@ class Config:
     _types = __annotations__
     _fields = tuple(_types)
 
-    def validate(self) -> None:
-        """Raise ConfigError unless every setting has its field's type,
-        `min_confidence` is a finite number in [0, 1], no path, serial
-        or preset name is empty and `device_node` can head a script log
-        line."""
+    def __init__(self, /, **settings):
+        self._set(*[settings.pop(name, getattr(self, name)) for name in self._fields])
+        if settings:  # what is left names no setting
+            raise ConfigError(f"unknown config key {next(iter(settings))!r}")
         for name, type_text in self._types.items():
             value = getattr(self, name)
             allowed = _FIELD_TYPES[type_text]
@@ -84,34 +83,31 @@ class Config:
                 f"min_confidence must be a finite number in [0, 1], "
                 f"got {self.min_confidence!r}"
             )
-        for name in _NON_EMPTY:
-            if getattr(self, name) == "":
-                raise ConfigError(f"{name} must not be empty")
         if not valid_device_node(self.device_node):
             raise ConfigError(
                 f"device_node must be non-empty ASCII without whitespace, "
                 f"got {self.device_node!r}"
             )
+        for name in self._fields:
+            if getattr(self, name) == "":
+                raise ConfigError(f"{name} must not be empty")
 
 
-def load_config(path: str | None) -> Config:
-    """Build a Config from an optional JSON file plus the environment."""
-    config = Config()
+def load_config(path: str | None, flags: dict | None = None) -> Config:
+    """The `Config` of the JSON object in the file at `path` (if given),
+    the environment and `flags` (setting -> value), each overriding the one before."""
+    settings = {}
     if path is not None:
-        doc = decode_json(read_file("--config", path), ConfigError,
-                          "config is not valid JSON")
-        if not isinstance(doc, dict):
+        settings = decode_json(read_file("--config", path), ConfigError,
+                               "config is not valid JSON")
+        if not isinstance(settings, dict):
             raise ConfigError("config must be a JSON object")
-        for key, value in doc.items():
-            if key not in Config._types:
-                raise ConfigError(f"unknown config key {key!r}")
-            setattr(config, key, value)
     if ENV_BRIDGE in os.environ:
-        config.bridge_path = os.environ[ENV_BRIDGE]
+        settings["bridge_path"] = os.environ[ENV_BRIDGE]
     if ENV_OUT_DIR in os.environ:
-        config.out_dir = os.environ[ENV_OUT_DIR]
-    config.validate()
-    return config
+        settings["out_dir"] = os.environ[ENV_OUT_DIR]
+    settings.update(flags or {})
+    return Config(**settings)
 
 
 def read_file(flag: str, path: str, text: bool = True) -> str | bytes:

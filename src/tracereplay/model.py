@@ -65,7 +65,6 @@ _HIGH, _LOW = Opacity.HIGH, Opacity.LOW
 _isfinite = math.isfinite
 #: Every integer field lies below this; see `_int`.
 _INT_CEILING = 2**1000
-_setattr = object.__setattr__
 _tuple_new = tuple.__new__
 
 
@@ -95,10 +94,7 @@ class Frozen:
     def _set(self, *values, **derived) -> None:
         """Set the fields to `values`, in order, then each attribute in
         `derived`, which takes no part in `==`, `hash` or `repr`."""
-        for name, value in zip(self._fields, values):
-            _setattr(self, name, value)
-        for name, value in derived.items():
-            _setattr(self, name, value)
+        self.__dict__.update(zip(self._fields, values), **derived)
 
     def __hash__(self) -> int:
         return hash(self._astuple())
@@ -353,11 +349,15 @@ def load_document(data: bytes | str, version: int, fields: tuple[str, ...]) -> d
 
 
 def decode_json(data: bytes | str, error: type[TraceReplayError], what: str):
-    """The value of JSON `data` (UTF-8 if bytes), or `error("<what>: <reason>")`
-    for any decode failure, nesting past the recursion limit and huge ints too."""
+    """The value of JSON `data` (UTF-8 if bytes or a bytearray), or
+    `error("<what>: <reason>")` for any decode failure, nesting past the
+    recursion limit and huge ints too, and for `data` of another type."""
     try:
-        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
-    except (RecursionError, ValueError) as exc:  # the decode errors are ValueErrors
+        return json.loads(
+            data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data)
+    # The decode errors are ValueErrors; json.loads raises TypeError only
+    # for data of another type.
+    except (RecursionError, TypeError, ValueError) as exc:
         raise error(f"{what}: {exc}") from None
 
 

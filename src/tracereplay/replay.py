@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 from .codegen import parse_runnable
 from .errors import ConfigError, NonZeroExit, TransportError
+from .model import Frozen
 
 #: File names the agent and the script get in the remote directory.
 AGENT_NAME = "replay-agent"
@@ -59,12 +60,17 @@ class MockTransport(DeviceTransport):
 
 class BridgeTransport(DeviceTransport):
     """Transport backed by the debug-bridge executable (adb-compatible).
+    `bridge_path` must be a non-empty string and `serial` None or one;
+    the constructor raises ConfigError otherwise.
 
     `subprocess` and `tempfile` are imported by the calls that use them,
     so that a dry run never loads them.
     """
 
     def __init__(self, bridge_path: str = "adb", serial: str | None = None):
+        _setting("bridge_path", bridge_path)
+        if serial is not None:
+            _setting("serial", serial, "str | None")
         super().__init__()
         self.bridge_path = bridge_path
         self.serial = serial
@@ -103,11 +109,24 @@ class BridgeTransport(DeviceTransport):
             raise TransportError(f"cannot run bridge binary: {exc}") from exc
 
 
-class ReplayConfig(NamedTuple):
-    """Where the agent lives locally and where artifacts land on device."""
+def _setting(name: str, value, type_text: str = "str") -> None:
+    """Raise ConfigError, in `Config`'s words, unless `value` is a non-empty str."""
+    if not isinstance(value, str):
+        raise ConfigError(f"config value {name!r} must be {type_text}, got {value!r}")
+    if not value:
+        raise ConfigError(f"{name} must not be empty")
 
-    agent_path: str
-    remote_dir: str = "/data/local/tmp"
+
+class ReplayConfig(Frozen):
+    """Where the agent lives locally and where artifacts land on device;
+    the constructor raises ConfigError unless each is a non-empty str."""
+
+    _fields = ("agent_path", "remote_dir")
+
+    def __init__(self, agent_path: str, remote_dir: str = "/data/local/tmp"):
+        _setting("agent_path", agent_path)
+        _setting("remote_dir", remote_dir)
+        self._set(agent_path, remote_dir)
 
 
 class ReplayReport(NamedTuple):
@@ -121,14 +140,12 @@ def push_and_replay(
 ) -> ReplayReport:
     """Validate, push, and execute a runnable script on the device.
 
-    The script is parsed, the remote directory checked and the agent
-    binary read before any transport call happens. The device shell
-    gets each remote path quoted. Raises TransportError on push/exec
-    failure and NonZeroExit when the agent reports failure.
+    The script is parsed and the agent binary read before any transport
+    call happens; `config` checked its paths when it was built. The
+    device shell gets each remote path quoted. Raises TransportError on
+    push/exec failure and NonZeroExit when the agent reports failure.
     """
     parse_runnable(script)  # raises ScriptFormatError before any transport call
-    if not config.remote_dir:
-        raise ConfigError("remote_dir must not be empty")
     agent_file = Path(config.agent_path)
     if not agent_file.is_file():
         raise ConfigError(f"replay agent not found: {config.agent_path}")

@@ -609,9 +609,16 @@ class TestConfig:
         config = Config()
         assert config.min_confidence == segment.MIN_CONFIDENCE
         assert config.device_node == codegen.DEFAULT_DEVICE_NODE
-        assert config.remote_dir == ReplayConfig._field_defaults["remote_dir"]
+        remote_dir = inspect.signature(ReplayConfig).parameters["remote_dir"]
+        assert config.remote_dir == remote_dir.default
         bridge = inspect.signature(BridgeTransport).parameters["bridge_path"]
         assert config.bridge_path == bridge.default
+
+    def test_config_rejects_assignment(self):
+        config = load_config(None)
+        with pytest.raises(AttributeError):
+            config.seed = 3
+        assert config.seed == 0
 
     def test_help_states_the_config_defaults(self):
         flags = subparsers()["pipeline"]._option_string_actions
@@ -641,6 +648,13 @@ class TestConfig:
         file.write_text(json.dumps({"devcie": "nexus5"}))
         with pytest.raises(ConfigError):
             load_config(str(file))
+
+    @pytest.mark.parametrize("key", ["devcie", "self"])
+    def test_unknown_key_of_the_merged_settings_rejected(self, tmp_path, key):
+        file = tmp_path / "config.json"
+        file.write_text(json.dumps({key: "nexus5"}))
+        with pytest.raises(ConfigError, match=f"^unknown config key '{key}'$"):
+            load_config(str(file), {"out_dir": "x"})
 
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError):
@@ -693,6 +707,47 @@ class TestConfig:
         ]) == 0
         assert (flag_out / "trace.json").is_file()
         assert not (tmp_path / "from-config").exists()
+
+    @pytest.mark.parametrize("doc, flag, value", [
+        ({"out_dir": ""}, "--out-dir", "x"),
+        ({"min_confidence": "0.7"}, "--min-confidence", "0.5"),
+        ({"device_node": 5}, "--device-node", "/dev/input/event3"),
+    ], ids=["empty-out-dir", "str-confidence", "int-device-node"])
+    def test_flag_overrides_a_mistyped_file_value(self, tmp_path, monkeypatch,
+                                                  fixture_scenario, doc, flag, value):
+        # The merged settings are checked once: an overridden value is not.
+        main(["synthesize", "--scenario", str(fixture_scenario),
+              "--out-dir", str(tmp_path / "in")])
+        monkeypatch.chdir(tmp_path)
+        file = tmp_path / "config.json"
+        file.write_text(json.dumps(doc))
+        assert main(["--config", str(file), "pipeline", "--trace",
+                     str(tmp_path / "in" / "trace.json"), "--dry-run",
+                     "--out-dir", "x", flag, value]) == 0
+        assert (tmp_path / "x" / "script.bin").is_file()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--out-dir", "", "out_dir must not be empty"),
+        ("--min-confidence", "1.5", "min_confidence must be a finite number"),
+        ("--device-node", "/dev/a b", "device_node must be non-empty ASCII"),
+    ], ids=["empty-out-dir", "confidence-above-1", "space-in-device-node"])
+    def test_bad_flag_over_a_mistyped_file_value_exits_2(
+        self, tmp_path, monkeypatch, capsys, fixture_scenario, flag, value, message
+    ):
+        main(["synthesize", "--scenario", str(fixture_scenario),
+              "--out-dir", str(tmp_path / "in")])
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        file = tmp_path / "config.json"
+        file.write_text(json.dumps({"out_dir": "", "min_confidence": "0.7",
+                                    "device_node": 5}))
+        flags = {"--out-dir": "x", "--min-confidence": "0.5",
+                 "--device-node": "/dev/input/event3", flag: value}
+        assert main(["--config", str(file), "pipeline", "--trace",
+                     str(tmp_path / "in" / "trace.json"), "--dry-run",
+                     *(part for item in flags.items() for part in item)]) == 2
+        assert capsys.readouterr().err.startswith(f"error (pipeline): {message}")
+        assert not (tmp_path / "x").exists() and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("doc", [
         {"min_confidence": "0.7"},

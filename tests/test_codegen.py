@@ -375,6 +375,12 @@ class TestSerialization:
         with pytest.raises(ScriptFormatError):
             parse_runnable(b"NOPE\x00\x00\x00\x00" + b"\x00" * 12)
 
+    @pytest.mark.parametrize("data", ["V2SR", None], ids=["str", "none"])
+    def test_runnable_of_another_type(self, data):
+        with pytest.raises(ScriptFormatError, match="^runnable must be bytes or "
+                           "bytearray, got "):
+            parse_runnable(data)
+
     def test_runnable_truncated_record(self, profile):
         script = self.build_script(profile, 1)
         data = translate_runnable(script)
@@ -691,9 +697,11 @@ class TestParseScriptErrors:
         LOG_BODY,
         *(f"{LOG_HEADER}\n# profile: {doc}\n" for doc in UNDECODABLE_JSON.values()),
         f"{LOG_HEADER}\n[{'9' * 5000}.000000] /dev/x: 0000 0000 00000000\n",
+        5,
+        bytearray(LOG_HEADER.encode("ascii") + b"\n" + LOG_BODY),
     ], ids=["bad-profile-json", "not-ascii", "truncated-profile", "version-2-header",
             "no-header", *(f"{name}-profile" for name in UNDECODABLE_JSON),
-            "timestamp-past-int-digit-limit"])
+            "timestamp-past-int-digit-limit", "int", "bytearray"])
     def test_typed_error(self, data):
         with pytest.raises(ScriptFormatError):
             parse_script(data)

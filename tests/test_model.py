@@ -286,6 +286,23 @@ class TestParseTrace:
             with pytest.raises(MalformedJson, match="^invalid JSON: "):
                 load_document(data, 1, ())
 
+    @pytest.mark.parametrize("read", [
+        parse_trace, ClassifiedScenario.from_json, GroundTruthScenario.from_json,
+    ], ids=["trace", "classified", "ground-truth"])
+    @pytest.mark.parametrize("data", [5, None, [b"{}"]], ids=["int", "none", "list"])
+    def test_reader_given_no_document(self, read, data):
+        # Every JSON reader decodes through model.decode_json.
+        with pytest.raises(MalformedJson, match="^invalid JSON: the JSON object must "
+                           "be str, bytes or bytearray, not "):
+            read(data)
+
+    def test_bytearray_is_read_as_utf8(self):
+        # json.loads alone would also detect UTF-16 and UTF-32 in a bytearray.
+        data = json.dumps(trace_doc([det(4)])).encode("utf-16")
+        with pytest.raises(MalformedJson, match="^invalid JSON: 'utf-8' codec"):
+            parse_trace(bytearray(data))
+        assert len(parse_trace(bytearray(data.decode("utf-16").encode()))) == 1
+
     def test_bbox_outside_screen(self):
         doc = trace_doc([det(4, bbox=(1070, 100, 40, 40))])
         with pytest.raises(BoundsViolation):

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import pytest
@@ -126,6 +127,25 @@ class TestPushAndReplay:
                             ReplayConfig(agent_path=agent, remote_dir=""))
         assert transport.calls == []
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(agent_path=5), "config value 'agent_path' must be str, got 5"),
+        (dict(agent_path=None), "config value 'agent_path' must be str, got None"),
+        (dict(agent_path=""), "agent_path must not be empty"),
+        (dict(remote_dir=5), "config value 'remote_dir' must be str, got 5"),
+    ], ids=["int-agent", "none-agent", "empty-agent", "int-remote-dir"])
+    def test_replay_config_checks_itself(self, runnable, agent, fields, message):
+        transport = MockTransport()
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            push_and_replay(runnable, transport,
+                            ReplayConfig(**{"agent_path": agent, **fields}))
+        assert transport.calls == []
+
+    def test_script_of_another_type_precedes_transport(self, agent):
+        transport = MockTransport()
+        with pytest.raises(ScriptFormatError, match="^runnable must be bytes"):
+            push_and_replay(None, transport, ReplayConfig(agent_path=agent))
+        assert transport.calls == []
+
     def test_script_bytes_pushed_verbatim(self, runnable, agent):
         transport = MockTransport()
         push_and_replay(runnable, transport, ReplayConfig(agent_path=agent))
@@ -178,3 +198,13 @@ class TestBridgeTransport:
                      lambda: transport.exec("ls")):
             with pytest.raises(TransportError, match="^cannot run bridge binary: "):
                 call()
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(bridge_path=5), "config value 'bridge_path' must be str, got 5"),
+        (dict(bridge_path=""), "bridge_path must not be empty"),
+        (dict(serial=5), "config value 'serial' must be str | None, got 5"),
+        (dict(serial=""), "serial must not be empty"),
+    ], ids=["int-bridge", "empty-bridge", "int-serial", "empty-serial"])
+    def test_bad_setting_is_config_error(self, fields, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            BridgeTransport(**fields)
