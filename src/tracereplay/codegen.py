@@ -232,17 +232,9 @@ def assemble_script(
 
 
 def validate_script(script: SendEventScript) -> None:
-    """Check protocol well-formedness; raises ScriptFormatError.
-
-    Verifies the device node (see `valid_device_node`), the profile,
-    that every event is a tuple of 4 ints in the type-B vocabulary the
-    emitter writes (`(EV_SYN, SYN_REPORT, 0)`, `(EV_KEY, BTN_TOUCH, 0
-    or 1)`, `ABS_MT_SLOT` in [0, MAX_SLOTS), `ABS_MT_TRACKING_ID` -1 or
-    in [0, 2**31), on-screen `ABS_MT_POSITION_X` and `_Y`), timestamps
-    non-decreasing from 0 in steps of at most u32 microseconds,
-    balanced open/close per tracking id, slot-state consistency, and
-    paired touch-button transitions.
-    """
+    """Check the device node (see `valid_device_node`), the profile and,
+    by `validate_events` on the profile's screen, the events; raises
+    ScriptFormatError."""
     if not valid_device_node(script.device_node):
         raise ScriptFormatError(
             f"device node must be non-empty ASCII without whitespace, "
@@ -252,14 +244,28 @@ def validate_script(script: SendEventScript) -> None:
     if not isinstance(profile, DeviceProfile):
         raise ScriptFormatError(f"profile must be a DeviceProfile, got {profile!r}")
     # Coordinates past i32 cannot be encoded, however large the screen.
-    x_end = min(profile.screen_width, _I32_END)
-    y_end = min(profile.screen_height, _I32_END)
+    validate_events(script.events, min(profile.screen_width, _I32_END),
+                    min(profile.screen_height, _I32_END))
+
+
+def validate_events(events, x_end: int = _I32_END, y_end: int = _I32_END) -> None:
+    """Check a sequence of events; raises ScriptFormatError.
+
+    Every event must be a tuple of 4 ints in the type-B vocabulary the
+    emitter writes (`(EV_SYN, SYN_REPORT, 0)`, `(EV_KEY, BTN_TOUCH, 0
+    or 1)`, `ABS_MT_SLOT` in [0, MAX_SLOTS), `ABS_MT_TRACKING_ID` -1 or
+    in [0, 2**31), `ABS_MT_POSITION_X` in [0, x_end) and `_Y` in [0,
+    y_end)), with timestamps non-decreasing from 0 in steps of at most
+    u32 microseconds. Each tracking id opens once and closes, slots stay
+    consistent, touch-button transitions alternate from up and end up,
+    and the last window ends in `SYN_REPORT`.
+    """
     open_tids: dict[int, int] = {}  # slot -> tracking id
     seen_tids: set[int] = set()
     current_slot = 0
     last_t = 0
     btn_counts = [0, 0]  # touch-ups, touch-downs
-    for event in script.events:
+    for event in events:
         try:
             t, etype, code, value = event
         except (TypeError, ValueError):
@@ -304,9 +310,13 @@ def validate_script(script: SendEventScript) -> None:
                 open_tids[current_slot] = value
                 seen_tids.add(value)
         elif code == BTN_TOUCH and etype == EV_KEY and 0 <= value <= 1:
+            if btn_counts[1] - btn_counts[0] != 1 - value:
+                raise ScriptFormatError(f"BTN_TOUCH {value} at {t}us repeats its state")
             btn_counts[value] += 1
         else:
             raise _outside_vocabulary(event)
+    if events and events[-1][1:] != (EV_SYN, SYN_REPORT, 0):
+        raise ScriptFormatError("last window has no SYN_REPORT")
     if open_tids:
         raise ScriptFormatError(f"contacts left open: {sorted(open_tids.values())}")
     ups, downs = btn_counts

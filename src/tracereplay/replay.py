@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
-from .codegen import parse_runnable
+from .codegen import parse_runnable, validate_events
 from .errors import ConfigError, NonZeroExit, TransportError
 from .model import Frozen
 
@@ -140,12 +140,14 @@ def push_and_replay(
 ) -> ReplayReport:
     """Validate, push, and execute a runnable script on the device.
 
-    The script is parsed and the agent binary read before any transport
-    call happens; `config` checked its paths when it was built. The
-    device shell gets each remote path quoted. Raises TransportError on
-    push/exec failure and NonZeroExit when the agent reports failure.
+    The runnable is parsed and checked by `validate_events` (positions
+    within i32: it carries no profile) and the agent binary read before
+    any transport call happens; `config` checked its paths when it was
+    built. The device shell gets each remote path quoted. Raises
+    TransportError on push/exec failure and NonZeroExit when the agent
+    reports failure.
     """
-    parse_runnable(script)  # raises ScriptFormatError before any transport call
+    validate_events(parse_runnable(script))  # raises ScriptFormatError
     agent_file = Path(config.agent_path)
     if not agent_file.is_file():
         raise ConfigError(f"replay agent not found: {config.agent_path}")

@@ -466,6 +466,21 @@ def _drop_btn_up(events):
     del events[_index(events, BTN_TOUCH, 0)]
 
 
+def _drop_last_sync(events):
+    del events[-1]
+
+
+def _btn_up_before_down(events):
+    down, up = _index(events, BTN_TOUCH, 1), _index(events, BTN_TOUCH, 0)
+    _set_value(events, down, 0)
+    _set_value(events, up, 1)
+
+
+def _btn_down_twice(events):
+    i = _index(events, BTN_TOUCH, 1)
+    events.insert(i, events[i])
+
+
 def _last_window_at_0us(events):
     events[-1] = (0, *events[-1][1:])
 
@@ -520,6 +535,9 @@ def _first_release_line_twice(lines):
     (_second_open_in_first_slot, validate_script, "slot 0 opened twice"),
     (_second_open_takes_first_id, validate_script, "tracking id 1 reused"),
     (_drop_btn_up, validate_script, "1 touch-downs vs 0 touch-ups"),
+    (_drop_last_sync, validate_script, "last window has no SYN_REPORT"),
+    (_btn_up_before_down, validate_script, "BTN_TOUCH 0 at 0us repeats its state"),
+    (_btn_down_twice, validate_script, "BTN_TOUCH 1 at 0us repeats its state"),
     (_last_window_at_0us, validate_script, "timestamp decreases at 0us"),
     (_first_timestamp_half_a_microsecond, validate_script,
      "event (0.5, 3, 47, 0) outside the type-B vocabulary"),
@@ -606,9 +624,10 @@ class TestRecordRanges:
     def test_coordinate_above_i32_rejected_on_any_screen(self):
         huge = DeviceProfile(name="wall", screen_width=2**40,
                              screen_height=2**40, fps=30)
-        self.compile(huge, (0, EV_ABS, ABS_MT_POSITION_X, 2**31 - 1))
+        sync = (0, EV_SYN, SYN_REPORT, 0)
+        self.compile(huge, (0, EV_ABS, ABS_MT_POSITION_X, 2**31 - 1), sync)
         with pytest.raises(ScriptFormatError):
-            self.compile(huge, (0, EV_ABS, ABS_MT_POSITION_X, 2**31))
+            self.compile(huge, (0, EV_ABS, ABS_MT_POSITION_X, 2**31), sync)
 
     def test_edges_of_each_range_encode(self, profile):
         """Two steps of u32 microseconds, the last slot, the largest

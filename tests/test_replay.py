@@ -1,11 +1,22 @@
 import json
 import re
+import struct
 import sys
 
 import pytest
 
 from tracereplay.classify import ClassifiedScenario, classify_action
-from tracereplay.codegen import assemble_script, translate_runnable
+from tracereplay.codegen import (
+    ABS_MT_TRACKING_ID,
+    BTN_TOUCH,
+    EV_ABS,
+    EV_KEY,
+    EV_SYN,
+    RUNNABLE_MAGIC,
+    SYN_REPORT,
+    assemble_script,
+    translate_runnable,
+)
 from tracereplay.errors import (
     ConfigError,
     NonZeroExit,
@@ -82,6 +93,26 @@ class TestPushAndReplay:
         with pytest.raises(ScriptFormatError):
             push_and_replay(b"not a script", transport,
                             ReplayConfig(agent_path=agent))
+        assert transport.calls == []
+
+    @pytest.mark.parametrize("records, message", [
+        ([(0, EV_ABS, ABS_MT_TRACKING_ID, -1), (0, EV_SYN, SYN_REPORT, 0)],
+         "release on empty slot 0"),
+        ([(0, EV_KEY, BTN_TOUCH, 1), (0, EV_SYN, SYN_REPORT, 0)],
+         "1 touch-downs vs 0 touch-ups"),
+        ([(0, 7, 0, 0), (0, EV_SYN, SYN_REPORT, 0)],
+         "event (0, 7, 0, 0) outside the type-B vocabulary"),
+        ([(0, EV_KEY, BTN_TOUCH, 1), (0, EV_KEY, BTN_TOUCH, 0)],
+         "last window has no SYN_REPORT"),
+    ], ids=["release-on-empty-slot", "button-left-down", "event-type-7",
+            "no-closing-sync"])
+    def test_bad_runnable_precedes_transport(self, agent, records, message):
+        """A runnable whose framing is sound but whose events the script
+        check rejects is never pushed."""
+        runnable = RUNNABLE_MAGIC + b"".join(struct.pack("<IHHi", *r) for r in records)
+        transport = MockTransport()
+        with pytest.raises(ScriptFormatError, match=f"^{re.escape(message)}$"):
+            push_and_replay(runnable, transport, ReplayConfig(agent_path=agent))
         assert transport.calls == []
 
     def test_missing_agent_is_config_error(self, runnable):
