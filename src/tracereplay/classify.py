@@ -29,6 +29,7 @@ from .model import (
     _int,
     _require,
     _tuple_of,
+    _unchecked,
     collapse_finger_counts,
     detections_json,
     device_json,
@@ -36,7 +37,7 @@ from .model import (
     json_array,
     load_document,
 )
-from .segment import MAX_DISCARD_FRAMES, MIN_CONFIDENCE, TouchSequence, segment_trace
+from .segment import MIN_CONFIDENCE, TouchSequence, segment_trace
 
 CLASSIFIED_SCHEMA_VERSION = 1
 
@@ -61,29 +62,16 @@ class ActionKind(Enum):
     GESTURE = "gesture"
 
 
-class AtomicAction(Frozen):
-    """One finger's classified contiguous contact: its kind and sequence."""
+class AtomicAction(TouchSequence):
+    """One finger's classified contiguous contact: a `TouchSequence`, with
+    its checks, its derived `high_touches` and its frames, plus its kind."""
 
-    _fields = ("kind", "sequence")
+    _fields = ("kind", "touches")
 
-    def __init__(self, kind: ActionKind, sequence: TouchSequence):
+    def __init__(self, kind: ActionKind, touches: tuple[TouchDetection, ...]):
         _require(isinstance(kind, ActionKind), "action kind must be an ActionKind")
-        _require(isinstance(sequence, TouchSequence),
-                 "action sequence must be a TouchSequence")
-        self._set(kind, sequence)
-
-    @property
-    def start_frame(self) -> int:
-        return self.sequence.start_frame
-
-    @property
-    def end_frame(self) -> int:
-        return self.sequence.end_frame
-
-    @property
-    def active_end_frame(self) -> int:
-        """Last high-opacity frame: the fade tail is not active contact."""
-        return self.sequence.last_high_frame
+        sequence = TouchSequence(touches)
+        self._set(kind, sequence.touches, high_touches=sequence.high_touches)
 
     def symbol(self) -> str:
         return KIND_SYMBOLS[self.kind.value]
@@ -99,7 +87,7 @@ class AtomicAction(Frozen):
         raw = data["touches"]
         if not isinstance(raw, list):
             raise SchemaViolation("action touches must be a list")
-        return cls(kind, TouchSequence(map(TouchDetection.from_dict, raw)))
+        return cls(kind, map(TouchDetection.from_dict, raw))
 
 
 class MultiFingerItem(Frozen):
@@ -222,29 +210,28 @@ def classify_action(
         cutoff = tap_cutoff_frames(profile, duration_based_cutoff)
         active = sequence.last_high_frame - sequence.start_frame + 1
         kind = ActionKind.TAP if active <= cutoff else ActionKind.LONG_TAP
-    return AtomicAction(kind=kind, sequence=sequence)
+    # The sequence was checked when it was built.
+    return _unchecked(AtomicAction, kind=kind, touches=touches,
+                      high_touches=sequence.high_touches)
 
 
 def filter_actions(actions: list[AtomicAction]) -> list[AtomicAction]:
-    """Drop mostly low-opacity actions and two-frame blips, keeping order."""
-    kept = []
-    for action in actions:
-        touches = action.sequence.touches
-        high_fraction = len(action.sequence.high_touches) / len(touches)
-        span = action.end_frame - action.start_frame + 1
-        if high_fraction >= MIN_HIGH_FRACTION and span > MAX_DISCARD_FRAMES:
-            kept.append(action)
-    return kept
+    """Drop mostly low-opacity actions, keeping order. (Segmentation has
+    already discarded every sequence of two frames or fewer.)"""
+    return [
+        a for a in actions
+        if len(a.high_touches) / len(a.touches) >= MIN_HIGH_FRACTION
+    ]
 
 
 def per_frame_touch_counts(actions: list[AtomicAction]) -> Counter:
     """Simultaneous touch count per frame over the retained actions."""
-    return Counter([t.frame for a in actions for t in a.sequence.touches])
+    return Counter([t.frame for a in actions for t in a.touches])
 
 
 def _chronological(action: AtomicAction) -> tuple:
     """Sort key of actions: start frame, end frame, first center."""
-    return (action.start_frame, action.end_frame, action.sequence.touches[0].center)
+    return (action.start_frame, action.end_frame, action.touches[0].center)
 
 
 def group_overlapping(actions: list[AtomicAction]) -> list[list[AtomicAction]]:
@@ -335,7 +322,7 @@ def _action_json(action: AtomicAction, depth: int) -> str:
     pad = "  " * (depth + 1)
     return (
         f'{{\n{pad}"kind": "{action.kind.value}",\n'
-        f'{pad}"touches": {detections_json(action.sequence.touches, depth + 1)}'
+        f'{pad}"touches": {detections_json(action.touches, depth + 1)}'
         f'\n{"  " * depth}}}'
     )
 

@@ -111,19 +111,19 @@ def _contacts(item):
     """(release frame, samples) of each contact of one scenario item.
 
     An SFA is one contact: its first touch, plus its later high-opacity
-    touches for a gesture, released one frame after its last active
-    frame. Each MFA finger with a high-opacity touch is one contact of
-    those touches, released in its last active frame's window.
+    touches for a gesture, released one frame after its last high
+    (active) frame. Each MFA finger with a high-opacity touch is one
+    contact of those touches, released in its last high frame's window.
     """
     if isinstance(item, AtomicAction):
-        samples = item.sequence.touches[:1]
+        samples = item.touches[:1]
         if item.kind is ActionKind.GESTURE:
-            samples += item.sequence.high_touches[1:]
-        return [(item.active_end_frame + 1, samples)]
+            samples += item.high_touches[1:]
+        return [(item.last_high_frame + 1, samples)]
     return [
-        (action.active_end_frame, action.sequence.high_touches)
+        (action.last_high_frame, action.high_touches)
         for action in item.actions
-        if action.sequence.high_touches
+        if action.high_touches
     ]
 
 
@@ -257,8 +257,9 @@ def validate_events(events, x_end: int = _I32_END, y_end: int = _I32_END) -> Non
     in [0, 2**31), `ABS_MT_POSITION_X` in [0, x_end) and `_Y` in [0,
     y_end)), with timestamps non-decreasing from 0 in steps of at most
     u32 microseconds. Each tracking id opens once and closes, slots stay
-    consistent, touch-button transitions alternate from up and end up,
-    and the last window ends in `SYN_REPORT`.
+    consistent, a position needs an open contact in its slot, the touch
+    button alternates from up, goes down only with a contact open and up
+    with none, and ends up; the last window ends in `SYN_REPORT`.
     """
     open_tids: dict[int, int] = {}  # slot -> tracking id
     seen_tids: set[int] = set()
@@ -286,9 +287,13 @@ def validate_events(events, x_end: int = _I32_END, y_end: int = _I32_END) -> Non
         if code == ABS_MT_POSITION_X and etype == EV_ABS:
             if not 0 <= value < x_end:
                 raise ScriptFormatError(f"x={value} off screen")
+            if current_slot not in open_tids:
+                raise ScriptFormatError(f"position for empty slot {current_slot} at {t}us")
         elif code == ABS_MT_POSITION_Y and etype == EV_ABS:
             if not 0 <= value < y_end:
                 raise ScriptFormatError(f"y={value} off screen")
+            if current_slot not in open_tids:
+                raise ScriptFormatError(f"position for empty slot {current_slot} at {t}us")
         elif code == SYN_REPORT and etype == EV_SYN and value == 0:
             pass
         elif code == ABS_MT_SLOT and etype == EV_ABS:
@@ -312,6 +317,9 @@ def validate_events(events, x_end: int = _I32_END, y_end: int = _I32_END) -> Non
         elif code == BTN_TOUCH and etype == EV_KEY and 0 <= value <= 1:
             if btn_counts[1] - btn_counts[0] != 1 - value:
                 raise ScriptFormatError(f"BTN_TOUCH {value} at {t}us repeats its state")
+            if bool(open_tids) != value:  # down needs a contact, up none
+                raise ScriptFormatError(
+                    f"BTN_TOUCH {value} at {t}us with {len(open_tids)} contacts open")
             btn_counts[value] += 1
         else:
             raise _outside_vocabulary(event)

@@ -52,7 +52,8 @@ class TouchSequence(Frozen):
     increase and that the low-opacity ones are a trailing fade suffix.
     `high_touches`, found in the same walk, is the prefix before the
     first low-opacity touch; like `center` on a detection, it is
-    derived, so it takes no part in `==`, `hash` or `repr`.
+    derived, so it takes no part in `==`, `hash` or `repr`. An
+    `AtomicAction` (classify) is a sequence plus a kind, checked here.
     """
 
     _fields = ("touches",)
@@ -91,7 +92,7 @@ class TouchSequence(Frozen):
 
     @property
     def last_high_frame(self) -> int:
-        """Frame of the last high-opacity touch; start frame if none."""
+        """Last high-opacity (active) frame; the start frame if none."""
         highs = self.high_touches
         return highs[-1].frame if highs else self.start_frame
 

@@ -17,7 +17,6 @@ from tracereplay.classify import (
     MultiFingerItem,
     classify_action,
     classify_trace,
-    filter_actions,
     group_overlapping,
     identify_sfa_mfa,
 )
@@ -132,7 +131,7 @@ def interval_action(start, end, x=100.0, y=100.0):
     touches = (make_touch(start, x, y),)
     if end > start:
         touches += (make_touch(end, x, y),)
-    return AtomicAction(kind=ActionKind.GESTURE, sequence=TouchSequence(touches))
+    return AtomicAction(kind=ActionKind.GESTURE, touches=touches)
 
 
 def oracle_partition(actions):
@@ -268,17 +267,14 @@ class TestCriterion4ThresholdBoundaries:
                                 frame_count=6)
         runs2 = segment_trace(trace2)
         runs3 = segment_trace(trace3)
-        two_frame_action = AtomicAction(
-            kind=ActionKind.TAP, sequence=TouchSequence(tuple(two))
-        )
-        filtered = filter_actions([two_frame_action])
-        ok = runs2 == [] and len(runs3) == 1 and filtered == []
+        items2 = classify_trace(trace2).items
+        ok = runs2 == [] and len(runs3) == 1 and items2 == ()
         report(
             "4e",
             "<= 2 frame discard",
             ok,
             f"2-frame run kept: {bool(runs2)}, 3-frame kept: {bool(runs3)}, "
-            f"2-frame action kept: {bool(filtered)}",
+            f"2-frame action kept: {bool(items2)}",
         )
 
 
@@ -299,7 +295,7 @@ def random_classified_scenario(rng) -> ClassifiedScenario:
                 PROFILE,
             )
             items.append(action)
-            end = cursor + action.active_end_frame - action.start_frame + 1
+            end = cursor + action.last_high_frame - action.start_frame + 1
         else:  # multi finger, staggered windows allowed
             n_fingers = rng.randrange(2, 5)
             frames = rng.randrange(8, 30)
@@ -322,7 +318,7 @@ def random_classified_scenario(rng) -> ClassifiedScenario:
             items.append(
                 MultiFingerItem(actions=tuple(fingers), finger_count=n_fingers)
             )
-            end = max(f.active_end_frame for f in fingers)
+            end = max(f.last_high_frame for f in fingers)
         cursor = end + rng.randrange(2, 12)
     return ClassifiedScenario(profile=PROFILE, items=tuple(items))
 

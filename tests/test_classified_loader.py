@@ -33,7 +33,6 @@ from tracereplay.classify import (
 )
 from tracereplay.errors import MalformedJson, SchemaViolation, TraceReplayError
 from tracereplay.model import DeviceProfile, TouchDetection
-from tracereplay.segment import TouchSequence
 from tracereplay.synth import noise_preset, random_scenario, synthesize_trace
 
 from test_encoding import scenarios
@@ -52,7 +51,7 @@ def _oracle_action_from_dict(data: dict) -> AtomicAction:
     except ValueError:
         raise SchemaViolation(f"unknown action kind {data['kind']!r}") from None
     touches = tuple(TouchDetection.from_dict(t) for t in data["touches"])
-    return AtomicAction(kind=kind, sequence=TouchSequence(touches=touches))
+    return AtomicAction(kind=kind, touches=touches)
 
 
 def _oracle_from_json(data: bytes | str) -> ClassifiedScenario:
@@ -213,7 +212,7 @@ def test_mutated_documents_load_like_oracle(scenario, defects, rnd, as_bytes):
 
 def _high_touches(scenario):
     return [
-        action.sequence.high_touches
+        action.high_touches
         for item in scenario.items
         for action in (
             item.actions if isinstance(item, MultiFingerItem) else (item,)

@@ -18,12 +18,14 @@ from tracereplay.classify import (
     tap_cutoff_frames,
 )
 from tracereplay.model import (
+    DetectionTrace,
     DeviceProfile,
     Opacity,
     collapse_finger_counts,
     dump_sequence_file,
     load_sequence_file,
 )
+from tracereplay.segment import TouchSequence
 from tracereplay.synth import (
     NoiseModel,
     noise_preset,
@@ -37,7 +39,7 @@ from conftest import make_sequence, make_touch
 def interval_action(start, end, x=100.0, y=100.0, kind=ActionKind.GESTURE):
     """Stationary action occupying frames start..end (for grouping tests)."""
     seq = make_sequence(start, end - start + 1, x, y)
-    return AtomicAction(kind=kind, sequence=seq)
+    return AtomicAction(kind=kind, touches=seq.touches)
 
 
 class TestClassifyAction:
@@ -45,7 +47,7 @@ class TestClassifyAction:
         seq = make_sequence(0, 10, 300, 300, fade_frames=3)
         action = classify_action(seq, profile)
         assert action.kind is ActionKind.TAP
-        assert action.active_end_frame - action.start_frame + 1 == 10
+        assert action.last_high_frame - action.start_frame + 1 == 10
 
     def test_long_stationary_press_is_long_tap(self, profile):
         seq = make_sequence(0, 25, 300, 300)
@@ -97,10 +99,7 @@ class TestFilterActions:
         touches = tuple(
             make_touch(f, 100, 100, opacity=Opacity.LOW) for f in range(12)
         )
-        action = AtomicAction(
-            kind=ActionKind.TAP,
-            sequence=type(make_sequence(0, 1, 0, 0))(touches=touches),
-        )
+        action = AtomicAction(kind=ActionKind.TAP, touches=touches)
         assert filter_actions([action]) == []
 
     def test_mostly_high_retained(self, profile):
@@ -109,8 +108,12 @@ class TestFilterActions:
         assert filter_actions([action]) == [action]
 
     def test_two_frame_action_removed(self, profile):
+        # Segmentation discards a run of two frames before classify sees
+        # it; filter_actions tests only the high-opacity fraction.
+        touches = (make_touch(3, 100, 100), make_touch(4, 100, 100))
+        assert classify_trace(DetectionTrace(profile, touches, 6)).items == ()
         action = interval_action(0, 1)
-        assert filter_actions([action]) == []
+        assert filter_actions([action]) == [action]
 
     def test_order_preserved(self, profile):
         a = classify_action(make_sequence(0, 5, 100, 100), profile)
@@ -195,10 +198,7 @@ class TestFingerCount:
         # Three fingers across 6 frames plus a 1-frame stray on one
         # frame: per-frame counts (3,3,3,3,4,3)... the mode stays 3.
         fingers = [interval_action(0, 5, x=100 + 200 * k) for k in range(3)]
-        seq = type(make_sequence(0, 1, 0, 0))(
-            touches=(make_touch(4, 900, 1500),)
-        )
-        stray = AtomicAction(kind=ActionKind.TAP, sequence=seq)
+        stray = AtomicAction(kind=ActionKind.TAP, touches=(make_touch(4, 900, 1500),))
         assert classify_finger_count(fingers + [stray]) == 3
 
     def test_uniform_two(self):
@@ -279,6 +279,48 @@ class TestIdentifySfaMfa:
         assert permuted.symbols(extended=True) == scenario.symbols(extended=True)
         starts = [i.start_frame for i in scenario.items]
         assert starts == sorted(starts)
+
+
+class TestActionIsASequence:
+    """An action is a `TouchSequence` with a kind: the sequence's check,
+    derived attributes and frames, and `==`, `hash` and `repr` over the
+    kind and the touches."""
+
+    @given(
+        st.sampled_from(ActionKind),
+        st.lists(st.sampled_from([Opacity.HIGH, Opacity.LOW]), min_size=1, max_size=12),
+    )
+    def test_equality_hash_and_repr(self, kind, opacities):
+        opacities.sort(key=lambda o: o is Opacity.LOW)
+        touches = tuple(
+            make_touch(f, 100, 100, opacity=o) for f, o in enumerate(opacities)
+        )
+        action = AtomicAction(kind, touches)
+        sequence = TouchSequence(touches)
+        assert isinstance(action, TouchSequence)
+        assert action.high_touches == sequence.high_touches
+        assert action.last_high_frame == sequence.last_high_frame
+        assert action.end_frame == len(touches) - 1
+        assert action == AtomicAction(kind, list(touches))
+        assert hash(action) == hash(AtomicAction(kind, touches))
+        assert repr(action) == f"AtomicAction(kind={kind!r}, touches={touches!r})"
+        assert action != sequence
+        other = next(k for k in ActionKind if k is not kind)
+        assert action != AtomicAction(other, touches)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_classified_actions_equal_checked_ones(self, seed):
+        # classify_action builds its action without the constructor.
+        profile = DeviceProfile(name="d", screen_width=1080,
+                                screen_height=1920, fps=30)
+        scenario = random_scenario(profile, seed=seed)
+        trace, _ = synthesize_trace(scenario, noise_preset("emulator", seed=seed))
+        for item in classify_trace(trace).items:
+            for action in getattr(item, "actions", (item,)):
+                checked = AtomicAction(action.kind, action.touches)
+                assert action == checked
+                assert action.high_touches == checked.high_touches
 
 
 class TestScenarioSerialization:

@@ -481,6 +481,20 @@ def _btn_down_twice(events):
     events.insert(i, events[i])
 
 
+def _first_position_in_empty_slot_5(events):
+    events.insert(_index(events, ABS_MT_POSITION_X), (0, EV_ABS, ABS_MT_SLOT, 5))
+
+
+def _btn_down_before_first_open(events):
+    down = events.pop(_index(events, BTN_TOUCH, 1))
+    events.insert(_index(events, ABS_MT_TRACKING_ID), down)
+
+
+def _btn_up_before_last_release(events):
+    up = events.pop(_index(events, BTN_TOUCH, 0))
+    events.insert(_index(events, ABS_MT_TRACKING_ID, TRACKING_RELEASE, -1), up)
+
+
 def _last_window_at_0us(events):
     events[-1] = (0, *events[-1][1:])
 
@@ -538,6 +552,12 @@ def _first_release_line_twice(lines):
     (_drop_last_sync, validate_script, "last window has no SYN_REPORT"),
     (_btn_up_before_down, validate_script, "BTN_TOUCH 0 at 0us repeats its state"),
     (_btn_down_twice, validate_script, "BTN_TOUCH 1 at 0us repeats its state"),
+    (_first_position_in_empty_slot_5, validate_script,
+     "position for empty slot 5 at 0us"),
+    (_btn_down_before_first_open, validate_script,
+     "BTN_TOUCH 1 at 0us with 0 contacts open"),
+    (_btn_up_before_last_release, validate_script,
+     "BTN_TOUCH 0 at 66667us with 1 contacts open"),
     (_last_window_at_0us, validate_script, "timestamp decreases at 0us"),
     (_first_timestamp_half_a_microsecond, validate_script,
      "event (0.5, 3, 47, 0) outside the type-B vocabulary"),
@@ -624,10 +644,13 @@ class TestRecordRanges:
     def test_coordinate_above_i32_rejected_on_any_screen(self):
         huge = DeviceProfile(name="wall", screen_width=2**40,
                              screen_height=2**40, fps=30)
-        sync = (0, EV_SYN, SYN_REPORT, 0)
-        self.compile(huge, (0, EV_ABS, ABS_MT_POSITION_X, 2**31 - 1), sync)
-        with pytest.raises(ScriptFormatError):
-            self.compile(huge, (0, EV_ABS, ABS_MT_POSITION_X, 2**31), sync)
+        # One contact holds the position, so only the coordinate is at fault.
+        opened = (0, EV_ABS, ABS_MT_TRACKING_ID, 1)
+        closed = ((0, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE),
+                  (0, EV_SYN, SYN_REPORT, 0))
+        self.compile(huge, opened, (0, EV_ABS, ABS_MT_POSITION_X, 2**31 - 1), *closed)
+        with pytest.raises(ScriptFormatError, match="^x=2147483648 off screen$"):
+            self.compile(huge, opened, (0, EV_ABS, ABS_MT_POSITION_X, 2**31), *closed)
 
     def test_edges_of_each_range_encode(self, profile):
         """Two steps of u32 microseconds, the last slot, the largest

@@ -100,7 +100,7 @@ class _OracleScript(NamedTuple):
 def _oracle_emit_sfa(action, profile, t0_us, slot, tracking_id):
     fps = profile.fps
     start = action.start_frame
-    x, y = _oracle_device_coords(action.sequence.touches[0].center, profile)
+    x, y = _oracle_device_coords(action.touches[0].center, profile)
     events = [
         _OracleEvent(t0_us, EV_ABS, ABS_MT_SLOT, slot),
         _OracleEvent(t0_us, EV_ABS, ABS_MT_TRACKING_ID, tracking_id),
@@ -110,7 +110,7 @@ def _oracle_emit_sfa(action, profile, t0_us, slot, tracking_id):
         _OracleEvent(t0_us, EV_SYN, SYN_REPORT, 0),
     ]
     if action.kind is ActionKind.GESTURE:
-        for touch in action.sequence.high_touches[1:]:
+        for touch in action.high_touches[1:]:
             t = t0_us + frame_offset_us(touch.frame - start, fps)
             x, y = _oracle_device_coords(touch.center, profile)
             events.extend(
@@ -121,7 +121,7 @@ def _oracle_emit_sfa(action, profile, t0_us, slot, tracking_id):
                 ]
             )
     t_end = t0_us + frame_offset_us(
-        action.active_end_frame - action.start_frame + 1, fps
+        action.last_high_frame - action.start_frame + 1, fps
     )
     events.extend(
         [
@@ -137,12 +137,12 @@ def _oracle_emit_mfa(actions, profile, t0_us, first_tracking_id):
     fps = profile.fps
     fingers = sorted(
         actions,
-        key=lambda a: (a.start_frame, a.sequence.touches[0].center),
+        key=lambda a: (a.start_frame, a.touches[0].center),
     )
     group_start = min(a.start_frame for a in fingers)
-    group_end = max(a.active_end_frame for a in fingers)
+    group_end = max(a.last_high_frame for a in fingers)
     touch_at = [
-        {t.frame: t for t in a.sequence.high_touches} for a in fingers
+        {t.frame: t for t in a.high_touches} for a in fingers
     ]
 
     free_slots = list(range(MAX_SLOTS))
@@ -176,7 +176,7 @@ def _oracle_emit_mfa(actions, profile, t0_us, first_tracking_id):
             x, y = _oracle_device_coords(touch.center, profile)
             window.append(_OracleEvent(t, EV_ABS, ABS_MT_POSITION_X, x))
             window.append(_OracleEvent(t, EV_ABS, ABS_MT_POSITION_Y, y))
-            if finger.active_end_frame == frame:
+            if finger.last_high_frame == frame:
                 closing.append(idx)
         for idx in closing:
             window.append(_OracleEvent(t, EV_ABS, ABS_MT_SLOT, slot_of[idx]))
@@ -221,14 +221,14 @@ def _oracle_assemble_script(scenario, device_node="/dev/input/event2"):
         if isinstance(item, AtomicAction):
             events.extend(_oracle_emit_sfa(item, profile, t0_us, 0, next_tid))
             next_tid += 1
-            prev_end_frame = item.active_end_frame + 1
+            prev_end_frame = item.last_high_frame + 1
             prev_desc = f"single-finger item at frame {item.start_frame}"
         else:
             events.extend(
                 _oracle_emit_mfa(list(item.actions), profile, t0_us, next_tid)
             )
             next_tid += len(item.actions)
-            prev_end_frame = max(a.active_end_frame for a in item.actions)
+            prev_end_frame = max(a.last_high_frame for a in item.actions)
             prev_desc = f"multi-finger item at frame {item.start_frame}"
         if len(events) > emitted:
             prev_end_us = events[-1].timestamp_us

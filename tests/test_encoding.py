@@ -27,7 +27,6 @@ from tracereplay.model import (
     parse_trace,
     serialize_trace,
 )
-from tracereplay.segment import TouchSequence
 
 WIDTH, HEIGHT = 1080, 1920
 
@@ -59,7 +58,7 @@ def _touch_doc(t):
 
 
 def _action_doc(a):
-    return {"kind": a.kind.value, "touches": [_touch_doc(t) for t in a.sequence.touches]}
+    return {"kind": a.kind.value, "touches": [_touch_doc(t) for t in a.touches]}
 
 
 def reference_classified(scenario):
@@ -102,7 +101,7 @@ def actions(draw):
         for k in range(highs + fades)
     )
     kind = draw(st.sampled_from(list(ActionKind)))
-    return AtomicAction(kind=kind, sequence=TouchSequence(touches=touches))
+    return AtomicAction(kind=kind, touches=touches)
 
 
 items = st.one_of(

@@ -46,7 +46,7 @@ def _oracle_identify_sfa_mfa(
 ) -> ClassifiedScenario:
     ordered = sorted(
         actions,
-        key=lambda a: (a.start_frame, a.end_frame, a.sequence.touches[0].center),
+        key=lambda a: (a.start_frame, a.end_frame, a.touches[0].center),
     )
     counts = per_frame_touch_counts(ordered)
     singles: list[AtomicAction] = []
@@ -109,7 +109,8 @@ def test_hand_built_spans_partition_like_oracle(presses, from_zero):
     if from_zero and presses:
         presses[0] = (0, *presses[0][1:])
     actions = [
-        AtomicAction(ActionKind.TAP, make_sequence(start, n, 100.0 + 150.0 * x, 300.0))
+        AtomicAction(ActionKind.TAP,
+                     make_sequence(start, n, 100.0 + 150.0 * x, 300.0).touches)
         for start, n, x in presses
     ]
     assert_same_partition(actions, PROFILE)
@@ -117,7 +118,8 @@ def test_hand_built_spans_partition_like_oracle(presses, from_zero):
 
 def test_spans_at_frame_zero_and_at_the_last_frame():
     def press(start, length, x):
-        return AtomicAction(ActionKind.GESTURE, make_sequence(start, length, x, 500.0))
+        return AtomicAction(ActionKind.GESTURE,
+                            make_sequence(start, length, x, 500.0).touches)
 
     # Each block has one long press that is multi-touch in 4 of its 6
     # frames: one frame fewer and it is a single-fingered action.

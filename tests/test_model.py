@@ -136,11 +136,11 @@ class TestCachedCenter:
         # classified.json, and the generator's placement of a tap there.
         profile = DeviceProfile(name="d", screen_width=1080, screen_height=1920,
                                 fps=30)
-        item = AtomicAction(ActionKind.TAP, TouchSequence((built,)))
+        item = AtomicAction(ActionKind.TAP, (built,))
         (loaded,) = ClassifiedScenario.from_json(
             ClassifiedScenario(profile=profile, items=(item,)).to_json()
         ).items
-        (from_json,) = loaded.sequence.touches
+        (from_json,) = loaded.touches
         assert from_json == built and from_json.center == expected
         tap = GroundTruthAction(kind="tap", paths=(((3, *expected),),))
         trace, _ = synthesize_trace(GroundTruthScenario(profile, (tap,)))
@@ -465,7 +465,7 @@ def with_rejected_ground_truth_examples(test):
 
 _NO_ITEMS = "scenario items must be AtomicActions or MultiFingerItems"
 _NO_TOUCHES = "touches must be an iterable of TouchDetection"
-_TAP = AtomicAction(ActionKind.TAP, make_sequence(0, 5, 100, 100))
+_TAP = AtomicAction(ActionKind.TAP, make_sequence(0, 5, 100, 100).touches)
 
 
 def _scenario_of(item):
@@ -554,10 +554,16 @@ class TestConstructorIsTheCheck:
         (lambda: ClassifiedScenario(None, ()), "profile must be a DeviceProfile"),
         (lambda: ClassifiedScenario(GROUND_TRUTH_PROFILE, 5), _NO_ITEMS),
         (lambda: ClassifiedScenario(GROUND_TRUTH_PROFILE, (1,)), _NO_ITEMS),
-        (lambda: _scenario_of(AtomicAction("tap", make_sequence(0, 5, 100, 100))),
+        (lambda: _scenario_of(AtomicAction("tap", _TAP.touches)),
          "action kind must be an ActionKind"),
-        (lambda: _scenario_of(AtomicAction(ActionKind.TAP, (make_touch(0, 9, 9),))),
-         "action sequence must be a TouchSequence"),
+        (lambda: _scenario_of(AtomicAction(ActionKind.TAP, (make_touch(1, 9, 9),) * 2)),
+         "sequence frames must strictly increase: [1, 1]"),
+        (lambda: _scenario_of(AtomicAction(ActionKind.TAP, (
+            make_touch(0, 9, 9, opacity=Opacity.LOW), make_touch(1, 9, 9)))),
+         "high-opacity touch after a low-opacity one; fades must be a suffix"),
+        (lambda: _scenario_of(AtomicAction(ActionKind.TAP, ())),
+         "touch sequence cannot be empty"),
+        (lambda: _scenario_of(AtomicAction(ActionKind.TAP, (1,))), _NO_TOUCHES),
         (lambda: _scenario_of(MultiFingerItem((1,), 1)),
          "mfa actions must be an iterable of AtomicAction"),
         (lambda: _scenario_of(MultiFingerItem((), 1)),
@@ -571,7 +577,8 @@ class TestConstructorIsTheCheck:
         (lambda: TouchSequence(None), _NO_TOUCHES),
     ], ids=["trace-profile-none", "detections-int", "detection-int",
             "scenario-profile-none", "items-int", "item-int", "action-kind-str",
-            "action-sequence-tuple", "mfa-action-int", "mfa-no-action",
+            "action-frames-repeat", "action-high-after-low", "action-no-touches",
+            "action-touch-int", "mfa-action-int", "mfa-no-action",
             "mfa-zero-fingers", "mfa-float-fingers", "sequence-touch-int",
             "sequence-int", "sequence-none"])
     def test_trace_and_scenario_argument_of_wrong_shape(self, build, message):

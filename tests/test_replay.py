@@ -98,11 +98,13 @@ class TestPushAndReplay:
     @pytest.mark.parametrize("records, message", [
         ([(0, EV_ABS, ABS_MT_TRACKING_ID, -1), (0, EV_SYN, SYN_REPORT, 0)],
          "release on empty slot 0"),
-        ([(0, EV_KEY, BTN_TOUCH, 1), (0, EV_SYN, SYN_REPORT, 0)],
+        ([(0, EV_ABS, ABS_MT_TRACKING_ID, 1), (0, EV_KEY, BTN_TOUCH, 1),
+          (0, EV_ABS, ABS_MT_TRACKING_ID, -1), (0, EV_SYN, SYN_REPORT, 0)],
          "1 touch-downs vs 0 touch-ups"),
         ([(0, 7, 0, 0), (0, EV_SYN, SYN_REPORT, 0)],
          "event (0, 7, 0, 0) outside the type-B vocabulary"),
-        ([(0, EV_KEY, BTN_TOUCH, 1), (0, EV_KEY, BTN_TOUCH, 0)],
+        ([(0, EV_ABS, ABS_MT_TRACKING_ID, 1), (0, EV_KEY, BTN_TOUCH, 1),
+          (0, EV_ABS, ABS_MT_TRACKING_ID, -1), (0, EV_KEY, BTN_TOUCH, 0)],
          "last window has no SYN_REPORT"),
     ], ids=["release-on-empty-slot", "button-left-down", "event-type-7",
             "no-closing-sync"])

@@ -40,17 +40,17 @@ def scenario_contacts(scenario):
     contacts = []
     for item in scenario.items:
         if isinstance(item, AtomicAction):
-            touches = item.sequence.touches[:1]
+            touches = item.touches[:1]
             if item.kind is ActionKind.GESTURE:
-                touches += item.sequence.high_touches[1:]
+                touches += item.high_touches[1:]
             contacts.append(
-                (item.start_frame, item.active_end_frame + 1, touches)
+                (item.start_frame, item.last_high_frame + 1, touches)
             )
         else:
             contacts += [
-                (a.start_frame, a.active_end_frame, a.sequence.high_touches)
+                (a.start_frame, a.last_high_frame, a.high_touches)
                 for a in item.actions
-                if a.sequence.high_touches
+                if a.high_touches
             ]
     return contacts
 
