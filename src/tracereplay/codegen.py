@@ -256,16 +256,22 @@ def validate_events(events, x_end: int = _I32_END, y_end: int = _I32_END) -> Non
     or 1)`, `ABS_MT_SLOT` in [0, MAX_SLOTS), `ABS_MT_TRACKING_ID` -1 or
     in [0, 2**31), `ABS_MT_POSITION_X` in [0, x_end) and `_Y` in [0,
     y_end)), with timestamps non-decreasing from 0 in steps of at most
-    u32 microseconds. Each tracking id opens once and closes, slots stay
-    consistent, a position needs an open contact in its slot, the touch
-    button alternates from up, goes down only with a contact open and up
-    with none, and ends up; the last window ends in `SYN_REPORT`.
+    u32 microseconds. The walk keeps the protocol's state: each tracking
+    id opens once in an empty slot and closes, a position needs an open
+    contact in its slot, and the touch button alternates from up, goes
+    down only as the first contact opens and up as the last one closes.
+    A window, closed by `SYN_REPORT`, holds one timestamp and at most one
+    x and one y per contact; at its `SYN_REPORT` each contact has both or
+    neither, and the button is down exactly when a contact is open. The
+    last window ends in `SYN_REPORT`, with no contact left open.
     """
     open_tids: dict[int, int] = {}  # slot -> tracking id
     seen_tids: set[int] = set()
     current_slot = 0
     last_t = 0
-    btn_counts = [0, 0]  # touch-ups, touch-downs
+    button = False
+    in_window = False
+    placed = (set(), set())  # tracking ids given an x, and a y, in this window
     for event in events:
         try:
             t, etype, code, value = event
@@ -282,20 +288,29 @@ def validate_events(events, x_end: int = _I32_END, y_end: int = _I32_END) -> Non
                 raise ScriptFormatError(
                     f"timestamp step {t - last_t}us at {t}us exceeds u32"
                 )
+            if in_window and t != last_t:
+                raise ScriptFormatError(f"window at {last_t}us holds an event at {t}us")
             last_t = t
+        in_window = True
         # Each code belongs to one event type.
-        if code == ABS_MT_POSITION_X and etype == EV_ABS:
-            if not 0 <= value < x_end:
-                raise ScriptFormatError(f"x={value} off screen")
-            if current_slot not in open_tids:
+        if (code == ABS_MT_POSITION_X or code == ABS_MT_POSITION_Y) and etype == EV_ABS:
+            axis = code - ABS_MT_POSITION_X
+            if not 0 <= value < (y_end if axis else x_end):
+                raise ScriptFormatError(f"{'xy'[axis]}={value} off screen")
+            tid = open_tids.get(current_slot)
+            if tid is None:
                 raise ScriptFormatError(f"position for empty slot {current_slot} at {t}us")
-        elif code == ABS_MT_POSITION_Y and etype == EV_ABS:
-            if not 0 <= value < y_end:
-                raise ScriptFormatError(f"y={value} off screen")
-            if current_slot not in open_tids:
-                raise ScriptFormatError(f"position for empty slot {current_slot} at {t}us")
+            if tid in placed[axis]:
+                raise ScriptFormatError(f"two positions in one window at {t}us")
+            placed[axis].add(tid)
         elif code == SYN_REPORT and etype == EV_SYN and value == 0:
-            pass
+            if button != bool(open_tids):
+                raise ScriptFormatError(f"BTN_TOUCH stale at {t}us")
+            if placed[0] != placed[1]:
+                raise ScriptFormatError(f"half a position at {t}us")
+            placed[0].clear()
+            placed[1].clear()
+            in_window = False
         elif code == ABS_MT_SLOT and etype == EV_ABS:
             if not 0 <= value < MAX_SLOTS:
                 raise ScriptFormatError(f"slot {value} out of range")
@@ -315,21 +330,18 @@ def validate_events(events, x_end: int = _I32_END, y_end: int = _I32_END) -> Non
                 open_tids[current_slot] = value
                 seen_tids.add(value)
         elif code == BTN_TOUCH and etype == EV_KEY and 0 <= value <= 1:
-            if btn_counts[1] - btn_counts[0] != 1 - value:
+            if button == value:
                 raise ScriptFormatError(f"BTN_TOUCH {value} at {t}us repeats its state")
-            if bool(open_tids) != value:  # down needs a contact, up none
+            if len(open_tids) != value:  # down with the first contact, up with none
                 raise ScriptFormatError(
                     f"BTN_TOUCH {value} at {t}us with {len(open_tids)} contacts open")
-            btn_counts[value] += 1
+            button = not button
         else:
             raise _outside_vocabulary(event)
-    if events and events[-1][1:] != (EV_SYN, SYN_REPORT, 0):
+    if in_window:
         raise ScriptFormatError("last window has no SYN_REPORT")
     if open_tids:
         raise ScriptFormatError(f"contacts left open: {sorted(open_tids.values())}")
-    ups, downs = btn_counts
-    if downs != ups:
-        raise ScriptFormatError(f"{downs} touch-downs vs {ups} touch-ups")
 
 
 def _outside_vocabulary(event) -> ScriptFormatError:

@@ -12,7 +12,7 @@ import json
 from collections import Counter
 from typing import NamedTuple
 
-from .errors import EmptyGroundTruth
+from .errors import EmptyGroundTruth, SchemaViolation
 from .model import Symbols
 
 
@@ -160,10 +160,14 @@ def _table_row(name: str, lev: str, *ratios: float) -> tuple[str, ...]:
 
 
 def evaluate_batch(pairs: list[tuple[Symbols, Symbols]], ids=None) -> BatchReport:
-    """Score each (pred, truth) pair and aggregate the means."""
+    """Score each (pred, truth) pair and aggregate the means. `ids`, if
+    given, names each pair, one id per pair; raises SchemaViolation
+    otherwise."""
     if not pairs:
         raise EmptyGroundTruth("evaluate_batch needs at least one pair")
-    ids = tuple(ids) if ids else tuple(f"pair-{i}" for i in range(len(pairs)))
+    ids = tuple(f"pair-{i}" for i in range(len(pairs))) if ids is None else tuple(ids)
+    if len(ids) != len(pairs):
+        raise SchemaViolation(f"{len(ids)} ids for {len(pairs)} pairs")
     reports = tuple(MetricsReport.from_sequences(p, t) for p, t in pairs)
 
     def mean(field: str) -> float:

@@ -399,6 +399,7 @@ class TestValidateScript:
         events = (
             (0, EV_ABS, ABS_MT_SLOT, 0),
             (0, EV_ABS, ABS_MT_TRACKING_ID, 1),
+            (0, EV_KEY, BTN_TOUCH, 1),
             (0, EV_SYN, SYN_REPORT, 0),
         )
         with pytest.raises(ScriptFormatError, match=r"^contacts left open: \[1\]$"):
@@ -495,6 +496,30 @@ def _btn_up_before_last_release(events):
     events.insert(_index(events, ABS_MT_TRACKING_ID, TRACKING_RELEASE, -1), up)
 
 
+def _first_y_1us_late(events):
+    i = _index(events, ABS_MT_POSITION_Y)
+    events[i] = (1, *events[i][1:])
+
+
+def _first_x_twice(events):
+    i = _index(events, ABS_MT_POSITION_X)
+    events.insert(i, events[i])
+
+
+def _drop_first_y(events):
+    del events[_index(events, ABS_MT_POSITION_Y)]
+
+
+def _btn_down_one_window_late(events):
+    down = events.pop(_index(events, BTN_TOUCH, 1))
+    events.insert(_index(events, SYN_REPORT) + 1, (33333, *down[1:]))
+
+
+def _btn_down_after_second_open(events):
+    down = events.pop(_index(events, BTN_TOUCH, 1))
+    events.insert(_index(events, ABS_MT_TRACKING_ID, 2) + 1, down)
+
+
 def _last_window_at_0us(events):
     events[-1] = (0, *events[-1][1:])
 
@@ -548,7 +573,7 @@ def _first_release_line_twice(lines):
     (_second_release_in_first_slot, validate_script, "release on empty slot 0"),
     (_second_open_in_first_slot, validate_script, "slot 0 opened twice"),
     (_second_open_takes_first_id, validate_script, "tracking id 1 reused"),
-    (_drop_btn_up, validate_script, "1 touch-downs vs 0 touch-ups"),
+    (_drop_btn_up, validate_script, "BTN_TOUCH stale at 66667us"),
     (_drop_last_sync, validate_script, "last window has no SYN_REPORT"),
     (_btn_up_before_down, validate_script, "BTN_TOUCH 0 at 0us repeats its state"),
     (_btn_down_twice, validate_script, "BTN_TOUCH 1 at 0us repeats its state"),
@@ -558,6 +583,12 @@ def _first_release_line_twice(lines):
      "BTN_TOUCH 1 at 0us with 0 contacts open"),
     (_btn_up_before_last_release, validate_script,
      "BTN_TOUCH 0 at 66667us with 1 contacts open"),
+    (_first_y_1us_late, validate_script, "window at 0us holds an event at 1us"),
+    (_first_x_twice, validate_script, "two positions in one window at 0us"),
+    (_drop_first_y, validate_script, "half a position at 0us"),
+    (_btn_down_one_window_late, validate_script, "BTN_TOUCH stale at 0us"),
+    (_btn_down_after_second_open, validate_script,
+     "BTN_TOUCH 1 at 0us with 2 contacts open"),
     (_last_window_at_0us, validate_script, "timestamp decreases at 0us"),
     (_first_timestamp_half_a_microsecond, validate_script,
      "event (0.5, 3, 47, 0) outside the type-B vocabulary"),
@@ -644,13 +675,14 @@ class TestRecordRanges:
     def test_coordinate_above_i32_rejected_on_any_screen(self):
         huge = DeviceProfile(name="wall", screen_width=2**40,
                              screen_height=2**40, fps=30)
-        # One contact holds the position, so only the coordinate is at fault.
+        # One contact holds a whole position, so only the coordinate is at fault.
         opened = (0, EV_ABS, ABS_MT_TRACKING_ID, 1)
         closed = ((0, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE),
                   (0, EV_SYN, SYN_REPORT, 0))
-        self.compile(huge, opened, (0, EV_ABS, ABS_MT_POSITION_X, 2**31 - 1), *closed)
+        y = (0, EV_ABS, ABS_MT_POSITION_Y, 0)
+        self.compile(huge, opened, (0, EV_ABS, ABS_MT_POSITION_X, 2**31 - 1), y, *closed)
         with pytest.raises(ScriptFormatError, match="^x=2147483648 off screen$"):
-            self.compile(huge, opened, (0, EV_ABS, ABS_MT_POSITION_X, 2**31), *closed)
+            self.compile(huge, opened, (0, EV_ABS, ABS_MT_POSITION_X, 2**31), y, *closed)
 
     def test_edges_of_each_range_encode(self, profile):
         """Two steps of u32 microseconds, the last slot, the largest

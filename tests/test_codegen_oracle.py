@@ -522,10 +522,10 @@ _NODE = st.text(
 @st.composite
 def in_range_scripts(draw):
     """Type-B scripts the constructor accepts: windows that open, move
-    or release contacts in any free or held slot, at timestamps that
-    repeat, cross whole seconds, pass 2**31 us and step by a whole u32,
-    with tracking ids up to 2**31 - 1 and coordinates at the screen's
-    edges."""
+    or release contacts in any free or held slot, each slot at most once
+    per window, at timestamps that repeat, cross whole seconds, pass
+    2**31 us and step by a whole u32, with tracking ids up to 2**31 - 1
+    and coordinates at the screen's edges."""
     t = draw(st.sampled_from([0, 999_999, 2**31 - 3, 2**32 - 1]))
     # Ids count down, one per open; 36 opens at most keep them >= 0.
     next_tid = draw(st.sampled_from([35, 1000, 2**31 - 1]))
@@ -534,9 +534,12 @@ def in_range_scripts(draw):
     for i in range(draw(st.integers(0, 12))):
         if i:
             t += draw(st.sampled_from([0, 1, 999_999, 1_000_000, 1_000_001, 2**32 - 1]))
+        drawn = set()  # the slots this window has selected
         for _ in range(draw(st.integers(1, 3))):
             free = [slot for slot in range(MAX_SLOTS) if slot not in held]
-            slot = draw(st.sampled_from(free + list(held)))
+            slot = draw(st.sampled_from(
+                [slot for slot in free + list(held) if slot not in drawn]))
+            drawn.add(slot)
             events.append((t, EV_ABS, ABS_MT_SLOT, slot))
             if slot in held and draw(st.booleans()):
                 del held[slot]

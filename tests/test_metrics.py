@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -27,8 +28,10 @@ symbols_st = st.lists(st.sampled_from(ALPHABET), max_size=12).map(tuple)
 
 
 def brute_levenshtein(a, b):
-    """Plain exhaustive recursion, no memoization."""
+    """Plain exhaustive recursion over suffix pairs. The cache only spares
+    evaluating a pair twice; each value is still the recursion's."""
 
+    @functools.cache
     def go(i, j):
         if i == len(a):
             return len(b) - j
@@ -212,6 +215,16 @@ class TestBatch:
     def test_empty_batch_rejected(self):
         with pytest.raises(EmptyGroundTruth):
             evaluate_batch([])
+
+    @pytest.mark.parametrize("ids", [[], ["scn-1"], ["scn-1", "scn-2", "scn-3"]])
+    def test_ids_must_name_every_pair(self, ids):
+        pairs = [(("T",), ("T",)), (("G",), ("T",))]
+        with pytest.raises(SchemaViolation, match=f"^{len(ids)} ids for 2 pairs$"):
+            evaluate_batch(pairs, ids)
+
+    def test_generated_ids_when_none_given(self):
+        report = evaluate_batch([(("T",), ("T",)), (("G",), ("T",))], ids=None)
+        assert report.ids == ("pair-0", "pair-1")
 
     def test_table_contains_mean_row(self):
         report = evaluate_batch([(("T",), ("T",))], ids=["scn-1"])

@@ -7,6 +7,8 @@ import pytest
 
 from tracereplay.classify import ClassifiedScenario, classify_action
 from tracereplay.codegen import (
+    ABS_MT_POSITION_X,
+    ABS_MT_POSITION_Y,
     ABS_MT_TRACKING_ID,
     BTN_TOUCH,
     EV_ABS,
@@ -100,14 +102,26 @@ class TestPushAndReplay:
          "release on empty slot 0"),
         ([(0, EV_ABS, ABS_MT_TRACKING_ID, 1), (0, EV_KEY, BTN_TOUCH, 1),
           (0, EV_ABS, ABS_MT_TRACKING_ID, -1), (0, EV_SYN, SYN_REPORT, 0)],
-         "1 touch-downs vs 0 touch-ups"),
+         "BTN_TOUCH stale at 0us"),
         ([(0, 7, 0, 0), (0, EV_SYN, SYN_REPORT, 0)],
          "event (0, 7, 0, 0) outside the type-B vocabulary"),
         ([(0, EV_ABS, ABS_MT_TRACKING_ID, 1), (0, EV_KEY, BTN_TOUCH, 1),
           (0, EV_ABS, ABS_MT_TRACKING_ID, -1), (0, EV_KEY, BTN_TOUCH, 0)],
          "last window has no SYN_REPORT"),
+        ([(0, EV_ABS, ABS_MT_TRACKING_ID, 1), (0, EV_KEY, BTN_TOUCH, 1),
+          (0, EV_ABS, ABS_MT_POSITION_X, 5), (3, EV_ABS, ABS_MT_POSITION_Y, 5)],
+         "window at 0us holds an event at 3us"),
+        ([(0, EV_ABS, ABS_MT_TRACKING_ID, 1), (0, EV_KEY, BTN_TOUCH, 1),
+          (0, EV_ABS, ABS_MT_POSITION_X, 5), (0, EV_ABS, ABS_MT_POSITION_X, 6)],
+         "two positions in one window at 0us"),
+        ([(0, EV_ABS, ABS_MT_TRACKING_ID, 1), (0, EV_KEY, BTN_TOUCH, 1),
+          (0, EV_ABS, ABS_MT_POSITION_X, 5), (0, EV_SYN, SYN_REPORT, 0)],
+         "half a position at 0us"),
+        ([(0, EV_ABS, ABS_MT_TRACKING_ID, 1), (0, EV_SYN, SYN_REPORT, 0)],
+         "BTN_TOUCH stale at 0us"),
     ], ids=["release-on-empty-slot", "button-left-down", "event-type-7",
-            "no-closing-sync"])
+            "no-closing-sync", "two-timestamps-in-a-window",
+            "two-x-in-a-window", "x-without-y", "button-stale"])
     def test_bad_runnable_precedes_transport(self, agent, records, message):
         """A runnable whose framing is sound but whose events the script
         check rejects is never pushed."""

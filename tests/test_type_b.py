@@ -1,17 +1,22 @@
-"""Compile totality, judged by the type-B checker in `type_b.py`.
+"""Compile totality, and the script check, judged by the type-B
+decoder in `type_b.py`.
 
-Every classified trace compiles to a script the checker accepts, or
-raises SlotExhaustion, and only when the scenario itself holds more
-than MAX_SLOTS contacts at once. The checker is first shown to reject
-each kind of defect it claims to catch.
+Every classified trace, synthesized or drawn as dense noise, compiles
+to a script the decoder accepts, or raises SlotExhaustion, and only
+when the scenario itself holds more than MAX_SLOTS contacts at once.
+The decoder is first shown to reject each kind of defect it claims to
+catch, and codegen's `validate_events` rejects exactly the streams the
+decoder rejects.
 """
 
 from __future__ import annotations
 
 import struct
+from math import cos, pi, sin
+from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracereplay.classify import (
@@ -21,21 +26,34 @@ from tracereplay.classify import (
 )
 from tracereplay.codegen import (
     ABS_MT_POSITION_X,
+    ABS_MT_POSITION_Y,
+    ABS_MT_SLOT,
     ABS_MT_TRACKING_ID,
     BTN_TOUCH,
+    EV_ABS,
+    EV_KEY,
     EV_SYN,
     MAX_SLOTS,
     RUNNABLE_MAGIC,
     SYN_REPORT,
+    TRACKING_RELEASE,
     assemble_script,
     translate_runnable,
+    validate_events,
 )
-from tracereplay.errors import SlotExhaustion
-from tracereplay.model import DeviceProfile
+from tracereplay.errors import ScriptFormatError, SlotExhaustion
+from tracereplay.model import (
+    DetectionTrace,
+    DeviceProfile,
+    Opacity,
+    TouchDetection,
+    parse_trace,
+    serialize_trace,
+)
 from tracereplay.synth import noise_preset, random_scenario, synthesize_trace
 
 from conftest import make_sequence
-from type_b import check_type_b, peak_contacts
+from type_b import check_type_b, decode_type_b, peak_contacts
 
 PROFILE = DeviceProfile(name="nexus5", screen_width=1080, screen_height=1920, fps=30)
 
@@ -147,6 +165,165 @@ def test_every_classified_trace_compiles_or_exhausts_slots(seed, preset):
     truth = random_scenario(PROFILE, seed=seed, n_actions=25)
     trace, _ = synthesize_trace(truth, noise_preset(preset, seed=seed))
     scenario = classify_trace(trace)
+    try:
+        script = assemble_script(scenario)
+    except SlotExhaustion:
+        assert peak_contacts(scenario) > MAX_SLOTS
+        return
+    check_type_b(translate_runnable(script), scenario)
+
+
+# --- the script check agrees with the decoder ---
+
+#: The vocabulary's events, in range, that a stream's edits insert.
+_EVENTS = (
+    (EV_SYN, SYN_REPORT, 0), (EV_KEY, BTN_TOUCH, 0), (EV_KEY, BTN_TOUCH, 1),
+    *((EV_ABS, ABS_MT_SLOT, slot) for slot in range(3)),
+    *((EV_ABS, ABS_MT_TRACKING_ID, tid) for tid in (TRACKING_RELEASE, 1, 2, 3)),
+    (EV_ABS, ABS_MT_POSITION_X, 7), (EV_ABS, ABS_MT_POSITION_Y, 9),
+)
+
+
+@st.composite
+def type_b_streams(draw):
+    """Streams in the type-B vocabulary and its ranges: 1-5 windows that
+    open, move or release contacts in slots 0-2, each window at the last
+    one's timestamp or 1 us later, a window that releases what is still
+    open, then up to three edits. An edit inserts a vocabulary event,
+    deletes an event, or nudges one event and every later one 1 us
+    later."""
+    held = {}  # the slots whose contact is open, in the order they opened
+    next_tid, t = 1, 0
+    events = []
+    for _ in range(draw(st.integers(1, 5))):
+        t += draw(st.integers(0, 1))
+        for slot in draw(st.lists(st.integers(0, 2), max_size=3, unique=True)):
+            events.append((t, EV_ABS, ABS_MT_SLOT, slot))
+            if slot in held and draw(st.booleans()):
+                del held[slot]
+                events.append((t, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE))
+                if not held:
+                    events.append((t, EV_KEY, BTN_TOUCH, 0))
+                continue
+            if slot not in held:
+                held[slot] = True
+                events.append((t, EV_ABS, ABS_MT_TRACKING_ID, next_tid))
+                next_tid += 1
+                if len(held) == 1:
+                    events.append((t, EV_KEY, BTN_TOUCH, 1))
+            events.append((t, EV_ABS, ABS_MT_POSITION_X, draw(st.integers(0, 9))))
+            events.append((t, EV_ABS, ABS_MT_POSITION_Y, draw(st.integers(0, 9))))
+        events.append((t, EV_SYN, SYN_REPORT, 0))
+    if held:
+        for slot in held:
+            events += [(t, EV_ABS, ABS_MT_SLOT, slot),
+                       (t, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE)]
+        events += [(t, EV_KEY, BTN_TOUCH, 0), (t, EV_SYN, SYN_REPORT, 0)]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(events)))
+        edit = draw(st.sampled_from(["insert", "delete", "nudge"]))
+        if edit == "insert":
+            at = events[i - 1][0] if i else 0
+            events.insert(i, (at, *draw(st.sampled_from(_EVENTS))))
+        elif events[i:]:
+            if edit == "delete":
+                del events[i]
+            else:
+                events[i:] = [(at + 1, *rest) for at, *rest in events[i:]]
+    return events
+
+
+def _rejects(check, events) -> bool:
+    try:
+        check(events)
+    except (AssertionError, ScriptFormatError):
+        return True
+    return False
+
+
+_OPEN = [(0, EV_ABS, ABS_MT_SLOT, 0), (0, EV_ABS, ABS_MT_TRACKING_ID, 1),
+         (0, EV_KEY, BTN_TOUCH, 1)]
+_CLOSE = [(3, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE),
+          (3, EV_KEY, BTN_TOUCH, 0), (3, EV_SYN, SYN_REPORT, 0)]
+
+
+@given(type_b_streams())
+# One stream of each kind a window or button rule rejects: a window of
+# two timestamps, two x for one contact in a window, an x without a y, a
+# button still up at the first report, and a button that goes down only
+# once a second contact is open.
+@example([*_OPEN, (0, EV_ABS, ABS_MT_POSITION_X, 5), (3, EV_ABS, ABS_MT_POSITION_Y, 5),
+          (3, EV_SYN, SYN_REPORT, 0), *_CLOSE])
+@example([*_OPEN, (0, EV_ABS, ABS_MT_POSITION_X, 5), (0, EV_ABS, ABS_MT_POSITION_X, 6),
+          (0, EV_ABS, ABS_MT_POSITION_Y, 5), (0, EV_SYN, SYN_REPORT, 0), *_CLOSE])
+@example([*_OPEN, (0, EV_ABS, ABS_MT_POSITION_X, 5), (0, EV_SYN, SYN_REPORT, 0),
+          *_CLOSE])
+@example([*_OPEN[:2], (0, EV_SYN, SYN_REPORT, 0), (3, EV_KEY, BTN_TOUCH, 1),
+          (3, EV_SYN, SYN_REPORT, 0), (6, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE),
+          (6, EV_KEY, BTN_TOUCH, 0), (6, EV_SYN, SYN_REPORT, 0)])
+@example([*_OPEN[:2], (0, EV_ABS, ABS_MT_SLOT, 1), (0, EV_ABS, ABS_MT_TRACKING_ID, 2),
+          (0, EV_KEY, BTN_TOUCH, 1), (0, EV_SYN, SYN_REPORT, 0),
+          (3, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE), (3, EV_ABS, ABS_MT_SLOT, 0),
+          *_CLOSE])
+@settings(max_examples=400, deadline=None)
+def test_script_check_rejects_what_the_decoder_rejects(events):
+    assert _rejects(validate_events, events) == _rejects(decode_type_b, events)
+
+
+# --- dense traces ---
+
+_W, _H = PROFILE.screen_width, PROFILE.screen_height
+_HALF = 20.0  # half a touch indicator's edge
+
+
+@st.composite
+def dense_traces(draw):
+    """Detection traces no scenario renders: 1-16 fingers, each a random
+    walk of 0-30 px steps from its own start frame, with random
+    confidence. Half the traces are noisy, with about a fifth of the
+    touches low-opacity, a quarter below 0.7 confidence and two fifths
+    missing; the other half are whole, all high and at least 0.7, so
+    their fingers, starting in the first 10 frames and lasting up to 45,
+    sometimes hold 11 or more long contacts down at once."""
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    noisy = draw(st.booleans())
+    low_share, min_confidence, missing = (0.2, 0.6, 0.4) if noisy else (0.0, 0.7, 0.0)
+    detections = []
+    end = 0
+    for _ in range(draw(st.integers(1, 16))):
+        start, length = draw(st.integers(0, 10)), draw(st.integers(1, 45))
+        end = max(end, start + length)
+        x, y = rng.uniform(_HALF, _W - _HALF), rng.uniform(_HALF, _H - _HALF)
+        for frame in range(start, start + length):
+            step, angle = rng.uniform(0, 30), rng.uniform(0, 2 * pi)
+            x = min(max(x + step * cos(angle), _HALF), _W - _HALF)
+            y = min(max(y + step * sin(angle), _HALF), _H - _HALF)
+            if rng.random() < missing:
+                continue
+            opacity = Opacity.LOW if rng.random() < low_share else Opacity.HIGH
+            detections.append(TouchDetection(
+                frame, (x - _HALF, y - _HALF, 2 * _HALF, 2 * _HALF),
+                rng.uniform(min_confidence, 1.0), opacity))
+    return DetectionTrace(PROFILE, detections, end + draw(st.integers(0, 3)))
+
+
+def _long_fingers(count):
+    """`count` fingers held high and still for 30 frames, 90 px apart."""
+    return DetectionTrace(PROFILE, [
+        TouchDetection(frame, (50.0 + 90.0 * k, 500.0, 40.0, 40.0), 0.9, Opacity.HIGH)
+        for frame in range(30) for k in range(count)
+    ], 30)
+
+
+@given(dense_traces())
+@example(_long_fingers(MAX_SLOTS))
+@example(_long_fingers(MAX_SLOTS + 1))
+@settings(max_examples=60, deadline=None)
+def test_every_dense_trace_compiles_or_exhausts_slots(trace):
+    assert parse_trace(serialize_trace(trace)) == trace
+    classified = classify_trace(trace)
+    scenario = ClassifiedScenario.from_json(classified.to_json())
+    assert scenario == classified
     try:
         script = assemble_script(scenario)
     except SlotExhaustion:

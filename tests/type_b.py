@@ -4,9 +4,11 @@ In the Linux multi-touch protocol type B
 (`Documentation/input/multi-touch-protocol.rst`), `ABS_MT_SLOT` selects
 a slot, `ABS_MT_TRACKING_ID` >= 0 opens a contact in the selected slot
 and -1 releases it, positions update the selected slot's contact, and
-`SYN_REPORT` closes a window. `check_type_b` replays `script.bin` under
-those rules and compares the contacts it finds with the ones the
-scenario describes, worked out here without calling codegen.
+`SYN_REPORT` closes a window. `decode_type_b` replays a stream under
+those rules, and `check_type_b` compares the contacts it finds in
+`script.bin` with the ones the scenario describes, worked out here
+without calling codegen. The decoder shares no code with codegen's
+script check, `validate_events`, and is its oracle.
 """
 
 from __future__ import annotations
@@ -75,16 +77,16 @@ def device_point(center, profile) -> tuple[int, int]:
     return x, y
 
 
-def check_type_b(runnable: bytes, scenario) -> dict[int, list[tuple[int, int]]]:
-    """Assert that `runnable` is a well-formed type-B stream of exactly
-    the scenario's contacts; return each tracking id's samples.
+def decode_type_b(events) -> dict[int, list[tuple[int, int]]]:
+    """Assert that `events` are a well-formed type-B stream; return each
+    tracking id's samples, one per window that gives it a position.
 
     Checks that each tracking id opens once and closes once, that no
     slot is opened while its contact is open, that `BTN_TOUCH` goes
     down as the first contact opens and up as the last one releases,
-    that every window ends in `SYN_REPORT` at one timestamp, and that
-    the contacts' samples, one per window, are the scenario contacts'
-    device-rounded centers.
+    and that every window ends in `SYN_REPORT` at one timestamp, with
+    the button down exactly when a contact is open and each contact
+    given both or neither of one x and one y.
     """
     slot = 0
     open_in = {}  # slot -> tracking id
@@ -92,7 +94,7 @@ def check_type_b(runnable: bytes, scenario) -> dict[int, list[tuple[int, int]]]:
     window = {}  # tracking id -> {position code: value} in this window
     window_t = None
     button = False
-    for t, etype, code, value in parse_runnable(runnable):
+    for t, etype, code, value in events:
         if window_t is None:
             window_t = t
         assert t == window_t, f"window at {window_t}us holds an event at {t}us"
@@ -133,6 +135,14 @@ def check_type_b(runnable: bytes, scenario) -> dict[int, list[tuple[int, int]]]:
             window, window_t = {}, None
     assert window_t is None, "last window has no SYN_REPORT"
     assert not open_in, f"contacts left open: {sorted(open_in.values())}"
+    return samples
+
+
+def check_type_b(runnable: bytes, scenario) -> dict[int, list[tuple[int, int]]]:
+    """Assert that `runnable` decodes (see `decode_type_b`) to exactly
+    the scenario's contacts, whose samples are the scenario contacts'
+    device-rounded centers; return each tracking id's samples."""
+    samples = decode_type_b(parse_runnable(runnable))
     profile = scenario.profile
     want = Counter(
         tuple(device_point(touch.center, profile) for touch in touches)
