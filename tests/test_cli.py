@@ -65,6 +65,114 @@ def test_synthesize_classify_evaluate_round_trip(tmp_path, fixture_scenario, cap
     assert report["mean_lcs_ratio"] == 1.0
 
 
+#: `evaluate`'s table for the files `test_evaluate_report_is_pinned` writes.
+EVALUATE_TABLE = """\
+scenario  lev   lcs_ratio  precision  recall
+--------  ----  ---------  ---------  ------
+ext       0     1.0000     1.0000     1.0000
+sub       1     0.6667     0.6667     0.5000
+ins       1     1.0000     0.7500     1.0000
+MEAN      0.67  0.8889     0.8056     0.8333
+"""
+
+#: The bytes `evaluate --json-out` writes for the same files.
+EVALUATE_JSON = b"""\
+{
+  "scenarios": {
+    "ext": {
+      "levenshtein": 0,
+      "lcs_ratio": 1.0,
+      "per_type": {
+        "G2": {
+          "tp": 1,
+          "fp": 0,
+          "fn": 0,
+          "precision": 1.0,
+          "recall": 1.0
+        },
+        "T": {
+          "tp": 1,
+          "fp": 0,
+          "fn": 0,
+          "precision": 1.0,
+          "recall": 1.0
+        }
+      },
+      "macro_precision": 1.0,
+      "macro_recall": 1.0
+    },
+    "sub": {
+      "levenshtein": 1,
+      "lcs_ratio": 0.6666666666666666,
+      "per_type": {
+        "G": {
+          "tp": 0,
+          "fp": 1,
+          "fn": 0,
+          "precision": 0.0,
+          "recall": 0.0
+        },
+        "L": {
+          "tp": 1,
+          "fp": 0,
+          "fn": 0,
+          "precision": 1.0,
+          "recall": 1.0
+        },
+        "T": {
+          "tp": 1,
+          "fp": 0,
+          "fn": 1,
+          "precision": 1.0,
+          "recall": 0.5
+        }
+      },
+      "macro_precision": 0.6666666666666666,
+      "macro_recall": 0.5
+    },
+    "ins": {
+      "levenshtein": 1,
+      "lcs_ratio": 1.0,
+      "per_type": {
+        "G": {
+          "tp": 1,
+          "fp": 0,
+          "fn": 0,
+          "precision": 1.0,
+          "recall": 1.0
+        },
+        "T": {
+          "tp": 1,
+          "fp": 1,
+          "fn": 0,
+          "precision": 0.5,
+          "recall": 1.0
+        }
+      },
+      "macro_precision": 0.75,
+      "macro_recall": 1.0
+    }
+  },
+  "mean_levenshtein": 0.6666666666666666,
+  "mean_lcs_ratio": 0.8888888888888888,
+  "mean_macro_precision": 0.8055555555555555,
+  "mean_macro_recall": 0.8333333333333334
+}"""
+
+
+def test_evaluate_report_is_pinned(tmp_path, capsys):
+    # An extended G2, a substitution, an insertion, and a prediction
+    # with no truth line, which the report leaves out.
+    pred, truth = tmp_path / "pred.txt", tmp_path / "truth.txt"
+    pred.write_text("ext TG2\nsub TGL\nins TTG\nextra G\n")
+    truth.write_text("ext TG2\nsub TTL\nins TG\n")
+    out = tmp_path / "metrics.json"
+    assert main(["evaluate", "--pred", str(pred), "--truth", str(truth),
+                 "--json-out", str(out)]) == 0
+    assert capsys.readouterr().out == f"{EVALUATE_TABLE}wrote {out}\n"
+    assert out.read_bytes() == EVALUATE_JSON
+
+
 def test_classify_malformed_json_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
