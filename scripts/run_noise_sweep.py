@@ -32,14 +32,14 @@ def main() -> None:
     print("-" * len(header))
     for preset in args.presets:
         start = time.perf_counter()
-        pairs = []
+        pairs = {}  # scenario seed -> (pred, truth)
         exact = 0
-        for i in range(args.scenarios):
-            scenario = random_scenario(profile, seed=args.seed + i)
-            noise = noise_preset(preset, seed=args.seed + 4000 + i)
+        for seed in range(args.seed, args.seed + args.scenarios):
+            scenario = random_scenario(profile, seed=seed)
+            noise = noise_preset(preset, seed=seed + 4000)
             trace, truth = synthesize_trace(scenario, noise)
             pred = classify_trace(trace).symbols(extended=True)
-            pairs.append((pred, truth))
+            pairs[str(seed)] = (pred, truth)
             exact += pred == truth
         elapsed = time.perf_counter() - start
         report = evaluate_batch(pairs)

@@ -20,6 +20,7 @@ from enum import Enum
 from .errors import SchemaViolation
 from .model import (
     KIND_SYMBOLS,
+    MIN_CONFIDENCE,
     DetectionTrace,
     DeviceProfile,
     Frozen,
@@ -37,7 +38,7 @@ from .model import (
     json_array,
     load_document,
 )
-from .segment import MIN_CONFIDENCE, TouchSequence, segment_trace
+from .segment import TouchSequence, segment_trace
 
 CLASSIFIED_SCHEMA_VERSION = 1
 

@@ -232,8 +232,7 @@ def _cmd_evaluate(args, config: Config) -> None:
     missing = sorted(set(truth) - set(pred))
     if missing:
         raise SchemaViolation(f"prediction file missing scenarios: {missing}")
-    ids = list(truth)
-    report = evaluate_batch([(pred[sid], truth[sid]) for sid in ids], ids)
+    report = evaluate_batch({sid: (pred[sid], truth[sid]) for sid in truth})
     print(report.format_table())
     if args.json_out:
         Path(args.json_out).write_bytes(report.to_json())

@@ -37,7 +37,8 @@ from math import floor
 from .classify import ActionKind, AtomicAction, ClassifiedScenario
 from .errors import ScriptFormatError, SlotExhaustion
 from .model import (
-    DeviceProfile, Frozen, _frame_and_center, decode_json, valid_device_node,
+    DEFAULT_DEVICE_NODE, DeviceProfile, Frozen, _frame_and_center, decode_json,
+    valid_device_node,
 )
 
 # Kernel input event vocabulary (multi-touch protocol type B).
@@ -57,8 +58,6 @@ MAX_SLOTS = 10
 #: Most empty reports that split one idle gap (about 50 days at u32 us
 #: each); a longer gap raises ScriptFormatError.
 MAX_IDLE_REPORTS = 1000
-
-DEFAULT_DEVICE_NODE = "/dev/input/event2"
 
 RUNNABLE_MAGIC = b"V2SR\x01\x00\x00\x00"
 #: The first non-blank line of every log; `parse_script` reads no other.

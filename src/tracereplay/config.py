@@ -14,7 +14,10 @@ import os
 from pathlib import Path
 
 from .errors import ConfigError
-from .model import DeviceProfile, Frozen, decode_json, valid_device_node
+from .model import (
+    DEFAULT_DEVICE_NODE, MIN_CONFIDENCE, DeviceProfile, Frozen, decode_json,
+    valid_confidence, valid_device_node,
+)
 
 ENV_BRIDGE = "TRACEREPLAY_BRIDGE"
 ENV_OUT_DIR = "TRACEREPLAY_OUT_DIR"
@@ -43,20 +46,19 @@ class Config(Frozen):
     rest at their defaults and raises ConfigError for an unknown setting,
     a value not of its setting's type, a `min_confidence` that is not a
     finite number in [0, 1], a `device_node` that cannot head a script
-    log line, or any other empty string. The defaults of
-    `min_confidence`, `device_node`, `remote_dir` and `bridge_path`
-    repeat those of the modules that use them, which this one does not
-    import; a test pins each pair equal."""
+    log line, or any other empty string. `min_confidence` and
+    `device_node` default to `model`'s constants; `replay` reads its
+    defaults of `remote_dir` and `bridge_path` from here."""
 
     bridge_path: str = "adb"
     device_serial: str | None = None
     agent_path: str | None = None
     remote_dir: str = "/data/local/tmp"
-    device_node: str = "/dev/input/event2"
+    device_node: str = DEFAULT_DEVICE_NODE
     noise_preset: str = "clean"
     seed: int = 0
     out_dir: str = "out"
-    min_confidence: float = 0.7
+    min_confidence: float = MIN_CONFIDENCE
     extended_alphabet: bool = False
     duration_based_cutoff: bool = False
 
@@ -77,8 +79,7 @@ class Config(Frozen):
                 raise ConfigError(
                     f"config value {name!r} must be {type_text}, got {value!r}"
                 )
-        # The range check is false for NaN and the infinities too.
-        if not 0.0 <= self.min_confidence <= 1.0:
+        if not valid_confidence(self.min_confidence):
             raise ConfigError(
                 f"min_confidence must be a finite number in [0, 1], "
                 f"got {self.min_confidence!r}"

@@ -12,7 +12,7 @@ import json
 from collections import Counter
 from typing import NamedTuple
 
-from .errors import EmptyGroundTruth, SchemaViolation
+from .errors import EmptyGroundTruth
 from .model import Symbols
 
 
@@ -34,8 +34,6 @@ def levenshtein(pred: Symbols, truth: Symbols) -> int:
 
 def lcs_length(a: Symbols, b: Symbols) -> int:
     """Length of the longest common subsequence."""
-    if not a or not b:
-        return 0
     previous = [0] * (len(b) + 1)
     for x in a:
         current = [0]
@@ -119,17 +117,17 @@ class MetricsReport(NamedTuple):
 
 
 class BatchReport(NamedTuple):
-    ids: tuple[str, ...]
-    reports: tuple[MetricsReport, ...]
+    """Each scenario's report, keyed by its id, and the means over them."""
+
+    scenarios: dict[str, MetricsReport]
     mean_levenshtein: float
     mean_lcs_ratio: float
     mean_macro_precision: float
     mean_macro_recall: float
 
     def to_dict(self) -> dict:
-        doc = self._asdict()
-        reports = zip(doc.pop("ids"), doc.pop("reports"))
-        return {"scenarios": {sid: r.to_dict() for sid, r in reports}, **doc}
+        scenarios = {sid: r.to_dict() for sid, r in self.scenarios.items()}
+        return {**self._asdict(), "scenarios": scenarios}
 
     def to_json(self) -> bytes:
         return json.dumps(self.to_dict(), indent=2).encode("utf-8")
@@ -138,7 +136,7 @@ class BatchReport(NamedTuple):
         """Aligned-column text table, one row per scenario plus the mean."""
         header = ("scenario", "lev", "lcs_ratio", "precision", "recall")
         rows = [header]
-        for sid, r in zip(self.ids, self.reports):
+        for sid, r in self.scenarios.items():
             rows.append(_table_row(sid, str(r.levenshtein), r.lcs_ratio,
                                    r.macro_precision, r.macro_recall))
         rows.append(_table_row(
@@ -159,21 +157,17 @@ def _table_row(name: str, lev: str, *ratios: float) -> tuple[str, ...]:
     return (name, lev, *(f"{ratio:.4f}" for ratio in ratios))
 
 
-def evaluate_batch(pairs: list[tuple[Symbols, Symbols]], ids=None) -> BatchReport:
-    """Score each (pred, truth) pair and aggregate the means. `ids`, if
-    given, names each pair, one id per pair; raises SchemaViolation
-    otherwise."""
-    if not pairs:
-        raise EmptyGroundTruth("evaluate_batch needs at least one pair")
-    ids = tuple(f"pair-{i}" for i in range(len(pairs))) if ids is None else tuple(ids)
-    if len(ids) != len(pairs):
-        raise SchemaViolation(f"{len(ids)} ids for {len(pairs)} pairs")
-    reports = tuple(MetricsReport.from_sequences(p, t) for p, t in pairs)
-
-    def mean(field: str) -> float:
-        return sum(getattr(r, field) for r in reports) / len(reports)
-
-    return BatchReport(
-        ids, reports, mean("levenshtein"), mean("lcs_ratio"),
-        mean("macro_precision"), mean("macro_recall"),
-    )
+def evaluate_batch(scenarios: dict[str, tuple[Symbols, Symbols]]) -> BatchReport:
+    """Score each scenario's (pred, truth) pair, keyed by scenario id, and
+    aggregate the means. Raises EmptyGroundTruth, before scoring any, when
+    there is no scenario or a scenario's truth is empty, naming it."""
+    if not scenarios:
+        raise EmptyGroundTruth("evaluate_batch needs at least one scenario")
+    for sid, (_, truth) in scenarios.items():
+        if not truth:
+            raise EmptyGroundTruth(f"scenario {sid!r} has an empty ground truth")
+    reports = {sid: MetricsReport.from_sequences(*p) for sid, p in scenarios.items()}
+    means = [sum(getattr(r, field) for r in reports.values()) / len(reports)
+             for field in ("levenshtein", "lcs_ratio",
+                           "macro_precision", "macro_recall")]
+    return BatchReport(reports, *means)

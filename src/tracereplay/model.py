@@ -53,6 +53,12 @@ MIN_FPS = 30
 #: Default pixel radius a press may wander and still count as a tap.
 DEFAULT_TOUCH_SLOP = 8
 
+#: Detections below this confidence are dropped before linking (`segment`).
+MIN_CONFIDENCE = 0.7
+
+#: The touch input device a script writes to when none is given.
+DEFAULT_DEVICE_NODE = "/dev/input/event2"
+
 
 class Opacity(Enum):
     HIGH = "high"
@@ -365,6 +371,14 @@ def valid_device_node(node: str) -> bool:
     """True when `node` can name the device on every log line of a
     script: a non-empty ASCII string without whitespace."""
     return isinstance(node, str) and node.isascii() and node.split() == [node]
+
+
+def valid_confidence(threshold: float) -> bool:
+    """True when `threshold` can be a minimum detection confidence: a
+    finite number in [0, 1] that is not a bool."""
+    # The range check is false for NaN and the infinities too.
+    return (isinstance(threshold, (int, float)) and not isinstance(threshold, bool)
+            and 0.0 <= threshold <= 1.0)
 
 
 def serialize_trace(trace: DetectionTrace) -> bytes:

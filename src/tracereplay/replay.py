@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .codegen import parse_runnable, validate_events
+from .config import Config
 from .errors import ConfigError, NonZeroExit, TransportError
 from .model import Frozen
 
@@ -67,7 +68,8 @@ class BridgeTransport(DeviceTransport):
     so that a dry run never loads them.
     """
 
-    def __init__(self, bridge_path: str = "adb", serial: str | None = None):
+    def __init__(self, bridge_path: str = Config.bridge_path,
+                 serial: str | None = None):
         _setting("bridge_path", bridge_path)
         if serial is not None:
             _setting("serial", serial, "str | None")
@@ -123,7 +125,7 @@ class ReplayConfig(Frozen):
 
     _fields = ("agent_path", "remote_dir")
 
-    def __init__(self, agent_path: str, remote_dir: str = "/data/local/tmp"):
+    def __init__(self, agent_path: str, remote_dir: str = Config.remote_dir):
         _setting("agent_path", agent_path)
         _setting("remote_dir", remote_dir)
         self._set(agent_path, remote_dir)

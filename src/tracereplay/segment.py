@@ -33,12 +33,9 @@ from math import dist
 
 from .errors import SchemaViolation
 from .model import (
-    _LOW, DetectionTrace, Frozen, Opacity, TouchDetection, _center, _frame,
-    _frame_and_center, _opacity, _tuple_of, _unchecked,
+    _LOW, MIN_CONFIDENCE, DetectionTrace, Frozen, Opacity, TouchDetection, _center,
+    _frame, _frame_and_center, _opacity, _tuple_of, _unchecked, valid_confidence,
 )
-
-#: Detections below this confidence are dropped before linking.
-MIN_CONFIDENCE = 0.7
 
 #: Sequences spanning this many frames or fewer are discarded.
 MAX_DISCARD_FRAMES = 2
@@ -100,7 +97,13 @@ class TouchSequence(Frozen):
 def filter_confidence(
     trace: DetectionTrace, min_confidence: float = MIN_CONFIDENCE
 ) -> DetectionTrace:
-    """Drop detections whose confidence is strictly below the threshold."""
+    """Drop detections whose confidence is strictly below the threshold.
+    Raises SchemaViolation unless the threshold is a finite number in
+    [0, 1] (see `valid_confidence`)."""
+    if not valid_confidence(min_confidence):
+        raise SchemaViolation(
+            f"min_confidence must be a finite number in [0, 1], got {min_confidence!r}"
+        )
     kept = tuple([d for d in trace.detections if d.confidence >= min_confidence])
     # A subset of a validated, sorted trace needs no second validation.
     return _unchecked(

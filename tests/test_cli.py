@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import inspect
 import io
 import json
 import os
@@ -13,13 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tracereplay import codegen, segment
 from tracereplay.classify import classify_trace
 from tracereplay.cli import _build_parser, main
 from tracereplay.config import Config, load_config
 from tracereplay.errors import ConfigError, SchemaViolation
 from tracereplay.model import DeviceProfile, serialize_trace
-from tracereplay.replay import BridgeTransport, ReplayConfig
 from tracereplay.synth import GroundTruthAction, GroundTruthScenario, synthesize_trace
 
 from conftest import UNDECODABLE_JSON, fake_bridge
@@ -171,6 +168,21 @@ def test_evaluate_report_is_pinned(tmp_path, capsys):
                  "--json-out", str(out)]) == 0
     assert capsys.readouterr().out == f"{EVALUATE_TABLE}wrote {out}\n"
     assert out.read_bytes() == EVALUATE_JSON
+
+
+def test_empty_ground_truth_names_its_scenario(tmp_path, capsys, profile):
+    fixture = tmp_path / "empty.json"
+    fixture.write_bytes(GroundTruthScenario(profile=profile, actions=()).to_json())
+    out = tmp_path / "out"
+    assert main(["synthesize", "--scenario", str(fixture), "--out-dir", str(out)]) == 0
+    assert (out / "truth.txt").read_text() == "trace -\n"
+    assert main(["classify", "--trace", str(out / "trace.json"),
+                 "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--pred", str(out / "predicted.txt"),
+                 "--truth", str(out / "truth.txt")]) == 2
+    assert capsys.readouterr().err == (
+        "error (evaluate): scenario 'trace' has an empty ground truth\n")
 
 
 def test_classify_malformed_json_exits_2(tmp_path):
@@ -711,16 +723,6 @@ class TestConfig:
         assert config.remote_dir == "/data/local/tmp"
         assert config.device_node == "/dev/input/event2"
         assert config.min_confidence == 0.7
-
-    def test_defaults_are_the_pipeline_constants(self):
-        # Written out in Config, which must not import these modules.
-        config = Config()
-        assert config.min_confidence == segment.MIN_CONFIDENCE
-        assert config.device_node == codegen.DEFAULT_DEVICE_NODE
-        remote_dir = inspect.signature(ReplayConfig).parameters["remote_dir"]
-        assert config.remote_dir == remote_dir.default
-        bridge = inspect.signature(BridgeTransport).parameters["bridge_path"]
-        assert config.bridge_path == bridge.default
 
     def test_config_rejects_assignment(self):
         config = load_config(None)

@@ -183,28 +183,28 @@ class TestPrecisionRecall:
 
 class TestBatch:
     def test_identical_pair(self):
-        report = evaluate_batch([(("T", "G"), ("T", "G"))])
+        report = evaluate_batch({"scn-1": (("T", "G"), ("T", "G"))})
         assert report.mean_levenshtein == 0
         assert report.mean_lcs_ratio == 1.0
         assert report.mean_macro_precision == 1.0
         assert report.mean_macro_recall == 1.0
 
     def test_mean_of_distances(self):
-        pairs = [
-            (("T", "G"), ("T", "G", "G")),          # distance 1
-            (("T",), ("G", "G", "T")),              # distance 2
-        ]
-        report = evaluate_batch(pairs)
+        scenarios = {
+            "a": (("T", "G"), ("T", "G", "G")),          # distance 1
+            "b": (("T",), ("G", "G", "T")),              # distance 2
+        }
+        report = evaluate_batch(scenarios)
         assert report.mean_levenshtein == 1.5
 
     def test_means_match_recomputation(self):
-        pairs = [
-            (("T", "G", "L"), ("T", "L")),
-            (("G",), ("G", "G2")),
-            ((), ("T",)),
-        ]
-        report = evaluate_batch(pairs)
-        per = [MetricsReport.from_sequences(p, t) for p, t in pairs]
+        scenarios = {
+            "a": (("T", "G", "L"), ("T", "L")),
+            "b": (("G",), ("G", "G2")),
+            "c": ((), ("T",)),
+        }
+        report = evaluate_batch(scenarios)
+        per = [MetricsReport.from_sequences(p, t) for p, t in scenarios.values()]
         assert report.mean_lcs_ratio == pytest.approx(
             sum(r.lcs_ratio for r in per) / len(per)
         )
@@ -214,20 +214,23 @@ class TestBatch:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(EmptyGroundTruth):
-            evaluate_batch([])
+            evaluate_batch({})
 
-    @pytest.mark.parametrize("ids", [[], ["scn-1"], ["scn-1", "scn-2", "scn-3"]])
-    def test_ids_must_name_every_pair(self, ids):
-        pairs = [(("T",), ("T",)), (("G",), ("T",))]
-        with pytest.raises(SchemaViolation, match=f"^{len(ids)} ids for 2 pairs$"):
-            evaluate_batch(pairs, ids)
+    def test_empty_truth_names_its_scenario(self):
+        scenarios = {"a": (("T",), ("T",)), "b": (("G",), ()), "c": ((), ())}
+        with pytest.raises(EmptyGroundTruth,
+                           match="^scenario 'b' has an empty ground truth$"):
+            evaluate_batch(scenarios)
 
-    def test_generated_ids_when_none_given(self):
-        report = evaluate_batch([(("T",), ("T",)), (("G",), ("T",))], ids=None)
-        assert report.ids == ("pair-0", "pair-1")
+    def test_each_scenario_keeps_its_report(self):
+        report = evaluate_batch({"b": (("G",), ("T",)), "a": (("T",), ("T",))})
+        assert list(report.scenarios) == ["b", "a"]
+        assert report.scenarios["a"] == MetricsReport.from_sequences(("T",), ("T",))
+        assert list(report.to_dict()["scenarios"]) == ["b", "a"]
+        assert report.mean_levenshtein == 0.5
 
     def test_table_contains_mean_row(self):
-        report = evaluate_batch([(("T",), ("T",))], ids=["scn-1"])
+        report = evaluate_batch({"scn-1": (("T",), ("T",))})
         table = report.format_table()
         assert "scn-1" in table
         assert "MEAN" in table

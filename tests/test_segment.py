@@ -1,7 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracereplay.classify import classify_trace
 from tracereplay.errors import BoundsViolation, SchemaViolation
 from tracereplay.model import DetectionTrace, DeviceProfile, Opacity
 from tracereplay.segment import TouchSequence, filter_confidence, segment_trace
@@ -117,6 +120,23 @@ class TestFilterConfidence:
         touches = [make_touch(f, 100, 100, confidence=1.0) for f in range(5)]
         trace = make_trace(profile, touches)
         assert filter_confidence(trace) == trace
+
+    @pytest.mark.parametrize("stage", [filter_confidence, segment_trace, classify_trace])
+    @pytest.mark.parametrize(
+        "threshold", [float("nan"), float("inf"), -float("inf"), -0.1, 1.5, "0.5",
+                      None, True],
+        ids=["nan", "inf", "-inf", "-0.1", "1.5", "str", "None", "True"])
+    def test_threshold_outside_0_to_1_rejected(self, profile, stage, threshold):
+        trace, _ = synthesize_trace(random_scenario(profile, seed=1), NoiseModel())
+        message = f"min_confidence must be a finite number in [0, 1], got {threshold!r}"
+        with pytest.raises(SchemaViolation, match=f"^{re.escape(message)}$"):
+            stage(trace, min_confidence=threshold)
+
+    @pytest.mark.parametrize("stage", [filter_confidence, segment_trace, classify_trace])
+    def test_threshold_0_and_1_accepted(self, profile, stage):
+        trace, _ = synthesize_trace(random_scenario(profile, seed=1), NoiseModel())
+        for threshold in (0, 1, 0.0, 1.0):
+            stage(trace, min_confidence=threshold)
 
 
 class TestGroupConsecutive:
