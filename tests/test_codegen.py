@@ -29,6 +29,7 @@ from tracereplay.codegen import (
     parse_script,
     serialize_script,
     translate_runnable,
+    validate_events,
     validate_script,
 )
 from tracereplay.errors import ScriptFormatError, SlotExhaustion
@@ -683,6 +684,22 @@ class TestRecordRanges:
         self.compile(huge, opened, (0, EV_ABS, ABS_MT_POSITION_X, 2**31 - 1), y, *closed)
         with pytest.raises(ScriptFormatError, match="^x=2147483648 off screen$"):
             self.compile(huge, opened, (0, EV_ABS, ABS_MT_POSITION_X, 2**31), y, *closed)
+
+    def test_window_of_equal_but_distinct_timestamps_accepted(self):
+        # Each event's timestamp is its own int object, equal in value.
+        t = [int("4000000000") for _ in range(6)]
+        u = [int("4000033333") for _ in range(3)]
+        assert t[0] is not t[1]
+        window = [(t[0], EV_ABS, ABS_MT_SLOT, 0), (t[1], EV_ABS, ABS_MT_TRACKING_ID, 1),
+                  (t[2], EV_KEY, BTN_TOUCH, 1), (t[3], EV_ABS, ABS_MT_POSITION_X, 5),
+                  (t[4], EV_ABS, ABS_MT_POSITION_Y, 5), (t[5], EV_SYN, SYN_REPORT, 0)]
+        closing = [(u[0], EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE),
+                   (u[1], EV_KEY, BTN_TOUCH, 0), (u[2], EV_SYN, SYN_REPORT, 0)]
+        validate_events(window + closing)
+        window[3] = (int("4000000001"), *window[3][1:])
+        with pytest.raises(ScriptFormatError, match="^window at 4000000000us holds "
+                           "an event at 4000000001us$"):
+            validate_events(window + closing)
 
     def test_edges_of_each_range_encode(self, profile):
         """Two steps of u32 microseconds, the last slot, the largest

@@ -338,6 +338,45 @@ class TestParseTrace:
         assert parse_trace(serialize_trace(trace)) == trace
 
 
+def first_misplaced(detections, frame_count, width, height):
+    """Brute-force oracle of the placement check: (error type, message)
+    of the first misplaced detection by (frame, input index), its frame
+    checked before its bbox; None when every detection is in place."""
+    for _, d in sorted(enumerate(detections), key=lambda p: (p[1].frame, p[0])):
+        if d.frame >= frame_count:
+            return SchemaViolation, f"detection frame {d.frame} >= frame_count {frame_count}"
+        x, y, w, h = d.bbox
+        if x < 0 or y < 0 or x + w > width or y + h > height:
+            return BoundsViolation, (
+                f"bbox {d.bbox} outside {width}x{height} screen (frame {d.frame})")
+    return None
+
+
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(-5, 190),
+                          st.integers(-5, 290)), max_size=12),
+       st.integers(0, 8))
+@example([(5, 190, 10)], 3)  # past frame_count and off screen: the frame decides
+@example([(4, 10, 10), (4, -1, 10), (4, 190, 10), (2, 10, 10)], 8)
+def test_placement_check_matches_oracle(placements, frame_count):
+    # Shuffled detections on a 200x300 screen, each 20x20 at (x, y).
+    profile = DeviceProfile(name="d", screen_width=200, screen_height=300, fps=30)
+    detections = [TouchDetection(frame, (float(x), float(y), 20.0, 20.0), 0.9,
+                                 Opacity.HIGH)
+                  for frame, x, y in placements]
+    want = first_misplaced(detections, frame_count, 200, 300)
+    if want is None:
+        trace = DetectionTrace(profile, detections, frame_count)
+        # A stable sort: the very detection objects, ties in input order.
+        expected = sorted(detections, key=lambda d: d.frame)
+        assert len(trace.detections) == len(expected)
+        assert all(a is b for a, b in zip(trace.detections, expected))
+    else:
+        with pytest.raises(want[0]) as caught:
+            DetectionTrace(profile, detections, frame_count)
+        assert type(caught.value) is want[0]
+        assert str(caught.value) == want[1]
+
+
 #: A valid value of each constructor argument of a one-detection trace.
 VALID_ARGUMENTS = {
     "name": st.text(max_size=8), "width": st.integers(100, 3000),
