@@ -92,7 +92,8 @@ class AtomicAction(TouchSequence):
 
 
 class MultiFingerItem(Frozen):
-    """One multi-fingered gesture: its fingers' actions and finger count."""
+    """One multi-fingered gesture: its fingers' actions and finger count,
+    at most one finger per action."""
 
     _fields = ("actions", "finger_count")
 
@@ -101,6 +102,8 @@ class MultiFingerItem(Frozen):
                             "mfa actions must be an iterable of AtomicAction")
         _require(actions, "mfa item must have at least one action")
         _int(finger_count, "finger_count", 1)
+        _require(finger_count <= len(actions), f"finger_count {finger_count} "
+                 f"exceeds the item's {len(actions)} actions")
         self._set(actions, finger_count)
 
     @property

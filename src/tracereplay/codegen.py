@@ -67,9 +67,8 @@ _RECORD = struct.Struct("<IHHi")
 _U32_MAX = 0xFFFFFFFF
 _I32_END = 1 << 31
 
-_LOG_LINE = re.compile(
-    r"^\[(\d+)\.(\d{6})\] (\S+): ([0-9a-f]{4}) ([0-9a-f]{4}) ([0-9a-f]{8})$"
-)
+#: One event line of the log; `parse_script` compiles it, not every import.
+_LOG_LINE = r"^\[(\d+)\.(\d{6})\] (\S+): ([0-9a-f]{4}) ([0-9a-f]{4}) ([0-9a-f]{8})$"
 
 #: "type code " log text of each (event type, code) pair of the vocabulary.
 _TYPE_CODE_TEXT = {
@@ -168,7 +167,6 @@ def assemble_script(
     fps = profile.fps
     max_x, max_y = profile.screen_width - 1, profile.screen_height - 1
     events = []
-    append = events.append
     next_tid = 1
     t = 0  # timestamp of the last window
     for anchor, contacts in _clusters(scenario.items):
@@ -197,7 +195,7 @@ def assemble_script(
         t = t_window
         for frame, is_release, order, center in marks:
             if frame != window:
-                append((t, EV_SYN, SYN_REPORT, 0))
+                events.append((t, EV_SYN, SYN_REPORT, 0))
                 window = frame
                 t = t_anchor + frame_offset_us(frame - anchor, fps)
             slot = slot_of[order]
@@ -207,26 +205,26 @@ def assemble_script(
                         f"more than {MAX_SLOTS} contacts down at frame {frame}"
                     )
                 slot = slot_of[order] = heappop(free_slots)
-                append((t, EV_ABS, ABS_MT_SLOT, slot))
-                append((t, EV_ABS, ABS_MT_TRACKING_ID, next_tid))
+                events.append((t, EV_ABS, ABS_MT_SLOT, slot))
+                events.append((t, EV_ABS, ABS_MT_TRACKING_ID, next_tid))
                 next_tid += 1
                 if len(free_slots) == MAX_SLOTS - 1:  # the first one down
-                    append((t, EV_KEY, BTN_TOUCH, 1))
+                    events.append((t, EV_KEY, BTN_TOUCH, 1))
             elif multi:
-                append((t, EV_ABS, ABS_MT_SLOT, slot))
+                events.append((t, EV_ABS, ABS_MT_SLOT, slot))
             if is_release:
-                append((t, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE))
+                events.append((t, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE))
                 heappush(free_slots, slot)
                 if len(free_slots) == MAX_SLOTS:  # the last one up
-                    append((t, EV_KEY, BTN_TOUCH, 0))
+                    events.append((t, EV_KEY, BTN_TOUCH, 0))
             else:
                 # The center rounded half-up to device pixels, on-screen.
                 cx, cy = center
                 x = min(max(floor(cx + 0.5), 0), max_x)
                 y = min(max(floor(cy + 0.5), 0), max_y)
-                append((t, EV_ABS, ABS_MT_POSITION_X, x))
-                append((t, EV_ABS, ABS_MT_POSITION_Y, y))
-        append((t, EV_SYN, SYN_REPORT, 0))
+                events.append((t, EV_ABS, ABS_MT_POSITION_X, x))
+                events.append((t, EV_ABS, ABS_MT_POSITION_Y, y))
+        events.append((t, EV_SYN, SYN_REPORT, 0))
     return SendEventScript(device_node, events, profile)
 
 
@@ -276,18 +274,17 @@ def validate_events(events, x_end: int = _I32_END, y_end: int = _I32_END) -> Non
             t, etype, code, value = event
         except (TypeError, ValueError):
             raise _outside_vocabulary(event) from None
-        # A timestamp object checked once needs no second check.
-        if (type(event) is not tuple or type(etype) is not int or type(code) is not int
-                or type(value) is not int or t is not last_t and type(t) is not int):
+        if (type(event) is not tuple or type(t) is not int or type(etype) is not int
+                or type(code) is not int or type(value) is not int):
             raise _outside_vocabulary(event)
-        if t is not last_t:
+        if t != last_t:
             if t < last_t:
                 raise ScriptFormatError(f"timestamp decreases at {t}us")
             if t > last_t + _U32_MAX:
                 raise ScriptFormatError(
                     f"timestamp step {t - last_t}us at {t}us exceeds u32"
                 )
-            if in_window and t != last_t:
+            if in_window:
                 raise ScriptFormatError(f"window at {last_t}us holds an event at {t}us")
             last_t = t
         in_window = True
@@ -355,15 +352,14 @@ def serialize_script(script: SendEventScript) -> bytes:
         f"# device_node: {node}",
         f"# profile: {json.dumps(script.profile.to_dict(), sort_keys=True)}",
     ]
-    append = lines.append
-    type_code = _TYPE_CODE_TEXT
     prefix_t = None
     # Events of one sync window share their timestamp, hence the prefix.
     for t, etype, code, value in script.events:
         if t != prefix_t:
             prefix_t = t
             prefix = "[%d.%06d] %s: " % (t // 1_000_000, t % 1_000_000, node)
-        append("%s%s%08x" % (prefix, type_code[etype, code], value & 0xFFFFFFFF))
+        lines.append(
+            "%s%s%08x" % (prefix, _TYPE_CODE_TEXT[etype, code], value & 0xFFFFFFFF))
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -386,7 +382,7 @@ def parse_script(data: bytes | str) -> SendEventScript:
     device_node = None
     profile = None
     events = []
-    append = events.append
+    log_line = re.compile(_LOG_LINE)
     for raw in lines:
         line = raw.rstrip()
         if not line:
@@ -399,7 +395,7 @@ def parse_script(data: bytes | str) -> SendEventScript:
                     line[len("# profile: "):], ScriptFormatError, "bad profile header"
                 ))
             continue
-        match = _LOG_LINE.match(line)
+        match = log_line.match(line)
         if match is None:
             raise ScriptFormatError(f"bad log line: {line!r}")
         secs, micros, node, etype, code, value = match.groups()
@@ -414,7 +410,7 @@ def parse_script(data: bytes | str) -> SendEventScript:
             seconds = int(secs)
         except ValueError:  # more digits than int() converts
             raise ScriptFormatError(f"log timestamp has {len(secs)} digits") from None
-        append((
+        events.append((
             seconds * 1_000_000 + int(micros),
             int(etype, 16),
             int(code, 16),
@@ -430,11 +426,9 @@ def parse_script(data: bytes | str) -> SendEventScript:
 def translate_runnable(script: SendEventScript) -> bytes:
     """Write the compact delta-timestamped form for the replay agent."""
     chunks = [RUNNABLE_MAGIC]
-    append = chunks.append
-    pack = _RECORD.pack
     prev = 0
     for t, etype, code, value in script.events:
-        append(pack(t - prev, etype, code, value))
+        chunks.append(_RECORD.pack(t - prev, etype, code, value))
         prev = t
     return b"".join(chunks)
 

@@ -40,7 +40,6 @@ import re
 from collections import namedtuple
 from collections.abc import Iterable
 from enum import Enum
-from itertools import repeat
 from operator import itemgetter
 
 from .errors import BoundsViolation, MalformedJson, SchemaViolation, TraceReplayError
@@ -65,10 +64,9 @@ class Opacity(Enum):
     LOW = "low"
 
 
-#: The members and the check the detection loader uses once per
-#: detection, bound here so that it reads no class or module attribute.
+#: The members the detection loader uses once per detection, bound here
+#: so that it reads no attribute of the enum class.
 _HIGH, _LOW = Opacity.HIGH, Opacity.LOW
-_isfinite = math.isfinite
 #: Every integer field lies below this; see `_int`.
 _INT_CEILING = 2**1000
 _tuple_new = tuple.__new__
@@ -180,11 +178,11 @@ class TouchDetection(
         except OverflowError:
             message = f"bbox or confidence out of float range (frame {frame})"
             raise SchemaViolation(message) from None
-        if not all(map(_isfinite, bbox)):
+        if not all(map(math.isfinite, bbox)):
             raise SchemaViolation(f"bbox entries must be finite, got {bbox}")
         x, y, w, h = bbox
         center = x + w / 2.0, y + h / 2.0
-        if not all(map(_isfinite, center)):
+        if not all(map(math.isfinite, center)):
             raise SchemaViolation(f"bbox center must be finite, got {bbox}")
         if w <= 0 or h <= 0:
             raise SchemaViolation(f"bbox size must be > 0, got {bbox}")
@@ -237,7 +235,7 @@ class TouchDetection(
             and w > 0.0 and h > 0.0 and 0.0 <= confidence <= 1.0
             and (opacity == "high" or opacity == "low")
             # A finite center has finite entries; an overflow falls through.
-            and _isfinite((cx := x + w / 2.0) + (cy := y + h / 2.0))
+            and math.isfinite((cx := x + w / 2.0) + (cy := y + h / 2.0))
         ):
             return _tuple_new(cls, (
                 frame, (x, y, w, h), confidence,
@@ -259,7 +257,6 @@ class TouchDetection(
 #: grouping key of detections (`DetectionTrace`, `segment`).
 _frame = itemgetter(0)
 _frame_and_bbox = itemgetter(0, 1)
-_opacity = itemgetter(3)
 _center = itemgetter(4)
 _frame_and_center = itemgetter(0, 4)
 
@@ -269,10 +266,10 @@ class DetectionTrace(Frozen):
 
     The constructor is the whole check: the profile must be a
     `DeviceProfile`, `frame_count` an integer in [0, 2**1000), and the
-    detections an iterable of `TouchDetection`, each inside the
-    profile's screen and before `frame_count`. Of the misplaced ones,
-    the first in frame order (ties in input order) is raised.
-    Detections given out of frame order are re-sorted (stable).
+    detections an iterable of `TouchDetection`, each before `frame_count`
+    and inside the profile's screen. It sorts the detections by frame
+    (stable, so ties keep their input order), then raises for the first
+    misplaced one, its frame checked before its bbox.
     """
 
     _fields = ("profile", "detections", "frame_count")
@@ -285,29 +282,17 @@ class DetectionTrace(Frozen):
         detections = _tuple_of(detections, TouchDetection,
                                "detections must be an iterable of TouchDetection")
         width, height = profile.screen_width, profile.screen_height
-        misplaced = None  # (frame, bbox) of the first misplaced detection
-        previous = 0
-        ordered = True
+        detections = tuple(sorted(detections, key=_frame))
         for frame, bbox in map(_frame_and_bbox, detections):
-            x, y, w, h = bbox
-            if (
-                frame >= frame_count or x < 0.0 or y < 0.0
-                or x + w > width or y + h > height
-            ) and (misplaced is None or frame < misplaced[0]):
-                misplaced = frame, bbox
-            ordered = ordered and frame >= previous
-            previous = frame
-        if misplaced is not None:
-            frame, bbox = misplaced
             if frame >= frame_count:
                 raise SchemaViolation(
                     f"detection frame {frame} >= frame_count {frame_count}"
                 )
-            raise BoundsViolation(
-                f"bbox {bbox} outside {width}x{height} screen (frame {frame})"
-            )
-        if not ordered:
-            detections = tuple(sorted(detections, key=_frame))
+            x, y, w, h = bbox
+            if x < 0.0 or y < 0.0 or x + w > width or y + h > height:
+                raise BoundsViolation(
+                    f"bbox {bbox} outside {width}x{height} screen (frame {frame})"
+                )
         self._set(profile, detections, frame_count)
 
     def __len__(self) -> int:
@@ -493,12 +478,9 @@ def dump_sequence_file(sequences: dict[str, Symbols]) -> str:
 def _unchecked(cls, **fields):
     """A `Frozen` record from fields that were already validated: its
     `__init__` does not run."""
-    obj = _new(cls)
+    obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
-
-
-_new = object.__new__
 
 
 def _is_number(value) -> bool:
@@ -510,7 +492,7 @@ def _tuple_of(values, types, message: str) -> tuple:
     takes them), else `SchemaViolation(message)`."""
     if isinstance(values, Iterable):
         values = tuple(values)
-        if all(map(isinstance, values, repeat(types))):
+        if all(isinstance(value, types) for value in values):
             return values
     raise SchemaViolation(message)
 

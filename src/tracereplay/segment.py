@@ -34,7 +34,7 @@ from math import dist
 from .errors import SchemaViolation
 from .model import (
     _LOW, MIN_CONFIDENCE, DetectionTrace, Frozen, Opacity, TouchDetection, _center,
-    _frame, _frame_and_center, _opacity, _tuple_of, _unchecked, valid_confidence,
+    _frame, _frame_and_center, _tuple_of, _unchecked, valid_confidence,
 )
 
 #: Sequences spanning this many frames or fewer are discarded.
@@ -192,9 +192,6 @@ def _greedy_match(
     ]
     links: list[tuple[int, int]] = []
     while pairs:
-        if len(pairs) == 1:  # the last free pair: nothing to compare
-            links.append(pairs[0][1:])
-            break
         best = min(pairs)[0]
         tied = [p for p in pairs if p[0] - best < tie_tolerance]
         if len(tied) == 1:
@@ -239,13 +236,15 @@ def _split_at_fades(
     Each piece is a valid sequence as it is cut: the chain's frames
     strictly increase, and a piece's low-opacity touches are a suffix.
     """
-    # Sentinels: every search for the next low, then high, touch succeeds.
-    opacities = [*map(_opacity, chain), Opacity.LOW, Opacity.HIGH]
     end = len(chain)
     start = 0
     while start < end:
-        low = min(opacities.index(Opacity.LOW, start), end)
-        cut = min(opacities.index(Opacity.HIGH, low), end)
+        low = start
+        while low < end and chain[low].opacity is Opacity.HIGH:
+            low += 1
+        cut = low
+        while cut < end and chain[cut].opacity is Opacity.LOW:
+            cut += 1
         if chain[cut - 1].frame - chain[start].frame + 1 > MAX_DISCARD_FRAMES:
             touches = tuple(chain[start:cut])
             sequences.append(_unchecked(

@@ -7,12 +7,13 @@ unchanged apart from their names. Mutated documents must load to the
 same scenario, or raise the same error type with the same message. The
 exceptions are the inputs the old loader crashed on with a raw
 `TypeError`, `KeyError` or `ValueError`, containers that are not lists,
-and a `finger_count` below 1, which the old loader took: the loader now
-raises `SchemaViolation` for all three. Like the old loader, an MFA
-item checks its `finger_count` as it is read, but after its actions: of
-an item with no action and a bad finger count, the old loader reported
-the count and the new one reports the empty item, which is what it
-reports once every finger count is 1.
+and a `finger_count` below 1 or above the item's number of actions,
+which the old loader took: the loader now raises `SchemaViolation` for
+all of them. Like the old loader, an MFA item checks its `finger_count`
+as it is read, but after its actions: of an item with no action and a
+bad finger count, the old loader reported the count and the new one
+reports the empty item, which is what it reports once every finger
+count is 1.
 """
 
 from __future__ import annotations
@@ -157,10 +158,13 @@ def _has_non_list(doc) -> bool:
     )
 
 
-def _has_finger_count_below_1(doc) -> bool:
+def _has_finger_count_out_of_range(doc) -> bool:
+    """An mfa item counts fewer than 1 finger, or more than its actions."""
     return any(
         isinstance(node, dict) and node.get("type") == "mfa"
-        and type(node.get("finger_count")) is int and node["finger_count"] < 1
+        and type(node.get("finger_count")) is int
+        and (node["finger_count"] < 1 or isinstance(node.get("actions"), list)
+             and node["finger_count"] > len(node["actions"]))
         for _, node in _nodes(doc)
     )
 
@@ -196,7 +200,7 @@ def test_mutated_documents_load_like_oracle(scenario, defects, rnd, as_bytes):
         want = _outcome(_oracle_from_json, text)
     except (TypeError, KeyError, ValueError):
         want = None  # the old loader crashed
-    if want is None or _has_non_list(doc) or _has_finger_count_below_1(doc):
+    if want is None or _has_non_list(doc) or _has_finger_count_out_of_range(doc):
         assert isinstance(got, tuple) and got[0] is SchemaViolation, got
         return
     if (got != want and isinstance(want, tuple)

@@ -104,14 +104,14 @@ def actions(draw):
     return AtomicAction(kind=kind, touches=touches)
 
 
-items = st.one_of(
-    actions(),
-    st.builds(
-        MultiFingerItem,
-        actions=st.lists(actions(), min_size=1, max_size=3).map(tuple),
-        finger_count=st.integers(1, 10),
-    ),
-)
+@st.composite
+def multi_finger_items(draw):
+    fingers = tuple(draw(st.lists(actions(), min_size=1, max_size=3)))
+    # At most one finger per action.
+    return MultiFingerItem(fingers, draw(st.integers(1, len(fingers))))
+
+
+items = st.one_of(actions(), multi_finger_items())
 
 
 @st.composite

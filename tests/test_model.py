@@ -611,6 +611,8 @@ class TestConstructorIsTheCheck:
          "field 'finger_count' must be in [1, 2**1000), got 0"),
         (lambda: _scenario_of(MultiFingerItem((_TAP,), 1.0)),
          "field 'finger_count' must be an integer, got 1.0"),
+        (lambda: _scenario_of(MultiFingerItem((_TAP, _TAP), 3)),
+         "finger_count 3 exceeds the item's 2 actions"),
         (lambda: TouchSequence((1,)), _NO_TOUCHES),
         (lambda: TouchSequence(5), _NO_TOUCHES),
         (lambda: TouchSequence(None), _NO_TOUCHES),
@@ -618,7 +620,8 @@ class TestConstructorIsTheCheck:
             "scenario-profile-none", "items-int", "item-int", "action-kind-str",
             "action-frames-repeat", "action-high-after-low", "action-no-touches",
             "action-touch-int", "mfa-action-int", "mfa-no-action",
-            "mfa-zero-fingers", "mfa-float-fingers", "sequence-touch-int",
+            "mfa-zero-fingers", "mfa-float-fingers", "mfa-more-fingers-than-actions",
+            "sequence-touch-int",
             "sequence-int", "sequence-none"])
     def test_trace_and_scenario_argument_of_wrong_shape(self, build, message):
         with pytest.raises(SchemaViolation) as caught:
@@ -729,9 +732,11 @@ class TestIntegerCeiling:
     def test_finger_count(self):
         touch = {"frame": 0, "bbox": [10.0, 10.0, 40.0, 40.0], "confidence": 0.9,
                  "opacity": "high"}
-        near = ClassifiedScenario.from_json(classified_json(touch, CEILING - 1))
-        assert near.items[0].finger_count == CEILING - 1
-        assert ClassifiedScenario.from_json(near.to_json()) == near
+        # Below the ceiling, the count is checked against the item's actions.
+        with pytest.raises(SchemaViolation) as caught:
+            ClassifiedScenario.from_json(classified_json(touch, CEILING - 1))
+        assert str(caught.value) == (
+            f"finger_count {CEILING - 1} exceeds the item's 2 actions")
         for value, got in ((CEILING, ""), (0, ", got 0"), (-1, ", got -1")):
             with pytest.raises(SchemaViolation) as caught:
                 ClassifiedScenario.from_json(classified_json(touch, value))
