@@ -257,6 +257,7 @@ class TouchDetection(
 #: grouping key of detections (`DetectionTrace`, `segment`).
 _frame = itemgetter(0)
 _frame_and_bbox = itemgetter(0, 1)
+_opacity = itemgetter(3)
 _center = itemgetter(4)
 _frame_and_center = itemgetter(0, 4)
 

@@ -34,7 +34,7 @@ from math import dist
 from .errors import SchemaViolation
 from .model import (
     _LOW, MIN_CONFIDENCE, DetectionTrace, Frozen, Opacity, TouchDetection, _center,
-    _frame, _frame_and_center, _tuple_of, _unchecked, valid_confidence,
+    _frame, _frame_and_center, _opacity, _tuple_of, _unchecked, valid_confidence,
 )
 
 #: Sequences spanning this many frames or fewer are discarded.
@@ -236,15 +236,13 @@ def _split_at_fades(
     Each piece is a valid sequence as it is cut: the chain's frames
     strictly increase, and a piece's low-opacity touches are a suffix.
     """
+    # Sentinels: every search for the next low, then high, touch succeeds.
+    opacities = [*map(_opacity, chain), Opacity.LOW, Opacity.HIGH]
     end = len(chain)
     start = 0
     while start < end:
-        low = start
-        while low < end and chain[low].opacity is Opacity.HIGH:
-            low += 1
-        cut = low
-        while cut < end and chain[cut].opacity is Opacity.LOW:
-            cut += 1
+        low = min(opacities.index(Opacity.LOW, start), end)
+        cut = min(opacities.index(Opacity.HIGH, low), end)
         if chain[cut - 1].frame - chain[start].frame + 1 > MAX_DISCARD_FRAMES:
             touches = tuple(chain[start:cut])
             sequences.append(_unchecked(
