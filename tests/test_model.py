@@ -344,7 +344,8 @@ def first_misplaced(detections, frame_count, width, height):
     checked before its bbox; None when every detection is in place."""
     for _, d in sorted(enumerate(detections), key=lambda p: (p[1].frame, p[0])):
         if d.frame >= frame_count:
-            return SchemaViolation, f"detection frame {d.frame} >= frame_count {frame_count}"
+            return SchemaViolation, (
+                f"detection frame {d.frame} >= frame_count {frame_count}")
         x, y, w, h = d.bbox
         if x < 0 or y < 0 or x + w > width or y + h > height:
             return BoundsViolation, (
@@ -621,8 +622,7 @@ class TestConstructorIsTheCheck:
             "action-frames-repeat", "action-high-after-low", "action-no-touches",
             "action-touch-int", "mfa-action-int", "mfa-no-action",
             "mfa-zero-fingers", "mfa-float-fingers", "mfa-more-fingers-than-actions",
-            "sequence-touch-int",
-            "sequence-int", "sequence-none"])
+            "sequence-touch-int", "sequence-int", "sequence-none"])
     def test_trace_and_scenario_argument_of_wrong_shape(self, build, message):
         with pytest.raises(SchemaViolation) as caught:
             build()
