@@ -1,4 +1,4 @@
-"""Action classification: Tap / LongTap / Gesture, then SFA/MFA grouping.
+"""Action classification: "tap", "long_tap" or "gesture", then SFA/MFA grouping.
 
 A segmented touch sequence is a Tap when every center stays within the
 device touch slop of the first center and the active span (first touch
@@ -7,7 +7,7 @@ is stationary but longer; a Gesture otherwise. Actions whose frames
 mostly contain multiple simultaneous touches are regrouped into
 multi-fingered actions via a chronological stack sweep, and each
 multi-fingered group's finger count is the per-frame touch-count mode.
-A scenario's symbols are spelled in `model`'s action-symbol alphabet.
+Kinds and a scenario's symbols are spelled in `model`'s action-symbol alphabet.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from enum import Enum
 
 from .errors import SchemaViolation
 from .model import (
@@ -57,43 +56,33 @@ MIN_HIGH_FRACTION = 0.1
 MULTI_TOUCH_GATE = 0.5
 
 
-class ActionKind(Enum):
-    TAP = "tap"
-    LONG_TAP = "long_tap"
-    GESTURE = "gesture"
-
-
 class AtomicAction(TouchSequence):
-    """One finger's classified contiguous contact: a `TouchSequence`, with
-    its checks, its derived `high_touches` and its frames, plus its kind."""
+    """One finger's classified contiguous contact, of a `KIND_SYMBOLS` kind:
+    a `TouchSequence`, with its checks, its derived `high_touches` and its frames."""
 
     _fields = ("kind", "touches")
 
-    def __init__(self, kind: ActionKind, touches: tuple[TouchDetection, ...]):
-        _require(isinstance(kind, ActionKind), "action kind must be an ActionKind")
+    def __init__(self, kind: str, touches: tuple[TouchDetection, ...]):
+        _require(isinstance(kind, str) and kind in KIND_SYMBOLS,
+                 f"unknown action kind {kind!r}")
         sequence = TouchSequence(touches)
         self._set(kind, sequence.touches, high_touches=sequence.high_touches)
 
     def symbol(self) -> str:
-        return KIND_SYMBOLS[self.kind.value]
+        return KIND_SYMBOLS[self.kind]
 
     @classmethod
     def from_dict(cls, data: dict) -> "AtomicAction":
         if not isinstance(data, dict) or "kind" not in data or "touches" not in data:
             raise SchemaViolation("action must be an object with kind and touches")
-        try:
-            kind = ActionKind(data["kind"])
-        except ValueError:
-            raise SchemaViolation(f"unknown action kind {data['kind']!r}") from None
         raw = data["touches"]
-        if not isinstance(raw, list):
-            raise SchemaViolation("action touches must be a list")
-        return cls(kind, map(TouchDetection.from_dict, raw))
+        _require(isinstance(raw, list), "action touches must be a list")
+        return cls(data["kind"], map(TouchDetection.from_dict, raw))
 
 
 class MultiFingerItem(Frozen):
-    """One multi-fingered gesture: its fingers' actions and finger count,
-    at most one finger per action."""
+    """One multi-fingered gesture: its fingers' actions, which start with
+    distinct detections, and finger count, at most one finger per action."""
 
     _fields = ("actions", "finger_count")
 
@@ -104,6 +93,8 @@ class MultiFingerItem(Frozen):
         _int(finger_count, "finger_count", 1)
         _require(finger_count <= len(actions), f"finger_count {finger_count} "
                  f"exceeds the item's {len(actions)} actions")
+        _require(len({a.touches[0] for a in actions}) == len(actions),
+                 "mfa actions must start with distinct detections")
         self._set(actions, finger_count)
 
     @property
@@ -209,11 +200,11 @@ def classify_action(
         math.hypot(x - x0, y - y0) <= slop for x, y in map(_center, touches)
     )
     if not stationary:
-        kind = ActionKind.GESTURE
+        kind = "gesture"
     else:
         cutoff = tap_cutoff_frames(profile, duration_based_cutoff)
         active = sequence.last_high_frame - sequence.start_frame + 1
-        kind = ActionKind.TAP if active <= cutoff else ActionKind.LONG_TAP
+        kind = "tap" if active <= cutoff else "long_tap"
     # The sequence was checked when it was built.
     return _unchecked(AtomicAction, kind=kind, touches=touches,
                       high_touches=sequence.high_touches)
@@ -325,7 +316,7 @@ def _action_json(action: AtomicAction, depth: int) -> str:
     """One action object opening at `depth` (its first line unindented)."""
     pad = "  " * (depth + 1)
     return (
-        f'{{\n{pad}"kind": "{action.kind.value}",\n'
+        f'{{\n{pad}"kind": "{action.kind}",\n'
         f'{pad}"touches": {detections_json(action.touches, depth + 1)}'
         f'\n{"  " * depth}}}'
     )

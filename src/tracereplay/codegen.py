@@ -34,7 +34,7 @@ from heapq import heappop, heappush
 from itertools import accumulate
 from math import floor
 
-from .classify import ActionKind, AtomicAction, ClassifiedScenario
+from .classify import AtomicAction, ClassifiedScenario
 from .errors import ScriptFormatError, SlotExhaustion
 from .model import (
     DEFAULT_DEVICE_NODE, DeviceProfile, Frozen, _frame_and_center, decode_json,
@@ -115,7 +115,7 @@ def _contacts(item):
     """
     if isinstance(item, AtomicAction):
         samples = item.touches[:1]
-        if item.kind is ActionKind.GESTURE:
+        if item.kind == "gesture":
             samples += item.high_touches[1:]
         return [(item.last_high_frame + 1, samples)]
     return [

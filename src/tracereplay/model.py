@@ -22,10 +22,11 @@ Trace JSON schema (version 1)::
 All downstream logic works with the bbox center point only.
 
 A detection (`TouchDetection`) is a tuple `(frame, bbox, confidence,
-opacity, center)` with `center` derived from `bbox`. The loader builds
-each one in C, with one `tuple.__new__` after its own checks, and the
-loops over every detection read its fields through C getters, by
-position or by name. The other records are `Frozen` objects.
+opacity, center)`, its opacity the trace's word (`HIGH` or `LOW`) and
+`center` derived from `bbox`. The loader builds each one in C, with one
+`tuple.__new__` after its own checks, and the loops over every
+detection read its fields through C getters, by position or by name.
+The other records are `Frozen` objects.
 
 The module is also the one home of the action-symbol alphabet that truth
 (`synth`) and predictions (`classify`) are spelled in, and of the
@@ -39,7 +40,6 @@ import math
 import re
 from collections import namedtuple
 from collections.abc import Iterable
-from enum import Enum
 from operator import itemgetter
 
 from .errors import BoundsViolation, MalformedJson, SchemaViolation, TraceReplayError
@@ -59,14 +59,9 @@ MIN_CONFIDENCE = 0.7
 DEFAULT_DEVICE_NODE = "/dev/input/event2"
 
 
-class Opacity(Enum):
-    HIGH = "high"
-    LOW = "low"
+#: The two opacity classes of a detection, spelled as in a trace.
+HIGH, LOW = "high", "low"
 
-
-#: The members the detection loader uses once per detection, bound here
-#: so that it reads no attribute of the enum class.
-_HIGH, _LOW = Opacity.HIGH, Opacity.LOW
 #: Every integer field lies below this; see `_int`.
 _INT_CEILING = 2**1000
 _tuple_new = tuple.__new__
@@ -154,19 +149,21 @@ class TouchDetection(
     w, h) in pixels. `center`, the canonical touch coordinate (the bbox
     center), is derived from `bbox` when the detection is built, so it
     is no constructor argument, never changes what `==` means and is
-    left out of `repr`. The constructor checks every field: `frame` an
-    integer in [0, 2**1000) (see `_int`), `opacity` an `Opacity` member,
-    `bbox` (4 of them) and `confidence` numbers, never bools or strings,
-    stored as floats, finite and in range, and the center finite. Every
-    detection is built by it or by `from_dict`, which runs the same checks.
+    left out of `repr`. The constructor checks every field: `opacity` a
+    string equal to `HIGH` or `LOW`, stored as that constant, `frame` an
+    integer in [0, 2**1000) (see `_int`), `bbox` (4 of them) and
+    `confidence` numbers, never bools or strings, stored as floats,
+    finite and in range, and the center finite. Every detection is built
+    by it or by `from_dict`, which runs the same checks.
     """
 
     __slots__ = ()
 
     def __new__(cls, frame: int, bbox: tuple[float, float, float, float],
-                confidence: float, opacity: Opacity):
-        if opacity is not _HIGH and opacity is not _LOW:
-            raise SchemaViolation(f"opacity must be an Opacity member, got {opacity!r}")
+                confidence: float, opacity: str):
+        if not isinstance(opacity, str) or opacity not in (HIGH, LOW):
+            raise SchemaViolation(f"opacity must be 'high' or 'low', got {opacity!r}")
+        opacity = HIGH if opacity == HIGH else LOW
         _int(frame, "frame", 0)
         if not (isinstance(bbox, (list, tuple)) and len(bbox) == 4
                 and all(map(_is_number, bbox))):
@@ -220,7 +217,7 @@ class TouchDetection(
         here once and built in C, by one `tuple.__new__`, without the
         constructor checking it again. Anything else, e.g. integer
         coordinates, is checked here only as a JSON object (the four
-        keys, the opacity text) and built by the constructor.
+        keys) and built by the constructor.
         """
         try:
             frame, bbox = data["frame"], data["bbox"]
@@ -233,23 +230,18 @@ class TouchDetection(
             and type(frame) is int and 0 <= frame < _INT_CEILING
             and type(x) is type(y) is type(w) is type(h) is type(confidence) is float
             and w > 0.0 and h > 0.0 and 0.0 <= confidence <= 1.0
-            and (opacity == "high" or opacity == "low")
+            and (opacity == HIGH or opacity == LOW)
             # A finite center has finite entries; an overflow falls through.
             and math.isfinite((cx := x + w / 2.0) + (cy := y + h / 2.0))
         ):
             return _tuple_new(cls, (
                 frame, (x, y, w, h), confidence,
-                _HIGH if opacity == "high" else _LOW, (cx, cy),
+                HIGH if opacity == HIGH else LOW, (cx, cy),
             ))
         _require(isinstance(data, dict), "detection must be an object")
         for key in ("frame", "bbox", "confidence", "opacity"):
             _require(key in data, f"detection missing field '{key}'")
-        opacity = data["opacity"]
-        _require(
-            opacity in (Opacity.HIGH.value, Opacity.LOW.value),
-            f"opacity must be 'high' or 'low', got {opacity!r}",
-        )
-        return cls(data["frame"], data["bbox"], data["confidence"], Opacity(opacity))
+        return cls(data["frame"], data["bbox"], data["confidence"], data["opacity"])
 
 
 #: Getters of `TouchDetection` fields by position, for the loops that
@@ -409,8 +401,7 @@ def detections_json(detections, depth: int) -> str:
     return json_array(
         [
             f"{frame_key}{frame}{bbox_key}{x!r}{comma}{y!r}{comma}{w!r}{comma}{h!r}"
-            f"{confidence_key}{confidence!r}{opacity_key}"
-            f"{'low' if opacity is _LOW else 'high'}{end}"
+            f"{confidence_key}{confidence!r}{opacity_key}{opacity}{end}"
             for frame, (x, y, w, h), confidence, opacity, _ in detections
         ],
         depth,

@@ -19,9 +19,9 @@ detections closes every open chain (every finger has lifted); otherwise:
   trajectory rather than the one that just started;
 * any remaining tie breaks on smaller x, then smaller y.
 
-After linking, chains are cut after every low-opacity run that is
-followed by a high-opacity touch (the low run is the fade tail closing
-the earlier action), and anything two frames or shorter is discarded.
+After linking, chains are cut after every `LOW`-opacity run that is
+followed by a `HIGH` touch (the low run is the fade tail closing the
+earlier action), and anything two frames or shorter is discarded.
 A run of two or fewer non-empty frames therefore never yields a
 sequence.
 """
@@ -33,7 +33,7 @@ from math import dist
 
 from .errors import SchemaViolation
 from .model import (
-    _LOW, MIN_CONFIDENCE, DetectionTrace, Frozen, Opacity, TouchDetection, _center,
+    HIGH, LOW, MIN_CONFIDENCE, DetectionTrace, Frozen, TouchDetection, _center,
     _frame, _frame_and_center, _opacity, _tuple_of, _unchecked, valid_confidence,
 )
 
@@ -63,7 +63,7 @@ class TouchSequence(Frozen):
             frame = touch.frame
             increasing = increasing and frame > previous
             previous = frame
-            if touch.opacity is _LOW:
+            if touch.opacity == LOW:
                 if highs is None:
                     highs = i
             elif highs is not None:
@@ -209,8 +209,8 @@ def _break_tie(tied, chains, touches):
     fades = [
         p
         for p in tied
-        if touches[p[2]].opacity is Opacity.LOW
-        and chains[p[1]][-1].opacity is Opacity.HIGH
+        if touches[p[2]].opacity == LOW
+        and chains[p[1]][-1].opacity == HIGH
     ]
     if fades:
         return min(
@@ -237,12 +237,12 @@ def _split_at_fades(
     strictly increase, and a piece's low-opacity touches are a suffix.
     """
     # Sentinels: every search for the next low, then high, touch succeeds.
-    opacities = [*map(_opacity, chain), Opacity.LOW, Opacity.HIGH]
+    opacities = [*map(_opacity, chain), LOW, HIGH]
     end = len(chain)
     start = 0
     while start < end:
-        low = min(opacities.index(Opacity.LOW, start), end)
-        cut = min(opacities.index(Opacity.HIGH, low), end)
+        low = min(opacities.index(LOW, start), end)
+        cut = min(opacities.index(HIGH, low), end)
         if chain[cut - 1].frame - chain[start].frame + 1 > MAX_DISCARD_FRAMES:
             touches = tuple(chain[start:cut])
             sequences.append(_unchecked(

@@ -18,11 +18,12 @@ from statistics import NormalDist
 
 from .errors import InvalidScenario, SchemaViolation
 from .model import (
+    HIGH,
     KIND_SYMBOLS,
+    LOW,
     DetectionTrace,
     DeviceProfile,
     Frozen,
-    Opacity,
     Symbols,
     TouchDetection,
     _int,
@@ -247,7 +248,7 @@ def synthesize_trace(
                 last_pos = (cx, cy)
                 if not dropped:
                     detections.append(
-                        _detection_at(profile, f, cx, cy, confidence, Opacity.HIGH)
+                        _detection_at(profile, f, cx, cy, confidence, HIGH)
                     )
             lift_frame = path[-1][0]
             for k in range(1, FADE_FRAMES + 1):
@@ -257,7 +258,7 @@ def synthesize_trace(
                     detections.append(
                         _detection_at(
                             profile, lift_frame + k, last_pos[0], last_pos[1],
-                            confidence, Opacity.LOW,
+                            confidence, LOW,
                         )
                     )
 
@@ -284,7 +285,7 @@ def synthesize_trace(
         confidence = rng.uniform(0.5, 1.0)
         for k in range(lifetime):
             detections.append(
-                _detection_at(profile, f + k, fx, fy, confidence, Opacity.HIGH)
+                _detection_at(profile, f + k, fx, fy, confidence, HIGH)
             )
 
     total = max(
@@ -302,7 +303,7 @@ def _detection_at(
     cx: float,
     cy: float,
     confidence: float,
-    opacity: Opacity,
+    opacity: str,
 ) -> TouchDetection:
     """Build a detection whose bbox is centered on (cx, cy), kept on-screen."""
     size = INDICATOR_SIZE

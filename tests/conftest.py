@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from tracereplay.model import DeviceProfile, Opacity, TouchDetection
+from tracereplay.model import HIGH, LOW, DeviceProfile, TouchDetection
 from tracereplay.segment import TouchSequence
 
 INDICATOR = 40.0
@@ -36,7 +36,7 @@ def overlapping_taps(tmp_path, profile):
     return path
 
 
-def make_touch(frame, x, y, opacity=Opacity.HIGH, confidence=0.9, size=INDICATOR):
+def make_touch(frame, x, y, opacity=HIGH, confidence=0.9, size=INDICATOR):
     """Detection whose bbox center is exactly (x, y)."""
     return TouchDetection(
         frame=frame,
@@ -54,7 +54,7 @@ def make_sequence(start, high_frames, x, y, fade_frames=0, dx=0.0, dy=0.0):
     lx, ly = x + dx * (high_frames - 1), y + dy * (high_frames - 1)
     for k in range(fade_frames):
         touches.append(
-            make_touch(start + high_frames + k, lx, ly, opacity=Opacity.LOW)
+            make_touch(start + high_frames + k, lx, ly, opacity=LOW)
         )
     return TouchSequence(touches=tuple(touches))
 

@@ -11,7 +11,6 @@ import time
 import pytest
 
 from tracereplay.classify import (
-    ActionKind,
     AtomicAction,
     ClassifiedScenario,
     MultiFingerItem,
@@ -36,7 +35,7 @@ from tracereplay.codegen import (
     validate_script,
 )
 from tracereplay.metrics import lcs_length, lcs_ratio, levenshtein
-from tracereplay.model import DetectionTrace, DeviceProfile, Opacity
+from tracereplay.model import HIGH, LOW, DetectionTrace, DeviceProfile
 from tracereplay.segment import TouchSequence, filter_confidence, segment_trace
 from tracereplay.synth import noise_preset, random_scenario, synthesize_trace
 
@@ -131,7 +130,7 @@ def interval_action(start, end, x=100.0, y=100.0):
     touches = (make_touch(start, x, y),)
     if end > start:
         touches += (make_touch(end, x, y),)
-    return AtomicAction(kind=ActionKind.GESTURE, touches=touches)
+    return AtomicAction(kind="gesture", touches=touches)
 
 
 def oracle_partition(actions):
@@ -196,8 +195,8 @@ class TestCriterion4ThresholdBoundaries:
         report(
             "4a",
             "tap cutoff 20/21 frames",
-            tap.kind is ActionKind.TAP and long_tap.kind is ActionKind.LONG_TAP,
-            f"20f -> {tap.kind.value}, 21f -> {long_tap.kind.value}",
+            tap.kind == "tap" and long_tap.kind == "long_tap",
+            f"20f -> {tap.kind}, 21f -> {long_tap.kind}",
         )
 
     def test_touch_slop_8px(self):
@@ -214,8 +213,8 @@ class TestCriterion4ThresholdBoundaries:
         report(
             "4b",
             "touch slop 8px boundary",
-            a.kind is ActionKind.TAP and b.kind is ActionKind.GESTURE,
-            f"8px -> {a.kind.value}, 9px -> {b.kind.value}",
+            a.kind == "tap" and b.kind == "gesture",
+            f"8px -> {a.kind}, 9px -> {b.kind}",
         )
 
     def test_confidence_0_7(self):
@@ -474,7 +473,7 @@ class TestCriterion7Throughput:
                 detections.append(make_touch(cursor + k, x, y, confidence=0.95))
             for k in range(3):
                 detections.append(
-                    make_touch(cursor + frames + k, x, y, opacity=Opacity.LOW,
+                    make_touch(cursor + frames + k, x, y, opacity=LOW,
                                confidence=0.9)
                 )
             cursor += frames + 3 + rng.randrange(120, 160)

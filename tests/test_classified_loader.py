@@ -3,7 +3,9 @@
 `_oracle_from_json` and `_oracle_action_from_dict` are
 `ClassifiedScenario.from_json` and `AtomicAction.from_dict` as they were
 before each sequence was checked in the walk that loads it, copied
-unchanged apart from their names. Mutated documents must load to the
+unchanged apart from their names and the kind check, which looks the
+kind up in `KIND_SYMBOLS` where the old one built an `ActionKind` enum
+member (the enum is gone; both reject the same values). Mutated documents must load to the
 same scenario, or raise the same error type with the same message. The
 exceptions are the inputs the old loader crashed on with a raw
 `TypeError`, `KeyError` or `ValueError`, containers that are not lists,
@@ -26,14 +28,13 @@ from hypothesis import strategies as st
 
 from tracereplay.classify import (
     CLASSIFIED_SCHEMA_VERSION,
-    ActionKind,
     AtomicAction,
     ClassifiedScenario,
     MultiFingerItem,
     classify_trace,
 )
 from tracereplay.errors import MalformedJson, SchemaViolation, TraceReplayError
-from tracereplay.model import DeviceProfile, TouchDetection
+from tracereplay.model import KIND_SYMBOLS, DeviceProfile, TouchDetection
 from tracereplay.synth import noise_preset, random_scenario, synthesize_trace
 
 from test_encoding import scenarios
@@ -47,10 +48,9 @@ PROFILE = DeviceProfile(name="d", screen_width=1080, screen_height=1920, fps=30)
 def _oracle_action_from_dict(data: dict) -> AtomicAction:
     if not isinstance(data, dict) or "kind" not in data or "touches" not in data:
         raise SchemaViolation("action must be an object with kind and touches")
-    try:
-        kind = ActionKind(data["kind"])
-    except ValueError:
-        raise SchemaViolation(f"unknown action kind {data['kind']!r}") from None
+    kind = data["kind"]
+    if not isinstance(kind, str) or kind not in KIND_SYMBOLS:
+        raise SchemaViolation(f"unknown action kind {kind!r}")
     touches = tuple(TouchDetection.from_dict(t) for t in data["touches"])
     return AtomicAction(kind=kind, touches=touches)
 

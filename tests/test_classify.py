@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracereplay.classify import (
-    ActionKind,
     AtomicAction,
     ClassifiedScenario,
     MultiFingerItem,
@@ -18,9 +17,11 @@ from tracereplay.classify import (
     tap_cutoff_frames,
 )
 from tracereplay.model import (
+    HIGH,
+    KIND_SYMBOLS,
+    LOW,
     DetectionTrace,
     DeviceProfile,
-    Opacity,
     collapse_finger_counts,
     dump_sequence_file,
     load_sequence_file,
@@ -36,7 +37,7 @@ from tracereplay.synth import (
 from conftest import make_sequence, make_touch
 
 
-def interval_action(start, end, x=100.0, y=100.0, kind=ActionKind.GESTURE):
+def interval_action(start, end, x=100.0, y=100.0, kind="gesture"):
     """Stationary action occupying frames start..end (for grouping tests)."""
     seq = make_sequence(start, end - start + 1, x, y)
     return AtomicAction(kind=kind, touches=seq.touches)
@@ -46,29 +47,29 @@ class TestClassifyAction:
     def test_short_stationary_press_is_tap(self, profile):
         seq = make_sequence(0, 10, 300, 300, fade_frames=3)
         action = classify_action(seq, profile)
-        assert action.kind is ActionKind.TAP
+        assert action.kind == "tap"
         assert action.last_high_frame - action.start_frame + 1 == 10
 
     def test_long_stationary_press_is_long_tap(self, profile):
         seq = make_sequence(0, 25, 300, 300)
-        assert classify_action(seq, profile).kind is ActionKind.LONG_TAP
+        assert classify_action(seq, profile).kind == "long_tap"
 
     def test_drifting_press_is_gesture(self, profile):
         # 15 frames drifting ~40px rightward exceeds the 8px slop.
         seq = make_sequence(0, 15, 300, 300, dx=40 / 14)
-        assert classify_action(seq, profile).kind is ActionKind.GESTURE
+        assert classify_action(seq, profile).kind == "gesture"
 
     def test_cutoff_boundary(self, profile):
         # 20 high frames is still a tap; 21 is a long tap.
         tap = make_sequence(0, 20, 300, 300)
         long_tap = make_sequence(0, 21, 300, 300)
-        assert classify_action(tap, profile).kind is ActionKind.TAP
-        assert classify_action(long_tap, profile).kind is ActionKind.LONG_TAP
+        assert classify_action(tap, profile).kind == "tap"
+        assert classify_action(long_tap, profile).kind == "long_tap"
 
     def test_fade_excluded_from_duration(self, profile):
         # 19 high + 5 low frames: active span 19 <= 20, still a tap.
         seq = make_sequence(0, 19, 300, 300, fade_frames=5)
-        assert classify_action(seq, profile).kind is ActionKind.TAP
+        assert classify_action(seq, profile).kind == "tap"
 
     def test_slop_boundary(self, profile):
         exactly = make_sequence(0, 10, 300, 300)
@@ -78,8 +79,8 @@ class TestClassifyAction:
         beyond = type(exactly)(
             touches=exactly.touches[:-1] + (make_touch(9, 309, 300),)
         )
-        assert classify_action(exactly, profile).kind is ActionKind.TAP
-        assert classify_action(beyond, profile).kind is ActionKind.GESTURE
+        assert classify_action(exactly, profile).kind == "tap"
+        assert classify_action(beyond, profile).kind == "gesture"
 
     def test_duration_based_cutoff_scales_with_fps(self):
         profile60 = DeviceProfile(name="d", screen_width=1080,
@@ -87,19 +88,19 @@ class TestClassifyAction:
         assert tap_cutoff_frames(profile60) == 20
         assert tap_cutoff_frames(profile60, duration_based=True) == 40
         seq = make_sequence(0, 30, 300, 300)
-        assert classify_action(seq, profile60).kind is ActionKind.LONG_TAP
+        assert classify_action(seq, profile60).kind == "long_tap"
         assert (
             classify_action(seq, profile60, duration_based_cutoff=True).kind
-            is ActionKind.TAP
+            == "tap"
         )
 
 
 class TestFilterActions:
     def test_all_low_removed(self, profile):
         touches = tuple(
-            make_touch(f, 100, 100, opacity=Opacity.LOW) for f in range(12)
+            make_touch(f, 100, 100, opacity=LOW) for f in range(12)
         )
-        action = AtomicAction(kind=ActionKind.TAP, touches=touches)
+        action = AtomicAction(kind="tap", touches=touches)
         assert filter_actions([action]) == []
 
     def test_mostly_high_retained(self, profile):
@@ -198,7 +199,7 @@ class TestFingerCount:
         # Three fingers across 6 frames plus a 1-frame stray on one
         # frame: per-frame counts (3,3,3,3,4,3)... the mode stays 3.
         fingers = [interval_action(0, 5, x=100 + 200 * k) for k in range(3)]
-        stray = AtomicAction(kind=ActionKind.TAP, touches=(make_touch(4, 900, 1500),))
+        stray = AtomicAction(kind="tap", touches=(make_touch(4, 900, 1500),))
         assert classify_finger_count(fingers + [stray]) == 3
 
     def test_uniform_two(self):
@@ -287,11 +288,11 @@ class TestActionIsASequence:
     kind and the touches."""
 
     @given(
-        st.sampled_from(ActionKind),
-        st.lists(st.sampled_from([Opacity.HIGH, Opacity.LOW]), min_size=1, max_size=12),
+        st.sampled_from(list(KIND_SYMBOLS)),
+        st.lists(st.sampled_from([HIGH, LOW]), min_size=1, max_size=12),
     )
     def test_equality_hash_and_repr(self, kind, opacities):
-        opacities.sort(key=lambda o: o is Opacity.LOW)
+        opacities.sort(key=lambda o: o is LOW)
         touches = tuple(
             make_touch(f, 100, 100, opacity=o) for f, o in enumerate(opacities)
         )
@@ -305,7 +306,7 @@ class TestActionIsASequence:
         assert hash(action) == hash(AtomicAction(kind, touches))
         assert repr(action) == f"AtomicAction(kind={kind!r}, touches={touches!r})"
         assert action != sequence
-        other = next(k for k in ActionKind if k is not kind)
+        other = next(k for k in KIND_SYMBOLS if k != kind)
         assert action != AtomicAction(other, touches)
 
     @given(st.integers(0, 2**32 - 1))

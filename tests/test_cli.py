@@ -400,15 +400,18 @@ def test_unreadable_input_exits_2(tmp_path, capsys, fixture_scenario, case):
 
 TAP = {"kind": "tap", "touches": [
     {"frame": 0, "bbox": [10.0, 10.0, 40.0, 40.0], "confidence": 0.9, "opacity": "high"}]}
+OTHER_TAP = {"kind": "tap", "touches": [
+    {"frame": 0, "bbox": [90.0, 10.0, 40.0, 40.0], "confidence": 0.9, "opacity": "high"}]}
 
 
 @pytest.mark.parametrize("items", [
     5,
     [{"type": "mfa", "actions": [], "finger_count": 2}],
-    [{"type": "mfa", "actions": [TAP, TAP], "finger_count": 9}],
+    [{"type": "mfa", "actions": [TAP, OTHER_TAP], "finger_count": 9}],
+    [{"type": "mfa", "actions": [TAP, TAP], "finger_count": 2}],
     [{"type": "sfa"}],
 ], ids=["int-items", "empty-mfa-actions", "more-fingers-than-actions",
-        "sfa-without-action"])
+        "mfa-action-twice", "sfa-without-action"])
 def test_generate_bad_classified_structure_exits_2(tmp_path, capsys, profile, items):
     doc = tmp_path / "classified.json"
     doc.write_text(json.dumps(

@@ -30,7 +30,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracereplay.classify import (
-    ActionKind,
     AtomicAction,
     ClassifiedScenario,
     MultiFingerItem,
@@ -58,7 +57,7 @@ from tracereplay.codegen import (
     translate_runnable,
 )
 from tracereplay.errors import ScriptFormatError, SlotExhaustion
-from tracereplay.model import DeviceProfile, Opacity, TouchDetection
+from tracereplay.model import HIGH, LOW, DeviceProfile, TouchDetection
 from tracereplay.segment import TouchSequence
 from tracereplay.synth import noise_preset, random_scenario, synthesize_trace
 
@@ -109,7 +108,7 @@ def _oracle_emit_sfa(action, profile, t0_us, slot, tracking_id):
         _OracleEvent(t0_us, EV_ABS, ABS_MT_POSITION_Y, y),
         _OracleEvent(t0_us, EV_SYN, SYN_REPORT, 0),
     ]
-    if action.kind is ActionKind.GESTURE:
+    if action.kind == "gesture":
         for touch in action.high_touches[1:]:
             t = t0_us + frame_offset_us(touch.frame - start, fps)
             x, y = _oracle_device_coords(touch.center, profile)
@@ -444,7 +443,7 @@ def actions(draw, start=None):
                 frame=start + k,
                 bbox=(cx - SIZE / 2, cy - SIZE / 2, SIZE, SIZE),
                 confidence=0.9,
-                opacity=Opacity.HIGH if k < high else Opacity.LOW,
+                opacity=HIGH if k < high else LOW,
             )
         )
     return classify_action(TouchSequence(touches=tuple(touches)), PROFILE)
@@ -461,10 +460,12 @@ def mfa_items(draw, first=None, most=12):
     more than MAX_SLOTS overlapping fingers exhaust the slots."""
     if first is None:
         first = draw(_STARTS)
-    fingers = [
-        draw(actions(start=first + draw(st.integers(0, 8))))
-        for _ in range(draw(st.integers(2, most)))
-    ]
+    count = draw(st.integers(2, most))
+    # Fingers start at distinct detections.
+    fingers = draw(st.lists(
+        st.integers(0, 8).flatmap(lambda k: actions(start=first + k)),
+        min_size=count, max_size=count, unique_by=lambda a: a.touches[0],
+    ))
     return MultiFingerItem(actions=tuple(fingers), finger_count=len(fingers))
 
 

@@ -13,16 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracereplay.classify import (
-    ActionKind,
     AtomicAction,
     ClassifiedScenario,
     MultiFingerItem,
 )
 from tracereplay.errors import BoundsViolation, SchemaViolation
 from tracereplay.model import (
+    HIGH,
+    KIND_SYMBOLS,
+    LOW,
     DetectionTrace,
     DeviceProfile,
-    Opacity,
     TouchDetection,
     parse_trace,
     serialize_trace,
@@ -53,12 +54,12 @@ def _touch_doc(t):
         "frame": t.frame,
         "bbox": list(t.bbox),
         "confidence": t.confidence,
-        "opacity": t.opacity.value,
+        "opacity": t.opacity,
     }
 
 
 def _action_doc(a):
-    return {"kind": a.kind.value, "touches": [_touch_doc(t) for t in a.touches]}
+    return {"kind": a.kind, "touches": [_touch_doc(t) for t in a.touches]}
 
 
 def reference_classified(scenario):
@@ -96,18 +97,19 @@ def actions(draw):
             frame=start + k,
             bbox=draw(bboxes),
             confidence=draw(unit),
-            opacity=Opacity.HIGH if k < highs else Opacity.LOW,
+            opacity=HIGH if k < highs else LOW,
         )
         for k in range(highs + fades)
     )
-    kind = draw(st.sampled_from(list(ActionKind)))
+    kind = draw(st.sampled_from(list(KIND_SYMBOLS)))
     return AtomicAction(kind=kind, touches=touches)
 
 
 @st.composite
 def multi_finger_items(draw):
-    fingers = tuple(draw(st.lists(actions(), min_size=1, max_size=3)))
-    # At most one finger per action.
+    # Fingers start at distinct detections; at most one finger per action.
+    fingers = tuple(draw(st.lists(actions(), min_size=1, max_size=3,
+                                  unique_by=lambda a: a.touches[0])))
     return MultiFingerItem(fingers, draw(st.integers(1, len(fingers))))
 
 
@@ -132,7 +134,7 @@ def traces(draw):
             frame=draw(st.integers(0, frame_count - 1)),
             bbox=(draw(st.floats(0.0, WIDTH - w)), draw(st.floats(0.0, HEIGHT - h)), w, h),
             confidence=draw(unit),
-            opacity=draw(st.sampled_from(list(Opacity))),
+            opacity=draw(st.sampled_from([HIGH, LOW])),
         ))
     profile = DeviceProfile(name=draw(st.text()), screen_width=WIDTH,
                             screen_height=HEIGHT, fps=30)

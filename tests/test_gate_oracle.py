@@ -12,12 +12,11 @@ between them, starting at frame 0 or ending at the last touched frame.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tracereplay.classify import (
     MULTI_TOUCH_GATE,
-    ActionKind,
     AtomicAction,
     ClassifiedScenario,
     MultiFingerItem,
@@ -96,10 +95,11 @@ def test_noisy_traces_partition_like_oracle(preset, seed, n_actions):
     assert_same_partition(filter_actions(actions), PROFILE)
 
 
-# One finger's press: start frame, frames held, x position.
+# One finger's press: start frame, frames held, x position. Presses
+# start at distinct detections: no two share a start frame and an x.
 presses = st.lists(
     st.tuples(st.integers(0, 60), st.integers(1, 25), st.integers(0, 5)),
-    max_size=8,
+    max_size=8, unique_by=lambda press: (press[0], press[2]),
 )
 
 
@@ -108,8 +108,9 @@ presses = st.lists(
 def test_hand_built_spans_partition_like_oracle(presses, from_zero):
     if from_zero and presses:
         presses[0] = (0, *presses[0][1:])
+        assume(len({(start, x) for start, _, x in presses}) == len(presses))
     actions = [
-        AtomicAction(ActionKind.TAP,
+        AtomicAction("tap",
                      make_sequence(start, n, 100.0 + 150.0 * x, 300.0).touches)
         for start, n, x in presses
     ]
@@ -118,7 +119,7 @@ def test_hand_built_spans_partition_like_oracle(presses, from_zero):
 
 def test_spans_at_frame_zero_and_at_the_last_frame():
     def press(start, length, x):
-        return AtomicAction(ActionKind.GESTURE,
+        return AtomicAction("gesture",
                             make_sequence(start, length, x, 500.0).touches)
 
     # Each block has one long press that is multi-touch in 4 of its 6

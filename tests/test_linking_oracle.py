@@ -24,9 +24,10 @@ from hypothesis import strategies as st
 from tracereplay import segment
 from tracereplay.model import (
     DEFAULT_TOUCH_SLOP,
+    HIGH,
+    LOW,
     DetectionTrace,
     DeviceProfile,
-    Opacity,
     TouchDetection,
 )
 from tracereplay.segment import (
@@ -194,8 +195,8 @@ def _oracle_break_tie(tied, chains, touches):
     fades = [
         p
         for p in tied
-        if touches[p[2]].opacity is Opacity.LOW
-        and chains[p[1]][-1].opacity is Opacity.HIGH
+        if touches[p[2]].opacity is LOW
+        and chains[p[1]][-1].opacity is HIGH
     ]
     if fades:
         return min(
@@ -219,7 +220,7 @@ def _oracle_split_at_fades(
     pieces: list[list[TouchDetection]] = []
     start = 0
     for i in range(1, len(chain)):
-        if chain[i - 1].opacity is Opacity.LOW and chain[i].opacity is Opacity.HIGH:
+        if chain[i - 1].opacity is LOW and chain[i].opacity is HIGH:
             pieces.append(chain[start:i])
             start = i
     pieces.append(chain[start:])
@@ -270,7 +271,7 @@ def fingers(draw, first_frame=0):
                     frame=start + k,
                     bbox=(x + dx * k - SIZE / 2, y + dy * k - SIZE / 2, SIZE, SIZE),
                     confidence=confidence,
-                    opacity=Opacity.LOW if low else Opacity.HIGH,
+                    opacity=LOW if low else HIGH,
                 )
             )
     return touches
@@ -362,7 +363,7 @@ def _touch(frame, x, y, low=False, confidence=0.9):
         frame=frame,
         bbox=(x - SIZE / 2, y - SIZE / 2, SIZE, SIZE),
         confidence=confidence,
-        opacity=Opacity.LOW if low else Opacity.HIGH,
+        opacity=LOW if low else HIGH,
     )
 
 

@@ -8,7 +8,6 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from tracereplay.classify import (
-    ActionKind,
     AtomicAction,
     ClassifiedScenario,
     MultiFingerItem,
@@ -21,9 +20,10 @@ from tracereplay.errors import (
     TraceReplayError,
 )
 from tracereplay.model import (
+    HIGH,
+    LOW,
     DetectionTrace,
     DeviceProfile,
-    Opacity,
     TouchDetection,
     load_document,
     parse_trace,
@@ -83,18 +83,18 @@ class TestDeviceProfile:
 class TestTouchDetection:
     def test_center_is_bbox_center(self):
         d = TouchDetection(frame=0, bbox=(10, 20, 40, 60), confidence=0.8,
-                           opacity=Opacity.HIGH)
+                           opacity=HIGH)
         assert d.center == (30.0, 50.0)
 
     def test_confidence_range(self):
         with pytest.raises(SchemaViolation):
             TouchDetection(frame=0, bbox=(0, 0, 1, 1), confidence=1.3,
-                           opacity=Opacity.HIGH)
+                           opacity=HIGH)
 
     def test_negative_frame(self):
         with pytest.raises(SchemaViolation):
             TouchDetection(frame=-1, bbox=(0, 0, 1, 1), confidence=0.5,
-                           opacity=Opacity.HIGH)
+                           opacity=HIGH)
 
 
     @pytest.mark.parametrize("bbox", [
@@ -103,14 +103,14 @@ class TestTouchDetection:
     ], ids=["nan-x", "nan-y", "nan-w", "inf-x", "inf-h", "huge-int-x"])
     def test_non_finite_bbox_rejected(self, bbox):
         with pytest.raises(SchemaViolation):
-            TouchDetection(frame=0, bbox=bbox, confidence=0.5, opacity=Opacity.HIGH)
+            TouchDetection(frame=0, bbox=bbox, confidence=0.5, opacity=HIGH)
 
     @pytest.mark.parametrize("confidence", [float("nan"), float("inf"), 10**400],
                              ids=["nan", "inf", "huge-int"])
     def test_non_finite_confidence_rejected(self, confidence):
         with pytest.raises(SchemaViolation):
             TouchDetection(frame=0, bbox=(0, 0, 1, 1), confidence=confidence,
-                           opacity=Opacity.HIGH)
+                           opacity=HIGH)
 
 
 class TestCachedCenter:
@@ -128,7 +128,7 @@ class TestCachedCenter:
         fast = TouchDetection.from_dict(floats)  # all-float fast path
         checked = TouchDetection.from_dict(doc)  # integer coordinates
         built = TouchDetection(frame=3, bbox=(x, y, w, h), confidence=confidence,
-                               opacity=Opacity.LOW)
+                               opacity=LOW)
         expected = (x + w / 2.0, y + h / 2.0)
         assert fast == checked == built
         assert fast.center == checked.center == built.center == expected
@@ -136,7 +136,7 @@ class TestCachedCenter:
         # classified.json, and the generator's placement of a tap there.
         profile = DeviceProfile(name="d", screen_width=1080, screen_height=1920,
                                 fps=30)
-        item = AtomicAction(ActionKind.TAP, (built,))
+        item = AtomicAction("tap", (built,))
         (loaded,) = ClassifiedScenario.from_json(
             ClassifiedScenario(profile=profile, items=(item,)).to_json()
         ).items
@@ -167,19 +167,19 @@ class TestCachedCenter:
         assert list(inspect.signature(TouchDetection).parameters) == [
             "frame", "bbox", "confidence", "opacity",
         ]
-        fields = dict(frame=4, bbox=d.bbox, confidence=0.9, opacity=Opacity.HIGH)
+        fields = dict(frame=4, bbox=d.bbox, confidence=0.9, opacity=HIGH)
         with pytest.raises(TypeError):
             TouchDetection(**fields, center=d.center)
         assert repr(d) == (
             "TouchDetection(frame=4, bbox=(80.0, 180.0, 40.0, 40.0), "
-            "confidence=0.9, opacity=<Opacity.HIGH: 'high'>)"
+            "confidence=0.9, opacity='high')"
         )
         # Equal, and hashed equal, exactly when the four fields are equal.
         for same in (TouchDetection(**fields), TouchDetection.from_dict(
                 dict(fields, bbox=list(d.bbox), opacity="high"))):
             assert same == d and hash(same) == hash(d)
         for change in (dict(frame=5), dict(confidence=0.8),
-                       dict(opacity=Opacity.LOW),
+                       dict(opacity=LOW),
                        dict(bbox=(79.0, 179.0, 42.0, 42.0))):  # the same center
             assert TouchDetection(**dict(fields, **change)) != d
 
@@ -189,18 +189,18 @@ class TestCachedCenter:
         assert type(moved) is TouchDetection
         assert moved.center == (5.0, 15.0)
         assert moved == TouchDetection(frame=4, bbox=(0.0, 0.0, 10.0, 30.0),
-                                       confidence=0.9, opacity=Opacity.HIGH)
+                                       confidence=0.9, opacity=HIGH)
         for bad in (dict(frame=-1), dict(confidence=1.5),
                     dict(bbox=(0.0, 0.0, 0.0, 30.0))):
             with pytest.raises(SchemaViolation):
                 d._replace(**bad)
         with pytest.raises(TypeError):
             d._replace(center=(0.0, 0.0))
-        assert TouchDetection._make((4, d.bbox, 0.9, Opacity.HIGH)) == d
+        assert TouchDetection._make((4, d.bbox, 0.9, HIGH)) == d
         with pytest.raises(SchemaViolation):
-            TouchDetection._make((4, d.bbox, 1.5, Opacity.HIGH))
+            TouchDetection._make((4, d.bbox, 1.5, HIGH))
         with pytest.raises(TypeError):  # no center to take over
-            TouchDetection._make((4, (0.0, 0.0, 10.0, 30.0), 0.9, Opacity.HIGH,
+            TouchDetection._make((4, (0.0, 0.0, 10.0, 30.0), 0.9, HIGH,
                                   d.center))
         for same in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
             assert type(same) is TouchDetection and same == d
@@ -331,7 +331,7 @@ class TestParseTrace:
             profile=profile,
             detections=(
                 make_touch(3, 100, 200),
-                make_touch(4, 101, 201, opacity=Opacity.LOW, confidence=0.75),
+                make_touch(4, 101, 201, opacity=LOW, confidence=0.75),
             ),
             frame_count=10,
         )
@@ -362,7 +362,7 @@ def test_placement_check_matches_oracle(placements, frame_count):
     # Shuffled detections on a 200x300 screen, each 20x20 at (x, y).
     profile = DeviceProfile(name="d", screen_width=200, screen_height=300, fps=30)
     detections = [TouchDetection(frame, (float(x), float(y), 20.0, 20.0), 0.9,
-                                 Opacity.HIGH)
+                                 HIGH)
                   for frame, x, y in placements]
     want = first_misplaced(detections, frame_count, 200, 300)
     if want is None:
@@ -385,13 +385,13 @@ VALID_ARGUMENTS = {
     "touch_slop": st.integers(1, 20), "frame": st.integers(0, 50),
     "x": st.floats(0, 50), "y": st.floats(0, 50), "w": st.floats(1, 50),
     "h": st.floats(1, 50), "confidence": st.floats(0, 1),
-    "opacity": st.sampled_from(Opacity), "frame_count": st.integers(51, 100),
+    "opacity": st.sampled_from([HIGH, LOW]), "frame_count": st.integers(51, 100),
 }
 ANY_VALUE = st.one_of(st.integers(-3, 3000), st.booleans(), st.floats(),
-                      st.text(max_size=4), st.sampled_from(Opacity))
+                      st.text(max_size=4), st.sampled_from([HIGH, LOW]))
 VALID = dict(name="d", width=1080, height=1920, fps=30, touch_slop=8, frame=3,
              x=100.0, y=100.0, w=40.0, h=40.0, confidence=0.9,
-             opacity=Opacity.HIGH, frame_count=10)
+             opacity=HIGH, frame_count=10)
 #: An int with more digits than `str` writes (or `repr`, so test ids
 #: spell it out).
 TOO_LONG = 10**5000
@@ -406,11 +406,10 @@ def case_id(change: dict) -> str:
 
 
 #: Arguments of the wrong type, from which `serialize_trace` would write
-#: a trace that `parse_trace` rejects (or, for the opacity, reads back as
-#: a high-opacity touch), and the error the constructor raises for each:
-#: the JSON reader's message where it has one.
+#: a trace that `parse_trace` rejects, and the error the constructor
+#: raises for each: the JSON reader's message where it has one.
 UNWRITABLE = [
-    (dict(opacity="low"), "opacity must be an Opacity member, got 'low'"),
+    (dict(opacity="HIGH"), "opacity must be 'high' or 'low', got 'HIGH'"),
     (dict(frame=True), "field 'frame' must be an integer, got True"),
     (dict(frame=3.5), "field 'frame' must be an integer, got 3.5"),
     (dict(frame_count=2.5), "field 'frame_count' must be an integer, got 2.5"),
@@ -505,7 +504,8 @@ def with_rejected_ground_truth_examples(test):
 
 _NO_ITEMS = "scenario items must be AtomicActions or MultiFingerItems"
 _NO_TOUCHES = "touches must be an iterable of TouchDetection"
-_TAP = AtomicAction(ActionKind.TAP, make_sequence(0, 5, 100, 100).touches)
+_TAP = AtomicAction("tap", make_sequence(0, 5, 100, 100).touches)
+_OTHER_TAP = AtomicAction("tap", make_sequence(0, 5, 300, 100).touches)
 
 
 def _scenario_of(item):
@@ -594,16 +594,16 @@ class TestConstructorIsTheCheck:
         (lambda: ClassifiedScenario(None, ()), "profile must be a DeviceProfile"),
         (lambda: ClassifiedScenario(GROUND_TRUTH_PROFILE, 5), _NO_ITEMS),
         (lambda: ClassifiedScenario(GROUND_TRUTH_PROFILE, (1,)), _NO_ITEMS),
-        (lambda: _scenario_of(AtomicAction("tap", _TAP.touches)),
-         "action kind must be an ActionKind"),
-        (lambda: _scenario_of(AtomicAction(ActionKind.TAP, (make_touch(1, 9, 9),) * 2)),
+        (lambda: _scenario_of(AtomicAction("TAP", _TAP.touches)),
+         "unknown action kind 'TAP'"),
+        (lambda: _scenario_of(AtomicAction("tap", (make_touch(1, 9, 9),) * 2)),
          "sequence frames must strictly increase: [1, 1]"),
-        (lambda: _scenario_of(AtomicAction(ActionKind.TAP, (
-            make_touch(0, 9, 9, opacity=Opacity.LOW), make_touch(1, 9, 9)))),
+        (lambda: _scenario_of(AtomicAction("tap", (
+            make_touch(0, 9, 9, opacity=LOW), make_touch(1, 9, 9)))),
          "high-opacity touch after a low-opacity one; fades must be a suffix"),
-        (lambda: _scenario_of(AtomicAction(ActionKind.TAP, ())),
+        (lambda: _scenario_of(AtomicAction("tap", ())),
          "touch sequence cannot be empty"),
-        (lambda: _scenario_of(AtomicAction(ActionKind.TAP, (1,))), _NO_TOUCHES),
+        (lambda: _scenario_of(AtomicAction("tap", (1,))), _NO_TOUCHES),
         (lambda: _scenario_of(MultiFingerItem((1,), 1)),
          "mfa actions must be an iterable of AtomicAction"),
         (lambda: _scenario_of(MultiFingerItem((), 1)),
@@ -612,8 +612,10 @@ class TestConstructorIsTheCheck:
          "field 'finger_count' must be in [1, 2**1000), got 0"),
         (lambda: _scenario_of(MultiFingerItem((_TAP,), 1.0)),
          "field 'finger_count' must be an integer, got 1.0"),
-        (lambda: _scenario_of(MultiFingerItem((_TAP, _TAP), 3)),
+        (lambda: _scenario_of(MultiFingerItem((_TAP, _OTHER_TAP), 3)),
          "finger_count 3 exceeds the item's 2 actions"),
+        (lambda: _scenario_of(MultiFingerItem((_TAP, _TAP), 2)),
+         "mfa actions must start with distinct detections"),
         (lambda: TouchSequence((1,)), _NO_TOUCHES),
         (lambda: TouchSequence(5), _NO_TOUCHES),
         (lambda: TouchSequence(None), _NO_TOUCHES),
@@ -622,7 +624,7 @@ class TestConstructorIsTheCheck:
             "action-frames-repeat", "action-high-after-low", "action-no-touches",
             "action-touch-int", "mfa-action-int", "mfa-no-action",
             "mfa-zero-fingers", "mfa-float-fingers", "mfa-more-fingers-than-actions",
-            "sequence-touch-int", "sequence-int", "sequence-none"])
+            "mfa-action-twice", "sequence-touch-int", "sequence-int", "sequence-none"])
     def test_trace_and_scenario_argument_of_wrong_shape(self, build, message):
         with pytest.raises(SchemaViolation) as caught:
             build()
@@ -636,13 +638,43 @@ class TestConstructorIsTheCheck:
     def test_bbox_or_confidence_that_is_no_number(self):
         for change, message in (
             (dict(confidence="high"), "confidence must be a number"),
-            (dict(x=Opacity.LOW), "bbox must be a list of 4 numbers, got "
-                                  "(<Opacity.LOW: 'low'>, 100.0, 40.0, 40.0)"),
+            (dict(x=LOW), "bbox must be a list of 4 numbers, got "
+                          "('low', 100.0, 40.0, 40.0)"),
             (dict(w=""), "bbox must be a list of 4 numbers, got (100.0, 100.0, '', 40.0)"),
         ):
             with pytest.raises(SchemaViolation) as caught:
                 build_trace(dict(VALID, **change))
             assert str(caught.value) == message
+
+    @pytest.mark.parametrize("opacity", ["HIGH", "Low", "", None, 1, True, [HIGH]])
+    def test_opacity_gives_the_readers_message(self, opacity):
+        message = f"opacity must be 'high' or 'low', got {opacity!r}"
+        with pytest.raises(SchemaViolation) as built:
+            TouchDetection(0, (10.0, 10.0, 40.0, 40.0), 0.9, opacity)
+        with pytest.raises(SchemaViolation) as read:
+            TouchDetection.from_dict(det(0, opacity=opacity))
+        assert str(built.value) == str(read.value) == message
+
+    @pytest.mark.parametrize("kind", ["TAP", "longtap", "", None, 1, ["tap"]])
+    def test_action_kind_gives_the_readers_message(self, kind):
+        doc = json.loads(_scenario_of(_TAP).to_json())
+        doc["items"][0]["action"]["kind"] = kind
+        with pytest.raises(SchemaViolation) as built:
+            AtomicAction(kind, _TAP.touches)
+        with pytest.raises(SchemaViolation) as read:
+            ClassifiedScenario.from_json(json.dumps(doc))
+        assert str(built.value) == str(read.value) == f"unknown action kind {kind!r}"
+
+    @pytest.mark.parametrize("word", [HIGH, LOW])
+    def test_opacity_is_stored_as_the_constant(self, word):
+        spelled = "".join([word[:2], word[2:]])  # equal, but another object
+        assert spelled == word and spelled is not word
+        # The constructor, and the reader's checked and fast paths.
+        for detection in (TouchDetection(0, (10.0, 10.0, 40.0, 40.0), 0.9, spelled),
+                          TouchDetection.from_dict(det(0, opacity=spelled)),
+                          TouchDetection.from_dict(det(0, bbox=(10.0, 10.0, 40.0, 40.0),
+                                                       opacity=spelled))):
+            assert detection.opacity is word
 
     @pytest.mark.parametrize("fields, message", [
         ((("1", "2", "3", "4"), "0.9"),
@@ -661,7 +693,7 @@ class TestConstructorIsTheCheck:
         # Numbers only: the constructor converts no string and no bool.
         bbox, confidence = fields
         with pytest.raises(SchemaViolation) as caught:
-            TouchDetection(0, bbox, confidence, Opacity.HIGH)
+            TouchDetection(0, bbox, confidence, HIGH)
         assert str(caught.value) == message
 
 
@@ -686,7 +718,7 @@ def trace_json(args) -> str:
         "detections": [{"frame": args["frame"],
                         "bbox": [args["x"], args["y"], args["w"], args["h"]],
                         "confidence": args["confidence"],
-                        "opacity": args["opacity"].value}],
+                        "opacity": args["opacity"]}],
     })
 
 
@@ -747,7 +779,7 @@ class TestIntegerCeiling:
     def test_center_must_be_finite(self, bbox):
         message = "bbox center must be finite"
         with pytest.raises(SchemaViolation, match=message):
-            TouchDetection(0, bbox, 0.9, Opacity.HIGH)
+            TouchDetection(0, bbox, 0.9, HIGH)
         # All floats try the fast path first; an int entry takes the checked one.
         for entries in (list(bbox), [int(v) if v == 40.0 else v for v in bbox]):
             touch = {"frame": 0, "bbox": entries, "confidence": 0.9, "opacity": "high"}

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from tracereplay.classify import classify_trace
 from tracereplay.errors import BoundsViolation, SchemaViolation
-from tracereplay.model import DetectionTrace, DeviceProfile, Opacity
+from tracereplay.model import HIGH, LOW, DetectionTrace, DeviceProfile
 from tracereplay.segment import TouchSequence, filter_confidence, segment_trace
 from tracereplay.synth import NoiseModel, random_scenario, synthesize_trace
 
@@ -30,7 +30,7 @@ def segment(touches):
     return segment_trace(make_trace(PROFILE, touches))
 
 
-H, L = Opacity.HIGH, Opacity.LOW
+H, L = HIGH, LOW
 
 
 def sequence(frames, opacities=None):
@@ -85,16 +85,16 @@ class TestDetectionTrace:
 
 
 @given(
-    st.lists(st.sampled_from([Opacity.HIGH, Opacity.LOW]), min_size=1, max_size=12)
+    st.lists(st.sampled_from([HIGH, LOW]), min_size=1, max_size=12)
 )
 def test_high_touches_is_the_opacity_filter(opacities):
     # Any valid sequence: the highs first, then the fade suffix.
-    opacities.sort(key=lambda o: o is Opacity.LOW)
+    opacities.sort(key=lambda o: o is LOW)
     touches = tuple(
         make_touch(f, 100, 100, opacity=o) for f, o in enumerate(opacities)
     )
     seq = TouchSequence(touches=touches)
-    highs = tuple(t for t in touches if t.opacity is Opacity.HIGH)
+    highs = tuple(t for t in touches if t.opacity is HIGH)
     assert seq.high_touches == highs
     assert seq.last_high_frame == (highs[-1].frame if highs else 0)
     assert seq == TouchSequence(touches=list(touches))
@@ -184,17 +184,17 @@ class TestSegmentActions:
         # High 0..4, low on 5, high 6..11: the low node closes the first
         # action and the rest becomes a separate one.
         touches = [make_touch(f, 100, 100) for f in range(5)]
-        touches.append(make_touch(5, 100, 100, opacity=Opacity.LOW))
+        touches.append(make_touch(5, 100, 100, opacity=LOW))
         touches += [make_touch(f, 100, 100) for f in range(6, 12)]
         sequences = segment(touches)
         assert [(s.start_frame, s.end_frame) for s in sequences] == [(0, 5), (6, 11)]
-        assert sequences[0].touches[-1].opacity is Opacity.LOW
+        assert sequences[0].touches[-1].opacity is LOW
 
     def test_low_run_stays_with_earlier_piece(self):
         touches = [make_touch(f, 100, 100) for f in range(4)]
         touches += [
-            make_touch(4, 100, 100, opacity=Opacity.LOW),
-            make_touch(5, 100, 100, opacity=Opacity.LOW),
+            make_touch(4, 100, 100, opacity=LOW),
+            make_touch(5, 100, 100, opacity=LOW),
         ]
         touches += [make_touch(f, 100, 100) for f in range(6, 10)]
         sequences = segment(touches)
@@ -203,7 +203,7 @@ class TestSegmentActions:
 
     def test_short_pieces_discarded_after_split(self):
         touches = [make_touch(f, 100, 100) for f in range(3)]
-        touches.append(make_touch(3, 100, 100, opacity=Opacity.LOW))
+        touches.append(make_touch(3, 100, 100, opacity=LOW))
         touches += [make_touch(f, 100, 100) for f in (4, 5)]  # 2-frame remainder
         sequences = segment(touches)
         assert [(s.start_frame, s.end_frame) for s in sequences] == [(0, 3)]
@@ -226,7 +226,7 @@ class TestSegmentActions:
         a0 = make_touch(0, 100, 100)
         a1 = make_touch(1, 100, 100)
         b1 = make_touch(1, 140, 100)
-        lift = make_touch(2, 120, 100, opacity=Opacity.LOW)
+        lift = make_touch(2, 120, 100, opacity=LOW)
         b2 = make_touch(2, 180, 100)
         b3 = make_touch(3, 220, 100)
         b4 = make_touch(4, 260, 100)
@@ -235,10 +235,10 @@ class TestSegmentActions:
         seq_a = next(s for s in sequences if s.start_frame == 0)
         seq_b = next(s for s in sequences if s is not seq_a)
         assert seq_a.end_frame == 2
-        assert seq_a.touches[-1].opacity is Opacity.LOW
+        assert seq_a.touches[-1].opacity is LOW
         assert seq_a.touches[-1].center == (120.0, 100.0)
         assert (seq_b.start_frame, seq_b.end_frame) == (1, 4)
-        assert all(t.opacity is Opacity.HIGH for t in seq_b.touches)
+        assert all(t.opacity is HIGH for t in seq_b.touches)
 
     def test_surplus_touch_starts_new_sequence(self):
         touches = [make_touch(f, 100, 100) for f in range(6)]
@@ -256,7 +256,7 @@ class TestSegmentActions:
 
     def test_partition_accounts_for_every_touch(self):
         touches = [make_touch(f, 100, 100) for f in range(5)]
-        touches.append(make_touch(5, 100, 100, opacity=Opacity.LOW))
+        touches.append(make_touch(5, 100, 100, opacity=LOW))
         touches += [make_touch(f, 100, 100) for f in (6, 7)]
         touches += [make_touch(f, 600, 600) for f in range(2, 9)]
         sequences = segment(touches)

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from tracereplay.errors import InvalidScenario, SchemaViolation
-from tracereplay.model import Opacity
+from tracereplay.model import HIGH, LOW
 from tracereplay.synth import (
     GroundTruthAction,
     GroundTruthScenario,
@@ -180,8 +180,8 @@ class TestSynthesize:
         )
         trace, symbols = synthesize_trace(scenario, NoiseModel())
         assert symbols == ("T",)
-        highs = [d for d in trace.detections if d.opacity is Opacity.HIGH]
-        lows = [d for d in trace.detections if d.opacity is Opacity.LOW]
+        highs = [d for d in trace.detections if d.opacity is HIGH]
+        lows = [d for d in trace.detections if d.opacity is LOW]
         assert [d.frame for d in highs] == list(range(5, 15))
         assert [d.frame for d in lows] == [15, 16, 17]
         assert all(d.center == (100.0, 200.0) for d in trace.detections)
@@ -199,7 +199,7 @@ class TestSynthesize:
         trace, _ = synthesize_trace(scenario, NoiseModel())
         per_frame = {}
         for d in trace.detections:
-            if d.opacity is Opacity.HIGH:
+            if d.opacity is HIGH:
                 per_frame[d.frame] = per_frame.get(d.frame, 0) + 1
         assert per_frame == {f: 2 for f in range(20)}
 
@@ -220,7 +220,7 @@ class TestSynthesize:
             for f, x, y in path
         }
         for d in trace.detections:
-            if d.opacity is Opacity.HIGH:
+            if d.opacity is HIGH:
                 f, (x, y) = d.frame, d.center
                 assert (f, x, y) in truth_points
 

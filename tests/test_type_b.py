@@ -43,9 +43,10 @@ from tracereplay.codegen import (
 )
 from tracereplay.errors import ScriptFormatError, SlotExhaustion
 from tracereplay.model import (
+    HIGH,
+    LOW,
     DetectionTrace,
     DeviceProfile,
-    Opacity,
     TouchDetection,
     parse_trace,
     serialize_trace,
@@ -300,7 +301,7 @@ def dense_traces(draw):
             y = min(max(y + step * sin(angle), _HALF), _H - _HALF)
             if rng.random() < missing:
                 continue
-            opacity = Opacity.LOW if rng.random() < low_share else Opacity.HIGH
+            opacity = LOW if rng.random() < low_share else HIGH
             detections.append(TouchDetection(
                 frame, (x - _HALF, y - _HALF, 2 * _HALF, 2 * _HALF),
                 rng.uniform(min_confidence, 1.0), opacity))
@@ -310,7 +311,7 @@ def dense_traces(draw):
 def _long_fingers(count):
     """`count` fingers held high and still for 30 frames, 90 px apart."""
     return DetectionTrace(PROFILE, [
-        TouchDetection(frame, (50.0 + 90.0 * k, 500.0, 40.0, 40.0), 0.9, Opacity.HIGH)
+        TouchDetection(frame, (50.0 + 90.0 * k, 500.0, 40.0, 40.0), 0.9, HIGH)
         for frame in range(30) for k in range(count)
     ], 30)
 

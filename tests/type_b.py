@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from tracereplay.classify import ActionKind, AtomicAction
+from tracereplay.classify import AtomicAction
 from tracereplay.codegen import (
     ABS_MT_POSITION_X,
     ABS_MT_POSITION_Y,
@@ -43,7 +43,7 @@ def scenario_contacts(scenario):
     for item in scenario.items:
         if isinstance(item, AtomicAction):
             touches = item.touches[:1]
-            if item.kind is ActionKind.GESTURE:
+            if item.kind == "gesture":
                 touches += item.high_touches[1:]
             contacts.append(
                 (item.start_frame, item.last_high_frame + 1, touches)
