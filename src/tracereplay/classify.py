@@ -81,8 +81,8 @@ class AtomicAction(TouchSequence):
 
 
 class MultiFingerItem(Frozen):
-    """One multi-fingered gesture: its fingers' actions, which start with
-    distinct detections, and finger count, at most one finger per action."""
+    """One multi-fingered gesture: its fingers' actions and finger count,
+    at most one finger per action."""
 
     _fields = ("actions", "finger_count")
 
@@ -93,8 +93,6 @@ class MultiFingerItem(Frozen):
         _int(finger_count, "finger_count", 1)
         _require(finger_count <= len(actions), f"finger_count {finger_count} "
                  f"exceeds the item's {len(actions)} actions")
-        _require(len({a.touches[0] for a in actions}) == len(actions),
-                 "mfa actions must start with distinct detections")
         self._set(actions, finger_count)
 
     @property
@@ -115,7 +113,8 @@ ScenarioItem = AtomicAction | MultiFingerItem
 
 class ClassifiedScenario(Frozen):
     """Chronological single- and multi-fingered actions of one trace; the
-    constructor checks the profile, the items' types and their order."""
+    constructor checks the profile, the items' types and order, and that
+    no two actions start with equal detections (one is not two fingers)."""
 
     _fields = ("profile", "items")
 
@@ -126,6 +125,10 @@ class ClassifiedScenario(Frozen):
         starts = [item.start_frame for item in items]
         if any(b < a for a, b in zip(starts, starts[1:])):
             raise SchemaViolation("scenario items must be ordered by start frame")
+        firsts = [action.touches[0] for item in items for action in (
+            item.actions if isinstance(item, MultiFingerItem) else (item,))]
+        _require(len(set(firsts)) == len(firsts),
+                 "scenario actions must start with distinct detections")
         self._set(profile, items)
 
     def symbols(self, extended: bool = False) -> Symbols:

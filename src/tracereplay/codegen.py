@@ -33,13 +33,16 @@ import struct
 from heapq import heappop, heappush
 from itertools import accumulate
 from math import floor
+from typing import TYPE_CHECKING
 
-from .classify import AtomicAction, ClassifiedScenario
 from .errors import ScriptFormatError, SlotExhaustion
 from .model import (
     DEFAULT_DEVICE_NODE, DeviceProfile, Frozen, _frame_and_center, decode_json,
     valid_device_node,
 )
+
+if TYPE_CHECKING:
+    from .classify import ClassifiedScenario
 
 # Kernel input event vocabulary (multi-touch protocol type B).
 EV_SYN = 0x0000
@@ -105,39 +108,33 @@ def frame_offset_us(frames: int, fps: int) -> int:
     return round(frames * 1_000_000 / fps)
 
 
-def _contacts(item):
-    """(release frame, samples) of each contact of one scenario item.
+def _clusters(items):
+    """(anchor frame, contacts) per cluster of items that overlap in time,
+    each contact its release frame and samples.
 
     An SFA is one contact: its first touch, plus its later high-opacity
     touches for a gesture, released one frame after its last high
     (active) frame. Each MFA finger with a high-opacity touch is one
     contact of those touches, released in its last high frame's window.
-    """
-    if isinstance(item, AtomicAction):
-        samples = item.touches[:1]
-        if item.kind == "gesture":
-            samples += item.high_touches[1:]
-        return [(item.last_high_frame + 1, samples)]
-    return [
-        (action.last_high_frame, action.high_touches)
-        for action in item.actions
-        if action.high_touches
-    ]
-
-
-def _clusters(items):
-    """(anchor frame, contacts) per cluster of items that overlap in time.
-
     An item joins the open cluster when it starts before the cluster's
     last release frame; an item that starts in that frame opens a new
     cluster. The anchor is the cluster's first item's start frame.
     """
+    from .classify import AtomicAction  # not at module level: `replay` needs none
+
     clusters = []
     end = 0
     for item in items:
-        contacts = _contacts(item)
-        if not contacts:
-            continue
+        if isinstance(item, AtomicAction):
+            samples = item.touches[:1]
+            if item.kind == "gesture":
+                samples += item.high_touches[1:]
+            contacts = [(item.last_high_frame + 1, samples)]
+        else:
+            contacts = [(action.last_high_frame, action.high_touches)
+                        for action in item.actions if action.high_touches]
+            if not contacts:
+                continue
         if not clusters or item.start_frame >= end:
             clusters.append((item.start_frame, []))
         clusters[-1][1].extend(contacts)
@@ -245,7 +242,7 @@ def validate_script(script: SendEventScript) -> None:
                     min(profile.screen_height, _I32_END))
 
 
-def validate_events(events, x_end: int = _I32_END, y_end: int = _I32_END) -> None:
+def validate_events(events, x_end: int = _I32_END, y_end: int = _I32_END) -> list:
     """Check a sequence of events; raises ScriptFormatError.
 
     Every event must be a tuple of 4 ints in the type-B vocabulary the
@@ -260,15 +257,17 @@ def validate_events(events, x_end: int = _I32_END, y_end: int = _I32_END) -> Non
     A window, closed by `SYN_REPORT`, holds one timestamp and at most one
     x and one y per contact; at its `SYN_REPORT` each contact has both or
     neither, and the button is down exactly when a contact is open. The
-    last window ends in `SYN_REPORT`, with no contact left open.
+    last window ends in `SYN_REPORT`, with no contact left open. Returns
+    the contacts in open order, each `(tracking_id, slot, open_us,
+    release_us, samples)`, a list of one `(t_us, x, y)` per window placing it.
     """
-    open_tids: dict[int, int] = {}  # slot -> tracking id
-    seen_tids: set[int] = set()
+    decoded = {}  # tracking id -> [id, slot, open us, release us, samples, x, y]
+    open_in = {}  # slot -> its open contact
+    placed = []  # the contacts given an x or a y (None until given) in this window
     current_slot = 0
     last_t = 0
     button = False
     in_window = False
-    placed = (set(), set())  # tracking ids given an x, and a y, in this window
     for event in events:
         try:
             t, etype, code, value = event
@@ -293,19 +292,24 @@ def validate_events(events, x_end: int = _I32_END, y_end: int = _I32_END) -> Non
             axis = code - ABS_MT_POSITION_X
             if not 0 <= value < (y_end if axis else x_end):
                 raise ScriptFormatError(f"{'xy'[axis]}={value} off screen")
-            tid = open_tids.get(current_slot)
-            if tid is None:
+            contact = open_in.get(current_slot)
+            if contact is None:
                 raise ScriptFormatError(f"position for empty slot {current_slot} at {t}us")
-            if tid in placed[axis]:
+            if contact[5 + axis] is not None:
                 raise ScriptFormatError(f"two positions in one window at {t}us")
-            placed[axis].add(tid)
+            if contact[6 - axis] is None:
+                placed.append(contact)
+            contact[5 + axis] = value
         elif code == SYN_REPORT and etype == EV_SYN and value == 0:
-            if button != bool(open_tids):
+            if button != bool(open_in):
                 raise ScriptFormatError(f"BTN_TOUCH stale at {t}us")
-            if placed[0] != placed[1]:
-                raise ScriptFormatError(f"half a position at {t}us")
-            placed[0].clear()
-            placed[1].clear()
+            for contact in placed:
+                _, _, _, _, samples, x, y = contact
+                if x is None or y is None:
+                    raise ScriptFormatError(f"half a position at {t}us")
+                samples.append((t, x, y))
+                contact[5] = contact[6] = None
+            placed.clear()
             in_window = False
         elif code == ABS_MT_SLOT and etype == EV_ABS:
             if not 0 <= value < MAX_SLOTS:
@@ -313,31 +317,34 @@ def validate_events(events, x_end: int = _I32_END, y_end: int = _I32_END) -> Non
             current_slot = value
         elif code == ABS_MT_TRACKING_ID and etype == EV_ABS:
             if value == TRACKING_RELEASE:
-                if current_slot not in open_tids:
+                contact = open_in.pop(current_slot, None)
+                if contact is None:
                     raise ScriptFormatError(f"release on empty slot {current_slot}")
-                del open_tids[current_slot]
+                contact[3] = t
             else:
                 if not 0 <= value < _I32_END:
                     raise ScriptFormatError(f"tracking id {value} out of range")
-                if current_slot in open_tids:
+                if current_slot in open_in:
                     raise ScriptFormatError(f"slot {current_slot} opened twice")
-                if value in seen_tids:
+                if value in decoded:
                     raise ScriptFormatError(f"tracking id {value} reused")
-                open_tids[current_slot] = value
-                seen_tids.add(value)
+                open_in[current_slot] = decoded[value] = [
+                    value, current_slot, t, None, [], None, None]
         elif code == BTN_TOUCH and etype == EV_KEY and 0 <= value <= 1:
             if button == value:
                 raise ScriptFormatError(f"BTN_TOUCH {value} at {t}us repeats its state")
-            if len(open_tids) != value:  # down with the first contact, up with none
+            if len(open_in) != value:  # down with the first contact, up with none
                 raise ScriptFormatError(
-                    f"BTN_TOUCH {value} at {t}us with {len(open_tids)} contacts open")
+                    f"BTN_TOUCH {value} at {t}us with {len(open_in)} contacts open")
             button = not button
         else:
             raise _outside_vocabulary(event)
     if in_window:
         raise ScriptFormatError("last window has no SYN_REPORT")
-    if open_tids:
-        raise ScriptFormatError(f"contacts left open: {sorted(open_tids.values())}")
+    if open_in:
+        raise ScriptFormatError(
+            f"contacts left open: {sorted(c[0] for c in open_in.values())}")
+    return [tuple(contact[:5]) for contact in decoded.values()]
 
 
 def _outside_vocabulary(event) -> ScriptFormatError:

@@ -259,10 +259,10 @@ class DetectionTrace(Frozen):
 
     The constructor is the whole check: the profile must be a
     `DeviceProfile`, `frame_count` an integer in [0, 2**1000), and the
-    detections an iterable of `TouchDetection`, each before `frame_count`
-    and inside the profile's screen. It sorts the detections by frame
+    detections an iterable of distinct `TouchDetection`s, each before
+    `frame_count` and inside the profile's screen. It sorts them by frame
     (stable, so ties keep their input order), then raises for the first
-    misplaced one, its frame checked before its bbox.
+    misplaced (its frame checked before its bbox) or repeated one.
     """
 
     _fields = ("profile", "detections", "frame_count")
@@ -276,7 +276,8 @@ class DetectionTrace(Frozen):
                                "detections must be an iterable of TouchDetection")
         width, height = profile.screen_width, profile.screen_height
         detections = tuple(sorted(detections, key=_frame))
-        for frame, bbox in map(_frame_and_bbox, detections):
+        run_frame = -1
+        for i, (frame, bbox) in enumerate(map(_frame_and_bbox, detections)):
             if frame >= frame_count:
                 raise SchemaViolation(
                     f"detection frame {frame} >= frame_count {frame_count}"
@@ -286,6 +287,10 @@ class DetectionTrace(Frozen):
                 raise BoundsViolation(
                     f"bbox {bbox} outside {width}x{height} screen (frame {frame})"
                 )
+            if frame != run_frame:  # this frame's detections start at `start`
+                run_frame, start = frame, i
+            elif detections[i] in detections[start:i]:
+                raise SchemaViolation(f"frame {frame} holds one detection twice")
         self._set(profile, detections, frame_count)
 
     def __len__(self) -> int:

@@ -46,6 +46,19 @@ def make_touch(frame, x, y, opacity=HIGH, confidence=0.9, size=INDICATOR):
     )
 
 
+def distinct_starts(items):
+    """`items` less each one that has an action starting at a detection
+    equal to the first of an earlier item's action: a scenario holds no
+    such pair."""
+    kept, firsts = [], set()
+    for item in items:
+        starts = {action.touches[0] for action in getattr(item, "actions", (item,))}
+        if not starts & firsts:
+            kept.append(item)
+            firsts |= starts
+    return kept
+
+
 def make_sequence(start, high_frames, x, y, fade_frames=0, dx=0.0, dy=0.0):
     """Sequence at (x, y) drifting (dx, dy) per frame, plus a fade tail."""
     touches = []

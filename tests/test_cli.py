@@ -220,6 +220,27 @@ def test_pipeline_non_finite_bbox_exits_2(tmp_path, capsys, bad):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("copied_frames", [range(8), range(3, 10)],
+                         ids=["whole-press", "from-frame-3"])
+def test_pipeline_detection_twice_in_a_frame_exits_2(tmp_path, capsys, copied_frames):
+    # One box in frames 0-9, and an equal copy of it in `copied_frames`.
+    def box(frame):
+        return {"frame": frame, "bbox": [300.0, 400.0, 40.0, 40.0], "confidence": 0.9,
+                "opacity": "high"}
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({
+        "schema_version": 1,
+        "device": {"name": "nexus5", "width": 1080, "height": 1920, "fps": 30},
+        "frame_count": 20,
+        "detections": [box(f) for f in range(10)] + [box(f) for f in copied_frames],
+    }))
+    assert main(["pipeline", "--trace", str(trace), "--out-dir",
+                 str(tmp_path / "out"), "--dry-run"]) == 2
+    frame = copied_frames[0]
+    assert capsys.readouterr().err == (
+        f"error (pipeline): frame {frame} holds one detection twice\n")
+
+
 @pytest.mark.parametrize("doc", UNDECODABLE_JSON, ids=UNDECODABLE_JSON)
 @pytest.mark.parametrize("command", ["classify", "pipeline", "generate", "synthesize",
                                      "--config"])
@@ -404,15 +425,20 @@ OTHER_TAP = {"kind": "tap", "touches": [
     {"frame": 0, "bbox": [90.0, 10.0, 40.0, 40.0], "confidence": 0.9, "opacity": "high"}]}
 
 
-@pytest.mark.parametrize("items", [
-    5,
-    [{"type": "mfa", "actions": [], "finger_count": 2}],
-    [{"type": "mfa", "actions": [TAP, OTHER_TAP], "finger_count": 9}],
-    [{"type": "mfa", "actions": [TAP, TAP], "finger_count": 2}],
-    [{"type": "sfa"}],
+_TWICE = "scenario actions must start with distinct detections"
+
+
+@pytest.mark.parametrize("items, message", [
+    (5, ""),
+    ([{"type": "mfa", "actions": [], "finger_count": 2}], ""),
+    ([{"type": "mfa", "actions": [TAP, OTHER_TAP], "finger_count": 9}], ""),
+    ([{"type": "mfa", "actions": [TAP, TAP], "finger_count": 2}], _TWICE),
+    ([{"type": "sfa", "action": TAP}, {"type": "sfa", "action": TAP}], _TWICE),
+    ([{"type": "sfa"}], ""),
 ], ids=["int-items", "empty-mfa-actions", "more-fingers-than-actions",
-        "mfa-action-twice", "sfa-without-action"])
-def test_generate_bad_classified_structure_exits_2(tmp_path, capsys, profile, items):
+        "mfa-action-twice", "sfa-action-twice", "sfa-without-action"])
+def test_generate_bad_classified_structure_exits_2(tmp_path, capsys, profile, items,
+                                                   message):
     doc = tmp_path / "classified.json"
     doc.write_text(json.dumps(
         {"schema_version": 1, "device": profile.to_dict(), "items": items}
@@ -421,6 +447,7 @@ def test_generate_bad_classified_structure_exits_2(tmp_path, capsys, profile, it
                  "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error (generate): ")
+    assert message in err
     assert "Traceback" not in err
 
 

@@ -61,6 +61,7 @@ from tracereplay.model import HIGH, LOW, DeviceProfile, TouchDetection
 from tracereplay.segment import TouchSequence
 from tracereplay.synth import noise_preset, random_scenario, synthesize_trace
 
+from conftest import distinct_starts
 from type_b import check_type_b, peak_contacts
 
 _LOG_LINE = re.compile(
@@ -474,13 +475,13 @@ def overlapping_items(draw):
     """1-6 single- and multi-finger items starting within 60 frames, so
     that many overlap in time."""
     first = draw(st.integers(0, 20))
-    return [
+    return distinct_starts([
         draw(st.one_of(
             actions(start=first + draw(st.integers(0, 60))),
             mfa_items(first=first + draw(st.integers(0, 60)), most=4),
         ))
         for _ in range(draw(st.integers(1, 6)))
-    ]
+    ])
 
 
 # --- properties ---

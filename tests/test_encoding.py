@@ -29,6 +29,8 @@ from tracereplay.model import (
     serialize_trace,
 )
 
+from conftest import distinct_starts
+
 WIDTH, HEIGHT = 1080, 1920
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -118,7 +120,7 @@ items = st.one_of(actions(), multi_finger_items())
 
 @st.composite
 def scenarios(draw):
-    drawn = draw(st.lists(items, max_size=5))
+    drawn = distinct_starts(draw(st.lists(items, max_size=5)))
     drawn.sort(key=lambda item: item.start_frame)
     return ClassifiedScenario(profile=draw(profiles), items=tuple(drawn))
 
@@ -138,7 +140,8 @@ def traces(draw):
         ))
     profile = DeviceProfile(name=draw(st.text()), screen_width=WIDTH,
                             screen_height=HEIGHT, fps=30)
-    return DetectionTrace(profile=profile, detections=tuple(detections),
+    # A trace holds no detection twice.
+    return DetectionTrace(profile=profile, detections=tuple(dict.fromkeys(detections)),
                           frame_count=frame_count)
 
 

@@ -29,11 +29,19 @@ from tracereplay.classify import (
     MultiFingerItem,
     classify_trace,
 )
-from tracereplay.codegen import assemble_script, serialize_script, translate_runnable
+from tracereplay.codegen import (
+    assemble_script,
+    parse_runnable,
+    serialize_script,
+    translate_runnable,
+    validate_events,
+)
 from tracereplay.config import DEVICE_PRESETS
 from tracereplay.errors import TraceReplayError
 from tracereplay.model import DeviceProfile, parse_trace, serialize_trace
 from tracereplay.synth import noise_preset, random_scenario, synthesize_trace
+
+from type_b import check_type_b, samples_by_id
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 
@@ -109,6 +117,26 @@ def test_items_are_actions_or_multi_finger_items():
             loaded = ClassifiedScenario.from_json(classified.to_json())
             for item in classified.items + loaded.items:
                 assert type(item) in (AtomicAction, MultiFingerItem), (preset, seed)
+
+
+def test_script_check_decodes_what_the_decoder_decodes():
+    """Each golden script.bin's contacts, as the script check returns
+    them, hold the type-B decoder's samples, in the order they open."""
+    expected = json.loads(GOLDEN.read_text())
+    compiled = 0
+    for preset in PRESETS:
+        for seed in SEEDS:
+            classified = classify_trace(parse_trace(case_trace(seed, preset)))
+            try:
+                runnable = translate_runnable(assemble_script(classified))
+            except TraceReplayError:
+                continue
+            assert _sha(runnable) == expected[f"{preset}/{seed}"]["script.bin"]
+            contacts = validate_events(parse_runnable(runnable))
+            want = check_type_b(runnable, classified)
+            assert list(samples_by_id(contacts).items()) == list(want.items())
+            compiled += 1
+    assert compiled >= 40
 
 
 def test_golden_cases_cover_mfa_and_compiled_scripts():

@@ -243,7 +243,8 @@ def fingers(draw, first_frame=0):
     are common. Each finger may end in a low-opacity fade, carry
     interior low runs, and lose frames to dropouts. A finger may trace
     the previous finger's path, so two touches share a center in one
-    frame (told apart by their confidence). Some confidences fall
+    frame (told apart by their confidence; a trace holds no detection
+    twice, so `traces` leaves out an equal copy). Some confidences fall
     below the filter threshold, which opens more gaps.
     """
     touches = []
@@ -292,7 +293,7 @@ def traces(draw):
     )
     return DetectionTrace(
         profile=profile,
-        detections=tuple(draw(st.permutations(touches))),
+        detections=tuple(draw(st.permutations(list(dict.fromkeys(touches))))),
         frame_count=max((t.frame for t in touches), default=0) + 1,
     )
 

@@ -341,8 +341,11 @@ class TestParseTrace:
 def first_misplaced(detections, frame_count, width, height):
     """Brute-force oracle of the placement check: (error type, message)
     of the first misplaced detection by (frame, input index), its frame
-    checked before its bbox; None when every detection is in place."""
-    for _, d in sorted(enumerate(detections), key=lambda p: (p[1].frame, p[0])):
+    checked before its bbox and both before its being equal to an
+    earlier detection; None when every detection is in place."""
+    ordered = [d for _, d in sorted(enumerate(detections),
+                                    key=lambda p: (p[1].frame, p[0]))]
+    for i, d in enumerate(ordered):
         if d.frame >= frame_count:
             return SchemaViolation, (
                 f"detection frame {d.frame} >= frame_count {frame_count}")
@@ -350,6 +353,8 @@ def first_misplaced(detections, frame_count, width, height):
         if x < 0 or y < 0 or x + w > width or y + h > height:
             return BoundsViolation, (
                 f"bbox {d.bbox} outside {width}x{height} screen (frame {d.frame})")
+        if any(d == earlier for earlier in ordered[:i]):
+            return SchemaViolation, f"frame {d.frame} holds one detection twice"
     return None
 
 
@@ -358,6 +363,8 @@ def first_misplaced(detections, frame_count, width, height):
        st.integers(0, 8))
 @example([(5, 190, 10)], 3)  # past frame_count and off screen: the frame decides
 @example([(4, 10, 10), (4, -1, 10), (4, 190, 10), (2, 10, 10)], 8)
+# One box twice in frame 3, another box between the two copies.
+@example([(3, 10, 10), (3, 50, 10), (2, 10, 10), (3, 10, 10)], 8)
 def test_placement_check_matches_oracle(placements, frame_count):
     # Shuffled detections on a 200x300 screen, each 20x20 at (x, y).
     profile = DeviceProfile(name="d", screen_width=200, screen_height=300, fps=30)
@@ -615,7 +622,9 @@ class TestConstructorIsTheCheck:
         (lambda: _scenario_of(MultiFingerItem((_TAP, _OTHER_TAP), 3)),
          "finger_count 3 exceeds the item's 2 actions"),
         (lambda: _scenario_of(MultiFingerItem((_TAP, _TAP), 2)),
-         "mfa actions must start with distinct detections"),
+         "scenario actions must start with distinct detections"),
+        (lambda: ClassifiedScenario(GROUND_TRUTH_PROFILE, (_TAP, _TAP)),
+         "scenario actions must start with distinct detections"),
         (lambda: TouchSequence((1,)), _NO_TOUCHES),
         (lambda: TouchSequence(5), _NO_TOUCHES),
         (lambda: TouchSequence(None), _NO_TOUCHES),
@@ -624,7 +633,7 @@ class TestConstructorIsTheCheck:
             "action-frames-repeat", "action-high-after-low", "action-no-touches",
             "action-touch-int", "mfa-action-int", "mfa-no-action",
             "mfa-zero-fingers", "mfa-float-fingers", "mfa-more-fingers-than-actions",
-            "mfa-action-twice", "sequence-touch-int", "sequence-int", "sequence-none"])
+            "mfa-action-twice", "sfa-action-twice", "sequence-touch-int", "sequence-int", "sequence-none"])
     def test_trace_and_scenario_argument_of_wrong_shape(self, build, message):
         with pytest.raises(SchemaViolation) as caught:
             build()

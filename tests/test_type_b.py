@@ -54,7 +54,7 @@ from tracereplay.model import (
 from tracereplay.synth import noise_preset, random_scenario, synthesize_trace
 
 from conftest import make_sequence
-from type_b import check_type_b, decode_type_b, peak_contacts
+from type_b import check_type_b, decode_type_b, peak_contacts, samples_by_id
 
 PROFILE = DeviceProfile(name="nexus5", screen_width=1080, screen_height=1920, fps=30)
 
@@ -70,6 +70,16 @@ def test_checker_accepts_two_overlapping_taps():
     scenario = two_taps()
     samples = check_type_b(translate_runnable(assemble_script(scenario)), scenario)
     assert samples == {1: [(100, 100)], 2: [(600, 600)]}
+
+
+def test_script_check_returns_the_contacts():
+    # Each tap's one sample in its first frame's window, released one
+    # frame after its last (frames 10 and 14), in slots 0 and 1.
+    events = assemble_script(two_taps()).events
+    assert validate_events(events) == [
+        (1, 0, 0, 333333, [(0, 100, 100)]),
+        (2, 1, 133333, 466667, [(133333, 600, 600)]),
+    ]
 
 
 def _first(events, code, value=None):
@@ -234,12 +244,12 @@ def type_b_streams(draw):
     return events
 
 
-def _rejects(check, events) -> bool:
+def _decoded(check, events):
+    """What `check` returns for `events`, or None if it rejects them."""
     try:
-        check(events)
+        return check(events)
     except (AssertionError, ScriptFormatError):
-        return True
-    return False
+        return None
 
 
 _OPEN = [(0, EV_ABS, ABS_MT_SLOT, 0), (0, EV_ABS, ABS_MT_TRACKING_ID, 1),
@@ -268,7 +278,11 @@ _CLOSE = [(3, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE),
           *_CLOSE])
 @settings(max_examples=400, deadline=None)
 def test_script_check_rejects_what_the_decoder_rejects(events):
-    assert _rejects(validate_events, events) == _rejects(decode_type_b, events)
+    contacts = _decoded(validate_events, events)
+    samples = _decoded(decode_type_b, events)
+    assert (contacts is None) == (samples is None)
+    if contacts is not None:  # both decode the same samples, in open order
+        assert list(samples_by_id(contacts).items()) == list(samples.items())
 
 
 # --- dense traces ---

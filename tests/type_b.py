@@ -138,6 +138,12 @@ def decode_type_b(events) -> dict[int, list[tuple[int, int]]]:
     return samples
 
 
+def samples_by_id(contacts) -> dict[int, list[tuple[int, int]]]:
+    """The contacts codegen's `validate_events` returns, as `decode_type_b`
+    returns them: each tracking id's (x, y) samples, in open order."""
+    return {tid: [(x, y) for _, x, y in samples] for tid, _, _, _, samples in contacts}
+
+
 def check_type_b(runnable: bytes, scenario) -> dict[int, list[tuple[int, int]]]:
     """Assert that `runnable` decodes (see `decode_type_b`) to exactly
     the scenario's contacts, whose samples are the scenario contacts'
