@@ -57,7 +57,7 @@ MULTI_TOUCH_GATE = 0.5
 
 
 class AtomicAction(TouchSequence):
-    """One finger's classified contiguous contact, of a `KIND_SYMBOLS` kind:
+    """One finger's classified contact, of a `KIND_SYMBOLS` kind:
     a `TouchSequence`, with its checks, its derived `high_touches` and its frames."""
 
     _fields = ("kind", "touches")
@@ -112,9 +112,10 @@ ScenarioItem = AtomicAction | MultiFingerItem
 
 
 class ClassifiedScenario(Frozen):
-    """Chronological single- and multi-fingered actions of one trace; the
-    constructor checks the profile, the items' types and order, and that
-    no two actions start with equal detections (one is not two fingers)."""
+    """Chronological single- and multi-fingered actions of one trace, one
+    contact per action. The constructor checks the profile, the items' types
+    and order, and the classifier's guarantees: each action has a high-opacity
+    touch, and no detection (all four fields) belongs to two actions."""
 
     _fields = ("profile", "items")
 
@@ -125,10 +126,13 @@ class ClassifiedScenario(Frozen):
         starts = [item.start_frame for item in items]
         if any(b < a for a, b in zip(starts, starts[1:])):
             raise SchemaViolation("scenario items must be ordered by start frame")
-        firsts = [action.touches[0] for item in items for action in (
+        actions = [action for item in items for action in (
             item.actions if isinstance(item, MultiFingerItem) else (item,))]
-        _require(len(set(firsts)) == len(firsts),
-                 "scenario actions must start with distinct detections")
+        _require(all(action.high_touches for action in actions),
+                 "every scenario action needs a high-opacity touch")
+        touches = [touch for action in actions for touch in action.touches]
+        _require(len(set(touches)) == len(touches),
+                 "scenario actions must not share a detection")
         self._set(profile, items)
 
     def symbols(self, extended: bool = False) -> Symbols:

@@ -112,10 +112,10 @@ def _clusters(items):
     """(anchor frame, contacts) per cluster of items that overlap in time,
     each contact its release frame and samples.
 
-    An SFA is one contact: its first touch, plus its later high-opacity
-    touches for a gesture, released one frame after its last high
-    (active) frame. Each MFA finger with a high-opacity touch is one
-    contact of those touches, released in its last high frame's window.
+    One contact per action, each with a high-opacity touch (see
+    `ClassifiedScenario`): an SFA's is its first touch, plus its later high
+    touches for a gesture, released one frame after its last high (active)
+    frame; an MFA finger's is its high touches, released in that frame's window.
     An item joins the open cluster when it starts before the cluster's
     last release frame; an item that starts in that frame opens a new
     cluster. The anchor is the cluster's first item's start frame.
@@ -126,15 +126,11 @@ def _clusters(items):
     end = 0
     for item in items:
         if isinstance(item, AtomicAction):
-            samples = item.touches[:1]
-            if item.kind == "gesture":
-                samples += item.high_touches[1:]
-            contacts = [(item.last_high_frame + 1, samples)]
+            contacts = [(item.last_high_frame + 1, item.high_touches
+                         if item.kind == "gesture" else item.high_touches[:1])]
         else:
             contacts = [(action.last_high_frame, action.high_touches)
-                        for action in item.actions if action.high_touches]
-            if not contacts:
-                continue
+                        for action in item.actions]
         if not clusters or item.start_frame >= end:
             clusters.append((item.start_frame, []))
         clusters[-1][1].extend(contacts)
@@ -386,21 +382,25 @@ def parse_script(data: bytes | str) -> SendEventScript:
     lines = data.splitlines()
     if next(filter(None, map(str.rstrip, lines)), None) != LOG_HEADER:
         raise ScriptFormatError(f"log must start with {LOG_HEADER!r}")
-    device_node = None
-    profile = None
+    device_node = profile = None
     events = []
     log_line = re.compile(_LOG_LINE)
     for raw in lines:
         line = raw.rstrip()
         if not line:
             continue
-        if line.startswith("#"):
+        if line.startswith("#"):  # a header may repeat what was read, not change it
             if line.startswith("# device_node: "):
-                device_node = line[len("# device_node: "):]
+                node = line[len("# device_node: "):]
+                if device_node not in (None, node):
+                    raise ScriptFormatError(f"device node changed mid-log: {node!r}")
+                device_node = node
             elif line.startswith("# profile: "):
-                profile = DeviceProfile.from_dict(decode_json(
-                    line[len("# profile: "):], ScriptFormatError, "bad profile header"
-                ))
+                header = DeviceProfile.from_dict(decode_json(
+                    line[len("# profile: "):], ScriptFormatError, "bad profile header"))
+                if profile not in (None, header):
+                    raise ScriptFormatError(f"profile changed mid-log: {header!r}")
+                profile = header
             continue
         match = log_line.match(line)
         if match is None:

@@ -42,7 +42,7 @@ MAX_DISCARD_FRAMES = 2
 
 
 class TouchSequence(Frozen):
-    """One finger's contiguous contact: one touch per consecutive frame.
+    """One finger's contact: touches in strictly increasing frames, gaps allowed.
 
     The constructor checks that the touches are `TouchDetection`s, then,
     in one walk, that they are not empty, that their frames strictly

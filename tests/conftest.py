@@ -46,16 +46,17 @@ def make_touch(frame, x, y, opacity=HIGH, confidence=0.9, size=INDICATOR):
     )
 
 
-def distinct_starts(items):
-    """`items` less each one that has an action starting at a detection
-    equal to the first of an earlier item's action: a scenario holds no
-    such pair."""
-    kept, firsts = [], set()
+def distinct_detections(items):
+    """`items` (actions or MFA items) less each one whose actions hold a
+    detection twice, or one equal to a detection of an earlier kept
+    item: no detection of a scenario belongs to two actions."""
+    kept, seen = [], set()
     for item in items:
-        starts = {action.touches[0] for action in getattr(item, "actions", (item,))}
-        if not starts & firsts:
+        touches = [t for action in getattr(item, "actions", (item,))
+                   for t in action.touches]
+        if len(set(touches)) == len(touches) and seen.isdisjoint(touches):
             kept.append(item)
-            firsts |= starts
+            seen.update(touches)
     return kept
 
 

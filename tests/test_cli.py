@@ -425,7 +425,21 @@ OTHER_TAP = {"kind": "tap", "touches": [
     {"frame": 0, "bbox": [90.0, 10.0, 40.0, 40.0], "confidence": 0.9, "opacity": "high"}]}
 
 
-_TWICE = "scenario actions must start with distinct detections"
+_TWICE = "scenario actions must not share a detection"
+_FADED = "every scenario action needs a high-opacity touch"
+
+
+def _box(frame, x, y, opacity="high"):
+    return {"frame": frame, "bbox": [x - 20.0, y - 20.0, 40.0, 40.0],
+            "confidence": 0.9, "opacity": opacity}
+
+
+#: Two gestures that share their frame-4 detection, at (320, 520).
+SWIPE = {"kind": "gesture", "touches": [_box(f, 320.0, 400.0 + 30.0 * f) for f in range(5)]}
+CROSSING = {"kind": "gesture", "touches": [
+    SWIPE["touches"][4] if f == 4 else _box(f, 700.0, 100.0 * f) for f in range(2, 7)]}
+#: A tap that is all fade.
+FADE = {"kind": "tap", "touches": [_box(f, 500.0, 500.0, "low") for f in range(5)]}
 
 
 @pytest.mark.parametrize("items, message", [
@@ -435,8 +449,12 @@ _TWICE = "scenario actions must start with distinct detections"
     ([{"type": "mfa", "actions": [TAP, TAP], "finger_count": 2}], _TWICE),
     ([{"type": "sfa", "action": TAP}, {"type": "sfa", "action": TAP}], _TWICE),
     ([{"type": "sfa"}], ""),
+    ([{"type": "sfa", "action": SWIPE}, {"type": "sfa", "action": CROSSING}], _TWICE),
+    ([{"type": "sfa", "action": FADE}], _FADED),
+    ([{"type": "mfa", "actions": [SWIPE, FADE], "finger_count": 2}], _FADED),
 ], ids=["int-items", "empty-mfa-actions", "more-fingers-than-actions",
-        "mfa-action-twice", "sfa-action-twice", "sfa-without-action"])
+        "mfa-action-twice", "sfa-action-twice", "sfa-without-action",
+        "shared-later-detection", "fade-only-sfa", "fade-only-mfa-finger"])
 def test_generate_bad_classified_structure_exits_2(tmp_path, capsys, profile, items,
                                                    message):
     doc = tmp_path / "classified.json"

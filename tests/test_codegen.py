@@ -32,7 +32,7 @@ from tracereplay.codegen import (
     validate_events,
     validate_script,
 )
-from tracereplay.errors import ScriptFormatError, SlotExhaustion
+from tracereplay.errors import SchemaViolation, ScriptFormatError, SlotExhaustion
 from tracereplay.model import DeviceProfile
 
 from conftest import UNDECODABLE_JSON, make_sequence, make_touch
@@ -281,17 +281,19 @@ class TestAssemble:
         assert t_end == frame_offset_us(5, 30)
         assert len(coordinate_samples(events)) == 6
 
-    def test_mfa_finger_without_high_touch_takes_no_tracking_id(self, profile):
+    def test_mfa_finger_without_high_touch_is_rejected(self, profile):
+        # A finger that is all fade would be no contact: the scenario,
+        # which holds one contact per action, takes no such action.
         faded = make_sequence(0, 0, 500, 500, fade_frames=4)
         a = classify_action(make_sequence(0, 10, 100, 100), profile)
         b = classify_action(make_sequence(0, 10, 800, 800), profile)
         ghost = classify_action(faded, profile)
         tap = classify_action(make_sequence(20, 5, 300, 300), profile)
-        scenario = self.scenario_of(profile, [
-            MultiFingerItem((a, ghost, b), finger_count=3), tap,
-        ])
-        tids = [tid for _, tid in opens(assemble_script(scenario).events)]
-        assert tids == [1, 2, 3]
+        with pytest.raises(SchemaViolation,
+                           match="every scenario action needs a high-opacity touch"):
+            self.scenario_of(profile, [
+                MultiFingerItem((a, ghost, b), finger_count=3), tap,
+            ])
 
     def test_tracking_ids_unique(self, profile):
         a = classify_action(make_sequence(0, 10, 100, 100), profile)
@@ -555,6 +557,20 @@ def _last_line_on_other_node(lines):
     lines[-1] = lines[-1].replace("/dev/input/event2", "/dev/input/event3")
 
 
+def _node_header_mid_log(lines):
+    # Half the event lines on event2, then a header naming event7 and the
+    # other half on event7: read as one event7 script, it would not
+    # serialize back to these lines.
+    half = 3 + (len(lines) - 3) // 2
+    lines[half:] = ["# device_node: /dev/input/event7"] + [
+        line.replace("/dev/input/event2", "/dev/input/event7") for line in lines[half:]]
+
+
+def _second_profile_header_at_60fps(lines):
+    i = next(i for i, line in enumerate(lines) if line.startswith("# profile: "))
+    lines.insert(i + 1, lines[i].replace('"fps": 30', '"fps": 60'))
+
+
 def _drop_profile_header(lines):
     lines.remove(next(line for line in lines if line.startswith("# profile: ")))
 
@@ -603,6 +619,11 @@ def _first_release_line_twice(lines):
     (_no_profile, validate_script, "profile must be a DeviceProfile, got None"),
     (_last_line_on_other_node, parse_script,
      "device node changed mid-log: '/dev/input/event3'"),
+    (_node_header_mid_log, parse_script,
+     "device node changed mid-log: '/dev/input/event7'"),
+    (_second_profile_header_at_60fps, parse_script,
+     "profile changed mid-log: DeviceProfile(name='nexus5', screen_width=1080, "
+     "screen_height=1920, fps=60, touch_slop=8)"),
     (_drop_profile_header, parse_script, "log missing device_node/profile headers"),
     (_last_line_5000s_in, parse_script,
      "timestamp step 4999933333us at 5000000000us exceeds u32"),

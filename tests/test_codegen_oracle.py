@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import pytest
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tracereplay.classify import (
@@ -61,7 +61,7 @@ from tracereplay.model import HIGH, LOW, DeviceProfile, TouchDetection
 from tracereplay.segment import TouchSequence
 from tracereplay.synth import noise_preset, random_scenario, synthesize_trace
 
-from conftest import distinct_starts
+from conftest import distinct_detections
 from type_b import check_type_b, peak_contacts
 
 _LOG_LINE = re.compile(
@@ -457,16 +457,19 @@ _STARTS = st.one_of(st.integers(0, 40), st.integers(0, 100_000))
 
 @st.composite
 def mfa_items(draw, first=None, most=12):
-    """2 to `most` fingers starting within a few frames of each other;
-    more than MAX_SLOTS overlapping fingers exhaust the slots."""
+    """2 to `most` fingers starting within a few frames of each other,
+    less each that shares a detection with an earlier one, but at least
+    2 (the reference selects even a lone finger's slot before each sample
+    and its release); more than MAX_SLOTS overlapping fingers exhaust the
+    slots."""
     if first is None:
         first = draw(_STARTS)
     count = draw(st.integers(2, most))
-    # Fingers start at distinct detections.
-    fingers = draw(st.lists(
+    fingers = distinct_detections(draw(st.lists(
         st.integers(0, 8).flatmap(lambda k: actions(start=first + k)),
-        min_size=count, max_size=count, unique_by=lambda a: a.touches[0],
-    ))
+        min_size=count, max_size=count,
+    )))
+    assume(len(fingers) > 1)
     return MultiFingerItem(actions=tuple(fingers), finger_count=len(fingers))
 
 
@@ -475,7 +478,7 @@ def overlapping_items(draw):
     """1-6 single- and multi-finger items starting within 60 frames, so
     that many overlap in time."""
     first = draw(st.integers(0, 20))
-    return distinct_starts([
+    return distinct_detections([
         draw(st.one_of(
             actions(start=first + draw(st.integers(0, 60))),
             mfa_items(first=first + draw(st.integers(0, 60)), most=4),

@@ -29,7 +29,7 @@ from tracereplay.model import (
     serialize_trace,
 )
 
-from conftest import distinct_starts
+from conftest import distinct_detections
 
 WIDTH, HEIGHT = 1080, 1920
 
@@ -120,7 +120,7 @@ items = st.one_of(actions(), multi_finger_items())
 
 @st.composite
 def scenarios(draw):
-    drawn = distinct_starts(draw(st.lists(items, max_size=5)))
+    drawn = distinct_detections(draw(st.lists(items, max_size=5)))
     drawn.sort(key=lambda item: item.start_frame)
     return ClassifiedScenario(profile=draw(profiles), items=tuple(drawn))
 

@@ -123,12 +123,12 @@ class TestCachedCenter:
     )
     def test_every_construction_path_agrees(self, x, y, w, h, confidence):
         doc = {"frame": 3, "bbox": [x, y, w, h], "confidence": confidence,
-               "opacity": "low"}
+               "opacity": "high"}
         floats = dict(doc, bbox=[float(v) for v in doc["bbox"]])
         fast = TouchDetection.from_dict(floats)  # all-float fast path
         checked = TouchDetection.from_dict(doc)  # integer coordinates
         built = TouchDetection(frame=3, bbox=(x, y, w, h), confidence=confidence,
-                               opacity=LOW)
+                               opacity=HIGH)
         expected = (x + w / 2.0, y + h / 2.0)
         assert fast == checked == built
         assert fast.center == checked.center == built.center == expected
@@ -622,9 +622,9 @@ class TestConstructorIsTheCheck:
         (lambda: _scenario_of(MultiFingerItem((_TAP, _OTHER_TAP), 3)),
          "finger_count 3 exceeds the item's 2 actions"),
         (lambda: _scenario_of(MultiFingerItem((_TAP, _TAP), 2)),
-         "scenario actions must start with distinct detections"),
+         "scenario actions must not share a detection"),
         (lambda: ClassifiedScenario(GROUND_TRUTH_PROFILE, (_TAP, _TAP)),
-         "scenario actions must start with distinct detections"),
+         "scenario actions must not share a detection"),
         (lambda: TouchSequence((1,)), _NO_TOUCHES),
         (lambda: TouchSequence(5), _NO_TOUCHES),
         (lambda: TouchSequence(None), _NO_TOUCHES),

@@ -4,14 +4,18 @@ decoder in `type_b.py`.
 Every classified trace, synthesized or drawn as dense noise, compiles
 to a script the decoder accepts, or raises SlotExhaustion, and only
 when the scenario itself holds more than MAX_SLOTS contacts at once.
-The decoder is first shown to reject each kind of defect it claims to
-catch, and codegen's `validate_events` rejects exactly the streams the
-decoder rejects.
+So does every hand-built scenario that `ClassifiedScenario` accepts,
+with one contact per action; it rejects exactly the hand-built items
+that give one detection to two actions or an action no high-opacity
+touch. The decoder is first shown to reject each kind of defect it
+claims to catch, and codegen's `validate_events` rejects exactly the
+streams the decoder rejects.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import combinations
 from math import cos, pi, sin
 from random import Random
 
@@ -20,7 +24,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracereplay.classify import (
+    AtomicAction,
     ClassifiedScenario,
+    MultiFingerItem,
     classify_action,
     classify_trace,
 )
@@ -41,9 +47,10 @@ from tracereplay.codegen import (
     translate_runnable,
     validate_events,
 )
-from tracereplay.errors import ScriptFormatError, SlotExhaustion
+from tracereplay.errors import SchemaViolation, ScriptFormatError, SlotExhaustion
 from tracereplay.model import (
     HIGH,
+    KIND_SYMBOLS,
     LOW,
     DetectionTrace,
     DeviceProfile,
@@ -345,3 +352,80 @@ def test_every_dense_trace_compiles_or_exhausts_slots(trace):
         assert peak_contacts(scenario) > MAX_SLOTS
         return
     check_type_b(translate_runnable(script), scenario)
+
+
+# --- one detection, one action: hand-built scenarios ---
+
+#: Touch centers an adversarial action picks from: few, so that actions
+#: meet on one detection, and sizes and opacity that make distinct
+#: detections at one center.
+_CENTERS = ((300.0, 400.0), (320.0, 520.0), (700.0, 400.0), (700.0, 900.0))
+
+
+def _touch(frame, center, size, opacity):
+    (x, y), side = _CENTERS[center], (40.0, 20.0)[size]
+    return TouchDetection(frame=frame, bbox=(x - side / 2, y - side / 2, side, side),
+                          confidence=0.9, opacity=opacity)
+
+
+@st.composite
+def adversarial_actions(draw):
+    """One action over 1-6 frames from frame 0-10, each touch at one of
+    `_CENTERS` in one of two sizes, ending in a fade of its last 0-5
+    touches; about one action in ten is all fade."""
+    start, count = draw(st.integers(0, 10)), draw(st.integers(1, 6))
+    fade = count if draw(st.integers(0, 9)) == 9 else draw(st.integers(0, count - 1))
+    touches = [_touch(start + k, draw(st.integers(0, 3)), draw(st.integers(0, 1)),
+                      HIGH if k < count - fade else LOW) for k in range(count)]
+    return AtomicAction(draw(st.sampled_from(list(KIND_SYMBOLS))), touches)
+
+
+@st.composite
+def adversarial_items(draw):
+    """1-5 SFAs and MFA items (1-3 fingers) in start order, drawn with no
+    filter: actions may share a detection at any position, in one item
+    or in two, and an MFA's fingers interleave with the SFAs."""
+    items = []
+    for _ in range(draw(st.integers(1, 5))):
+        fingers = draw(st.lists(adversarial_actions(), min_size=1, max_size=3))
+        if draw(st.booleans()):
+            items.append(fingers[0])
+        else:
+            items.append(MultiFingerItem(
+                fingers, draw(st.integers(1, len(fingers)))))
+    return sorted(items, key=lambda item: item.start_frame)
+
+
+def _gesture(frames, centers):
+    return AtomicAction("gesture", [_touch(f, c, 0, HIGH) for f, c in zip(frames, centers)])
+
+
+@given(adversarial_items())
+# Two gestures that share their frame-4 detection, first touches at frames 0 and 2.
+@example([_gesture(range(5), [0, 0, 0, 0, 1]), _gesture(range(2, 7), [2, 2, 1, 2, 2])])
+# An SFA that is all fade, and an MFA of two fingers, one of them all fade.
+@example([AtomicAction("tap", [_touch(f, 0, 0, LOW) for f in range(5)])])
+@example([MultiFingerItem((_gesture(range(5), [0, 1, 0, 1, 0]), AtomicAction(
+    "tap", [_touch(f, 2, 0, LOW) for f in range(5)])), 2)])
+@settings(max_examples=300, deadline=None)
+def test_scenario_takes_one_contact_per_action(items):
+    """The scenario rejects exactly the items in which two actions hold
+    one detection (all four fields equal) or an action has no high touch;
+    what it takes compiles to one contact per action, unless more than
+    MAX_SLOTS contacts are down at once."""
+    actions = [a for item in items for a in getattr(item, "actions", (item,))]
+    touches = [(i, t) for i, a in enumerate(actions) for t in a.touches]
+    shared = any(i != j and t[:4] == u[:4]
+                 for (i, t), (j, u) in combinations(touches, 2))
+    faded = any(all(t.opacity != HIGH for t in a.touches) for a in actions)
+    if shared or faded:
+        with pytest.raises(SchemaViolation):
+            ClassifiedScenario(PROFILE, items)
+        return
+    scenario = ClassifiedScenario(PROFILE, items)
+    try:
+        script = assemble_script(scenario)
+    except SlotExhaustion:
+        assert peak_contacts(scenario) > MAX_SLOTS
+        return
+    assert len(check_type_b(translate_runnable(script), scenario)) == len(actions)
