@@ -2,7 +2,8 @@
 
 A segmented touch sequence is a Tap when every center stays within the
 device touch slop of the first center and the active span (first touch
-through last high-opacity touch) is at most 20 frames; a LongTap when it
+through last high-opacity touch) is at most 20 frames, or 667 ms when
+the run's `model.Rules` has `duration_based_cutoff`; a LongTap when it
 is stationary but longer; a Gesture otherwise. Actions whose frames
 mostly contain multiple simultaneous touches are regrouped into
 multi-fingered actions via a chronological stack sweep, and each
@@ -19,10 +20,10 @@ from collections import Counter
 from .errors import SchemaViolation
 from .model import (
     KIND_SYMBOLS,
-    MIN_CONFIDENCE,
     DetectionTrace,
     DeviceProfile,
     Frozen,
+    Rules,
     Symbols,
     TouchDetection,
     _center,
@@ -187,17 +188,8 @@ class ClassifiedScenario(Frozen):
         return cls(profile, items)
 
 
-def tap_cutoff_frames(profile: DeviceProfile, duration_based: bool = False) -> int:
-    """Tap/LongTap frame cutoff; optionally rescaled for high-fps traces."""
-    if duration_based:
-        return max(round(profile.fps * TAP_CUTOFF_MS / 1000.0), 1)
-    return TAP_CUTOFF_FRAMES
-
-
 def classify_action(
-    sequence: TouchSequence,
-    profile: DeviceProfile,
-    duration_based_cutoff: bool = False,
+    sequence: TouchSequence, profile: DeviceProfile, rules: Rules = Rules()
 ) -> AtomicAction:
     """Label one touch sequence as Tap, LongTap, or Gesture."""
     touches = sequence.touches
@@ -209,7 +201,9 @@ def classify_action(
     if not stationary:
         kind = "gesture"
     else:
-        cutoff = tap_cutoff_frames(profile, duration_based_cutoff)
+        cutoff = TAP_CUTOFF_FRAMES
+        if rules.duration_based_cutoff:
+            cutoff = max(round(profile.fps * TAP_CUTOFF_MS / 1000.0), 1)
         active = sequence.last_high_frame - sequence.start_frame + 1
         kind = "tap" if active <= cutoff else "long_tap"
     # The sequence was checked when it was built.
@@ -306,16 +300,10 @@ def identify_sfa_mfa(
     return ClassifiedScenario(profile, items)
 
 
-def classify_trace(
-    trace: DetectionTrace,
-    min_confidence: float = MIN_CONFIDENCE,
-    duration_based_cutoff: bool = False,
-) -> ClassifiedScenario:
-    """Full back half: segment, classify, filter, and regroup a trace."""
-    sequences = segment_trace(trace, min_confidence)
-    actions = [
-        classify_action(s, trace.profile, duration_based_cutoff) for s in sequences
-    ]
+def classify_trace(trace: DetectionTrace, rules: Rules = Rules()) -> ClassifiedScenario:
+    """Full back half: segment, classify, filter, and regroup a trace by `rules`."""
+    sequences = segment_trace(trace, rules)
+    actions = [classify_action(s, trace.profile, rules) for s in sequences]
     return identify_sfa_mfa(filter_actions(actions), trace.profile)
 
 

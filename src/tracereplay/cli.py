@@ -157,16 +157,13 @@ def _classify(args, config: Config) -> ClassifiedScenario:
     from .model import dump_sequence_file, parse_trace
 
     trace = parse_trace(read_file("--trace", args.trace))
-    scenario = classify_trace(
-        trace,
-        min_confidence=config.min_confidence,
-        duration_based_cutoff=config.duration_based_cutoff,
-    )
+    scenario = classify_trace(trace, config.rules)
     symbols = scenario.symbols(extended=config.extended_alphabet)
+    # Built first: an id the sequence file cannot hold writes no file.
+    predicted = dump_sequence_file({Path(args.trace).stem: symbols})
     out = _out_dir(config)
     (out / "classified.json").write_bytes(scenario.to_json())
-    sid = Path(args.trace).stem
-    (out / "predicted.txt").write_text(dump_sequence_file({sid: symbols}))
+    (out / "predicted.txt").write_text(predicted)
     print(f"wrote {out / 'classified.json'} ({len(scenario.items)} items)")
     print(f"wrote {out / 'predicted.txt'} ({''.join(symbols) or '-'})")
     return scenario

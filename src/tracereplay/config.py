@@ -13,10 +13,10 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, SchemaViolation
 from .model import (
-    DEFAULT_DEVICE_NODE, MIN_CONFIDENCE, DeviceProfile, Frozen, decode_json,
-    valid_confidence, valid_device_node,
+    DEFAULT_DEVICE_NODE, MIN_CONFIDENCE, DeviceProfile, Frozen, Rules, decode_json,
+    valid_device_node,
 )
 
 ENV_BRIDGE = "TRACEREPLAY_BRIDGE"
@@ -44,11 +44,12 @@ class Config(Frozen):
     """The settings of one run: the annotated attributes below, with
     their defaults. The constructor takes settings by name, leaves the
     rest at their defaults and raises ConfigError for an unknown setting,
-    a value not of its setting's type, a `min_confidence` that is not a
-    finite number in [0, 1], a `device_node` that cannot head a script
-    log line, or any other empty string. `min_confidence` and
-    `device_node` default to `model`'s constants; `replay` reads its
-    defaults of `remote_dir` and `bridge_path` from here."""
+    a value not of its setting's type, a `min_confidence` or
+    `duration_based_cutoff` that `model.Rules` rejects, a `device_node`
+    that cannot head a script log line, or any other empty string.
+    `rules`, their `Rules` built once, is no setting. `min_confidence`
+    and `device_node` default to `model`'s constants; `replay` reads
+    its defaults of `remote_dir` and `bridge_path` from here."""
 
     bridge_path: str = "adb"
     device_serial: str | None = None
@@ -79,11 +80,10 @@ class Config(Frozen):
                 raise ConfigError(
                     f"config value {name!r} must be {type_text}, got {value!r}"
                 )
-        if not valid_confidence(self.min_confidence):
-            raise ConfigError(
-                f"min_confidence must be a finite number in [0, 1], "
-                f"got {self.min_confidence!r}"
-            )
+        try:
+            rules = Rules(self.min_confidence, self.duration_based_cutoff)
+        except SchemaViolation as exc:
+            raise ConfigError(str(exc)) from None
         if not valid_device_node(self.device_node):
             raise ConfigError(
                 f"device_node must be non-empty ASCII without whitespace, "
@@ -92,6 +92,7 @@ class Config(Frozen):
         for name in self._fields:
             if getattr(self, name) == "":
                 raise ConfigError(f"{name} must not be empty")
+        self._set(rules=rules)
 
 
 def load_config(path: str | None, flags: dict | None = None) -> Config:

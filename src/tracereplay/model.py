@@ -139,6 +139,25 @@ class DeviceProfile(Frozen):
                    data.get("touch_slop", DEFAULT_TOUCH_SLOP))
 
 
+class Rules(Frozen):
+    """The rules a run may change, each defaulting to the paper's:
+    `min_confidence`, a finite number in [0, 1], filters detections in
+    `segment`; `duration_based_cutoff`, a bool, makes `classify`'s tap
+    cutoff 667 ms, not 20 frames. The constructor is the one check of both."""
+
+    _fields = ("min_confidence", "duration_based_cutoff")
+
+    def __init__(self, min_confidence: float = MIN_CONFIDENCE,
+                 duration_based_cutoff: bool = False):
+        # The range check is false for NaN and the infinities too.
+        _require(_is_number(min_confidence) and 0.0 <= min_confidence <= 1.0,
+                 f"min_confidence must be a finite number in [0, 1], "
+                 f"got {min_confidence!r}")
+        _require(isinstance(duration_based_cutoff, bool),
+                 f"duration_based_cutoff must be a bool, got {duration_based_cutoff!r}")
+        self._set(min_confidence, duration_based_cutoff)
+
+
 class TouchDetection(
     namedtuple("TouchDetection", ("frame", "bbox", "confidence", "opacity", "center"))
 ):
@@ -356,14 +375,6 @@ def valid_device_node(node: str) -> bool:
     return isinstance(node, str) and node.isascii() and node.split() == [node]
 
 
-def valid_confidence(threshold: float) -> bool:
-    """True when `threshold` can be a minimum detection confidence: a
-    finite number in [0, 1] that is not a bool."""
-    # The range check is false for NaN and the infinities too.
-    return (isinstance(threshold, (int, float)) and not isinstance(threshold, bool)
-            and 0.0 <= threshold <= 1.0)
-
-
 def serialize_trace(trace: DetectionTrace) -> bytes:
     """Serialize a trace to the JSON schema; inverse of parse_trace."""
     return (
@@ -466,6 +477,12 @@ def load_sequence_file(text: str) -> dict[str, Symbols]:
 
 
 def dump_sequence_file(sequences: dict[str, Symbols]) -> str:
+    """The lines `load_sequence_file` reads back. Raises SchemaViolation
+    for an id they cannot hold: empty, with whitespace or led by '#'."""
+    for sid in sequences:
+        _require(sid.split() == [sid] and not sid.startswith("#"),
+                 f"scenario id {sid!r} must be non-empty, without whitespace "
+                 f"or a leading '#'")
     # "-" marks an empty sequence so every scenario keeps its line.
     return "".join(
         f"{sid} {''.join(syms) or '-'}\n" for sid, syms in sequences.items()

@@ -1,7 +1,8 @@
 """Confidence filtering and per-finger segmentation.
 
-Detections that survive the confidence filter are linked frame to frame
-into per-finger chains in one pass over the trace. A frame with no
+Detections at or above the `min_confidence` of the run's `model.Rules`
+survive the confidence filter; they are linked frame to frame into
+per-finger chains in one pass over the trace. A frame with no
 detections closes every open chain (every finger has lifted); otherwise:
 
 * a lone touch in the next frame continues the lone open chain;
@@ -33,8 +34,8 @@ from math import dist
 
 from .errors import SchemaViolation
 from .model import (
-    HIGH, LOW, MIN_CONFIDENCE, DetectionTrace, Frozen, TouchDetection, _center,
-    _frame, _frame_and_center, _opacity, _tuple_of, _unchecked, valid_confidence,
+    HIGH, LOW, DetectionTrace, Frozen, Rules, TouchDetection, _center, _frame,
+    _frame_and_center, _opacity, _tuple_of, _unchecked,
 )
 
 #: Sequences spanning this many frames or fewer are discarded.
@@ -94,16 +95,9 @@ class TouchSequence(Frozen):
         return highs[-1].frame if highs else self.start_frame
 
 
-def filter_confidence(
-    trace: DetectionTrace, min_confidence: float = MIN_CONFIDENCE
-) -> DetectionTrace:
-    """Drop detections whose confidence is strictly below the threshold.
-    Raises SchemaViolation unless the threshold is a finite number in
-    [0, 1] (see `valid_confidence`)."""
-    if not valid_confidence(min_confidence):
-        raise SchemaViolation(
-            f"min_confidence must be a finite number in [0, 1], got {min_confidence!r}"
-        )
+def filter_confidence(trace: DetectionTrace, rules: Rules = Rules()) -> DetectionTrace:
+    """Drop detections whose confidence is strictly below `rules.min_confidence`."""
+    min_confidence = rules.min_confidence
     kept = tuple([d for d in trace.detections if d.confidence >= min_confidence])
     # A subset of a validated, sorted trace needs no second validation.
     return _unchecked(
@@ -112,11 +106,9 @@ def filter_confidence(
     )
 
 
-def segment_trace(
-    trace: DetectionTrace, min_confidence: float = MIN_CONFIDENCE
-) -> list[TouchSequence]:
-    """Full front half: filter, link, and cut a trace into sequences."""
-    filtered = filter_confidence(trace, min_confidence)
+def segment_trace(trace: DetectionTrace, rules: Rules = Rules()) -> list[TouchSequence]:
+    """Full front half: filter by `rules`, link, and cut a trace into sequences."""
+    filtered = filter_confidence(trace, rules)
     chains = _link_chains(filtered.detections, float(trace.profile.touch_slop))
     sequences: list[TouchSequence] = []
     for chain in chains:

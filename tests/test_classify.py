@@ -14,7 +14,6 @@ from tracereplay.classify import (
     filter_actions,
     group_overlapping,
     identify_sfa_mfa,
-    tap_cutoff_frames,
 )
 from tracereplay.model import (
     HIGH,
@@ -22,6 +21,7 @@ from tracereplay.model import (
     LOW,
     DetectionTrace,
     DeviceProfile,
+    Rules,
     collapse_finger_counts,
     dump_sequence_file,
     load_sequence_file,
@@ -82,17 +82,19 @@ class TestClassifyAction:
         assert classify_action(exactly, profile).kind == "tap"
         assert classify_action(beyond, profile).kind == "gesture"
 
-    def test_duration_based_cutoff_scales_with_fps(self):
+    def test_duration_based_cutoff_scales_with_fps(self, profile):
         profile60 = DeviceProfile(name="d", screen_width=1080,
                                   screen_height=1920, fps=60)
-        assert tap_cutoff_frames(profile60) == 20
-        assert tap_cutoff_frames(profile60, duration_based=True) == 40
-        seq = make_sequence(0, 30, 300, 300)
-        assert classify_action(seq, profile60).kind == "long_tap"
-        assert (
-            classify_action(seq, profile60, duration_based_cutoff=True).kind
-            == "tap"
-        )
+        duration = Rules(duration_based_cutoff=True)
+
+        def kinds(device, *rules):
+            return [classify_action(make_sequence(0, n, 300, 300), device, *rules).kind
+                    for n in (20, 21, 30, 40, 41)]
+
+        # 20 frames by default; 667 ms is 40 frames at 60 fps and 20 at 30 fps.
+        assert kinds(profile60) == kinds(profile60, Rules()) == ["tap"] + ["long_tap"] * 4
+        assert kinds(profile60, duration) == ["tap"] * 4 + ["long_tap"]
+        assert kinds(profile, duration) == kinds(profile) == ["tap"] + ["long_tap"] * 4
 
 
 class TestFilterActions:

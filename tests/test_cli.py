@@ -16,8 +16,14 @@ from tracereplay.classify import classify_trace
 from tracereplay.cli import _build_parser, main
 from tracereplay.config import Config, load_config
 from tracereplay.errors import ConfigError, SchemaViolation
-from tracereplay.model import DeviceProfile, serialize_trace
-from tracereplay.synth import GroundTruthAction, GroundTruthScenario, synthesize_trace
+from tracereplay.model import DeviceProfile, Rules, serialize_trace
+from tracereplay.synth import (
+    GroundTruthAction,
+    GroundTruthScenario,
+    noise_preset,
+    random_scenario,
+    synthesize_trace,
+)
 
 from conftest import UNDECODABLE_JSON, fake_bridge
 
@@ -683,6 +689,46 @@ def test_duration_cutoff_flag(tmp_path):
     assert (out / "predicted.txt").read_text().split()[1] == "T"
 
 
+@pytest.mark.parametrize("threshold, cutoff", [
+    ("0.7", False), ("0.85", False), ("0", True), ("0.85", True),
+])
+def test_pipeline_rule_flags_classify_like_the_library(tmp_path, threshold, cutoff):
+    # At 60 fps the duration cutoff (40 frames) differs from the frame cutoff.
+    profile60 = DeviceProfile(name="fast", screen_width=1080,
+                              screen_height=1920, fps=60)
+    trace, _ = synthesize_trace(random_scenario(profile60, seed=1),
+                                noise_preset("physical-device", seed=1))
+    file = tmp_path / "trace.json"
+    file.write_bytes(serialize_trace(trace))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--trace", str(file), "--out-dir", str(out), "--dry-run",
+                 "--min-confidence", threshold, *["--duration-cutoff"] * cutoff]) == 0
+    want = classify_trace(trace, Rules(float(threshold), cutoff)).to_json()
+    assert (out / "classified.json").read_bytes() == want
+    assert (want == classify_trace(trace).to_json()) == (threshold == "0.7" and not cutoff)
+
+
+@pytest.mark.parametrize("command", ["classify", "pipeline"])
+@pytest.mark.parametrize("name", ["my trace.json", "#t.json", "tab\tname.json"],
+                         ids=["space", "comment", "tab"])
+def test_trace_name_no_sequence_file_can_hold_exits_2(tmp_path, capsys,
+                                                      fixture_scenario, command, name):
+    # The prediction is keyed by the trace file's stem: one the sequence
+    # file reader would split or skip is an input error, and no file is written.
+    main(["synthesize", "--scenario", str(fixture_scenario),
+          "--out-dir", str(tmp_path / "in")])
+    trace = tmp_path / name
+    trace.write_bytes((tmp_path / "in" / "trace.json").read_bytes())
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command, "--trace", str(trace), "--out-dir", str(out)]) == 2
+    stem = Path(name).stem
+    assert capsys.readouterr().err == (
+        f"error ({command}): scenario id {stem!r} must be non-empty, "
+        f"without whitespace or a leading '#'\n")
+    assert not out.exists()
+
+
 def test_deterministic_given_seed(tmp_path, fixture_scenario):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -777,6 +823,14 @@ class TestConfig:
         assert config.remote_dir == "/data/local/tmp"
         assert config.device_node == "/dev/input/event2"
         assert config.min_confidence == 0.7
+        assert config.rules == Rules()
+
+    def test_rules_are_built_from_the_merged_settings(self, tmp_path):
+        file = tmp_path / "config.json"
+        file.write_text(json.dumps({"min_confidence": 0.2, "duration_based_cutoff": True}))
+        config = load_config(str(file), {"min_confidence": 0.9})
+        assert config.rules == Rules(0.9, True)
+        assert "rules" not in Config._fields and "rules" not in repr(config)
 
     def test_config_rejects_assignment(self):
         config = load_config(None)

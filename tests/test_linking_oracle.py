@@ -26,13 +26,14 @@ from tracereplay.model import (
     DEFAULT_TOUCH_SLOP,
     HIGH,
     LOW,
+    MIN_CONFIDENCE,
     DetectionTrace,
     DeviceProfile,
+    Rules,
     TouchDetection,
 )
 from tracereplay.segment import (
     MAX_DISCARD_FRAMES,
-    MIN_CONFIDENCE,
     TouchSequence,
     filter_confidence,
     segment_trace,
@@ -102,11 +103,9 @@ def _oracle_segment_actions(
     return sequences
 
 
-def _oracle_segment_trace(
-    trace: DetectionTrace, min_confidence: float = MIN_CONFIDENCE
-) -> list[TouchSequence]:
+def _oracle_segment_trace(trace: DetectionTrace, rules: Rules = Rules()) -> list[TouchSequence]:
     """Full front half: filter, group, and segment a trace."""
-    filtered = filter_confidence(trace, min_confidence)
+    filtered = filter_confidence(trace, rules)
     sequences: list[TouchSequence] = []
     for group in _oracle_group_consecutive(filtered):
         sequences.extend(_oracle_segment_actions(group, trace.profile.touch_slop))
@@ -329,7 +328,7 @@ def _assert_same_sequences(got, want):
 def test_link_chains_matches_oracle(trace, min_confidence):
     # One pass over the filtered trace links what the old pipeline
     # linked run by run, in the same order.
-    detections = filter_confidence(trace, min_confidence).detections
+    detections = filter_confidence(trace, Rules(min_confidence)).detections
     tolerance = float(trace.profile.touch_slop)
     want = [
         chain
@@ -343,8 +342,8 @@ def test_link_chains_matches_oracle(trace, min_confidence):
 @settings(max_examples=400, deadline=None)
 def test_segment_trace_matches_oracle(trace, min_confidence):
     _assert_same_sequences(
-        segment_trace(trace, min_confidence),
-        _oracle_segment_trace(trace, min_confidence),
+        segment_trace(trace, Rules(min_confidence)),
+        _oracle_segment_trace(trace, Rules(min_confidence)),
     )
 
 

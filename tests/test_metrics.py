@@ -238,7 +238,7 @@ class TestBatch:
 
 class TestSequenceFiles:
     def test_round_trip(self):
-        sequences = {"a": ("T", "G2", "L"), "b": (), "c": ("G",)}
+        sequences = {"a": ("T", "G2", "L"), "b": (), "c": ("G",), "c#2": ("T",)}
         text = dump_sequence_file(sequences)
         assert load_sequence_file(text) == sequences
 
@@ -253,3 +253,13 @@ class TestSequenceFiles:
     def test_malformed_line_rejected(self):
         with pytest.raises(SchemaViolation):
             load_sequence_file("justonefield\n")
+
+    @pytest.mark.parametrize("sid", ["", "my trace", "a\tb", "a\nb", "a\x1cb", "#t"],
+                             ids=["empty", "space", "tab", "newline", "separator",
+                                  "comment"])
+    def test_id_the_reader_cannot_take_back_is_rejected(self, sid):
+        with pytest.raises(SchemaViolation) as caught:
+            dump_sequence_file({"a": ("T",), sid: ("T", "G")})
+        assert str(caught.value) == (
+            f"scenario id {sid!r} must be non-empty, without whitespace "
+            f"or a leading '#'")

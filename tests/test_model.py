@@ -22,8 +22,10 @@ from tracereplay.errors import (
 from tracereplay.model import (
     HIGH,
     LOW,
+    MIN_CONFIDENCE,
     DetectionTrace,
     DeviceProfile,
+    Rules,
     TouchDetection,
     load_document,
     parse_trace,
@@ -213,12 +215,27 @@ def test_records_reject_assignment(profile):
     scenario = ClassifiedScenario(profile=profile, items=())
     for record, field in ((profile, "fps"), (d, "frame"), (d, "center"),
                           (trace, "detections"), (sequence, "high_touches"),
-                          (scenario, "items")):
+                          (scenario, "items"), (Rules(), "min_confidence")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
         with pytest.raises(AttributeError):
             delattr(record, field)
         assert getattr(record, field) is not None
+
+
+class TestRules:
+    def test_defaults_are_the_papers(self):
+        rules = Rules()
+        assert (rules.min_confidence, rules.duration_based_cutoff) == (MIN_CONFIDENCE, False)
+        assert rules == Rules(0.7, False) and hash(rules) == hash(Rules(0.7))
+        assert repr(Rules(0.5, True)) == (
+            "Rules(min_confidence=0.5, duration_based_cutoff=True)")
+
+    @pytest.mark.parametrize("flag", [0, 1, None, "yes"])
+    def test_duration_based_cutoff_must_be_a_bool(self, flag):
+        with pytest.raises(SchemaViolation) as caught:
+            Rules(duration_based_cutoff=flag)
+        assert str(caught.value) == f"duration_based_cutoff must be a bool, got {flag!r}"
 
 
 class TestParseTrace:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from tracereplay.classify import classify_trace
 from tracereplay.errors import BoundsViolation, SchemaViolation
-from tracereplay.model import HIGH, LOW, DetectionTrace, DeviceProfile
+from tracereplay.model import HIGH, LOW, DetectionTrace, DeviceProfile, Rules
 from tracereplay.segment import TouchSequence, filter_confidence, segment_trace
 from tracereplay.synth import NoiseModel, random_scenario, synthesize_trace
 
@@ -127,16 +127,21 @@ class TestFilterConfidence:
                       None, True],
         ids=["nan", "inf", "-inf", "-0.1", "1.5", "str", "None", "True"])
     def test_threshold_outside_0_to_1_rejected(self, profile, stage, threshold):
+        # A threshold reaches each stage only through `Rules`, whose
+        # constructor is its one check.
         trace, _ = synthesize_trace(random_scenario(profile, seed=1), NoiseModel())
         message = f"min_confidence must be a finite number in [0, 1], got {threshold!r}"
         with pytest.raises(SchemaViolation, match=f"^{re.escape(message)}$"):
-            stage(trace, min_confidence=threshold)
+            stage(trace, Rules(threshold))
 
     @pytest.mark.parametrize("stage", [filter_confidence, segment_trace, classify_trace])
     def test_threshold_0_and_1_accepted(self, profile, stage):
         trace, _ = synthesize_trace(random_scenario(profile, seed=1), NoiseModel())
         for threshold in (0, 1, 0.0, 1.0):
-            stage(trace, min_confidence=threshold)
+            stage(trace, Rules(threshold))
+        assert len(filter_confidence(trace, Rules(0))) == len(trace)
+        assert len(filter_confidence(trace, Rules(1))) == sum(
+            d.confidence == 1.0 for d in trace.detections)
 
 
 class TestGroupConsecutive:
