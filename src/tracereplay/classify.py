@@ -9,6 +9,8 @@ mostly contain multiple simultaneous touches are regrouped into
 multi-fingered actions via a chronological stack sweep, and each
 multi-fingered group's finger count is the per-frame touch-count mode.
 Kinds and a scenario's symbols are spelled in `model`'s action-symbol alphabet.
+A scenario's document, classified.json, is read at schema version 2 only;
+each touch in it is a `[frame, x, y, w, h, confidence, opacity]` row.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from itertools import starmap
 
 from .errors import SchemaViolation
 from .model import (
@@ -27,12 +30,12 @@ from .model import (
     Symbols,
     TouchDetection,
     _center,
+    _detection,
     _int,
     _require,
     _tuple_of,
     _unchecked,
     collapse_finger_counts,
-    detections_json,
     device_json,
     gesture_symbol,
     json_array,
@@ -40,7 +43,7 @@ from .model import (
 )
 from .segment import TouchSequence, segment_trace
 
-CLASSIFIED_SCHEMA_VERSION = 1
+CLASSIFIED_SCHEMA_VERSION = 2
 
 #: A stationary press at most this many frames long is a Tap.
 TAP_CUTOFF_FRAMES = 20
@@ -71,14 +74,6 @@ class AtomicAction(TouchSequence):
 
     def symbol(self) -> str:
         return KIND_SYMBOLS[self.kind]
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AtomicAction":
-        if not isinstance(data, dict) or "kind" not in data or "touches" not in data:
-            raise SchemaViolation("action must be an object with kind and touches")
-        raw = data["touches"]
-        _require(isinstance(raw, list), "action touches must be a list")
-        return cls(data["kind"], map(TouchDetection.from_dict, raw))
 
 
 class MultiFingerItem(Frozen):
@@ -142,23 +137,16 @@ class ClassifiedScenario(Frozen):
         return symbols if extended else collapse_finger_counts(symbols)
 
     def to_json(self) -> bytes:
-        """The classified.json document, laid out as json.dumps(indent=2)."""
+        """The classified.json document (schema version 2; see `_action_members`)."""
         items = []
         for item in self.items:
             if isinstance(item, AtomicAction):
-                items.append(
-                    '    {\n      "type": "sfa",\n      "action": '
-                    f"{_action_json(item, 3)}\n    }}"
-                )
+                items.append(f'    {{"type": "sfa", {_action_members(item, 6)}}}')
             else:
-                actions = json_array(
-                    ["        " + _action_json(a, 4) for a in item.actions], 3
-                )
-                items.append(
-                    '    {\n      "type": "mfa",\n'
-                    f'      "finger_count": {item.finger_count},\n'
-                    f'      "actions": {actions}\n    }}'
-                )
+                actions = ",\n".join(
+                    [f"      {{{_action_members(a, 8)}}}" for a in item.actions])
+                items.append(f'    {{"type": "mfa", "finger_count": {item.finger_count}, '
+                             f'"actions": [\n{actions}]}}')
         return (
             f'{{\n  "schema_version": {CLASSIFIED_SCHEMA_VERSION},\n'
             f'  "device": {device_json(self.profile, 1)},\n'
@@ -176,12 +164,12 @@ class ClassifiedScenario(Frozen):
             if not isinstance(raw, dict) or "type" not in raw:
                 raise SchemaViolation("item must be an object with a type")
             if raw["type"] == "sfa":
-                items.append(AtomicAction.from_dict(raw.get("action")))
+                items.append(_read_action(raw))
             elif raw["type"] == "mfa":
                 raw_actions = raw.get("actions")
                 if not isinstance(raw_actions, list):
                     raise SchemaViolation("mfa actions must be a list")
-                items.append(MultiFingerItem(map(AtomicAction.from_dict, raw_actions),
+                items.append(MultiFingerItem(map(_read_action, raw_actions),
                                              raw.get("finger_count")))
             else:
                 raise SchemaViolation(f"unknown item type {raw['type']!r}")
@@ -307,12 +295,32 @@ def classify_trace(trace: DetectionTrace, rules: Rules = Rules()) -> ClassifiedS
     return identify_sfa_mfa(filter_actions(actions), trace.profile)
 
 
-def _action_json(action: AtomicAction, depth: int) -> str:
-    """One action object opening at `depth` (its first line unindented)."""
-    pad = "  " * (depth + 1)
-    return (
-        f'{{\n{pad}"kind": "{action.kind}",\n'
-        f'{pad}"touches": {detections_json(action.touches, depth + 1)}'
-        f'\n{"  " * depth}}}'
-    )
+def _action_members(action: AtomicAction, indent: int) -> str:
+    """An action's `kind` and `touches` members, each touch a row
+    `[frame, x, y, w, h, confidence, opacity]`, its floats written by
+    `repr`, on a line of its own after `indent` spaces."""
+    pad = " " * indent
+    rows = f",\n{pad}".join([
+        f'[{frame}, {x!r}, {y!r}, {w!r}, {h!r}, {confidence!r}, "{opacity}"]'
+        for frame, (x, y, w, h), confidence, opacity, _ in action.touches
+    ])
+    return f'"kind": "{action.kind}", "touches": [\n{pad}{rows}]'
 
+
+def _read_action(data: dict) -> AtomicAction:
+    """The action of an SFA item or an MFA finger, each row built by
+    `model._detection`. The first bad row decides the error: one that is
+    not a list of 7 values, then one whose values are no detection."""
+    if not isinstance(data, dict) or "kind" not in data or "touches" not in data:
+        raise SchemaViolation("action must be an object with kind and touches")
+    rows = data["touches"]
+    _require(isinstance(rows, list), "action touches must be a list")
+    try:
+        touches = tuple(starmap(_detection, rows))
+    except (TypeError, SchemaViolation):
+        for row in rows:
+            _require(type(row) is list and len(row) == 7, "touch must be a list "
+                     f"[frame, x, y, w, h, confidence, opacity], got {row!r}")
+            _detection(*row)
+        raise
+    return AtomicAction(data["kind"], touches)

@@ -23,9 +23,9 @@ All downstream logic works with the bbox center point only.
 
 A detection (`TouchDetection`) is a tuple `(frame, bbox, confidence,
 opacity, center)`, its opacity the trace's word (`HIGH` or `LOW`) and
-`center` derived from `bbox`. The loader builds each one in C, with one
-`tuple.__new__` after its own checks, and the loops over every
-detection read its fields through C getters, by position or by name.
+`center` derived from `bbox`. Both documents' readers build each one by
+`_detection`: in C, with one `tuple.__new__` after its own checks. The loops
+over every detection read its fields through C getters, by position or name.
 The other records are `Frozen` objects.
 
 The module is also the one home of the action-symbol alphabet that truth
@@ -173,7 +173,7 @@ class TouchDetection(
     integer in [0, 2**1000) (see `_int`), `bbox` (4 of them) and
     `confidence` numbers, never bools or strings, stored as floats,
     finite and in range, and the center finite. Every detection is built
-    by it or by `from_dict`, which runs the same checks.
+    by it or by `_detection`, which runs the same checks.
     """
 
     __slots__ = ()
@@ -230,37 +230,39 @@ class TouchDetection(
 
     @classmethod
     def from_dict(cls, data: dict) -> "TouchDetection":
-        """Validate one JSON detection object and build it.
-
-        The common case (float numbers, finite, in range) is checked
-        here once and built in C, by one `tuple.__new__`, without the
-        constructor checking it again. Anything else, e.g. integer
-        coordinates, is checked here only as a JSON object (the four
-        keys) and built by the constructor.
-        """
+        """Validate one trace detection object and build it: by
+        `_detection` when its bbox is a list of 4, else by the constructor."""
         try:
             frame, bbox = data["frame"], data["bbox"]
             confidence, opacity = data["confidence"], data["opacity"]
+        except KeyError as key:  # the first one missing, quoted
+            raise SchemaViolation(f"detection missing field {key}") from None
+        except TypeError:
+            raise SchemaViolation("detection must be an object") from None
+        if type(bbox) is list and len(bbox) == 4:
             x, y, w, h = bbox
-        except (KeyError, TypeError, ValueError):
-            bbox = None  # fails the first test below
-        if (
-            type(bbox) is list
-            and type(frame) is int and 0 <= frame < _INT_CEILING
-            and type(x) is type(y) is type(w) is type(h) is type(confidence) is float
-            and w > 0.0 and h > 0.0 and 0.0 <= confidence <= 1.0
-            and (opacity == HIGH or opacity == LOW)
-            # A finite center has finite entries; an overflow falls through.
-            and math.isfinite((cx := x + w / 2.0) + (cy := y + h / 2.0))
-        ):
-            return _tuple_new(cls, (
-                frame, (x, y, w, h), confidence,
-                HIGH if opacity == HIGH else LOW, (cx, cy),
-            ))
-        _require(isinstance(data, dict), "detection must be an object")
-        for key in ("frame", "bbox", "confidence", "opacity"):
-            _require(key in data, f"detection missing field '{key}'")
-        return cls(data["frame"], data["bbox"], data["confidence"], data["opacity"])
+            return _detection(frame, x, y, w, h, confidence, opacity)
+        return cls(frame, bbox, confidence, opacity)
+
+
+def _detection(frame, x, y, w, h, confidence, opacity) -> TouchDetection:
+    """The detection of the seven values that a trace detection object and
+    a classified.json row both spell: the one check of both documents. The
+    common case (float numbers, finite, in range) is checked here once and
+    built in C, by one `tuple.__new__`; anything else, e.g. integer
+    coordinates, by the constructor, which checks it again."""
+    if (
+        type(frame) is int and 0 <= frame < _INT_CEILING
+        and type(x) is type(y) is type(w) is type(h) is type(confidence) is float
+        and w > 0.0 and h > 0.0 and 0.0 <= confidence <= 1.0
+        and (opacity == HIGH or opacity == LOW)
+        # A finite center has finite entries; an overflow falls through.
+        and math.isfinite((cx := x + w / 2.0) + (cy := y + h / 2.0))
+    ):
+        return _tuple_new(TouchDetection, (
+            frame, (x, y, w, h), confidence, HIGH if opacity == HIGH else LOW, (cx, cy),
+        ))
+    return TouchDetection(frame, [x, y, w, h], confidence, opacity)
 
 
 #: Getters of `TouchDetection` fields by position, for the loops that
@@ -342,17 +344,16 @@ def load_document(data: bytes | str, version: int, fields: tuple[str, ...]) -> d
     """The JSON object of a versioned document this package reads.
 
     Raises MalformedJson unless `data` is UTF-8 JSON, SchemaViolation
-    unless it is an object with `schema_version` equal to `version` and
-    every key in `fields`.
+    unless it is an object with every key in `fields` and a
+    `schema_version` that is an int (no bool) equal to `version`.
     """
     doc = decode_json(data, MalformedJson, "invalid JSON")
     _require(isinstance(doc, dict), "top-level value must be an object")
     for key in ("schema_version", *fields):
         _require(key in doc, f"document missing field '{key}'")
-    _require(
-        doc["schema_version"] == version,
-        f"unsupported schema_version {doc['schema_version']!r}",
-    )
+    found = doc["schema_version"]
+    _require(type(found) is int and found == version,
+             f"unsupported schema_version {found!r}, expected {version}")
     return doc
 
 

@@ -26,14 +26,19 @@ def overlapping_taps(tmp_path, profile):
     """A classified scenario of eleven taps held at once: one contact
     more than the ten slots, so `generate` raises SlotExhaustion."""
     def tap(x):
-        touches = [{"frame": f, "bbox": [x, 500.0, 40.0, 40.0], "confidence": 0.9,
-                    "opacity": "high"} for f in range(5)]
-        return {"type": "sfa", "action": {"kind": "tap", "touches": touches}}
+        touches = [[f, x, 500.0, 40.0, 40.0, 0.9, "high"] for f in range(5)]
+        return {"type": "sfa", "kind": "tap", "touches": touches}
 
     path = tmp_path / "classified.json"
-    path.write_text(json.dumps({"schema_version": 1, "device": profile.to_dict(),
+    path.write_text(json.dumps({"schema_version": 2, "device": profile.to_dict(),
                                 "items": [tap(50.0 + 90.0 * k) for k in range(11)]}))
     return path
+
+
+def row(touch: dict) -> list:
+    """The classified.json row of a trace detection object:
+    `[frame, x, y, w, h, confidence, opacity]`."""
+    return [touch["frame"], *touch["bbox"], touch["confidence"], touch["opacity"]]
 
 
 def make_touch(frame, x, y, opacity=HIGH, confidence=0.9, size=INDICATOR):

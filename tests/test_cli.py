@@ -203,6 +203,31 @@ def test_classify_schema_violation_exits_2(tmp_path):
     assert main(["classify", "--trace", str(bad), "--out-dir", str(tmp_path)]) == 2
 
 
+V1_TOUCH = {"frame": 0, "bbox": [10.0, 10.0, 40.0, 40.0], "confidence": 0.9,
+            "opacity": "high"}
+
+
+@pytest.mark.parametrize("document, version, message", [
+    ("trace", True, "unsupported schema_version True, expected 1"),
+    ("classified", 1, "unsupported schema_version 1, expected 2"),
+], ids=["trace-version-true", "classified-v1"])
+def test_unsupported_schema_version_exits_2(tmp_path, capsys, profile, document,
+                                            version, message):
+    # `True == 1`, but a bool is no version; a v1 classified.json is not read.
+    path = tmp_path / f"{document}.json"
+    device = profile.to_dict()
+    path.write_text(json.dumps({"schema_version": version, "device": device, **(
+        {"frame_count": 20, "detections": [dict(V1_TOUCH, frame=f) for f in range(8)]}
+        if document == "trace" else
+        {"items": [{"type": "sfa", "action": {"kind": "tap", "touches": [V1_TOUCH]}}]}
+    )}))
+    argv = (["pipeline", "--trace", str(path), "--dry-run"] if document == "trace"
+            else ["generate", "--scenario-file", str(path)])
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    command = argv[0]
+    assert capsys.readouterr().err == f"error ({command}): {message}\n"
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 10**400],
                          ids=["nan", "inf", "huge-int"])
 def test_pipeline_non_finite_bbox_exits_2(tmp_path, capsys, bad):
@@ -425,10 +450,8 @@ def test_unreadable_input_exits_2(tmp_path, capsys, fixture_scenario, case):
         assert f"{flag} {bad}: " in err
 
 
-TAP = {"kind": "tap", "touches": [
-    {"frame": 0, "bbox": [10.0, 10.0, 40.0, 40.0], "confidence": 0.9, "opacity": "high"}]}
-OTHER_TAP = {"kind": "tap", "touches": [
-    {"frame": 0, "bbox": [90.0, 10.0, 40.0, 40.0], "confidence": 0.9, "opacity": "high"}]}
+TAP = {"kind": "tap", "touches": [[0, 10.0, 10.0, 40.0, 40.0, 0.9, "high"]]}
+OTHER_TAP = {"kind": "tap", "touches": [[0, 90.0, 10.0, 40.0, 40.0, 0.9, "high"]]}
 
 
 _TWICE = "scenario actions must not share a detection"
@@ -436,8 +459,7 @@ _FADED = "every scenario action needs a high-opacity touch"
 
 
 def _box(frame, x, y, opacity="high"):
-    return {"frame": frame, "bbox": [x - 20.0, y - 20.0, 40.0, 40.0],
-            "confidence": 0.9, "opacity": opacity}
+    return [frame, x - 20.0, y - 20.0, 40.0, 40.0, 0.9, opacity]
 
 
 #: Two gestures that share their frame-4 detection, at (320, 520).
@@ -453,10 +475,10 @@ FADE = {"kind": "tap", "touches": [_box(f, 500.0, 500.0, "low") for f in range(5
     ([{"type": "mfa", "actions": [], "finger_count": 2}], ""),
     ([{"type": "mfa", "actions": [TAP, OTHER_TAP], "finger_count": 9}], ""),
     ([{"type": "mfa", "actions": [TAP, TAP], "finger_count": 2}], _TWICE),
-    ([{"type": "sfa", "action": TAP}, {"type": "sfa", "action": TAP}], _TWICE),
+    ([{"type": "sfa", **TAP}, {"type": "sfa", **TAP}], _TWICE),
     ([{"type": "sfa"}], ""),
-    ([{"type": "sfa", "action": SWIPE}, {"type": "sfa", "action": CROSSING}], _TWICE),
-    ([{"type": "sfa", "action": FADE}], _FADED),
+    ([{"type": "sfa", **SWIPE}, {"type": "sfa", **CROSSING}], _TWICE),
+    ([{"type": "sfa", **FADE}], _FADED),
     ([{"type": "mfa", "actions": [SWIPE, FADE], "finger_count": 2}], _FADED),
 ], ids=["int-items", "empty-mfa-actions", "more-fingers-than-actions",
         "mfa-action-twice", "sfa-action-twice", "sfa-without-action",
@@ -465,7 +487,7 @@ def test_generate_bad_classified_structure_exits_2(tmp_path, capsys, profile, it
                                                    message):
     doc = tmp_path / "classified.json"
     doc.write_text(json.dumps(
-        {"schema_version": 1, "device": profile.to_dict(), "items": items}
+        {"schema_version": 2, "device": profile.to_dict(), "items": items}
     ))
     assert main(["generate", "--scenario-file", str(doc),
                  "--out-dir", str(tmp_path / "out")]) == 2
@@ -578,19 +600,21 @@ def _with_change(text, change):
     actions: a lone far detection is a blip that never reaches codegen.
     A `bbox` changes the first touch's entries that are not None."""
     doc = json.loads(text)
+    # A trace detection object, or a classified.json row.
+    frame, bbox = ("frame", "bbox") if "detections" in doc else (0, slice(1, 5))
     touches = doc.get("detections") or [
         touch for item in doc["items"]
-        for action in item.get("actions", [item.get("action")])
+        for action in item.get("actions", [item])
         for touch in action["touches"]
     ]
     field, value = change
     if field == "frame":
         for touch in touches:
-            touch["frame"] += value - EXTREME_FRAME_COUNT
+            touch[frame] += value - EXTREME_FRAME_COUNT
         field = "frame_count"
     if field == "bbox":
-        bbox = touches[0]["bbox"]
-        bbox[:] = [old if new is None else new for old, new in zip(bbox, value)]
+        box = touches[0][bbox]
+        touches[0][bbox] = [old if new is None else new for old, new in zip(box, value)]
     elif field in doc["device"]:
         doc["device"][field] = value
     elif field in doc:  # frame_count; classified.json has none

@@ -1,8 +1,10 @@
 """Properties of the trace loader and the document writers.
 
-The writers must lay documents out byte for byte as
-`json.dumps(doc, indent=2)` does; the reference documents below are
-built the way the encoder was fed before the schema-specific writers.
+The trace writer must lay a trace out byte for byte as
+`json.dumps(doc, indent=2)` does; the reference trace below is built
+the way the encoder was fed before the schema-specific writers. The
+classified.json writer must write the reference document's JSON value,
+each touch row `json.dumps` would write on a line of its own.
 """
 
 import json
@@ -60,23 +62,42 @@ def _touch_doc(t):
     }
 
 
+def _touch_row(t):
+    return [t.frame, *t.bbox, t.confidence, t.opacity]
+
+
 def _action_doc(a):
-    return {"kind": a.kind, "touches": [_touch_doc(t) for t in a.touches]}
+    return {"kind": a.kind, "touches": [_touch_row(t) for t in a.touches]}
 
 
 def reference_classified(scenario):
+    """The classified.json document of `scenario`, as a JSON value."""
     items = []
     for item in scenario.items:
         if isinstance(item, AtomicAction):
-            items.append({"type": "sfa", "action": _action_doc(item)})
+            items.append({"type": "sfa", **_action_doc(item)})
         else:
             items.append({
                 "type": "mfa",
                 "finger_count": item.finger_count,
                 "actions": [_action_doc(a) for a in item.actions],
             })
-    doc = {"schema_version": 1, "device": scenario.profile.to_dict(), "items": items}
-    return json.dumps(doc, indent=2).encode("utf-8")
+    return {"schema_version": 2, "device": scenario.profile.to_dict(), "items": items}
+
+
+def assert_writes_reference_classified(scenario):
+    """`to_json` writes the reference value, and each touch row as
+    `json.dumps` writes it, on a line of its own, in order."""
+    text = scenario.to_json().decode("utf-8")
+    assert json.loads(text) == reference_classified(scenario)
+    rows = [json.dumps(_touch_row(t)) for item in scenario.items
+            for action in getattr(item, "actions", (item,)) for t in action.touches]
+    # A row line opens with `[` and a digit: no other line of the document does.
+    lines = [line.lstrip() for line in text.splitlines()]
+    lines = [line for line in lines if line[:1] == "[" and line[1:2].isdigit()]
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        assert line.startswith(row) and not line[len(row):].strip(",]}"), line
 
 
 def reference_trace(trace):
@@ -149,13 +170,13 @@ class TestWriters:
     @given(scenarios())
     @settings(max_examples=100, deadline=None)
     def test_classified_json_equals_json_dumps(self, scenario):
-        assert scenario.to_json() == reference_classified(scenario)
+        assert_writes_reference_classified(scenario)
 
     @pytest.mark.parametrize("name", ["nexus5", "Pixel «Ünïcødé» 手机", 'q"\\\n\x00'])
     def test_empty_scenario(self, name):
         profile = DeviceProfile(name=name, screen_width=WIDTH, screen_height=HEIGHT, fps=30)
         scenario = ClassifiedScenario(profile=profile, items=())
-        assert scenario.to_json() == reference_classified(scenario)
+        assert_writes_reference_classified(scenario)
         assert ClassifiedScenario.from_json(scenario.to_json()) == scenario
 
     @given(traces())
@@ -190,11 +211,10 @@ class TestLoader:
         ({"finger_count": 2.0}, "2.0"),
     ], ids=["missing", "bool", "float"])
     def test_finger_count_must_be_an_integer(self, fields, got):
-        touch = {"frame": 0, "bbox": [10.0, 10.0, 40.0, 40.0],
-                 "confidence": 0.9, "opacity": "high"}
+        touch = [0, 10.0, 10.0, 40.0, 40.0, 0.9, "high"]
         item = {"type": "mfa", **fields,
                 "actions": [{"kind": "tap", "touches": [touch]}]}
-        doc = {"schema_version": 1, "items": [item], "device": {
+        doc = {"schema_version": 2, "items": [item], "device": {
             "name": "n", "width": WIDTH, "height": HEIGHT, "fps": 30}}
         message = f"field 'finger_count' must be an integer, got {got}"
         with pytest.raises(SchemaViolation, match=message):

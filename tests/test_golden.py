@@ -6,7 +6,9 @@ changed every seeded `trace.json`. The encoders did not change with
 it: the classify and codegen of the commit before that move, run on
 the new `trace.json` bytes, give the same `classified.json`,
 `script.log` and `script.bin` digests and `mfa_items` counts as pinned
-here. Any change to a single output byte of `trace.json`,
+here. The `classified.json` digests, and only those, were re-recorded
+again when that document moved to schema version 2 (one row per
+touch). Any change to a single output byte of `trace.json`,
 `classified.json`, `script.log` or `script.bin` fails here. Cases are
 fixed `random_scenario` seeds under each noise preset, on three device
 profiles (one with a non-ASCII name and a 60 fps rate).

@@ -40,7 +40,7 @@ from tracereplay.synth import (
     synthesize_trace,
 )
 
-from conftest import UNDECODABLE_JSON, make_sequence, make_touch
+from conftest import UNDECODABLE_JSON, make_sequence, make_touch, row
 
 
 def trace_doc(detections, width=1080, height=1920, fps=30, frame_count=100):
@@ -313,6 +313,30 @@ class TestParseTrace:
                            "be str, bytes or bytearray, not "):
             read(data)
 
+    @pytest.mark.parametrize("document, version, expected", [
+        ("trace", True, 1), ("trace", 1.0, 1),
+        ("classified", True, 2), ("classified", 1.0, 2), ("classified", 2.0, 2),
+        ("ground-truth", True, 1), ("ground-truth", 1.0, 1),
+    ])
+    def test_schema_version_must_be_an_int(self, document, version, expected):
+        # `True == 1` and `1.0 == 1`, but only an int is a version. The
+        # classified.json rows are v1's objects, which `True` once let in.
+        touches = [det(f) for f in range(3)]
+        read, doc = {
+            "trace": (parse_trace, trace_doc(touches)),
+            "classified": (ClassifiedScenario.from_json, {
+                "device": trace_doc([])["device"],
+                "items": [{"type": "sfa", "action": {"kind": "tap", "touches": touches}}],
+            }),
+            "ground-truth": (GroundTruthScenario.from_json, json.loads(
+                GroundTruthScenario(GROUND_TRUTH_PROFILE, ()).to_json())),
+        }[document]
+        doc["schema_version"] = version
+        with pytest.raises(SchemaViolation) as caught:
+            read(json.dumps(doc))
+        assert str(caught.value) == (
+            f"unsupported schema_version {version!r}, expected {expected}")
+
     def test_bytearray_is_read_as_utf8(self):
         # json.loads alone would also detect UTF-16 and UTF-32 in a bytearray.
         data = json.dumps(trace_doc([det(4)])).encode("utf-16")
@@ -337,6 +361,19 @@ class TestParseTrace:
         del doc[key]
         with pytest.raises(SchemaViolation):
             parse_trace(json.dumps(doc))
+
+    @pytest.mark.parametrize("detection, message", [
+        *[(dict.fromkeys(set(det(4)) - {key}, 0), f"detection missing field '{key}'")
+          for key in ("frame", "bbox", "confidence", "opacity")],
+        ({}, "detection missing field 'frame'"),
+        ([4], "detection must be an object"), ("x", "detection must be an object"),
+        (None, "detection must be an object"),
+    ], ids=["no-frame", "no-bbox", "no-confidence", "no-opacity", "empty", "list",
+            "string", "null"])
+    def test_detection_shape_is_checked_first(self, detection, message):
+        with pytest.raises(SchemaViolation) as caught:
+            parse_trace(json.dumps(trace_doc([detection])))
+        assert str(caught.value) == message
 
     def test_bad_opacity_value(self):
         doc = trace_doc([det(4, opacity="medium")])
@@ -684,7 +721,7 @@ class TestConstructorIsTheCheck:
     @pytest.mark.parametrize("kind", ["TAP", "longtap", "", None, 1, ["tap"]])
     def test_action_kind_gives_the_readers_message(self, kind):
         doc = json.loads(_scenario_of(_TAP).to_json())
-        doc["items"][0]["action"]["kind"] = kind
+        doc["items"][0]["kind"] = kind
         with pytest.raises(SchemaViolation) as built:
             AtomicAction(kind, _TAP.touches)
         with pytest.raises(SchemaViolation) as read:
@@ -749,10 +786,11 @@ def trace_json(args) -> str:
 
 
 def classified_json(touch, finger_count=2) -> str:
-    """A classified.json document of one two-touch MFA item."""
-    action = {"kind": "tap", "touches": [touch]}
+    """A classified.json document of one MFA item: two actions, each
+    `touch`, a trace detection object, as its one row."""
+    action = {"kind": "tap", "touches": [row(touch)]}
     return json.dumps({
-        "schema_version": 1,
+        "schema_version": 2,
         "device": {"name": "d", "width": 1080, "height": 1920, "fps": 30},
         "items": [{"type": "mfa", "finger_count": finger_count,
                    "actions": [action, action]}],
