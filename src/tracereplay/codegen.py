@@ -2,8 +2,9 @@
 
 Scenario items become contacts of the Linux multi-touch protocol type B,
 one per finger; contacts down at the same time hold separate slots,
-whichever items they come from. Every sync window carries the timestamp
-of the video frame it reproduces; sample spacing is 1000/fps ms.
+whichever items they come from. The sync window of video frame f is at
+`frame_offset_us(f, fps)`, and every contact is released in the window
+of the frame after its last active frame.
 
 Two on-disk forms exist:
 
@@ -104,21 +105,21 @@ class SendEventScript(Frozen):
 
 
 def frame_offset_us(frames: int, fps: int) -> int:
-    """Microseconds spanned by `frames` frames, rounded to the grid."""
+    """Microseconds from script start to frame `frames`' window: the grid."""
     return round(frames * 1_000_000 / fps)
 
 
 def _clusters(items):
-    """(anchor frame, contacts) per cluster of items that overlap in time,
-    each contact its release frame and samples.
+    """The contacts of each cluster of items that overlap in time, each
+    contact its release frame and samples.
 
     One contact per action, each with a high-opacity touch (see
-    `ClassifiedScenario`): an SFA's is its first touch, plus its later high
-    touches for a gesture, released one frame after its last high (active)
-    frame; an MFA finger's is its high touches, released in that frame's window.
-    An item joins the open cluster when it starts before the cluster's
-    last release frame; an item that starts in that frame opens a new
-    cluster. The anchor is the cluster's first item's start frame.
+    `ClassifiedScenario`): an SFA's is its first touch, plus its later
+    high touches for a gesture; an MFA finger's is its high touches.
+    Every contact is released one frame after its last high (active)
+    frame. An item joins the open cluster when it starts before the
+    cluster's last release frame; an item that starts in that frame
+    opens a new cluster.
     """
     from .classify import AtomicAction  # not at module level: `replay` needs none
 
@@ -126,14 +127,14 @@ def _clusters(items):
     end = 0
     for item in items:
         if isinstance(item, AtomicAction):
-            contacts = [(item.last_high_frame + 1, item.high_touches
-                         if item.kind == "gesture" else item.high_touches[:1])]
+            fingers = [(item, item.high_touches if item.kind == "gesture"
+                        else item.high_touches[:1])]
         else:
-            contacts = [(action.last_high_frame, action.high_touches)
-                        for action in item.actions]
+            fingers = [(action, action.high_touches) for action in item.actions]
+        contacts = [(action.last_high_frame + 1, samples) for action, samples in fingers]
         if not clusters or item.start_frame >= end:
-            clusters.append((item.start_frame, []))
-        clusters[-1][1].extend(contacts)
+            clusters.append([])
+        clusters[-1] += contacts
         end = max(end, *(release for release, _ in contacts))
     return clusters
 
@@ -144,17 +145,16 @@ def assemble_script(
     """Compile scenario items into one type-B event script.
 
     Each cluster (see `_clusters`) is one sweep over its contacts'
-    samples and releases, one sync window per frame, timed on one grid
-    from its anchor frame's time (raised to the previous cluster's
-    release when the two roundings put it 1 us earlier). A contact
-    opens in the lowest free slot with the next tracking id; its later
-    samples and its release select that slot first only when the
-    cluster holds more than one contact. `BTN_TOUCH` goes down with the
-    first contact and up with the last. A cluster whose first window
-    lies more than u32 microseconds after the last window is preceded
-    by an empty report every u32 microseconds; past MAX_IDLE_REPORTS of
-    them it raises ScriptFormatError. Raises SlotExhaustion when a
-    contact opens while all MAX_SLOTS slots are held.
+    samples and releases, one sync window per frame, at that frame's
+    `frame_offset_us`. A contact opens in the lowest free slot with the
+    next tracking id; its later samples and its release select that
+    slot first only when the cluster holds more than one contact.
+    `BTN_TOUCH` goes down with the first contact and up with the last.
+    A cluster whose first window lies more than u32 microseconds after
+    the last window is preceded by an empty report every u32
+    microseconds; past MAX_IDLE_REPORTS of them it raises
+    ScriptFormatError. Raises SlotExhaustion when a contact opens while
+    all MAX_SLOTS slots are held.
     """
     profile = scenario.profile
     fps = profile.fps
@@ -162,8 +162,7 @@ def assemble_script(
     events = []
     next_tid = 1
     t = 0  # timestamp of the last window
-    for anchor, contacts in _clusters(scenario.items):
-        t_anchor = max(frame_offset_us(anchor, fps), t)
+    for contacts in _clusters(scenario.items):
         # By first frame, then first center: the order ids are given in.
         contacts.sort(key=lambda c: _frame_and_center(c[1][0]))
         marks = []
@@ -176,7 +175,7 @@ def assemble_script(
         free_slots = list(range(MAX_SLOTS))  # a heap: lowest slot first
         slot_of = [None] * len(contacts)
         window = marks[0][0]
-        t_window = t_anchor + frame_offset_us(window - anchor, fps)
+        t_window = frame_offset_us(window, fps)
         # No contact is down between clusters: empty reports split an idle
         # step longer than a runnable delta holds.
         idle = (t_window - t - 1) // _U32_MAX
@@ -190,7 +189,7 @@ def assemble_script(
             if frame != window:
                 events.append((t, EV_SYN, SYN_REPORT, 0))
                 window = frame
-                t = t_anchor + frame_offset_us(frame - anchor, fps)
+                t = frame_offset_us(frame, fps)
             slot = slot_of[order]
             if slot is None:  # the contact's first sample opens it
                 if not free_slots:
@@ -252,14 +251,16 @@ def validate_events(events, x_end: int = _I32_END, y_end: int = _I32_END) -> lis
     down only as the first contact opens and up as the last one closes.
     A window, closed by `SYN_REPORT`, holds one timestamp and at most one
     x and one y per contact; at its `SYN_REPORT` each contact has both or
-    neither, and the button is down exactly when a contact is open. The
-    last window ends in `SYN_REPORT`, with no contact left open. Returns
-    the contacts in open order, each `(tracking_id, slot, open_us,
-    release_us, samples)`, a list of one `(t_us, x, y)` per window placing it.
+    neither, and the button is down exactly when a contact is open. A
+    device reports only the contacts open at `SYN_REPORT`: a contact is
+    placed in the window that opens it, not in the one that releases it.
+    The last window ends in `SYN_REPORT`, with no contact left open.
+    Returns the contacts in open order, each `(tracking_id, slot,
+    open_us, release_us, samples)`, one `(t_us, x, y)` per window placing it.
     """
     decoded = {}  # tracking id -> [id, slot, open us, release us, samples, x, y]
     open_in = {}  # slot -> its open contact
-    placed = []  # the contacts given an x or a y (None until given) in this window
+    placed = []  # contacts opened or given an x or y (None until given) in this window
     current_slot = 0
     last_t = 0
     button = False
@@ -293,14 +294,16 @@ def validate_events(events, x_end: int = _I32_END, y_end: int = _I32_END) -> lis
                 raise ScriptFormatError(f"position for empty slot {current_slot} at {t}us")
             if contact[5 + axis] is not None:
                 raise ScriptFormatError(f"two positions in one window at {t}us")
-            if contact[6 - axis] is None:
+            if contact[6 - axis] is None and contact[4]:  # one just opened is listed
                 placed.append(contact)
             contact[5 + axis] = value
         elif code == SYN_REPORT and etype == EV_SYN and value == 0:
             if button != bool(open_in):
                 raise ScriptFormatError(f"BTN_TOUCH stale at {t}us")
             for contact in placed:
-                _, _, _, _, samples, x, y = contact
+                tid, _, _, _, samples, x, y = contact
+                if x is None and y is None:
+                    raise ScriptFormatError(f"contact {tid} opened without a position at {t}us")
                 if x is None or y is None:
                     raise ScriptFormatError(f"half a position at {t}us")
                 samples.append((t, x, y))
@@ -316,6 +319,9 @@ def validate_events(events, x_end: int = _I32_END, y_end: int = _I32_END) -> lis
                 contact = open_in.pop(current_slot, None)
                 if contact is None:
                     raise ScriptFormatError(f"release on empty slot {current_slot}")
+                if contact[5] is not None or contact[6] is not None:
+                    raise ScriptFormatError(
+                        f"contact {contact[0]} placed in its release window at {t}us")
                 contact[3] = t
             else:
                 if not 0 <= value < _I32_END:
@@ -326,6 +332,7 @@ def validate_events(events, x_end: int = _I32_END, y_end: int = _I32_END) -> lis
                     raise ScriptFormatError(f"tracking id {value} reused")
                 open_in[current_slot] = decoded[value] = [
                     value, current_slot, t, None, [], None, None]
+                placed.append(decoded[value])
         elif code == BTN_TOUCH and etype == EV_KEY and 0 <= value <= 1:
             if button == value:
                 raise ScriptFormatError(f"BTN_TOUCH {value} at {t}us repeats its state")

@@ -40,6 +40,7 @@ from tracereplay.segment import TouchSequence, filter_confidence, segment_trace
 from tracereplay.synth import noise_preset, random_scenario, synthesize_trace
 
 from conftest import make_sequence, make_touch
+from type_b import check_type_b
 
 PROFILE = DeviceProfile(name="nexus5", screen_width=1080, screen_height=1920, fps=30)
 N_SCENARIOS = 200
@@ -110,10 +111,12 @@ class TestCriterion8CompileTotality:
 
     @pytest.mark.parametrize("preset", ["clean", "physical-device", "emulator"])
     def test_every_batch_trace_assembles(self, preset):
+        """Every batch trace compiles to the scenario's contacts, each
+        sample and release at its frame's time (see `check_type_b`)."""
         failures = []
         for i, (_, _, classified) in enumerate(run_batch(preset)):
             try:
-                assemble_script(classified)
+                check_type_b(translate_runnable(assemble_script(classified)), classified)
             except Exception as exc:  # noqa: BLE001 - recorded as failure
                 failures.append(f"{i}: {type(exc).__name__}: {exc}")
         report(

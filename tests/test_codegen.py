@@ -137,17 +137,17 @@ class TestEmitMfa:
         slots = set(values_of(events, ABS_MT_SLOT))
         assert slots == {0, 1}
         syn_count = sum(1 for _, etype, _, _ in events if etype == EV_SYN)
-        assert syn_count == 30  # one interleaved window per frame
+        assert syn_count == 31  # one interleaved window per frame, then the release
         ends = releases(events)
         assert len(ends) == 2
-        assert {t for t, _, _, _ in ends} == {frame_offset_us(29, 30)}
-        assert frame_offset_us(29, 30) == 966667  # closes at the last frame
+        assert {t for t, _, _, _ in ends} == {frame_offset_us(30, 30)}
+        assert frame_offset_us(30, 30) == 1_000_000  # the frame after the last
 
     def test_finger_continues_after_other_ends(self, profile):
         events = mfa_events(self.two_finger(profile, 30, 21), profile)
         ends = sorted(t for t, _, _, _ in releases(events))
-        assert ends[0] == frame_offset_us(20, 30)
-        assert ends[1] == frame_offset_us(29, 30)
+        assert ends[0] == frame_offset_us(21, 30)
+        assert ends[1] == frame_offset_us(30, 30)
         # Coordinates continue past the first release.
         later = [e for e in events
                  if e[0] > ends[0] and e[2] == ABS_MT_POSITION_X]
@@ -157,7 +157,7 @@ class TestEmitMfa:
         events = mfa_events(self.two_finger(profile, 30, 21), profile)
         btns = [(t, value) for t, _, code, value in events if code == BTN_TOUCH]
         assert [value for _, value in btns] == [1, 0]
-        assert btns[1][0] == frame_offset_us(29, 30)
+        assert btns[1][0] == frame_offset_us(30, 30)
 
     def test_degenerate_single_action_matches_sfa_samples(self, profile):
         action = classify_action(make_sequence(0, 8, 100, 100, dx=25), profile)
@@ -202,15 +202,18 @@ class TestAssemble:
 
     def test_single_mfa_equals_emitter_output(self, profile):
         # The emitter's output for an item at frame 5 is its output for
-        # the same item at frame 0, shifted by frame 5's grid offset.
+        # the same item at frame 0, each window moved five frames on
+        # the one grid.
         def events_from(start):
             a = classify_action(make_sequence(start, 20, 200, 500, dx=5), profile)
             b = classify_action(make_sequence(start, 20, 800, 1500, dx=-5), profile)
             return mfa_events([a, b], profile)
 
-        shift = frame_offset_us(5, 30)
+        def five_frames_on(t):
+            return frame_offset_us(round(t * 30 / 1_000_000) + 5, 30)
+
         assert events_from(5) == tuple(
-            (t + shift, *rest) for t, *rest in events_from(0)
+            (five_frames_on(t), *rest) for t, *rest in events_from(0)
         )
 
     def test_overlapping_sfas_share_one_timeline(self, profile):
@@ -250,14 +253,14 @@ class TestAssemble:
             assert events.index(tap_open) > syn
             return mfa_release[0], tap_open[0]
 
-        # Frames 0-2, then a tap at frame 2: both at 66,667 us.
-        assert release_and_tap_windows(assemble_script(scenario(0, 2))) == (
-            frame_offset_us(2, 30), frame_offset_us(2, 30)) == (66667, 66667)
-        # Frames 2-4, then a tap at frame 4: the release rounds to
-        # 66,667 + 66,667 us, frame 4 to 133,333 us; the tap opens at
-        # the release's time, not 1 us before it.
-        assert release_and_tap_windows(assemble_script(scenario(2, 4))) == (
-            133334, 133334)
+        # Frames 0-2, released at frame 3, then a tap at frame 3: both
+        # at 100,000 us.
+        assert release_and_tap_windows(assemble_script(scenario(0, 3))) == (
+            frame_offset_us(3, 30), frame_offset_us(3, 30)) == (100000, 100000)
+        # Frames 2-4, released at frame 5, then a tap at frame 5: both at
+        # frame 5's time on the one grid, 166,667 us.
+        assert release_and_tap_windows(assemble_script(scenario(2, 5))) == (
+            166667, 166667)
 
     def test_more_than_max_slots_overlapping_sfas(self, profile):
         taps = [
@@ -271,14 +274,14 @@ class TestAssemble:
 
     def test_one_action_mfa_selects_its_slot_once(self, profile):
         # A group of one finger is one contact: like an SFA, it writes
-        # ABS_MT_SLOT only when it opens; unlike one, it releases in its
-        # last active frame's window.
+        # ABS_MT_SLOT only when it opens, and releases one frame after its
+        # last active frame.
         action = classify_action(make_sequence(0, 6, 100, 100, dx=25), profile)
         events = mfa_events([action], profile)
         assert [e for e in events if e[2] == ABS_MT_SLOT] == [
             (0, EV_ABS, ABS_MT_SLOT, 0)]
         ((t_end, *_),) = releases(events)
-        assert t_end == frame_offset_us(5, 30)
+        assert t_end == frame_offset_us(6, 30)
         assert len(coordinate_samples(events)) == 6
 
     def test_mfa_finger_without_high_touch_is_rejected(self, profile):
@@ -403,6 +406,8 @@ class TestValidateScript:
             (0, EV_ABS, ABS_MT_SLOT, 0),
             (0, EV_ABS, ABS_MT_TRACKING_ID, 1),
             (0, EV_KEY, BTN_TOUCH, 1),
+            (0, EV_ABS, ABS_MT_POSITION_X, 5),
+            (0, EV_ABS, ABS_MT_POSITION_Y, 5),
             (0, EV_SYN, SYN_REPORT, 0),
         )
         with pytest.raises(ScriptFormatError, match=r"^contacts left open: \[1\]$"):
@@ -428,7 +433,8 @@ class TestValidateScript:
 
 def two_fingers(profile):
     """A two-finger item held for frames 0-2: contacts 1 and 2 open in
-    slots 0 and 1 in the first window and release in the last."""
+    slots 0 and 1 in the first window and release in the last, frame 3's
+    at 100,000 us."""
     a = classify_action(make_sequence(0, 3, 200, 500), profile)
     b = classify_action(make_sequence(0, 3, 800, 1500), profile)
     item = MultiFingerItem((a, b), finger_count=2)
@@ -549,6 +555,17 @@ def _first_open_takes_id_minus_2(events):
     _set_value(events, _index(events, ABS_MT_TRACKING_ID, 1), -2)
 
 
+def _first_finger_placed_as_it_releases(events):
+    i = _index(events, ABS_MT_TRACKING_ID, TRACKING_RELEASE)
+    t = events[i][0]
+    events[i:i] = [(t, EV_ABS, ABS_MT_POSITION_X, 5), (t, EV_ABS, ABS_MT_POSITION_Y, 5)]
+
+
+def _second_opens_without_position(events):
+    i = _index(events, ABS_MT_TRACKING_ID, 2)
+    del events[i + 1:i + 3]  # its x and y
+
+
 def _no_profile(events):
     return {"profile": None}
 
@@ -590,7 +607,7 @@ def _first_release_line_twice(lines):
     (_second_release_in_first_slot, validate_script, "release on empty slot 0"),
     (_second_open_in_first_slot, validate_script, "slot 0 opened twice"),
     (_second_open_takes_first_id, validate_script, "tracking id 1 reused"),
-    (_drop_btn_up, validate_script, "BTN_TOUCH stale at 66667us"),
+    (_drop_btn_up, validate_script, "BTN_TOUCH stale at 100000us"),
     (_drop_last_sync, validate_script, "last window has no SYN_REPORT"),
     (_btn_up_before_down, validate_script, "BTN_TOUCH 0 at 0us repeats its state"),
     (_btn_down_twice, validate_script, "BTN_TOUCH 1 at 0us repeats its state"),
@@ -599,7 +616,7 @@ def _first_release_line_twice(lines):
     (_btn_down_before_first_open, validate_script,
      "BTN_TOUCH 1 at 0us with 0 contacts open"),
     (_btn_up_before_last_release, validate_script,
-     "BTN_TOUCH 0 at 66667us with 1 contacts open"),
+     "BTN_TOUCH 0 at 100000us with 1 contacts open"),
     (_first_y_1us_late, validate_script, "window at 0us holds an event at 1us"),
     (_first_x_twice, validate_script, "two positions in one window at 0us"),
     (_drop_first_y, validate_script, "half a position at 0us"),
@@ -616,6 +633,10 @@ def _first_release_line_twice(lines):
     (_btn_down_with_value_2, validate_script,
      "event (0, 1, 330, 2) outside the type-B vocabulary"),
     (_first_open_takes_id_minus_2, validate_script, "tracking id -2 out of range"),
+    (_first_finger_placed_as_it_releases, validate_script,
+     "contact 1 placed in its release window at 100000us"),
+    (_second_opens_without_position, validate_script,
+     "contact 2 opened without a position at 0us"),
     (_no_profile, validate_script, "profile must be a DeviceProfile, got None"),
     (_last_line_on_other_node, parse_script,
      "device node changed mid-log: '/dev/input/event3'"),
@@ -626,7 +647,7 @@ def _first_release_line_twice(lines):
      "screen_height=1920, fps=60, touch_slop=8)"),
     (_drop_profile_header, parse_script, "log missing device_node/profile headers"),
     (_last_line_5000s_in, parse_script,
-     "timestamp step 4999933333us at 5000000000us exceeds u32"),
+     "timestamp step 4999900000us at 5000000000us exceeds u32"),
     (_first_release_line_twice, parse_script, "release on empty slot 0"),
 ], ids=lambda case: getattr(case, "__name__", None))
 def test_decoder_rejects(profile, defect, decoder, message):
@@ -697,14 +718,16 @@ class TestRecordRanges:
     def test_coordinate_above_i32_rejected_on_any_screen(self):
         huge = DeviceProfile(name="wall", screen_width=2**40,
                              screen_height=2**40, fps=30)
-        # One contact holds a whole position, so only the coordinate is at fault.
-        opened = (0, EV_ABS, ABS_MT_TRACKING_ID, 1)
-        closed = ((0, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE),
-                  (0, EV_SYN, SYN_REPORT, 0))
+        # One contact placed as it opens and released in the next window,
+        # so only the coordinate is at fault.
+        opened = ((0, EV_ABS, ABS_MT_TRACKING_ID, 1), (0, EV_KEY, BTN_TOUCH, 1))
+        closed = ((0, EV_SYN, SYN_REPORT, 0),
+                  (0, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE),
+                  (0, EV_KEY, BTN_TOUCH, 0), (0, EV_SYN, SYN_REPORT, 0))
         y = (0, EV_ABS, ABS_MT_POSITION_Y, 0)
-        self.compile(huge, opened, (0, EV_ABS, ABS_MT_POSITION_X, 2**31 - 1), y, *closed)
+        self.compile(huge, *opened, (0, EV_ABS, ABS_MT_POSITION_X, 2**31 - 1), y, *closed)
         with pytest.raises(ScriptFormatError, match="^x=2147483648 off screen$"):
-            self.compile(huge, opened, (0, EV_ABS, ABS_MT_POSITION_X, 2**31), y, *closed)
+            self.compile(huge, *opened, (0, EV_ABS, ABS_MT_POSITION_X, 2**31), y, *closed)
 
     def test_window_of_equal_but_distinct_timestamps_accepted(self):
         # Each event's timestamp is its own int object, equal in value.

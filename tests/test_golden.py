@@ -8,7 +8,11 @@ the new `trace.json` bytes, give the same `classified.json`,
 `script.log` and `script.bin` digests and `mfa_items` counts as pinned
 here. The `classified.json` digests, and only those, were re-recorded
 again when that document moved to schema version 2 (one row per
-touch). Any change to a single output byte of `trace.json`,
+touch). The `script.log` and `script.bin` digests, and only those (all
+120), were re-recorded when codegen moved to one timestamp grid (every
+window at its frame's `frame_offset_us`) and one release rule (every
+contact, an MFA finger too, released the frame after its last active
+frame). Any change to a single output byte of `trace.json`,
 `classified.json`, `script.log` or `script.bin` fails here. Cases are
 fixed `random_scenario` seeds under each noise preset, on three device
 profiles (one with a non-ASCII name and a 60 fps rate).
@@ -123,7 +127,8 @@ def test_items_are_actions_or_multi_finger_items():
 
 def test_script_check_decodes_what_the_decoder_decodes():
     """Each golden script.bin's contacts, as the script check returns
-    them, hold the type-B decoder's samples, in the order they open."""
+    them, hold the type-B decoder's samples and release times, in the
+    order they open, and those are the scenario's (see `check_type_b`)."""
     expected = json.loads(GOLDEN.read_text())
     compiled = 0
     for preset in PRESETS:

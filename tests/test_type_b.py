@@ -75,8 +75,11 @@ def two_taps():
 
 def test_checker_accepts_two_overlapping_taps():
     scenario = two_taps()
-    samples = check_type_b(translate_runnable(assemble_script(scenario)), scenario)
-    assert samples == {1: [(100, 100)], 2: [(600, 600)]}
+    contacts = check_type_b(translate_runnable(assemble_script(scenario)), scenario)
+    # Each tap's one sample at its first frame's time, and its release
+    # one frame after its last: frames 10 and 14.
+    assert contacts == {1: ([(0, 100, 100)], 333333),
+                        2: ([(133333, 600, 600)], 466667)}
 
 
 def test_script_check_returns_the_contacts():
@@ -130,6 +133,23 @@ def _first_window_ends_1us_late(events):
     events[i] = (t + 1, *rest)
 
 
+def _last_window_1us_late(events):
+    # The second tap's release window (slot, release, button, report),
+    # 1 us off its frame's time.
+    events[-4:] = [(t + 1, *rest) for t, *rest in events[-4:]]
+
+
+def _first_tap_placed_as_it_releases(events):
+    i = _first(events, ABS_MT_TRACKING_ID, TRACKING_RELEASE)
+    t = events[i][0]
+    events[i:i] = [(t, EV_ABS, ABS_MT_POSITION_X, 100), (t, EV_ABS, ABS_MT_POSITION_Y, 100)]
+
+
+def _second_tap_opens_unplaced(events):
+    i = _first(events, ABS_MT_TRACKING_ID, 2)
+    del events[i + 1:i + 3]  # its x and y
+
+
 @pytest.mark.parametrize("defect, message", [
     (_drop_first_btn_up, "BTN_TOUCH stale"),
     (_second_opens_in_first_slot, "open slot 0 reused"),
@@ -137,6 +157,10 @@ def _first_window_ends_1us_late(events):
     (_wrong_coordinate, r"samples differ: extra Counter\(\{\(\(101, 100\),\)"),
     (_drop_last_release, "BTN_TOUCH up with 1 open"),
     (_first_window_ends_1us_late, "window at 0us holds an event at 1us"),
+    (_last_window_1us_late, r"timing differs: extra Counter\(\{\(\(\(133333, 600, 600\),\), "
+     r"466668\)"),
+    (_first_tap_placed_as_it_releases, "contact 1 placed in its release window at 333333us"),
+    (_second_tap_opens_unplaced, "contact 2 opened without a position"),
 ])
 def test_checker_rejects(defect, message):
     scenario = two_taps()
@@ -162,8 +186,9 @@ def test_empty_window_changes_no_contact():
 def test_checker_accepts_a_tap_past_the_u32_step():
     tap = classify_action(make_sequence(129_600, 8, 300, 420), PROFILE)
     scenario = ClassifiedScenario(PROFILE, (tap,))
-    samples = check_type_b(translate_runnable(assemble_script(scenario)), scenario)
-    assert samples == {1: [(300, 420)]}
+    contacts = check_type_b(translate_runnable(assemble_script(scenario)), scenario)
+    # Frames 129,600 and 129,608 at 30 fps.
+    assert contacts == {1: ([(4_320_000_000, 300, 420)], 4_320_266_667)}
 
 
 def _runnable(events):
@@ -268,8 +293,9 @@ _CLOSE = [(3, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE),
 @given(type_b_streams())
 # One stream of each kind a window or button rule rejects: a window of
 # two timestamps, two x for one contact in a window, an x without a y, a
-# button still up at the first report, and a button that goes down only
-# once a second contact is open.
+# button still up at the first report, a button that goes down only once
+# a second contact is open, a contact placed in its release window, and
+# one opened without a position.
 @example([*_OPEN, (0, EV_ABS, ABS_MT_POSITION_X, 5), (3, EV_ABS, ABS_MT_POSITION_Y, 5),
           (3, EV_SYN, SYN_REPORT, 0), *_CLOSE])
 @example([*_OPEN, (0, EV_ABS, ABS_MT_POSITION_X, 5), (0, EV_ABS, ABS_MT_POSITION_X, 6),
@@ -283,6 +309,11 @@ _CLOSE = [(3, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE),
           (0, EV_KEY, BTN_TOUCH, 1), (0, EV_SYN, SYN_REPORT, 0),
           (3, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE), (3, EV_ABS, ABS_MT_SLOT, 0),
           *_CLOSE])
+@example([*_OPEN, (0, EV_ABS, ABS_MT_POSITION_X, 5), (0, EV_ABS, ABS_MT_POSITION_Y, 6),
+          (0, EV_SYN, SYN_REPORT, 0), (3, EV_ABS, ABS_MT_POSITION_X, 7),
+          (3, EV_ABS, ABS_MT_POSITION_Y, 8), *_CLOSE])
+@example([*_OPEN, (0, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE),
+          (0, EV_KEY, BTN_TOUCH, 0), (0, EV_SYN, SYN_REPORT, 0)])
 @settings(max_examples=400, deadline=None)
 def test_script_check_rejects_what_the_decoder_rejects(events):
     contacts = _decoded(validate_events, events)

@@ -4,9 +4,10 @@ In the Linux multi-touch protocol type B
 (`Documentation/input/multi-touch-protocol.rst`), `ABS_MT_SLOT` selects
 a slot, `ABS_MT_TRACKING_ID` >= 0 opens a contact in the selected slot
 and -1 releases it, positions update the selected slot's contact, and
-`SYN_REPORT` closes a window. `decode_type_b` replays a stream under
-those rules, and `check_type_b` compares the contacts it finds in
-`script.bin` with the ones the scenario describes, worked out here
+`SYN_REPORT` closes a window, whose report holds only the contacts
+still open. `decode_type_b` replays a stream under those rules, and
+`check_type_b` compares the contacts it finds in `script.bin`, with
+their times, with the ones the scenario describes, worked out here
 without calling codegen. The decoder shares no code with codegen's
 script check, `validate_events`, and is its oracle.
 """
@@ -36,9 +37,9 @@ from tracereplay.codegen import (
 def scenario_contacts(scenario):
     """(first frame, release frame, touches) of each contact in the
     scenario: an SFA is one contact (its first touch, plus its later
-    high-opacity touches for a gesture), released the frame after its
-    last active frame; each MFA finger with a high-opacity touch is one
-    contact of those touches, released in its last active frame."""
+    high-opacity touches for a gesture); each MFA finger with a
+    high-opacity touch is one contact of those touches. Every contact
+    is released the frame after its last active frame."""
     contacts = []
     for item in scenario.items:
         if isinstance(item, AtomicAction):
@@ -50,7 +51,7 @@ def scenario_contacts(scenario):
             )
         else:
             contacts += [
-                (a.start_frame, a.last_high_frame, a.high_touches)
+                (a.start_frame, a.last_high_frame + 1, a.high_touches)
                 for a in item.actions
                 if a.high_touches
             ]
@@ -70,6 +71,11 @@ def peak_contacts(scenario) -> int:
     return peak
 
 
+def frame_us(frame: int, fps: int) -> int:
+    """The time of a frame from script start, rounded to microseconds."""
+    return round(frame * 1_000_000 / fps)
+
+
 def device_point(center, profile) -> tuple[int, int]:
     """A center rounded half-up to device pixels and clamped on-screen."""
     x = min(max(math.floor(center[0] + 0.5), 0), profile.screen_width - 1)
@@ -77,21 +83,26 @@ def device_point(center, profile) -> tuple[int, int]:
     return x, y
 
 
-def decode_type_b(events) -> dict[int, list[tuple[int, int]]]:
+def decode_type_b(events) -> dict[int, tuple[list[tuple[int, int, int]], int]]:
     """Assert that `events` are a well-formed type-B stream; return each
-    tracking id's samples, one per window that gives it a position.
+    tracking id's samples, one `(t_us, x, y)` per window that gives it a
+    position, and its release time.
 
     Checks that each tracking id opens once and closes once, that no
     slot is opened while its contact is open, that `BTN_TOUCH` goes
     down as the first contact opens and up as the last one releases,
     and that every window ends in `SYN_REPORT` at one timestamp, with
     the button down exactly when a contact is open and each contact
-    given both or neither of one x and one y.
+    given both or neither of one x and one y. A contact must be given a
+    position in the window that opens it, and none in the window that
+    releases it, which the report would not show.
     """
     slot = 0
     open_in = {}  # slot -> tracking id
-    samples: dict[int, list[tuple[int, int]]] = {}
+    samples: dict[int, list[tuple[int, int, int]]] = {}
+    released = {}  # tracking id -> release time
     window = {}  # tracking id -> {position code: value} in this window
+    opened = set()  # the tracking ids opened in this window
     window_t = None
     button = False
     for t, etype, code, value in events:
@@ -104,12 +115,16 @@ def decode_type_b(events) -> dict[int, list[tuple[int, int]]]:
         elif (etype, code) == (EV_ABS, ABS_MT_TRACKING_ID):
             if value == TRACKING_RELEASE:
                 assert slot in open_in, f"release of empty slot {slot} at {t}us"
-                del open_in[slot]
+                tid = open_in.pop(slot)
+                assert tid not in window, (
+                    f"contact {tid} placed in its release window at {t}us")
+                released[tid] = t
             else:
                 assert slot not in open_in, f"open slot {slot} reused at {t}us"
                 assert value not in samples, f"tracking id {value} opened twice"
                 open_in[slot] = value
                 samples[value] = []
+                opened.add(value)
         elif etype == EV_ABS and code in (ABS_MT_POSITION_X, ABS_MT_POSITION_Y):
             assert slot in open_in, f"position for empty slot {slot} at {t}us"
             position = window.setdefault(open_in[slot], {})
@@ -130,30 +145,46 @@ def decode_type_b(events) -> dict[int, list[tuple[int, int]]]:
             for tid, position in window.items():
                 assert len(position) == 2, f"half a position at {t}us"
                 samples[tid].append(
-                    (position[ABS_MT_POSITION_X], position[ABS_MT_POSITION_Y])
+                    (t, position[ABS_MT_POSITION_X], position[ABS_MT_POSITION_Y])
                 )
-            window, window_t = {}, None
+            unplaced = opened - window.keys()
+            assert not unplaced, f"contact {min(unplaced)} opened without a position at {t}us"
+            window, opened, window_t = {}, set(), None
     assert window_t is None, "last window has no SYN_REPORT"
     assert not open_in, f"contacts left open: {sorted(open_in.values())}"
-    return samples
+    return {tid: (samples[tid], released[tid]) for tid in samples}
 
 
-def samples_by_id(contacts) -> dict[int, list[tuple[int, int]]]:
+def samples_by_id(contacts) -> dict[int, tuple[list[tuple[int, int, int]], int]]:
     """The contacts codegen's `validate_events` returns, as `decode_type_b`
-    returns them: each tracking id's (x, y) samples, in open order."""
-    return {tid: [(x, y) for _, x, y in samples] for tid, _, _, _, samples in contacts}
+    returns them: each tracking id's samples and release time, in open
+    order."""
+    return {tid: (samples, release) for tid, _, _, release, samples in contacts}
 
 
-def check_type_b(runnable: bytes, scenario) -> dict[int, list[tuple[int, int]]]:
+def _points(contacts: Counter) -> Counter:
+    """The (x, y) samples of each of a Counter's `(samples, release)`."""
+    return Counter(tuple((x, y) for _, x, y in samples)
+                   for samples, _ in contacts.elements())
+
+
+def check_type_b(runnable: bytes, scenario) -> dict:
     """Assert that `runnable` decodes (see `decode_type_b`) to exactly
-    the scenario's contacts, whose samples are the scenario contacts'
-    device-rounded centers; return each tracking id's samples."""
-    samples = decode_type_b(parse_runnable(runnable))
+    the scenario's contacts: first that their samples are the scenario
+    contacts' device-rounded centers, then that each sample lies at its
+    touch's frame time and each release at the time of the contact's
+    release frame. Return what `decode_type_b` returns."""
+    contacts = decode_type_b(parse_runnable(runnable))
     profile = scenario.profile
     want = Counter(
-        tuple(device_point(touch.center, profile) for touch in touches)
-        for _, _, touches in scenario_contacts(scenario)
+        (tuple((frame_us(touch.frame, profile.fps), *device_point(touch.center, profile))
+               for touch in touches), frame_us(release, profile.fps))
+        for _, release, touches in scenario_contacts(scenario)
     )
-    got = Counter(map(tuple, samples.values()))
-    assert got == want, f"samples differ: extra {got - want}, missing {want - got}"
-    return samples
+    got = Counter((tuple(samples), release) for samples, release in contacts.values())
+    want_points, got_points = _points(want), _points(got)
+    assert got_points == want_points, (
+        f"samples differ: extra {got_points - want_points}, "
+        f"missing {want_points - got_points}")
+    assert got == want, f"timing differs: extra {got - want}, missing {want - got}"
+    return contacts
