@@ -149,8 +149,8 @@ class ClassifiedScenario(Frozen):
                              f'"actions": [\n{actions}]}}')
         return (
             f'{{\n  "schema_version": {CLASSIFIED_SCHEMA_VERSION},\n'
-            f'  "device": {device_json(self.profile, 1)},\n'
-            f'  "items": {json_array(items, 1)}\n}}'
+            f'  "device": {device_json(self.profile)},\n'
+            f'  "items": {json_array(items)}\n}}'
         ).encode("utf-8")
 
     @classmethod

@@ -6,6 +6,11 @@ whichever items they come from. The sync window of video frame f is at
 `frame_offset_us(f, fps)`, and every contact is released in the window
 of the frame after its last active frame.
 
+Compiling is two steps. `plan_contacts` makes every decision and states
+the contacts, in the shape the script check `validate_events` decodes:
+``(tracking_id, slot, open_us, release_us, samples)``. `assemble_script`
+only writes them as events, so the two are exact inverses.
+
 Two on-disk forms exist:
 
 * a human-readable log, one event per line::
@@ -31,7 +36,6 @@ from __future__ import annotations
 import json
 import re
 import struct
-from heapq import heappop, heappush
 from itertools import accumulate
 from math import floor
 from typing import TYPE_CHECKING
@@ -105,13 +109,16 @@ class SendEventScript(Frozen):
 
 
 def frame_offset_us(frames: int, fps: int) -> int:
-    """Microseconds from script start to frame `frames`' window: the grid."""
+    """Microseconds from script start to frame `frames`' window: the grid.
+    At most `model.MAX_FPS` frames per second, each frame has its own time."""
     return round(frames * 1_000_000 / fps)
 
 
-def _clusters(items):
-    """The contacts of each cluster of items that overlap in time, each
-    contact its release frame and samples.
+def plan_contacts(scenario: ClassifiedScenario) -> list[list[tuple]]:
+    """The contacts `assemble_script` writes, cluster by cluster, each in
+    `validate_events`' shape ``(tracking_id, slot, open_us, release_us,
+    samples)``, one ``(t_us, x, y)`` per sample. Flattened, it is what
+    `validate_events` returns for the script.
 
     One contact per action, each with a high-opacity touch (see
     `ClassifiedScenario`): an SFA's is its first touch, plus its later
@@ -119,105 +126,115 @@ def _clusters(items):
     Every contact is released one frame after its last high (active)
     frame. An item joins the open cluster when it starts before the
     cluster's last release frame; an item that starts in that frame
-    opens a new cluster.
+    opens a new cluster. Tracking ids count up from 1, in each cluster
+    by first frame, then first center. A contact opens in the lowest
+    slot free at its first frame; a slot released in that frame is still
+    held. Each sample and release is at its frame's `frame_offset_us`,
+    each center rounded half-up to device pixels, on-screen. Raises
+    ScriptFormatError when the idle gap before a cluster needs more than
+    MAX_IDLE_REPORTS empty reports (see `assemble_script`), and
+    SlotExhaustion when a contact opens while all MAX_SLOTS slots are held.
     """
     from .classify import AtomicAction  # not at module level: `replay` needs none
 
     clusters = []
     end = 0
-    for item in items:
+    for item in scenario.items:
         if isinstance(item, AtomicAction):
             fingers = [(item, item.high_touches if item.kind == "gesture"
                         else item.high_touches[:1])]
         else:
             fingers = [(action, action.high_touches) for action in item.actions]
-        contacts = [(action.last_high_frame + 1, samples) for action, samples in fingers]
+        contacts = [(action.last_high_frame + 1, touches) for action, touches in fingers]
         if not clusters or item.start_frame >= end:
             clusters.append([])
         clusters[-1] += contacts
         end = max(end, *(release for release, _ in contacts))
-    return clusters
+    profile = scenario.profile
+    fps = profile.fps
+    max_x, max_y = profile.screen_width - 1, profile.screen_height - 1
+    plan = []
+    tid = 0  # the last tracking id given
+    t = 0  # the last window's time
+    for contacts in clusters:
+        contacts.sort(key=lambda c: _frame_and_center(c[1][0]))
+        held = [-1] * MAX_SLOTS  # each slot's last release frame
+        planned = []
+        for release, touches in contacts:
+            first = touches[0].frame
+            slot = next((slot for slot, until in enumerate(held) if until < first), None)
+            if slot is None:
+                raise SlotExhaustion(f"more than {MAX_SLOTS} contacts down at frame {first}")
+            held[slot] = release
+            samples = [(frame_offset_us(frame, fps), min(max(floor(cx + 0.5), 0), max_x),
+                        min(max(floor(cy + 0.5), 0), max_y))
+                       for frame, _, _, _, (cx, cy) in touches]
+            open_us, release_us = samples[0][0], frame_offset_us(release, fps)
+            if not planned and (open_us - t - 1) // _U32_MAX > MAX_IDLE_REPORTS:
+                raise ScriptFormatError(f"idle gap before frame {first} needs more "
+                                        f"than {MAX_IDLE_REPORTS} empty reports")
+            tid += 1
+            planned.append((tid, slot, open_us, release_us, samples))
+            t = max(t, release_us)
+        plan.append(planned)
+    return plan
 
 
 def assemble_script(
     scenario: ClassifiedScenario, device_node: str = DEFAULT_DEVICE_NODE
 ) -> SendEventScript:
-    """Compile scenario items into one type-B event script.
+    """Compile scenario items into one type-B event script: emit the
+    contacts of `plan_contacts`, which raises its errors.
 
-    Each cluster (see `_clusters`) is one sweep over its contacts'
-    samples and releases, one sync window per frame, at that frame's
-    `frame_offset_us`. A contact opens in the lowest free slot with the
-    next tracking id; its later samples and its release select that
-    slot first only when the cluster holds more than one contact.
-    `BTN_TOUCH` goes down with the first contact and up with the last.
-    A cluster whose first window lies more than u32 microseconds after
-    the last window is preceded by an empty report every u32
-    microseconds; past MAX_IDLE_REPORTS of them it raises
-    ScriptFormatError. Raises SlotExhaustion when a contact opens while
-    all MAX_SLOTS slots are held.
+    Each cluster is one sweep over its contacts' samples and releases,
+    one sync window per timestamp; in a window, samples come before
+    releases. A contact's first sample opens it (`ABS_MT_SLOT`, then its
+    tracking id); its later samples and its release select its slot
+    first only when the cluster holds more than one contact.
+    `BTN_TOUCH` goes down with the first contact open and up with the
+    last. A cluster whose first window lies more than u32 microseconds
+    after the last window is preceded by an empty report every u32
+    microseconds.
     """
-    profile = scenario.profile
-    fps = profile.fps
-    max_x, max_y = profile.screen_width - 1, profile.screen_height - 1
     events = []
-    next_tid = 1
     t = 0  # timestamp of the last window
-    for contacts in _clusters(scenario.items):
-        # By first frame, then first center: the order ids are given in.
-        contacts.sort(key=lambda c: _frame_and_center(c[1][0]))
+    for contacts in plan_contacts(scenario):
         marks = []
-        for order, (release, samples) in enumerate(contacts):
-            marks += [(touch.frame, 0, order, touch.center) for touch in samples]
-            marks.append((release, 1, order, None))
-        # In each frame, samples come before releases; no two marks tie.
+        for tid, slot, open_us, release_us, samples in contacts:
+            marks += [(t_us, 0, tid, slot, open_us, x, y) for t_us, x, y in samples]
+            marks.append((release_us, 1, tid, slot, None, None, None))
+        # By time, samples before releases, then id; no two marks tie.
         marks.sort()
         multi = len(contacts) > 1
-        free_slots = list(range(MAX_SLOTS))  # a heap: lowest slot first
-        slot_of = [None] * len(contacts)
-        window = marks[0][0]
-        t_window = frame_offset_us(window, fps)
         # No contact is down between clusters: empty reports split an idle
         # step longer than a runnable delta holds.
-        idle = (t_window - t - 1) // _U32_MAX
-        if idle > MAX_IDLE_REPORTS:
-            raise ScriptFormatError(f"idle gap before frame {window} needs more "
-                                    f"than {MAX_IDLE_REPORTS} empty reports")
-        events += [(t + k * _U32_MAX, EV_SYN, SYN_REPORT, 0)
-                   for k in range(1, idle + 1)]
-        t = t_window
-        for frame, is_release, order, center in marks:
-            if frame != window:
+        while marks[0][0] - t > _U32_MAX:
+            t += _U32_MAX
+            events.append((t, EV_SYN, SYN_REPORT, 0))
+        t = marks[0][0]
+        down = 0
+        for t_us, is_release, tid, slot, open_us, x, y in marks:
+            if t_us != t:
                 events.append((t, EV_SYN, SYN_REPORT, 0))
-                window = frame
-                t = frame_offset_us(frame, fps)
-            slot = slot_of[order]
-            if slot is None:  # the contact's first sample opens it
-                if not free_slots:
-                    raise SlotExhaustion(
-                        f"more than {MAX_SLOTS} contacts down at frame {frame}"
-                    )
-                slot = slot_of[order] = heappop(free_slots)
+                t = t_us
+            if t_us == open_us:  # the contact's first sample opens it
                 events.append((t, EV_ABS, ABS_MT_SLOT, slot))
-                events.append((t, EV_ABS, ABS_MT_TRACKING_ID, next_tid))
-                next_tid += 1
-                if len(free_slots) == MAX_SLOTS - 1:  # the first one down
+                events.append((t, EV_ABS, ABS_MT_TRACKING_ID, tid))
+                if not down:
                     events.append((t, EV_KEY, BTN_TOUCH, 1))
+                down += 1
             elif multi:
                 events.append((t, EV_ABS, ABS_MT_SLOT, slot))
             if is_release:
                 events.append((t, EV_ABS, ABS_MT_TRACKING_ID, TRACKING_RELEASE))
-                heappush(free_slots, slot)
-                if len(free_slots) == MAX_SLOTS:  # the last one up
+                down -= 1
+                if not down:
                     events.append((t, EV_KEY, BTN_TOUCH, 0))
             else:
-                # The center rounded half-up to device pixels, on-screen.
-                cx, cy = center
-                x = min(max(floor(cx + 0.5), 0), max_x)
-                y = min(max(floor(cy + 0.5), 0), max_y)
                 events.append((t, EV_ABS, ABS_MT_POSITION_X, x))
                 events.append((t, EV_ABS, ABS_MT_POSITION_Y, y))
         events.append((t, EV_SYN, SYN_REPORT, 0))
-    return SendEventScript(device_node, events, profile)
+    return SendEventScript(device_node, events, scenario.profile)
 
 
 def validate_script(script: SendEventScript) -> None:

@@ -49,6 +49,10 @@ TRACE_SCHEMA_VERSION = 1
 #: Minimum supported recording rate in frames per second.
 MIN_FPS = 30
 
+#: Maximum recording rate: on the microsecond grid of script times
+#: (`codegen.frame_offset_us`) each frame keeps a timestamp of its own.
+MAX_FPS = 1_000_000
+
 #: Default pixel radius a press may wander and still count as a tap.
 DEFAULT_TOUCH_SLOP = 8
 
@@ -107,8 +111,10 @@ class Frozen:
 
 class DeviceProfile(Frozen):
     """Static facts about the recording device: `screen_width`,
-    `screen_height` and `touch_slop` integers >= 1 and `fps` >= `MIN_FPS`,
-    each below 2**1000 (see `_int`)."""
+    `screen_height` and `touch_slop` integers >= 1, each below 2**1000
+    (see `_int`), and `fps` an integer in [`MIN_FPS`, `MAX_FPS`]. Every
+    document's device (trace, classified.json, ground truth, log header)
+    is built here, so each one is held to these bounds."""
 
     _fields = ("name", "screen_width", "screen_height", "fps", "touch_slop")
 
@@ -118,6 +124,7 @@ class DeviceProfile(Frozen):
         _int(screen_width, "width", 1)
         _int(screen_height, "height", 1)
         _int(fps, "fps", MIN_FPS)
+        _require(fps <= MAX_FPS, f"field 'fps' must be at most {MAX_FPS}, got {fps}")
         _int(touch_slop, "touch_slop", 1)
         self._set(name, screen_width, screen_height, fps, touch_slop)
 
@@ -380,49 +387,46 @@ def serialize_trace(trace: DetectionTrace) -> bytes:
     """Serialize a trace to the JSON schema; inverse of parse_trace."""
     return (
         f'{{\n  "schema_version": {TRACE_SCHEMA_VERSION},\n'
-        f'  "device": {device_json(trace.profile, 1)},\n'
+        f'  "device": {device_json(trace.profile)},\n'
         f'  "frame_count": {trace.frame_count},\n'
-        f'  "detections": {detections_json(trace.detections, 1)}\n}}'
+        f'  "detections": {detections_json(trace.detections)}\n}}'
     ).encode("utf-8")
 
 
 # Writers for the documents this package emits. Each lays its values
-# out exactly as json.dumps(doc, indent=2) would, at a fixed depth
-# (number of enclosing containers), without the encoder's per-value
-# dispatch: strings through json.dumps, numbers through repr.
+# out exactly as json.dumps(doc, indent=2) would for a member of the
+# document's top-level object (depth 1, inside one container), without
+# the encoder's per-value dispatch: strings through json.dumps, numbers
+# through repr.
 
 
-def json_array(elements: list[str], depth: int) -> str:
-    """JSON array of already-encoded elements, each laid out at depth + 1."""
+def json_array(elements: list[str]) -> str:
+    """JSON array of already-encoded elements, each laid out at depth 2."""
     if not elements:
         return "[]"
-    return "[\n" + ",\n".join(elements) + "\n" + "  " * depth + "]"
+    return "[\n" + ",\n".join(elements) + "\n  ]"
 
 
-def device_json(profile: DeviceProfile, depth: int) -> str:
-    """The device object, opening at `depth`."""
-    return json.dumps(profile.to_dict(), indent=2).replace("\n", "\n" + "  " * depth)
+def device_json(profile: DeviceProfile) -> str:
+    """The device object, opening at depth 1."""
+    return json.dumps(profile.to_dict(), indent=2).replace("\n", "\n  ")
 
 
-def detections_json(detections, depth: int) -> str:
-    """JSON array of detections, the array opening at `depth`."""
-    outer, inner, value = ("  " * n for n in (depth + 1, depth + 2, depth + 3))
-    # The text around each value; an f-string joins the pieces without
-    # parsing a format string once per detection.
-    frame_key = f'{outer}{{\n{inner}"frame": '
-    bbox_key = f',\n{inner}"bbox": [\n{value}'
-    comma = f",\n{value}"
-    confidence_key = f'\n{inner}],\n{inner}"confidence": '
-    opacity_key = f',\n{inner}"opacity": "'
-    end = f'"\n{outer}}}'
-    return json_array(
-        [
-            f"{frame_key}{frame}{bbox_key}{x!r}{comma}{y!r}{comma}{w!r}{comma}{h!r}"
-            f"{confidence_key}{confidence!r}{opacity_key}{opacity}{end}"
-            for frame, (x, y, w, h), confidence, opacity, _ in detections
-        ],
-        depth,
-    )
+def detections_json(detections) -> str:
+    """JSON array of detections, the array opening at depth 1."""
+    # The text around each value, laid out for depth 1; an f-string joins
+    # the pieces without parsing a format string once per detection.
+    frame_key = '    {\n      "frame": '
+    bbox_key = ',\n      "bbox": [\n        '
+    comma = ",\n        "
+    confidence_key = '\n      ],\n      "confidence": '
+    opacity_key = ',\n      "opacity": "'
+    end = '"\n    }'
+    return json_array([
+        f"{frame_key}{frame}{bbox_key}{x!r}{comma}{y!r}{comma}{w!r}{comma}{h!r}"
+        f"{confidence_key}{confidence!r}{opacity_key}{opacity}{end}"
+        for frame, (x, y, w, h), confidence, opacity, _ in detections
+    ])
 
 
 # The action-symbol alphabet: a letter per action kind; in the extended

@@ -12,7 +12,7 @@ from tracereplay.classify import (
     ClassifiedScenario,
     MultiFingerItem,
 )
-from tracereplay.codegen import frame_offset_us
+from tracereplay.codegen import LOG_HEADER, frame_offset_us, parse_script
 from tracereplay.errors import (
     BoundsViolation,
     MalformedJson,
@@ -22,7 +22,9 @@ from tracereplay.errors import (
 from tracereplay.model import (
     HIGH,
     LOW,
+    MAX_FPS,
     MIN_CONFIDENCE,
+    MIN_FPS,
     DetectionTrace,
     DeviceProfile,
     Rules,
@@ -798,14 +800,16 @@ def classified_json(touch, finger_count=2) -> str:
 
 
 class TestIntegerCeiling:
-    """Every integer field is checked once, to lie in [least, 2**1000);
-    below the ceiling `str` writes it and the floats derived from it
-    stay finite. A detection's center must be finite too."""
+    """Every integer field is checked once, to lie in [least, 2**1000),
+    and fps at most MAX_FPS; below the ceiling `str` writes it and the
+    floats derived from it stay finite. A detection's center must be finite too."""
 
     @pytest.mark.parametrize("key", INTEGER_FIELDS)
     def test_just_under_the_ceiling_round_trips(self, key):
-        args = dict(VALID, frame_count=CEILING - 1)  # the frame lies below it
-        args[key] = CEILING - 2 if key == "frame" else CEILING - 1
+        args = dict(VALID, frame_count=CEILING - 1)
+        # The frame lies below frame_count, and fps at most at the grid's
+        # bound (see `test_fps_past_the_grid_is_rejected`).
+        args[key] = {"frame": CEILING - 2, "fps": MAX_FPS}.get(key, CEILING - 1)
         trace = build_trace(args)
         assert parse_trace(serialize_trace(trace)) == trace
         assert parse_trace(trace_json(args)) == trace
@@ -824,6 +828,27 @@ class TestIntegerCeiling:
             with pytest.raises(SchemaViolation) as caught:
                 load(args)
             assert str(caught.value) == message
+
+    def test_fps_past_the_grid_is_rejected(self):
+        """Above MAX_FPS two frames could share a microsecond of the script
+        grid: the device of every document refuses it, naming the bound."""
+        device = {"name": "d", "width": 1080, "height": 1920, "fps": MAX_FPS + 1}
+        readers = {
+            parse_trace: {"schema_version": 1, "device": device, "frame_count": 1,
+                          "detections": []},
+            ClassifiedScenario.from_json: {"schema_version": 2, "device": device,
+                                           "items": []},
+            GroundTruthScenario.from_json: {"schema_version": 1, "device": device,
+                                            "actions": []},
+        }
+        loads = [(read, json.dumps(doc)) for read, doc in readers.items()]
+        loads.append((parse_script, f"{LOG_HEADER}\n# device_node: /dev/input/event2\n"
+                                    f"# profile: {json.dumps(device)}\n"))
+        loads.append((build_trace, dict(VALID, fps=MAX_FPS + 1)))
+        for read, data in loads:
+            with pytest.raises(SchemaViolation) as caught:
+                read(data)
+            assert str(caught.value) == "field 'fps' must be at most 1000000, got 1000001"
 
     def test_finger_count(self):
         touch = {"frame": 0, "bbox": [10.0, 10.0, 40.0, 40.0], "confidence": 0.9,
@@ -866,7 +891,11 @@ class TestFrameTime:
     def test_one_second(self):
         assert frame_offset_us(60, 60) == 1_000_000
 
+    # Every rate a profile takes, up to MAX_FPS, keeps frames apart; at
+    # 2,000,000 fps frames 0-9 would share 5 timestamps.
     @given(st.integers(min_value=0, max_value=10**6),
-           st.integers(min_value=30, max_value=240))
+           st.one_of(st.integers(min_value=30, max_value=240),
+                     st.integers(min_value=MIN_FPS, max_value=MAX_FPS)))
+    @example(10**6, MAX_FPS)
     def test_strictly_monotonic(self, frame, fps):
         assert frame_offset_us(frame + 1, fps) > frame_offset_us(frame, fps)
