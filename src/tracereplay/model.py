@@ -273,8 +273,8 @@ def _detection(frame, x, y, w, h, confidence, opacity) -> TouchDetection:
 
 
 #: Getters of `TouchDetection` fields by position, for the loops that
-#: read one or two fields of every detection, e.g. the sort and
-#: grouping key of detections (`DetectionTrace`, `segment`).
+#: read one or two fields of every detection, e.g. the placement check
+#: (`DetectionTrace`) and the grouping key of detections (`segment`).
 _frame = itemgetter(0)
 _frame_and_bbox = itemgetter(0, 1)
 _opacity = itemgetter(3)
@@ -283,14 +283,15 @@ _frame_and_center = itemgetter(0, 4)
 
 
 class DetectionTrace(Frozen):
-    """All detections of one recording, sorted by frame.
+    """All detections of one recording, sorted by value: by frame, then
+    bbox, confidence and opacity, so the input's order decides nothing.
 
     The constructor is the whole check: the profile must be a
     `DeviceProfile`, `frame_count` an integer in [0, 2**1000), and the
     detections an iterable of distinct `TouchDetection`s, each before
-    `frame_count` and inside the profile's screen. It sorts them by frame
-    (stable, so ties keep their input order), then raises for the first
-    misplaced (its frame checked before its bbox) or repeated one.
+    `frame_count` and inside the profile's screen. It sorts them, then
+    raises for the first misplaced (its frame checked before its bbox)
+    or repeated one, which is equal to its neighbour.
     """
 
     _fields = ("profile", "detections", "frame_count")
@@ -303,8 +304,7 @@ class DetectionTrace(Frozen):
         detections = _tuple_of(detections, TouchDetection,
                                "detections must be an iterable of TouchDetection")
         width, height = profile.screen_width, profile.screen_height
-        detections = tuple(sorted(detections, key=_frame))
-        run_frame = -1
+        detections = tuple(sorted(detections))
         for i, (frame, bbox) in enumerate(map(_frame_and_bbox, detections)):
             if frame >= frame_count:
                 raise SchemaViolation(
@@ -315,9 +315,7 @@ class DetectionTrace(Frozen):
                 raise BoundsViolation(
                     f"bbox {bbox} outside {width}x{height} screen (frame {frame})"
                 )
-            if frame != run_frame:  # this frame's detections start at `start`
-                run_frame, start = frame, i
-            elif detections[i] in detections[start:i]:
+            if i and detections[i] == detections[i - 1]:
                 raise SchemaViolation(f"frame {frame} holds one detection twice")
         self._set(profile, detections, frame_count)
 

@@ -20,6 +20,10 @@ detections closes every open chain (every finger has lifted); otherwise:
   trajectory rather than the one that just started;
 * any remaining tie breaks on smaller x, then smaller y.
 
+A frame's touches come in the trace's order (by value, `DetectionTrace`),
+which decides only between touches that share a center; every other
+choice is made on centers.
+
 After linking, chains are cut after every `LOW`-opacity run that is
 followed by a `HIGH` touch (the low run is the fade tail closing the
 earlier action), and anything two frames or shorter is discarded.
@@ -34,7 +38,7 @@ from math import dist
 
 from .errors import SchemaViolation
 from .model import (
-    HIGH, LOW, DetectionTrace, Frozen, Rules, TouchDetection, _center, _frame,
+    HIGH, LOW, DetectionTrace, Frozen, Rules, TouchDetection, _frame,
     _frame_and_center, _opacity, _tuple_of, _unchecked,
 )
 
@@ -120,8 +124,8 @@ def segment_trace(trace: DetectionTrace, rules: Rules = Rules()) -> list[TouchSe
 def _link_chains(
     detections: tuple[TouchDetection, ...], tie_tolerance: float
 ) -> list[list[TouchDetection]]:
-    """Link frame-sorted detections into per-finger chains; two links
-    are equally near when their distances differ by < `tie_tolerance`."""
+    """Link detections, in the trace's order, into per-finger chains; two
+    links are equally near when their distances differ by < `tie_tolerance`."""
     open_chains: list[list[TouchDetection]] = []
     done: list[list[TouchDetection]] = []
     previous = -2
@@ -136,7 +140,6 @@ def _link_chains(
             # A lone touch continues the lone open chain: no pair search.
             open_chains[0].append(touches[0])
             continue
-        touches.sort(key=_center)
         if not open_chains:
             open_chains = [[touch] for touch in touches]
             continue

@@ -12,7 +12,11 @@ touch). The `script.log` and `script.bin` digests, and only those (all
 120), were re-recorded when codegen moved to one timestamp grid (every
 window at its frame's `frame_offset_us`) and one release rule (every
 contact, an MFA finger too, released the frame after its last active
-frame). Any change to a single output byte of `trace.json`,
+frame). The `trace.json` digests, and only those, were re-recorded
+when a trace came to hold and write its detections sorted by value
+(frame, bbox, confidence, opacity), not in the generator's order within
+a frame; no `classified.json`, `script.log` or `script.bin` digest and
+no `mfa_items` count moved. Any change to a single output byte of `trace.json`,
 `classified.json`, `script.log` or `script.bin` fails here. Cases are
 fixed `random_scenario` seeds under each noise preset, on three device
 profiles (one with a non-ASCII name and a 60 fps rate).

@@ -396,11 +396,12 @@ class TestParseTrace:
 
 def first_misplaced(detections, frame_count, width, height):
     """Brute-force oracle of the placement check: (error type, message)
-    of the first misplaced detection by (frame, input index), its frame
-    checked before its bbox and both before its being equal to an
-    earlier detection; None when every detection is in place."""
-    ordered = [d for _, d in sorted(enumerate(detections),
-                                    key=lambda p: (p[1].frame, p[0]))]
+    of the first misplaced detection by value (frame, bbox, confidence,
+    opacity), its frame checked before its bbox and both before its
+    being equal to an earlier detection; None when every detection is
+    in place."""
+    ordered = sorted(detections, key=lambda d: (d.frame, d.bbox, d.confidence,
+                                                d.opacity))
     for i, d in enumerate(ordered):
         if d.frame >= frame_count:
             return SchemaViolation, (
@@ -421,6 +422,10 @@ def first_misplaced(detections, frame_count, width, height):
 @example([(4, 10, 10), (4, -1, 10), (4, 190, 10), (2, 10, 10)], 8)
 # One box twice in frame 3, another box between the two copies.
 @example([(3, 10, 10), (3, 50, 10), (2, 10, 10), (3, 10, 10)], 8)
+# Two boxes of one frame, listed right of left: held left, then right.
+@example([(4, 50, 10), (4, 10, 10)], 8)
+# Two boxes of one frame off screen: the one first by value decides.
+@example([(4, 190, 10), (4, -1, 10)], 8)
 def test_placement_check_matches_oracle(placements, frame_count):
     # Shuffled detections on a 200x300 screen, each 20x20 at (x, y).
     profile = DeviceProfile(name="d", screen_width=200, screen_height=300, fps=30)
@@ -430,8 +435,8 @@ def test_placement_check_matches_oracle(placements, frame_count):
     want = first_misplaced(detections, frame_count, 200, 300)
     if want is None:
         trace = DetectionTrace(profile, detections, frame_count)
-        # A stable sort: the very detection objects, ties in input order.
-        expected = sorted(detections, key=lambda d: d.frame)
+        # The very detection objects, by value: the input order decides nothing.
+        expected = sorted(detections, key=lambda d: (d.frame, d.bbox))
         assert len(trace.detections) == len(expected)
         assert all(a is b for a, b in zip(trace.detections, expected))
     else:
