@@ -6,7 +6,8 @@ through last high-opacity touch) is at most 20 frames, or 667 ms when
 the run's `model.Rules` has `duration_based_cutoff`; a LongTap when it
 is stationary but longer; a Gesture otherwise. Actions whose frames
 mostly contain multiple simultaneous touches are regrouped into
-multi-fingered actions via a chronological stack sweep, and each
+multi-fingered actions via the chronological stack sweep that `codegen`
+also clusters contacts with (`model._overlap_runs`), and each
 multi-fingered group's finger count is the per-frame touch-count mode.
 Kinds and a scenario's symbols are spelled in `model`'s action-symbol alphabet.
 A scenario's document, classified.json, is read at schema version 2 only;
@@ -30,8 +31,11 @@ from .model import (
     Symbols,
     TouchDetection,
     _center,
+    _check_on_screen,
     _detection,
+    _frame_and_bbox,
     _int,
+    _overlap_runs,
     _require,
     _tuple_of,
     _unchecked,
@@ -111,7 +115,9 @@ class ClassifiedScenario(Frozen):
     """Chronological single- and multi-fingered actions of one trace, one
     contact per action. The constructor checks the profile, the items' types
     and order, and the classifier's guarantees: each action has a high-opacity
-    touch, and no detection (all four fields) belongs to two actions."""
+    touch, no detection (all four fields) belongs to two actions, and every
+    touch lies on the profile's screen (`model._check_on_screen`, the trace's
+    check), the first off-screen one deciding the error."""
 
     _fields = ("profile", "items")
 
@@ -129,6 +135,9 @@ class ClassifiedScenario(Frozen):
         touches = [touch for action in actions for touch in action.touches]
         _require(len(set(touches)) == len(touches),
                  "scenario actions must not share a detection")
+        width, height = profile.screen_width, profile.screen_height
+        for frame, bbox in map(_frame_and_bbox, touches):
+            _check_on_screen(frame, bbox, width, height)
         self._set(profile, items)
 
     def symbols(self, extended: bool = False) -> Symbols:
@@ -213,32 +222,6 @@ def per_frame_touch_counts(actions: list[AtomicAction]) -> Counter:
     return Counter([t.frame for a in actions for t in a.touches])
 
 
-def _chronological(action: AtomicAction) -> tuple:
-    """Sort key of actions: start frame, end frame, first center."""
-    return (action.start_frame, action.end_frame, action.touches[0].center)
-
-
-def group_overlapping(actions: list[AtomicAction]) -> list[list[AtomicAction]]:
-    """Chronological stack sweep over frame-overlapping actions.
-
-    Sorted by start frame, an action joins the group on top of the stack
-    when its first frame precedes the last frame of any action already
-    in that group; otherwise it opens a new group. Once a group is left
-    behind it can never be rejoined (starts are sorted).
-    """
-    if not actions:
-        return []
-    ordered = sorted(actions, key=_chronological)
-    stack: list[list[AtomicAction]] = [[ordered[0]]]
-    for action in ordered[1:]:
-        top = stack[-1]
-        if any(action.start_frame < member.end_frame for member in top):
-            top.append(action)
-        else:
-            stack.append([action])
-    return stack
-
-
 def classify_finger_count(actions: list[AtomicAction]) -> int:
     """Mode of per-frame simultaneous-touch counts over the group's span.
 
@@ -261,25 +244,29 @@ def identify_sfa_mfa(
 
     An action whose own frame span is at most half multi-touch frames
     (measured against per-frame counts over all retained actions) is a
-    single-fingered action outright; the rest are grouped by the stack
-    sweep, with singleton groups demoted back to single-fingered.
+    single-fingered action outright. The rest, ordered by start frame, end
+    frame and first center, are grouped by the stack sweep
+    `model._overlap_runs` over their [first, last] frames, so two actions
+    that share only one frame are not grouped. A group of one is demoted
+    back to single-fingered.
     """
-    ordered = sorted(actions, key=_chronological)
+    ordered = sorted(actions, key=lambda a: (a.start_frame, a.end_frame,
+                                             a.touches[0].center))
     counts = per_frame_touch_counts(ordered)
     # bisect_right(multi_frames, f) counts the multi-touch frames up to f:
     # a prefix sum kept only at the frames where it grows.
     multi_frames = sorted([f for f, n in counts.items() if n >= 2])
     items: list[ScenarioItem] = []
-    potential_multi: list[AtomicAction] = []
+    potential_multi = []  # (start, end, action) spans, in start order
     for action in ordered:
         start, end = action.start_frame, action.end_frame
         multi = bisect_right(multi_frames, end) - bisect_left(multi_frames, start)
         if multi / (end - start + 1) > MULTI_TOUCH_GATE:
-            potential_multi.append(action)
+            potential_multi.append((start, end, action))
         else:
             items.append(action)
 
-    for group in group_overlapping(potential_multi):
+    for group in _overlap_runs(potential_multi):
         if len(group) == 1:
             items.append(group[0])
         else:

@@ -42,8 +42,8 @@ from typing import TYPE_CHECKING
 
 from .errors import ScriptFormatError, SlotExhaustion
 from .model import (
-    DEFAULT_DEVICE_NODE, DeviceProfile, Frozen, _frame_and_center, decode_json,
-    valid_device_node,
+    DEFAULT_DEVICE_NODE, DeviceProfile, Frozen, _frame_and_center, _overlap_runs,
+    decode_json, valid_device_node,
 )
 
 if TYPE_CHECKING:
@@ -124,9 +124,10 @@ def plan_contacts(scenario: ClassifiedScenario) -> list[list[tuple]]:
     `ClassifiedScenario`): an SFA's is its first touch, plus its later
     high touches for a gesture; an MFA finger's is its high touches.
     Every contact is released one frame after its last high (active)
-    frame. An item joins the open cluster when it starts before the
-    cluster's last release frame; an item that starts in that frame
-    opens a new cluster. Tracking ids count up from 1, in each cluster
+    frame. The clusters are the runs of `model._overlap_runs` over the
+    items' [start frame, last release frame) spans: an item that starts
+    in the cluster's last release frame opens a new cluster. Tracking
+    ids count up from 1, in each cluster
     by first frame, then first center. A contact opens in the lowest
     slot free at its first frame; a slot released in that frame is still
     held. Each sample and release is at its frame's `frame_offset_us`,
@@ -137,26 +138,25 @@ def plan_contacts(scenario: ClassifiedScenario) -> list[list[tuple]]:
     """
     from .classify import AtomicAction  # not at module level: `replay` needs none
 
-    clusters = []
-    end = 0
+    # One (item start, release, contact) span per contact. A release falls
+    # after its item's start, so an item's contacts land in one run.
+    spans = []
     for item in scenario.items:
         if isinstance(item, AtomicAction):
             fingers = [(item, item.high_touches if item.kind == "gesture"
                         else item.high_touches[:1])]
         else:
             fingers = [(action, action.high_touches) for action in item.actions]
-        contacts = [(action.last_high_frame + 1, touches) for action, touches in fingers]
-        if not clusters or item.start_frame >= end:
-            clusters.append([])
-        clusters[-1] += contacts
-        end = max(end, *(release for release, _ in contacts))
+        for action, touches in fingers:
+            release = action.last_high_frame + 1
+            spans.append((item.start_frame, release, (release, touches)))
     profile = scenario.profile
     fps = profile.fps
     max_x, max_y = profile.screen_width - 1, profile.screen_height - 1
     plan = []
     tid = 0  # the last tracking id given
     t = 0  # the last window's time
-    for contacts in clusters:
+    for contacts in _overlap_runs(spans):
         contacts.sort(key=lambda c: _frame_and_center(c[1][0]))
         held = [-1] * MAX_SLOTS  # each slot's last release frame
         planned = []
@@ -166,8 +166,9 @@ def plan_contacts(scenario: ClassifiedScenario) -> list[list[tuple]]:
             if slot is None:
                 raise SlotExhaustion(f"more than {MAX_SLOTS} contacts down at frame {first}")
             held[slot] = release
-            samples = [(frame_offset_us(frame, fps), min(max(floor(cx + 0.5), 0), max_x),
-                        min(max(floor(cy + 0.5), 0), max_y))
+            # Every touch lies on the screen: only its last half pixel clamps.
+            samples = [(frame_offset_us(frame, fps), min(floor(cx + 0.5), max_x),
+                        min(floor(cy + 0.5), max_y))
                        for frame, _, _, _, (cx, cy) in touches]
             open_us, release_us = samples[0][0], frame_offset_us(release, fps)
             if not planned and (open_us - t - 1) // _U32_MAX > MAX_IDLE_REPORTS:

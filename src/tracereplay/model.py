@@ -310,17 +310,22 @@ class DetectionTrace(Frozen):
                 raise SchemaViolation(
                     f"detection frame {frame} >= frame_count {frame_count}"
                 )
-            x, y, w, h = bbox
-            if x < 0.0 or y < 0.0 or x + w > width or y + h > height:
-                raise BoundsViolation(
-                    f"bbox {bbox} outside {width}x{height} screen (frame {frame})"
-                )
+            _check_on_screen(frame, bbox, width, height)
             if i and detections[i] == detections[i - 1]:
                 raise SchemaViolation(f"frame {frame} holds one detection twice")
         self._set(profile, detections, frame_count)
 
     def __len__(self) -> int:
         return len(self.detections)
+
+
+def _check_on_screen(frame: int, bbox: tuple, width: int, height: int) -> None:
+    """Raise BoundsViolation unless `bbox`, of a detection in `frame`, lies
+    inside a `width` x `height` screen: the one placement check of a
+    trace's detections and a classified scenario's touches."""
+    x, y, w, h = bbox
+    if x < 0.0 or y < 0.0 or x + w > width or y + h > height:
+        raise BoundsViolation(f"bbox {bbox} outside {width}x{height} screen (frame {frame})")
 
 
 def parse_trace(data: bytes | str) -> DetectionTrace:
@@ -490,6 +495,24 @@ def dump_sequence_file(sequences: dict[str, Symbols]) -> str:
     return "".join(
         f"{sid} {''.join(syms) or '-'}\n" for sid, syms in sequences.items()
     )
+
+
+def _overlap_runs(spans: Iterable[tuple]) -> list[list]:
+    """The values of `(start, end, value)` spans, given in start order, cut
+    into runs that overlap in time: the chronological stack sweep. A span
+    joins the open run when its start is strictly below the largest end in
+    the run, and otherwise opens a new run, so a span that starts exactly
+    where the run ends opens a new one. `classify` groups multi-fingered
+    actions with it, and `codegen` clusters a script's contacts."""
+    runs = []
+    for start, stop, value in spans:
+        if runs and start < end:
+            runs[-1].append(value)
+            end = max(end, stop)
+        else:
+            runs.append([value])
+            end = stop
+    return runs
 
 
 def _unchecked(cls, **fields):

@@ -16,7 +16,6 @@ from tracereplay.classify import (
     MultiFingerItem,
     classify_action,
     classify_trace,
-    group_overlapping,
     identify_sfa_mfa,
 )
 from tracereplay.codegen import (
@@ -35,7 +34,7 @@ from tracereplay.codegen import (
     validate_script,
 )
 from tracereplay.metrics import lcs_length, lcs_ratio, levenshtein
-from tracereplay.model import HIGH, LOW, DetectionTrace, DeviceProfile
+from tracereplay.model import HIGH, LOW, DetectionTrace, DeviceProfile, _overlap_runs
 from tracereplay.segment import TouchSequence, filter_confidence, segment_trace
 from tracereplay.synth import noise_preset, random_scenario, synthesize_trace
 
@@ -176,11 +175,9 @@ class TestCriterion3GroupingOracle:
                 actions.append(
                     interval_action(start, start + length, x=60.0 + 10.0 * k)
                 )
-            index_of = {id(a): i for i, a in enumerate(actions)}
-            got = {
-                frozenset(index_of[id(a)] for a in group)
-                for group in group_overlapping(actions)
-            }
+            # In `identify_sfa_mfa`'s order: by start frame, then last frame.
+            spans = sorted((a.start_frame, a.end_frame, i) for i, a in enumerate(actions))
+            got = {frozenset(group) for group in _overlap_runs(spans)}
             if got != oracle_partition(actions):
                 mismatches += 1
         report(
@@ -288,7 +285,8 @@ def random_classified_scenario(rng) -> ClassifiedScenario:
         roll = rng.random()
         if roll < 0.6:  # single finger
             frames = rng.randrange(3, 35)
-            x = rng.uniform(60, 1000)
+            # Drifting at most 4 px a frame, the box stays on the screen.
+            x = rng.uniform(160, 920)
             y = rng.uniform(60, 1850)
             dx = rng.uniform(-4, 4) if rng.random() < 0.5 else 0.0
             fade = rng.randrange(0, 4)

@@ -39,8 +39,10 @@ from tracereplay.classify import (
     MultiFingerItem,
     classify_trace,
 )
-from tracereplay.errors import MalformedJson, SchemaViolation, TraceReplayError
-from tracereplay.model import KIND_SYMBOLS, DeviceProfile, TouchDetection
+from tracereplay.errors import (
+    BoundsViolation, MalformedJson, SchemaViolation, TraceReplayError,
+)
+from tracereplay.model import KIND_SYMBOLS, DetectionTrace, DeviceProfile, TouchDetection
 from tracereplay.synth import noise_preset, random_scenario, synthesize_trace
 
 from test_encoding import scenarios
@@ -276,6 +278,41 @@ def test_bad_structure_raises_schema_violation(text):
         ClassifiedScenario.from_json(text)
 
 
+@pytest.mark.parametrize("bbox", [
+    [5000.0, -300.0, 40.0, 40.0], [-0.5, 10.0, 40.0, 40.0],
+    [10.0, 1880.5, 40.0, 40.0], [1040.0, 1880.0, 40.0, 40.000001],
+], ids=["far-off", "left-edge", "bottom-edge", "past-the-corner"])
+@pytest.mark.parametrize("item_type", ["sfa", "mfa"])
+def test_touch_off_the_screen_raises_the_traces_bounds_violation(bbox, item_type):
+    """A touch off the profile's screen, in an SFA or an MFA finger, is
+    refused with the error a trace's off-screen detection gets."""
+    action = {"kind": "tap", "touches": [[3, *bbox, 0.9, "high"]]}
+    item = {"type": "sfa", **action} if item_type == "sfa" else {
+        "type": "mfa", "finger_count": 2,
+        "actions": [{"kind": "tap", "touches": [TOUCH]}, action]}
+    with pytest.raises(BoundsViolation) as in_trace:
+        DetectionTrace(PROFILE, [TouchDetection(3, bbox, 0.9, "high")], 4)
+    with pytest.raises(BoundsViolation) as in_scenario:
+        ClassifiedScenario.from_json(_doc([item]))
+    assert str(in_scenario.value) == str(in_trace.value)
+    assert str(in_scenario.value).endswith("outside 1080x1920 screen (frame 3)")
+
+
+def test_first_touch_off_the_screen_decides():
+    # Each item's first touch lies in a corner of the screen; its second does not.
+    corners = [[0, 1040.0, 1880.0, 40.0, 40.0, 0.9, "high"],
+               [5, 0.0, 0.0, 40.0, 40.0, 0.9, "high"]]
+    off = [[1, 1041.0, 0.0, 40.0, 40.0, 0.9, "high"],
+           [6, 0.0, 1881.0, 40.0, 40.0, 0.9, "high"]]
+    items = [{"type": "sfa", "kind": "tap", "touches": touches}
+             for touches in zip(corners, off)]
+    with pytest.raises(BoundsViolation, match=r"^bbox \(1041\.0, 0\.0, 40\.0, 40\.0\) "
+                       r"outside 1080x1920 screen \(frame 1\)$"):
+        ClassifiedScenario.from_json(_doc(items))
+    corner_taps = [{"type": "sfa", "kind": "tap", "touches": [row]} for row in corners]
+    assert len(ClassifiedScenario.from_json(_doc(corner_taps)).items) == 2
+
+
 def test_finger_count_is_checked_in_document_order():
     # Each item checks itself as it is read: the first defect decides.
     action = {"kind": "tap", "touches": [TOUCH]}
@@ -301,9 +338,10 @@ def test_bytes_that_are_not_utf8_raise_malformed_json():
 WRONG = st.one_of(st.booleans(), st.text(max_size=2), st.none(),
                   st.sampled_from([math.nan, math.inf, -math.inf,
                                    2**1000, 10**400, -(2**1000)]))
-#: Per field, in row order: values it takes, floats and ints alike.
+#: Per field, in row order: values it takes, floats and ints alike. The
+#: box lies on `PROFILE`'s 1080x1920 screen, as a scenario's touches must.
 GOOD = [st.one_of(st.integers(0, 40), st.just(2**1000 - 1))]
-GOOD += [st.one_of(st.floats(-50.0, 2000.0), st.integers(-50, 2000))] * 2
+GOOD += [st.one_of(st.floats(0.0, 980.0), st.integers(0, 980))] * 2
 GOOD += [st.one_of(st.floats(1e-3, 100.0), st.integers(1, 100), st.just(5e-324))] * 2
 GOOD += [st.one_of(st.floats(0.0, 1.0), st.integers(0, 1)), st.sampled_from(["high", "low"])]
 #: Per field, values it does not take: sizes at or below zero,
@@ -327,7 +365,7 @@ def seven_values(draw):
 def _built(read, data):
     try:
         return read(data)
-    except SchemaViolation as exc:
+    except (BoundsViolation, SchemaViolation) as exc:
         return str(exc)
 
 
@@ -342,7 +380,8 @@ def _row_touches(rows):
 @settings(max_examples=400, deadline=None)
 def test_trace_object_and_row_are_one_check(values):
     """The seven values as a trace detection object and as a classified.json
-    row build equal detections, or raise the same message."""
+    row build equal detections, or raise the same message; a row off the
+    screen raises the message of a trace's off-screen box."""
     values = json.loads(json.dumps(values))
     obj = dict(zip(("frame", "bbox", "confidence", "opacity"),
                    (values[0], values[1:5], *values[5:])))
@@ -357,11 +396,15 @@ def test_trace_object_and_row_are_one_check(values):
         if want.frame == 0:
             return
         lead = [want.frame - 1, 10.0, 10.0, 40.0, 40.0, 0.9, "high"]
-        got = _row_touches([lead, values])[1:]
-    else:
-        got = got[:1]
+        got = _row_touches([lead, values])
+    x, y, w, h = want.bbox
+    if x < 0.0 or y < 0.0 or x + w > 1080 or y + h > 1920:
+        # A box off the screen, which only a bad value draws, is refused
+        # with the message a trace's off-screen box gets.
+        assert got == f"bbox {want.bbox} outside 1080x1920 screen (frame {want.frame})"
+        return
+    (touch,) = got = got[-1:]
     assert got == (want,)
-    (touch,) = got
     assert type(touch) is TouchDetection and touch.opacity is want.opacity
     assert touch.center == want.center
     assert all(type(v) is float for v in (*touch.bbox, touch.confidence, *touch.center))

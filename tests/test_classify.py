@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,7 +13,6 @@ from tracereplay.classify import (
     classify_finger_count,
     classify_trace,
     filter_actions,
-    group_overlapping,
     identify_sfa_mfa,
 )
 from tracereplay.model import (
@@ -22,6 +22,7 @@ from tracereplay.model import (
     DetectionTrace,
     DeviceProfile,
     Rules,
+    _overlap_runs,
     collapse_finger_counts,
     dump_sequence_file,
     load_sequence_file,
@@ -125,31 +126,32 @@ class TestFilterActions:
 
 
 class TestGroupOverlapping:
+    """The stack sweep `model._overlap_runs`, which groups multi-fingered
+    actions and clusters a script's contacts."""
+
     def test_joins_when_start_precedes_group_end(self):
-        a = interval_action(1, 20)
-        b = interval_action(2, 17, x=300)
-        c = interval_action(3, 20, x=500)
-        groups = group_overlapping([a, b, c])
-        assert groups == [[a, b, c]]
+        spans = [(1, 20, "a"), (2, 17, "b"), (3, 20, "c")]
+        assert _overlap_runs(spans) == [["a", "b", "c"]]
 
     def test_new_group_when_disjoint(self):
-        a = interval_action(1, 20)
-        b = interval_action(2, 17, x=300)
-        c = interval_action(3, 20, x=500)
-        d = interval_action(70, 92, x=700)
-        groups = group_overlapping([a, b, c, d])
-        assert groups == [[a, b, c], [d]]
+        spans = [(1, 20, "a"), (2, 17, "b"), (3, 20, "c"), (70, 92, "d")]
+        assert _overlap_runs(spans) == [["a", "b", "c"], ["d"]]
 
     def test_equal_start_and_end_is_not_overlap(self):
-        a = interval_action(0, 10)
-        b = interval_action(10, 20, x=300)
-        assert group_overlapping([a, b]) == [[a], [b]]
+        assert _overlap_runs([(0, 10, "a"), (10, 20, "b")]) == [["a"], ["b"]]
+        # The run's largest end decides, not the last span's.
+        spans = [(0, 20, "a"), (1, 5, "b"), (19, 30, "c"), (30, 31, "d")]
+        assert _overlap_runs(spans) == [["a", "b", "c"], ["d"]]
 
-    def test_input_order_irrelevant(self):
-        a = interval_action(1, 20)
-        b = interval_action(15, 40, x=300)
-        c = interval_action(60, 80, x=500)
-        assert group_overlapping([c, a, b]) == group_overlapping([a, b, c])
+    def test_input_order_irrelevant(self, profile):
+        actions = [interval_action(1, 20), interval_action(2, 17, x=300),
+                   interval_action(15, 40, x=500), interval_action(60, 80, x=700),
+                   interval_action(62, 80, x=900)]
+        expected = identify_sfa_mfa(actions, profile)
+        assert [type(item) for item in expected.items] == [
+            MultiFingerItem, AtomicAction, MultiFingerItem]
+        for order in itertools.permutations(actions):
+            assert identify_sfa_mfa(list(order), profile) == expected
 
 
 def oracle_groups(actions):
@@ -189,10 +191,9 @@ class TestGroupingOracle:
                 start = rng.randrange(0, 100)
                 length = rng.randrange(1, 40)
                 actions.append(interval_action(start, start + length, x=100 + 10 * k))
-            got = {
-                frozenset(id(a) for a in group)
-                for group in group_overlapping(actions)
-            }
+            spans = sorted([(a.start_frame, a.end_frame, a) for a in actions],
+                           key=lambda span: span[0])
+            got = {frozenset(id(a) for a in group) for group in _overlap_runs(spans)}
             assert got == oracle_groups(actions)
 
 

@@ -33,7 +33,8 @@ from tracereplay.codegen import (
     validate_script,
 )
 from tracereplay.errors import SchemaViolation, ScriptFormatError, SlotExhaustion
-from tracereplay.model import DeviceProfile
+from tracereplay.model import DeviceProfile, TouchDetection
+from tracereplay.segment import TouchSequence
 
 from conftest import UNDECODABLE_JSON, make_sequence, make_touch
 
@@ -334,6 +335,15 @@ class TestCoordinateRounding:
             assert 0 <= x < profile.screen_width
             assert 0 <= y < profile.screen_height
 
+    def test_last_half_pixel_clamps_to_the_last_pixel(self, profile):
+        # A 0.4 px box in the bottom-right corner: its center, 1079.8 x
+        # 1919.8, rounds half-up past the screen, onto its last pixel.
+        touches = tuple(TouchDetection(f, (1079.6, 1919.6, 0.4, 0.4), 0.9, "high")
+                        for f in range(5))
+        action = classify_action(TouchSequence(touches), profile)
+        samples = coordinate_samples(sfa_events(action, profile))
+        assert {sample[1:] for sample in samples} == {(1079, 1919)}
+
 
 class TestSerialization:
     def build_script(self, profile, seed=0):
@@ -342,7 +352,8 @@ class TestSerialization:
         cursor = rng.randrange(0, 10)
         for _ in range(rng.randrange(1, 6)):
             frames = rng.randrange(5, 30)
-            x = rng.uniform(60, 1000)
+            # Drifting at most 3 px a frame, the box stays on the screen.
+            x = rng.uniform(110, 970)
             y = rng.uniform(60, 1800)
             dx = rng.uniform(-3, 3)
             action = classify_action(

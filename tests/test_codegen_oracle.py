@@ -438,8 +438,9 @@ def actions(draw, start=None):
     touches = []
     for k in range(high + fade):
         step = min(k, high - 1)
-        cx = min(max(x + dx * step, 0.0), 1080.0)
-        cy = min(max(y + dy * step, 0.0), 1920.0)
+        # The box stays on the screen, as a scenario's touches must.
+        cx = min(max(x + dx * step, SIZE / 2), 1080.0 - SIZE / 2)
+        cy = min(max(y + dy * step, SIZE / 2), 1920.0 - SIZE / 2)
         touches.append(
             TouchDetection(
                 frame=start + k,

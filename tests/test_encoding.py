@@ -8,10 +8,9 @@ each touch row `json.dumps` would write on a line of its own.
 """
 
 import json
-import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tracereplay.classify import (
@@ -35,12 +34,6 @@ from conftest import distinct_detections
 
 WIDTH, HEIGHT = 1080, 1920
 
-finite = st.floats(allow_nan=False, allow_infinity=False)
-positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-#: A bbox the detection constructor accepts: its center is finite too.
-bboxes = st.tuples(finite, finite, positive, positive).filter(
-    lambda b: math.isfinite(b[0] + b[2] / 2.0) and math.isfinite(b[1] + b[3] / 2.0)
-)
 unit = st.floats(min_value=0.0, max_value=1.0)
 
 profiles = st.builds(
@@ -111,14 +104,25 @@ def reference_trace(trace):
 
 
 @st.composite
-def actions(draw):
+def bboxes(draw, profile):
+    """A bbox inside `profile`'s screen, as a scenario's touches lie."""
+    width, height = profile.screen_width, profile.screen_height
+    w = draw(st.floats(0.0, width, exclude_min=True))
+    h = draw(st.floats(0.0, height, exclude_min=True))
+    bbox = (draw(st.floats(0.0, width - w)), draw(st.floats(0.0, height - h)), w, h)
+    assume(bbox[0] + w <= width and bbox[1] + h <= height)
+    return bbox
+
+
+@st.composite
+def actions(draw, profile):
     start = draw(st.integers(0, 10_000))
     highs = draw(st.integers(1, 6))
     fades = draw(st.integers(0, 3))
     touches = tuple(
         TouchDetection(
             frame=start + k,
-            bbox=draw(bboxes),
+            bbox=draw(bboxes(profile)),
             confidence=draw(unit),
             opacity=HIGH if k < highs else LOW,
         )
@@ -129,21 +133,20 @@ def actions(draw):
 
 
 @st.composite
-def multi_finger_items(draw):
+def multi_finger_items(draw, profile):
     # Fingers start at distinct detections; at most one finger per action.
-    fingers = tuple(draw(st.lists(actions(), min_size=1, max_size=3,
+    fingers = tuple(draw(st.lists(actions(profile), min_size=1, max_size=3,
                                   unique_by=lambda a: a.touches[0])))
     return MultiFingerItem(fingers, draw(st.integers(1, len(fingers))))
 
 
-items = st.one_of(actions(), multi_finger_items())
-
-
 @st.composite
 def scenarios(draw):
+    profile = draw(profiles)
+    items = st.one_of(actions(profile), multi_finger_items(profile))
     drawn = distinct_detections(draw(st.lists(items, max_size=5)))
     drawn.sort(key=lambda item: item.start_frame)
-    return ClassifiedScenario(profile=draw(profiles), items=tuple(drawn))
+    return ClassifiedScenario(profile=profile, items=tuple(drawn))
 
 
 @st.composite

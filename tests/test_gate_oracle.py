@@ -4,7 +4,10 @@ the per-action frame loop it replaced.
 
 `_oracle_identify_sfa_mfa` is the previous `classify.identify_sfa_mfa`,
 copied unchanged apart from its name: it counts each action's
-multi-touch frames by walking every frame of its span. Both must give
+multi-touch frames by walking every frame of its span. The stack sweep
+it calls, the former `classify.group_overlapping`, is copied unchanged
+with its sort key, so the oracle shares no grouping code with the
+partition under test (`model._overlap_runs`). Both must give
 the same scenario, and the same classified.json bytes, for actions from
 noisy synthetic traces and for hand-built spans with empty frames
 between them, starting at frame 0 or ending at the last touched frame.
@@ -24,7 +27,6 @@ from tracereplay.classify import (
     classify_action,
     classify_finger_count,
     filter_actions,
-    group_overlapping,
     identify_sfa_mfa,
     per_frame_touch_counts,
 )
@@ -37,7 +39,34 @@ from conftest import distinct_detections, make_sequence
 PROFILE = DeviceProfile(name="d", screen_width=1080, screen_height=1920, fps=30)
 
 
-# --- the previous partition, copied unchanged apart from its name ---
+# --- the previous partition and its stack sweep, copied unchanged apart
+# from the partition's name ---
+
+
+def _chronological(action: AtomicAction) -> tuple:
+    """Sort key of actions: start frame, end frame, first center."""
+    return (action.start_frame, action.end_frame, action.touches[0].center)
+
+
+def group_overlapping(actions: list[AtomicAction]) -> list[list[AtomicAction]]:
+    """Chronological stack sweep over frame-overlapping actions.
+
+    Sorted by start frame, an action joins the group on top of the stack
+    when its first frame precedes the last frame of any action already
+    in that group; otherwise it opens a new group. Once a group is left
+    behind it can never be rejoined (starts are sorted).
+    """
+    if not actions:
+        return []
+    ordered = sorted(actions, key=_chronological)
+    stack: list[list[AtomicAction]] = [[ordered[0]]]
+    for action in ordered[1:]:
+        top = stack[-1]
+        if any(action.start_frame < member.end_frame for member in top):
+            top.append(action)
+        else:
+            stack.append([action])
+    return stack
 
 
 def _oracle_identify_sfa_mfa(

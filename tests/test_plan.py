@@ -4,13 +4,18 @@
 cluster, in the shape `validate_events` decodes. For every scenario the
 tests draw, hand-built or classified, the script check decodes from the
 emitted events exactly the flattened plan; where the plan raises, the
-emitter raises the same error. Four cases pin the rules the plan holds
+emitter raises the same error. The plan's clusters are the components
+that union-find forms over every pair of items whose [start frame, last
+release frame) spans overlap, in item order: a brute-force oracle for
+the stack sweep `model._overlap_runs`. Four cases pin the rules the plan holds
 by example: the slot a contact opening in another's release frame
 takes, an MFA whose fingers never overlap, a cluster that starts in the
 last one's release frame, and a one-finger MFA.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +62,46 @@ def assert_inverse(scenario):
     events = assemble_script(scenario).events
     assert validate_events(events) == [contact for cluster in plan for contact in cluster]
     return plan, events
+
+
+def union_find_clusters(scenario):
+    """The (open, release) times of each cluster's contacts, sorted, for
+    the components of the items under pairwise overlap of their [start
+    frame, last release frame) spans, ordered by their first item. Each
+    action's contact opens at its first high frame and is released the
+    frame after its last."""
+    actions = [getattr(item, "actions", (item,)) for item in scenario.items]
+    spans = [(item.start_frame, max(a.last_high_frame for a in fingers) + 1)
+             for item, fingers in zip(scenario.items, actions)]
+    parent = list(range(len(spans)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in combinations(range(len(spans)), 2):
+        (start_i, end_i), (start_j, end_j) = spans[i], spans[j]
+        if start_i < end_j and start_j < end_i:
+            parent[find(i)] = find(j)
+    components = {}
+    for i in range(len(spans)):
+        components.setdefault(find(i), []).append(i)
+    return [sorted((_us(a.high_touches[0].frame), _us(a.last_high_frame + 1))
+                   for i in component for a in actions[i])
+            for component in sorted(components.values())]
+
+
+def assert_clusters(scenario):
+    """Assert that the plan's clusters are the union-find components,
+    unless planning raises."""
+    try:
+        plan = plan_contacts(scenario)
+    except TraceReplayError:
+        return
+    got = [sorted((open_us, release_us) for _, _, open_us, release_us, _ in cluster)
+           for cluster in plan]
+    assert got == union_find_clusters(scenario)
 
 
 def _scenario(*items):
@@ -110,6 +155,33 @@ def test_golden_cases():
         for preset in PRESETS for seed in SEEDS
     )
     assert compiled >= 40
+
+
+# --- the clusters, against union-find ---
+
+
+@given(adversarial_items())
+@settings(max_examples=200, deadline=None)
+def test_clusters_of_hand_built_items_match_union_find(items):
+    try:
+        scenario = ClassifiedScenario(PROFILE, items)
+    except SchemaViolation:
+        return
+    assert_clusters(scenario)
+
+
+@given(st.one_of(overlapping_items(), mfa_items().map(lambda item: [item])))
+@settings(max_examples=200, deadline=None)
+def test_clusters_of_overlapping_items_match_union_find(items):
+    assert_clusters(_scenario(*items))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(PRESETS))
+@settings(max_examples=60, deadline=None)
+def test_clusters_of_classified_traces_match_union_find(seed, preset):
+    truth = random_scenario(PROFILE, seed=seed, n_actions=25)
+    trace, _ = synthesize_trace(truth, noise_preset(preset, seed=seed))
+    assert_clusters(classify_trace(trace))
 
 
 # --- the plan's rules, by example ---
